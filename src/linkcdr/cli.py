@@ -20,7 +20,7 @@ from . import __version__, manifest
 from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from .decompose import assign_factors, loadings, pca, scree_data, varimax
 from .errors import ConfigError, LinkCdrError
-from .features import FeatureConfig, apply_scaler, compute_feature_matrix, fit_scaler
+from .features import apply_scaler, compute_feature_matrix, fit_scaler
 from .ingest import (
     EventColumns,
     ObservationWindow,
@@ -50,7 +50,7 @@ from .learn import (
     train_linear_svm,
     train_logreg,
 )
-from .learn.pipeline import TrainConfig
+from .learn.pipeline import TrainConfig, _peer_bracket_rows
 from .pairgraph import (
     PairKey,
     apply_regularity_filter,
@@ -219,8 +219,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     window = _window_from_args(args)
-    events, _ = _read_events_file(args.events, window)
-    columns = EventColumns.from_events(events)
+    # the event list is freed here, before the feature kernel's temporaries
+    columns = EventColumns.from_events(_read_events_file(args.events, window)[0])
     pair_rows = read_pairs_csv(args.pairs)
     pairs = [PairKey(row["first"], row["second"]) for row in pair_rows]
     graph = build_links(columns, window)
@@ -229,14 +229,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         if args.common_contacts_filtered
         else graph
     )
-    matrix = compute_feature_matrix(
-        columns,
-        pairs,
-        contact_graph,
-        window,
-        FeatureConfig(utc_offset=args.utc_offset),
-        jobs=args.jobs,
-    )
+    matrix = compute_feature_matrix(columns, pairs, contact_graph, window, args.utc_offset)
     features_path = os.path.join(out, "features.csv")
     write_features_csv(features_path, pairs, matrix)
     RunManifest(
@@ -532,25 +525,23 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     seeds = tuple(args.seed + i for i in range(args.seeds))
     config = TrainConfig(kind=args.model, seeds=seeds, n_train=args.n_train)
 
-    # reference run: train on everything, evaluate on the restricted slice
-    from .pairgraph import peer_bracket_of_code
-
-    test_mask = np.asarray(
-        [peer_bracket_of_code(code) == args.bracket for code in test.groups], dtype=bool
-    )
-    if not test_mask.any():
+    test_rows = _peer_bracket_rows(test, args.bracket)
+    if test_rows.size == 0:
         raise ConfigError(f"no peer test pairs in bracket {args.bracket!r}")
+    # the restricted run checks the bracket's class sizes before any training
+    restricted_report = age_restricted_experiment(pool, test, args.bracket, config)
+
+    # reference run: train on everything, evaluate on the restricted slice
     full_run = seed_ensemble(
         pool, test.x, config.kind, config.grid, seeds, n_train=args.n_train, penalty="l2"
     )
-    restricted_test = test.subset(np.flatnonzero(test_mask))
+    restricted_test = test.subset(test_rows)
     full_report = evaluate(
-        full_run.predictions[test_mask],
+        full_run.predictions[test_rows],
         restricted_test.y,
         restricted_test.groups,
-        None if full_run.probabilities is None else full_run.probabilities[test_mask],
+        None if full_run.probabilities is None else full_run.probabilities[test_rows],
     )
-    restricted_report = age_restricted_experiment(pool, test, args.bracket, config)
 
     gap_full = full_report.tpr - full_report.tnr
     gap_restricted = restricted_report.tpr - restricted_report.tnr
@@ -693,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count common contacts on the regularity-filtered graph",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_window_flags(p)
     p.set_defaults(handler=cmd_features)

@@ -1,6 +1,12 @@
-"""Per-pair feature extraction: time segmentation, weekly statistics,
-daypart fractions, active days, reciprocity, inter-event gaps, and the
-175-value vector assembly, plus train-time standardization.
+"""Pair feature extraction: time segmentation, weekly statistics, daypart
+fractions, active days, reciprocity, inter-event gaps, and the 175-value
+vector, plus train-time standardization.
+
+``compute_feature_matrix`` is the one implementation. It maps every event to
+its requested pair's row once and builds each feature group for all rows
+with whole-array operations. ``assemble_feature_vector`` is a one-pair call
+into it; ``weekly_series``, ``fraction_features``, ``active_days_features``
+and ``interevent_stats`` are one-group calls into the same stage functions.
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
 UTC offset to the event timestamps (single-country data, no DST model).
@@ -11,16 +17,15 @@ observation window; weeks without activity contribute explicit zeros.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import manifest
 from .errors import DatasetError
-from .ingest import CdrEvent, EventColumns, EventKind, ObservationWindow
+from .ingest import CdrEvent, EventColumns, ObservationWindow
 from .pairgraph import LinkGraph, PairKey, common_contacts
 
 SECONDS_PER_DAY = 86400
@@ -46,13 +51,6 @@ class TimeSegment(NamedTuple):
 SEGMENT_ORDER: tuple[TimeSegment, ...] = tuple(
     TimeSegment(wp, dp) for wp in Weekpart for dp in Daypart
 )
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Knobs shared by all extraction entry points."""
-
-    utc_offset: int = 0
 
 
 def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,46 +112,6 @@ class WeeklySeries:
         return self.n_calls.shape[0]
 
 
-def _event_arrays(events: Iterable[CdrEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ts = np.asarray([ev.timestamp for ev in events], dtype=np.int64)
-    is_call = np.asarray([ev.kind is EventKind.CALL for ev in events], dtype=bool)
-    dur = np.asarray(
-        [-1 if ev.duration is None else ev.duration for ev in events], dtype=np.int64
-    )
-    return ts, is_call, dur
-
-
-def _weekly_arrays(
-    ts: np.ndarray,
-    is_call: np.ndarray,
-    dur: np.ndarray,
-    grid: WeekGrid,
-) -> WeeklySeries:
-    day, weekday, seg = _local_parts(ts, grid.utc_offset)
-    widx = grid.week_index(day, weekday)
-    in_grid = widx >= 0
-    cell = widx * 6 + seg
-    size = grid.n_weeks * 6
-    call_mask = in_grid & is_call
-    text_mask = in_grid & ~is_call
-    known_dur = np.where(dur >= 0, dur, 0).astype(np.float64)
-    calls = np.bincount(cell[call_mask], minlength=size).reshape(grid.n_weeks, 6)
-    texts = np.bincount(cell[text_mask], minlength=size).reshape(grid.n_weeks, 6)
-    duration = np.bincount(
-        cell[call_mask], weights=known_dur[call_mask], minlength=size
-    ).reshape(grid.n_weeks, 6)
-    return WeeklySeries(calls.astype(np.int64), duration, texts.astype(np.int64))
-
-
-def weekly_series(
-    events: Sequence[CdrEvent], window: ObservationWindow, utc_offset: int = 0
-) -> WeeklySeries:
-    """Weekly per-segment (calls, duration, texts) over the window's full weeks."""
-    grid = WeekGrid.from_window(window, utc_offset)
-    ts, is_call, dur = _event_arrays(events)
-    return _weekly_arrays(ts, is_call, dur, grid)
-
-
 class DistStats(NamedTuple):
     mean: float
     median: float
@@ -176,30 +134,185 @@ def dist_stats(values: Sequence[float] | np.ndarray) -> DistStats:
     return DistStats(*(float(v) for v in stats[:, 0]))
 
 
-def _column_stats(x: np.ndarray) -> np.ndarray:
-    """(7, m) population statistics per column of an (n, m) matrix."""
-    mean = x.mean(axis=0)
+def _column_stats(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """(7, ...) population statistics of ``x`` along ``axis``."""
+    mean = x.mean(axis=axis, keepdims=True)
     centered = x - mean
-    var = np.mean(centered**2, axis=0)
-    std = np.sqrt(var)
+    std = np.sqrt(np.mean(centered**2, axis=axis, keepdims=True))
     safe = np.where(std > 0, std, 1.0)
-    skew = np.where(std > 0, np.mean(centered**3, axis=0) / safe**3, 0.0)
-    kurt = np.where(std > 0, np.mean(centered**4, axis=0) / safe**4 - 3.0, 0.0)
-    return np.stack([mean, np.median(x, axis=0), std, x.min(axis=0), x.max(axis=0), skew, kurt])
+    skew = np.where(std > 0, np.mean(centered**3, axis=axis, keepdims=True) / safe**3, 0.0)
+    kurt = np.where(std > 0, np.mean(centered**4, axis=axis, keepdims=True) / safe**4 - 3.0, 0.0)
+    median = np.median(x, axis=axis, keepdims=True)
+    lo, hi = x.min(axis=axis, keepdims=True), x.max(axis=axis, keepdims=True)
+    return np.stack([s.squeeze(axis) for s in (mean, median, std, lo, hi, skew, kurt)])
+
+
+def _signed_log1p(x: np.ndarray) -> np.ndarray:
+    return np.sign(x) * np.log1p(np.abs(x))
+
+
+# --- stage functions: each builds one feature group for every row -----------
+
+
+class _Events(NamedTuple):
+    """Per-event arrays shared by the stages; ``row`` is each event's output row."""
+
+    row: np.ndarray
+    ts: np.ndarray
+    is_call: np.ndarray
+    known_dur: np.ndarray  # unknown call durations as 0
+    day: np.ndarray
+    weekday: np.ndarray
+    seg: np.ndarray
+
+    @classmethod
+    def select(cls, cols: EventColumns, idx, row: np.ndarray, utc_offset: int) -> "_Events":
+        ts = cols.timestamp[idx]
+        day, weekday, seg = _local_parts(ts, utc_offset)
+        known_dur = np.maximum(cols.duration[idx], 0).astype(np.float64)
+        return cls(row, ts, cols.is_call[idx], known_dur, day, weekday, seg)
+
+    @classmethod
+    def one_row(cls, events: Sequence[CdrEvent], utc_offset: int) -> "_Events":
+        cols = EventColumns.from_events(events)
+        return cls.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), utc_offset)
+
+
+def _quantity_sums(
+    group: np.ndarray,
+    cell: np.ndarray,
+    is_call: np.ndarray,
+    known_dur: np.ndarray,
+    n_groups: int,
+    n_cells: int,
+) -> np.ndarray:
+    """(n_groups, 3, n_cells) call counts, call durations and text counts,
+    from one bincount over (group, quantity, cell)."""
+    width = 3 * n_cells
+    base = group * width + cell
+    keys = np.concatenate([base + np.where(is_call, 0, 2 * n_cells), base[is_call] + n_cells])
+    weights = np.concatenate([np.ones(base.size), known_dur[is_call]])
+    sums = np.bincount(keys, weights, minlength=n_groups * width)
+    return sums.reshape(n_groups, 3, n_cells)
+
+
+def _weekly_tensor(ev: _Events, n_rows: int, grid: WeekGrid) -> np.ndarray:
+    """(rows, weeks, 18) weekly calls, durations and texts per segment."""
+    week = grid.week_index(ev.day, ev.weekday)
+    inside = week >= 0
+    sums = _quantity_sums(
+        ev.row[inside] * grid.n_weeks + week[inside],
+        ev.seg[inside],
+        ev.is_call[inside],
+        ev.known_dur[inside],
+        n_rows * grid.n_weeks,
+        6,
+    )
+    return sums.reshape(n_rows, grid.n_weeks, 18)
+
+
+def _weekly_stats(tensor: np.ndarray) -> np.ndarray:
+    """(rows, 126): 7 statistics over the weeks per (quantity, segment)
+    column, the five scale statistics log1p-transformed."""
+    block = _column_stats(tensor, axis=1).transpose(1, 2, 0).copy()
+    block[..., :5] = np.log1p(block[..., :5])
+    return block.reshape(len(tensor), 126)
+
+
+def _fractions(totals: np.ndarray) -> np.ndarray:
+    """(rows, 18) daypart shares from (rows, 3 quantities, 6 segments) totals."""
+    blocks = totals.reshape(-1, 3, 2, 3).transpose(0, 2, 1, 3)  # row, weekpart, qty, daypart
+    weekpart_total = blocks.sum(axis=-1, keepdims=True)
+    frac = np.divide(blocks, weekpart_total, out=np.zeros_like(blocks), where=weekpart_total > 0)
+    # late-night calls and duration carry footnote log1p
+    frac[:, :, :2, 2] = np.log1p(frac[:, :, :2, 2])
+    return frac.reshape(len(totals), 18)
+
+
+def _active_days(ev: _Events, n_rows: int) -> np.ndarray:
+    """(rows, 12) log1p counts of distinct local days with a call, then a
+    text, per segment: the distinct (row, kind, segment, day) keys of one sort."""
+    slot = ev.row * 12 + np.where(ev.is_call, 0, 6) + ev.seg
+    day = ev.day - ev.day.min() if ev.day.size else ev.day
+    span = int(day.max(initial=0)) + 1
+    keys = np.sort(slot * span + day)
+    active_slots = keys[np.diff(keys, prepend=-1) != 0] // span
+    return np.log1p(np.bincount(active_slots, minlength=n_rows * 12).reshape(n_rows, 12))
+
+
+def _reciprocity(directional: np.ndarray) -> np.ndarray:
+    """|in - out| / (in + out) over a last axis of [in, out]; 0 without traffic."""
+    total = directional.sum(axis=-1)
+    gap = np.abs(directional[..., 0] - directional[..., 1])
+    return np.divide(gap, total, out=np.zeros_like(total), where=total > 0)
+
+
+def _interevent(
+    group: np.ndarray, ts: np.ndarray, n_groups: int, window_seconds: int
+) -> np.ndarray:
+    """(n_groups, 7) transformed gap statistics of each group's event times.
+
+    One sort of (group, ts) keys yields every group's gaps contiguously;
+    moments are segmented sums and the order statistics come from one sort
+    of (group, gap) keys. Groups with fewer than two events take the
+    sentinel log1p(window length) for the scale statistics and 0 for
+    skewness and kurtosis.
+    """
+    out = np.zeros((n_groups, 7))
+    out[:, :5] = math.log1p(window_seconds)
+    if ts.size < 2:
+        return out
+    t0 = int(ts.min())
+    span = int(ts.max()) - t0 + 1
+    if n_groups * span >= 2**63:
+        raise DatasetError("event times span too long to sort with their pair index")
+    group, ts = np.divmod(np.sort(group * span + (ts - t0)), span)
+    same = group[1:] == group[:-1]
+    gap_group = group[1:][same]
+    if gap_group.size == 0:
+        return out
+    gaps = np.diff(ts)[same]
+    count = np.bincount(gap_group, minlength=n_groups)
+    owners = np.flatnonzero(count)
+    count = count[owners]
+    start = np.cumsum(count) - count
+    ordered = (np.sort(gap_group * span + gaps) % span).astype(np.float64)
+    gaps = gaps.astype(np.float64)
+
+    mean = np.add.reduceat(gaps, start) / count
+    centered = gaps - np.repeat(mean, count)
+    std = np.sqrt(np.add.reduceat(centered**2, start) / count)
+    safe = np.where(std > 0, std, 1.0)
+    skew = np.where(std > 0, np.add.reduceat(centered**3, start) / count / safe**3, 0.0)
+    kurt = np.where(std > 0, np.add.reduceat(centered**4, start) / count / safe**4 - 3.0, 0.0)
+
+    mid = start + count // 2
+    median = np.where(count % 2, ordered[mid], (ordered[mid - 1] + ordered[mid]) / 2)
+    lo, hi = ordered[start], ordered[start + count - 1]
+    out[owners, :5] = np.log1p(np.stack([mean, median, std, lo, hi], axis=1))
+    out[owners, 5:] = _signed_log1p(np.stack([skew, kurt], axis=1))
+    return out
+
+
+# --- one-group views ----------------------------------------------------------
+
+
+def weekly_series(
+    events: Sequence[CdrEvent], window: ObservationWindow, utc_offset: int = 0
+) -> WeeklySeries:
+    """Weekly per-segment (calls, duration, texts) over the window's full weeks."""
+    grid = WeekGrid.from_window(window, utc_offset)
+    tensor = _weekly_tensor(_Events.one_row(events, utc_offset), 1, grid)[0]
+    return WeeklySeries(
+        tensor[:, :6].astype(np.int64), tensor[:, 6:12], tensor[:, 12:].astype(np.int64)
+    )
 
 
 def reciprocity(in_qty: float, out_qty: float) -> float:
     """Normalized directional imbalance |in-out| / (in+out), 0 for no traffic."""
     if in_qty < 0 or out_qty < 0:
         raise ValueError("reciprocity inputs must be nonnegative")
-    total = in_qty + out_qty
-    if total == 0:
-        return 0.0
-    return abs(in_qty - out_qty) / total
-
-
-def _signed_log1p(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.log1p(np.abs(x))
+    return float(_reciprocity(np.asarray([in_qty, out_qty], dtype=np.float64)))
 
 
 def fraction_features(segment_totals: np.ndarray) -> np.ndarray:
@@ -212,38 +325,12 @@ def fraction_features(segment_totals: np.ndarray) -> np.ndarray:
     totals = np.asarray(segment_totals, dtype=np.float64)
     if totals.shape != (3, 6):
         raise DatasetError(f"expected (3, 6) totals, got {totals.shape}")
-    out = np.zeros(18)
-    pos = 0
-    for wp in range(2):
-        block = totals[:, wp * 3 : wp * 3 + 3]
-        for qty in range(3):
-            weekpart_total = block[qty].sum()
-            frac = block[qty] / weekpart_total if weekpart_total > 0 else np.zeros(3)
-            if qty in (0, 1):  # late-night calls and duration carry footnote log1p
-                frac = frac.copy()
-                frac[2] = np.log1p(frac[2])
-            out[pos : pos + 3] = frac
-            pos += 3
-    return out
+    return _fractions(totals[None])[0]
 
 
 def active_days_features(events: Sequence[CdrEvent], utc_offset: int = 0) -> np.ndarray:
     """12 log1p counts of distinct local days with >=1 call / text per segment."""
-    ts, is_call, _ = _event_arrays(events)
-    return _active_days(ts, is_call, utc_offset)
-
-
-def _active_days(ts: np.ndarray, is_call: np.ndarray, utc_offset: int) -> np.ndarray:
-    counts = np.zeros(12)
-    if ts.size:
-        day, _, seg = _local_parts(ts, utc_offset)
-        kind = (~is_call).astype(np.int64)  # 0 = call, 1 = text
-        unique_keys = np.unique(day * 12 + seg * 2 + kind)
-        slot = unique_keys % 12
-        seg_u = slot // 2
-        kind_u = slot % 2
-        counts = np.bincount(kind_u * 6 + seg_u, minlength=12).astype(np.float64)
-    return np.log1p(counts)
+    return _active_days(_Events.one_row(events, utc_offset), 1)[0]
 
 
 def interevent_stats(timestamps: Sequence[int] | np.ndarray, window_seconds: int) -> np.ndarray:
@@ -253,86 +340,76 @@ def interevent_stats(timestamps: Sequence[int] | np.ndarray, window_seconds: int
     log1p(window length) and skewness/kurtosis are 0, encoding "rarer than
     observable" monotonically.
     """
-    ts = np.sort(np.asarray(timestamps, dtype=np.int64))
-    if ts.size < 2:
-        sentinel = math.log1p(window_seconds)
-        return np.asarray([sentinel] * 5 + [0.0, 0.0])
-    gaps = np.diff(ts).astype(np.float64)
-    stats = _column_stats(gaps[:, None])[:, 0]
-    out = np.empty(7)
-    out[:5] = np.log1p(stats[:5])
-    out[5:] = _signed_log1p(stats[5:])
-    return out
+    ts = np.asarray(timestamps, dtype=np.int64)
+    return _interevent(np.zeros(ts.size, dtype=np.int64), ts, 1, window_seconds)[0]
 
 
-def _pair_vector(
-    ts: np.ndarray,
-    is_call: np.ndarray,
-    dur: np.ndarray,
-    from_first: np.ndarray,
-    grid: WeekGrid,
-    window_seconds: int,
-    common: tuple[int, int],
+# --- the kernel ---------------------------------------------------------------
+
+
+def _pair_rows(
+    cols: EventColumns, pairs: Sequence[PairKey]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Map events to rows of the distinct requested pairs.
+
+    Returns (event indices, their rows, each row's lexicographically first
+    user code, the row of every entry of ``pairs``).
+    """
+    n_users = len(cols.users)
+    codes = np.asarray(
+        [[cols.user_index.get(min(p), -1), cols.user_index.get(max(p), -1)] for p in pairs],
+        dtype=np.int64,
+    )
+    wanted = np.where(
+        (codes >= 0).all(axis=1), codes.min(axis=1) * n_users + codes.max(axis=1), -1
+    )
+    keys, first_entry, inverse = np.unique(wanted, return_index=True, return_inverse=True)
+    pair_id = np.minimum(cols.caller, cols.callee) * n_users + np.maximum(cols.caller, cols.callee)
+    pos = np.minimum(np.searchsorted(keys, pair_id), len(keys) - 1)
+    idx = np.flatnonzero(keys[pos] == pair_id)
+    return idx, pos[idx], codes[first_entry, 0], inverse
+
+
+def compute_feature_matrix(
+    cols: EventColumns,
+    pairs: Sequence[PairKey],
+    graph: LinkGraph,
+    window: ObservationWindow,
+    utc_offset: int = 0,
 ) -> np.ndarray:
-    """Assemble the 175 values for one pair from its event arrays."""
-    weekly = _weekly_arrays(ts, is_call, dur, grid)
-    series = np.concatenate(
-        [weekly.n_calls.astype(np.float64), weekly.duration, weekly.n_texts.astype(np.float64)],
+    """Feature matrix (len(pairs) x 175) in the order of ``pairs``.
+
+    ``graph`` supplies the common-contact counts and must contain every pair.
+    """
+    if not pairs:
+        return np.zeros((0, manifest.N_FEATURES))
+    grid = WeekGrid.from_window(window, utc_offset)
+    idx, row, first_user, inverse = _pair_rows(cols, pairs)
+    n = len(first_user)
+    ev = _Events.select(cols, idx, row, utc_offset)
+    from_first = (cols.caller[idx] == first_user[row]).astype(np.int64)
+    blocks = np.concatenate(
+        [
+            _weekly_stats(_weekly_tensor(ev, n, grid)),
+            _fractions(_quantity_sums(row, ev.seg, ev.is_call, ev.known_dur, n, 6)),
+            _active_days(ev, n),
+            _reciprocity(_quantity_sums(row, from_first, ev.is_call, ev.known_dur, n, 2)),
+            _interevent(2 * row + ~ev.is_call, ev.ts, 2 * n, window.n_seconds).reshape(n, 14),
+        ],
         axis=1,
-    )  # (W, 18) columns ordered quantity-major then segment
-    stats = _column_stats(series)  # (7, 18)
-    weekly_block = stats.T.reshape(-1).copy()  # per column: 7 stats contiguous
-    scale_rows = np.zeros(7, dtype=bool)
-    scale_rows[:5] = True
-    weekly_block[np.tile(scale_rows, 18)] = np.log1p(weekly_block[np.tile(scale_rows, 18)])
-
-    _, _, seg = _local_parts(ts, grid.utc_offset)
-    known_dur = np.where(dur >= 0, dur, 0).astype(np.float64)
-    totals = np.zeros((3, 6))
-    if ts.size:
-        totals[0] = np.bincount(seg[is_call], minlength=6)
-        totals[1] = np.bincount(seg[is_call], weights=known_dur[is_call], minlength=6)
-        totals[2] = np.bincount(seg[~is_call], minlength=6)
-    fractions = fraction_features(totals)
-
-    active = _active_days(ts, is_call, grid.utc_offset)
-
-    out_call = int(np.count_nonzero(is_call & from_first))
-    in_call = int(np.count_nonzero(is_call & ~from_first))
-    out_dur = float(known_dur[is_call & from_first].sum())
-    in_dur = float(known_dur[is_call & ~from_first].sum())
-    out_text = int(np.count_nonzero(~is_call & from_first))
-    in_text = int(np.count_nonzero(~is_call & ~from_first))
-    recips = np.asarray(
-        [
-            reciprocity(in_call, out_call),
-            reciprocity(in_dur, out_dur),
-            reciprocity(in_text, out_text),
-        ]
     )
-
-    inter = np.concatenate(
-        [
-            interevent_stats(ts[is_call], window_seconds),
-            interevent_stats(ts[~is_call], window_seconds),
-        ]
-    )
-
-    vec = np.concatenate(
-        [weekly_block, fractions, active, recips, inter, np.asarray(common, dtype=np.float64)]
-    )
-    if vec.shape != (manifest.N_FEATURES,):
-        raise AssertionError(f"feature vector has shape {vec.shape}")
-    return vec
+    common = np.asarray([common_contacts(graph, pair) for pair in pairs], dtype=np.float64)
+    return np.concatenate([blocks[inverse], common], axis=1)
 
 
 def assemble_feature_vector(
     pair_events: Sequence[CdrEvent],
     graph: LinkGraph,
     window: ObservationWindow,
-    config: FeatureConfig = FeatureConfig(),
+    utc_offset: int = 0,
 ) -> np.ndarray:
-    """The 175-value vector for one pair given its own events.
+    """The 175-value vector for one pair given its own events: a one-pair
+    call into ``compute_feature_matrix``.
 
     ``graph`` supplies the common-contact counts and must contain the pair;
     all events must belong to the same unordered pair.
@@ -343,109 +420,8 @@ def assemble_feature_vector(
     for ev in pair_events:
         if PairKey.of(ev.caller_id, ev.callee_id) != key:
             raise DatasetError("events span more than one pair")
-    grid = WeekGrid.from_window(window, config.utc_offset)
-    ts, is_call, dur = _event_arrays(pair_events)
-    from_first = np.asarray([ev.caller_id == key.first for ev in pair_events], dtype=bool)
-    common = common_contacts(graph, key)
-    return _pair_vector(ts, is_call, dur, from_first, grid, window.n_seconds, common)
-
-
-# --- batch extraction --------------------------------------------------------
-
-_BATCH_CTX: dict | None = None
-
-
-def _pair_slices(
-    cols: EventColumns, pairs: Sequence[PairKey]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], np.ndarray]:
-    """Sort events by unordered pair and find each requested pair's slice."""
-    n_users = len(cols.users)
-    lex_rank = np.empty(n_users, dtype=np.int64)
-    lex_rank[np.argsort(np.asarray(cols.users, dtype=object))] = np.arange(n_users)
-    caller_first = lex_rank[cols.caller] < lex_rank[cols.callee]
-    first = np.where(caller_first, cols.caller, cols.callee)
-    second = np.where(caller_first, cols.callee, cols.caller)
-    pair_id = first * n_users + second
-    order = np.argsort(pair_id, kind="stable")
-    sorted_ids = pair_id[order]
-
-    spans: list[tuple[int, int]] = []
-    for pair in pairs:
-        fc = cols.user_index.get(pair.first)
-        sc = cols.user_index.get(pair.second)
-        if fc is None or sc is None:
-            spans.append((0, 0))
-            continue
-        a, b = (fc, sc) if lex_rank[fc] < lex_rank[sc] else (sc, fc)
-        pid = a * n_users + b
-        lo = int(np.searchsorted(sorted_ids, pid, side="left"))
-        hi = int(np.searchsorted(sorted_ids, pid, side="right"))
-        spans.append((lo, hi))
-    return order, caller_first, spans, pair_id
-
-
-def _batch_vector(i: int) -> np.ndarray:
-    ctx = _BATCH_CTX
-    lo, hi = ctx["spans"][i]
-    idx = ctx["order"][lo:hi]
-    return _pair_vector(
-        ctx["ts"][idx],
-        ctx["is_call"][idx],
-        ctx["dur"][idx],
-        ctx["caller_is_first"][idx],
-        ctx["grid"],
-        ctx["window_seconds"],
-        ctx["common"][i],
-    )
-
-
-def _batch_chunk(span: tuple[int, int]) -> np.ndarray:
-    lo, hi = span
-    return np.stack([_batch_vector(i) for i in range(lo, hi)])
-
-
-def compute_feature_matrix(
-    cols: EventColumns,
-    pairs: Sequence[PairKey],
-    graph: LinkGraph,
-    window: ObservationWindow,
-    config: FeatureConfig = FeatureConfig(),
-    jobs: int = 1,
-) -> np.ndarray:
-    """Feature matrix (len(pairs) x 175) in the order of ``pairs``.
-
-    ``jobs`` > 1 fans pair extraction out over forked workers; results are
-    identical to the sequential path.
-    """
-    global _BATCH_CTX
-    if not pairs:
-        return np.zeros((0, manifest.N_FEATURES))
-    grid = WeekGrid.from_window(window, config.utc_offset)
-    order, caller_first, spans, _ = _pair_slices(cols, pairs)
-    common = [common_contacts(graph, pair) for pair in pairs]
-    _BATCH_CTX = {
-        "ts": cols.timestamp,
-        "is_call": cols.is_call,
-        "dur": cols.duration,
-        "caller_is_first": caller_first,
-        "order": order,
-        "spans": spans,
-        "grid": grid,
-        "window_seconds": window.n_seconds,
-        "common": common,
-    }
-    try:
-        n = len(pairs)
-        if jobs <= 1:
-            rows = [_batch_vector(i) for i in range(n)]
-            return np.stack(rows)
-        chunk = max(1, n // (jobs * 8))
-        chunks = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            blocks = pool.map(_batch_chunk, chunks)
-        return np.concatenate(blocks, axis=0)
-    finally:
-        _BATCH_CTX = None
+    cols = EventColumns.from_events(pair_events)
+    return compute_feature_matrix(cols, [key], graph, window, utc_offset)[0]
 
 
 # --- standardization ----------------------------------------------------------
@@ -464,10 +440,6 @@ class ScalerParams:
             "std": [float(v) for v in self.std],
             "manifest_hash": manifest.manifest_hash(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalerParams":
-        return cls(np.asarray(data["mean"], dtype=np.float64), np.asarray(data["std"]))
 
 
 def fit_scaler(matrix: np.ndarray, names: Sequence[str] | None = None) -> ScalerParams:
@@ -488,5 +460,6 @@ def fit_scaler(matrix: np.ndarray, names: Sequence[str] | None = None) -> Scaler
 
 
 def apply_scaler(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
+    """Standardize with parameters learned by ``fit_scaler``."""
     x = np.asarray(matrix, dtype=np.float64)
     return (x - params.mean) / params.std

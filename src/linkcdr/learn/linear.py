@@ -7,8 +7,8 @@ Both trainers minimize
 
 with logistic loss or squared hinge, R either 0.5*||w||^2 or ||w||_1, and
 an unpenalized bias. Labels are {0, 1} at the interface and mapped to
-{-1, +1} internally. Optimization starts from zero weights, so results do
-not depend on the seed argument.
+{-1, +1} internally. Optimization starts from zero weights, so training
+is deterministic and takes no seed.
 """
 
 from __future__ import annotations
@@ -225,13 +225,10 @@ def train_logreg(
     y: np.ndarray,
     penalty: str = "l2",
     c: float = 1.0,
-    seed: int = 0,
     max_iter: int = 1000,
     tol: float = 1e-6,
 ) -> TrainedModel:
-    """Logistic regression; ``seed`` is accepted for interface symmetry but
-    unused because optimization starts from zero weights."""
-    del seed
+    """Logistic regression."""
     return _train(x, y, KIND_LOGREG, penalty, c, max_iter, tol)
 
 
@@ -240,13 +237,11 @@ def train_linear_svm(
     y: np.ndarray,
     penalty: str = "l2",
     c: float = 1.0,
-    seed: int = 0,
     max_iter: int = 1000,
     tol: float = 1e-6,
 ) -> TrainedModel:
     """Linear SVM with squared hinge loss; same optimizer contract as
     train_logreg."""
-    del seed
     return _train(x, y, KIND_LSVM, penalty, c, max_iter, tol)
 
 

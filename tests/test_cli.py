@@ -205,19 +205,6 @@ class TestExitCodes:
         assert not report["ok"] and len(report["warnings"]) == 6
 
 
-class TestFeatureJobsFlag:
-    def test_parallel_features_identical(self, pipeline_dirs, tmp_path):
-        out2 = tmp_path / "feats_jobs2"
-        assert main([
-            "features", "--events", str(pipeline_dirs["gen"] / "events.csv"),
-            "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"),
-            "--jobs", "2", "--out", str(out2),
-        ]) == 0
-        a = (pipeline_dirs["feats"] / "features.csv").read_bytes()
-        b = (out2 / "features.csv").read_bytes()
-        assert a == b
-
-
 class TestSplitHelpers:
     def test_pool_and_test_are_disjoint_and_cover(self):
         from linkcdr.cli import _split_pool_test
@@ -363,3 +350,22 @@ class TestExperimentStage:
             "--out", str(tmp_path / "age18"),
         ])
         assert code == 2
+
+    def test_small_bracket_fails_before_any_training(
+        self, pipeline_dirs, tmp_path, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("an ensemble was trained before the bracket check")
+
+        monkeypatch.setattr("linkcdr.cli.seed_ensemble", no_training)
+        monkeypatch.setattr("linkcdr.learn.pipeline.seed_ensemble", no_training)
+        code = main([
+            "experiment", "age-restricted",
+            "--features", str(pipeline_dirs["feats"] / "features.csv"),
+            "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"),
+            "--bracket", "O", "--n-test", "150", "--seed", "3",
+            "--out", str(tmp_path / "ageO"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bracket 'O' has only 10 pairs in its smaller class, need 50" in err

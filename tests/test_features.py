@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DAY, JAN1_2007, WEEK, epoch, ev
 from linkcdr.errors import DatasetError
 from linkcdr.features import (
     Daypart,
-    FeatureConfig,
     WeekGrid,
     Weekpart,
     active_days_features,
@@ -31,7 +32,7 @@ from linkcdr.features import (
 )
 from linkcdr.ingest import EventColumns, ObservationWindow
 from linkcdr.manifest import FEATURE_NAMES, GROUP_SIZES, N_FEATURES
-from linkcdr.pairgraph import PairKey, build_links
+from linkcdr.pairgraph import PairKey, build_links, common_contacts
 from oracles import feature_vector_oracle, moment_stats
 
 
@@ -297,6 +298,10 @@ class TestIntereventStats:
         b = interevent_stats([0, 60, 180, 300], window_seconds=1000)
         np.testing.assert_array_equal(a, b)
 
+    def test_time_span_too_long_for_sort_keys(self):
+        with pytest.raises(DatasetError, match="span too long"):
+            interevent_stats([-(2**62), 2**62], window_seconds=1000)
+
 
 def build_pair_fixture(window, seed=9, n=120):
     rng = np.random.default_rng(seed)
@@ -367,7 +372,7 @@ class TestAssembleFeatureVector:
         events, side = build_pair_fixture(default_window, seed=77)
         graph = build_links(events + side, default_window)
         offset = 2 * 3600
-        vec = assemble_feature_vector(events, graph, default_window, FeatureConfig(offset))
+        vec = assemble_feature_vector(events, graph, default_window, utc_offset=offset)
         common = common_contacts(graph, PairKey.of("p1", "p2"))
         want = feature_vector_oracle(events, default_window, offset, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
@@ -411,6 +416,7 @@ class TestComputeFeatureMatrix:
         cols = EventColumns.from_events(events)
         graph = build_links(cols, default_window)
         pairs = sorted(graph.links)[:6]
+        pairs.append(pairs[2])  # a repeated pair gets its own identical row
         matrix = compute_feature_matrix(cols, pairs, graph, default_window)
         for i, pair in enumerate(pairs):
             own = [
@@ -420,20 +426,59 @@ class TestComputeFeatureMatrix:
                 matrix[i], assemble_feature_vector(own, graph, default_window)
             )
 
-    def test_parallel_jobs_identical(self, default_window):
-        rng = np.random.default_rng(13)
-        users = [f"u{i}" for i in range(8)]
-        events = []
-        for _ in range(600):
-            a, b = rng.choice(8, size=2, replace=False)
-            ts = int(rng.integers(default_window.start, default_window.end))
-            events.append(ev(users[a], users[b], ts))
+
+# A month-aligned window that ends mid-week, and one that starts on a
+# Wednesday and ends mid-month, so events fall outside the full weeks.
+KERNEL_WINDOWS = (
+    ObservationWindow.default(),
+    ObservationWindow.from_dates("2007-01-03", "2007-02-20"),
+)
+
+
+@st.composite
+def multi_pair_events(draw):
+    """Events of 1-4 pairs over six users; each pair sends calls only,
+    texts only, or both, and some calls have unknown durations."""
+    window = draw(st.sampled_from(KERNEL_WINDOWS))
+    offset = draw(st.sampled_from((0, 7200, -5 * 3600, 19800)))
+    codes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda p: frozenset(p),
+        )
+    )
+    events = []
+    for a, b in codes:
+        kinds = draw(st.sampled_from((("call",), ("text",), ("call", "text"))))
+        for _ in range(draw(st.integers(1, 12))):
+            caller, callee = (a, b) if draw(st.booleans()) else (b, a)
+            ts = window.start + draw(st.integers(0, window.n_seconds - 1))
+            kind = draw(st.sampled_from(kinds))
+            duration = draw(st.one_of(st.none(), st.integers(0, 3600)))
+            events.append(ev(f"u{caller}", f"u{callee}", ts, kind, duration))
+    events.sort(key=lambda e: e.timestamp)  # interleave the pairs
+    return window, offset, events
+
+
+class TestKernelDifferential:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(multi_pair_events())
+    def test_rows_match_oracle_and_one_pair_assembly(self, case):
+        window, offset, events = case
         cols = EventColumns.from_events(events)
-        graph = build_links(cols, default_window)
+        graph = build_links(cols, window)
         pairs = sorted(graph.links)
-        seq = compute_feature_matrix(cols, pairs, graph, default_window, jobs=1)
-        par = compute_feature_matrix(cols, pairs, graph, default_window, jobs=2)
-        np.testing.assert_array_equal(seq, par)
+        matrix = compute_feature_matrix(cols, pairs, graph, window, utc_offset=offset)
+        assert matrix.shape == (len(pairs), N_FEATURES)
+        for row, pair in zip(matrix, pairs):
+            own = [e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair]
+            want = feature_vector_oracle(own, window, offset, common_contacts(graph, pair))
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(
+                row, assemble_feature_vector(own, graph, window, utc_offset=offset)
+            )
 
 
 class TestScaler:

@@ -110,12 +110,6 @@ class TestTrainers:
         again = TRAINERS[kind](doubled, y, penalty="l2", c=1.0)
         assert (base.predict(x) == again.predict(doubled)).all()
 
-    def test_seed_argument_is_inert(self, kind):
-        x, y = blobs(seed=10)
-        a = TRAINERS[kind](x, y, seed=1)
-        b = TRAINERS[kind](x, y, seed=999)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
 
 class TestSelectFeatures:
     def test_threshold_rule(self):
