@@ -21,13 +21,7 @@ from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from .decompose import assign_factors, loadings, pca, scree_data, varimax
 from .errors import ConfigError, LinkCdrError
 from .features import apply_scaler, compute_feature_matrix, fit_scaler
-from .ingest import (
-    EventColumns,
-    ObservationWindow,
-    parse_events,
-    parse_subscribers,
-    validate_dataset,
-)
+from .ingest import ObservationWindow, parse_events, parse_subscribers, validate_dataset
 from .io_utils import (
     RunManifest,
     read_features_csv,
@@ -148,9 +142,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     window = _window_from_args(args)
-    events, event_diags = _read_events_file(args.events, window)
+    columns, event_diags = _read_events_file(args.events, window)
     subscribers, sub_diags = _read_subscribers_file(args.subscribers)
-    report = validate_dataset(events, subscribers, window)
+    report = validate_dataset(columns, subscribers, window)
     validation_path = os.path.join(out, "validation.json")
     write_json(validation_path, report.to_dict())
     outputs = [validation_path]
@@ -169,11 +163,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_pairs(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     window = _window_from_args(args)
-    events, event_diags = _read_events_file(args.events, window)
+    columns, event_diags = _read_events_file(args.events, window)
     subscribers, _ = (
         _read_subscribers_file(args.subscribers) if args.subscribers else ({}, [])
     )
-    columns = EventColumns.from_events(events)
     graph = build_links(columns, window)
     filtered = apply_regularity_filter(graph, window, args.min_months)
     pairs = mutual_top_rank_pairs(filtered)
@@ -219,8 +212,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     window = _window_from_args(args)
-    # the event list is freed here, before the feature kernel's temporaries
-    columns = EventColumns.from_events(_read_events_file(args.events, window)[0])
+    columns, _ = _read_events_file(args.events, window)
     pair_rows = read_pairs_csv(args.pairs)
     pairs = [PairKey(row["first"], row["second"]) for row in pair_rows]
     graph = build_links(columns, window)
@@ -387,6 +379,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     report = evaluate(result.predictions, test.y, test.groups, result.probabilities)
 
     lead = result.models[0]
+    per_seed_fit = None
+    if args.model != "knn":
+        per_seed_fit = [
+            {
+                "n_iterations": m.n_iterations,
+                "grad_map_norm": m.grad_map_norm,
+                "converged": m.converged,
+            }
+            for m in result.models
+        ]
     model_path = os.path.join(out, "model.json")
     write_json(
         model_path,
@@ -401,6 +403,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "selected_features": selected,
             "calibration": lead.calibration,
             "per_seed_params": result.best_params,
+            "per_seed_fit": per_seed_fit,
             "seeds": seeds,
             "manifest_hash": manifest.manifest_hash(),
         },

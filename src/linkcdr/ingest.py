@@ -11,16 +11,20 @@ The on-disk formats are plain CSV:
 
 Parsing is total: every input row is either accepted or reported as a
 line-level diagnostic; only an unreadable stream or a wrong header is fatal.
+Accepted event rows go straight into ``EventColumns`` (user ids interned in
+order of first appearance); ``CdrEvent`` is the one-event form used at API
+edges such as one-pair feature calls.
 """
 
 from __future__ import annotations
 
 import calendar
 import io
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import BinaryIO, Iterable, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -137,18 +141,13 @@ class ObservationWindow:
     def contains(self, timestamp: int) -> bool:
         return self.start <= timestamp < self.end
 
-    def month_index(self, timestamp: int) -> int:
-        if not self.contains(timestamp):
-            raise DatasetError(f"timestamp {timestamp} outside window")
-        # month_starts is sorted; find rightmost start <= timestamp
-        lo, hi = 0, len(self.month_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.month_starts[mid] <= timestamp:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def month_index(self, timestamps: np.ndarray) -> np.ndarray:
+        """Month of each timestamp: the rightmost month start at or before it."""
+        ts = np.asarray(timestamps, dtype=np.int64)
+        outside = (ts < self.start) | (ts >= self.end)
+        if outside.any():
+            raise DatasetError(f"timestamp {int(ts[outside][0])} outside window")
+        return np.searchsorted(np.asarray(self.month_starts), ts, side="right") - 1
 
 
 class EventColumns:
@@ -181,32 +180,40 @@ class EventColumns:
         return len(self.timestamp)
 
     @classmethod
-    def from_events(cls, events: Iterable[CdrEvent]) -> "EventColumns":
-        users: list[str] = []
+    def _from_rows(cls, rows: Iterable[tuple[str, str, int, bool, int]]) -> "EventColumns":
+        """Columns of ``(caller, callee, timestamp, is_call, duration)`` rows,
+        with -1 for an unknown duration; user ids are interned in order of
+        first appearance."""
         index: dict[str, int] = {}
-
-        def code(uid: str) -> int:
-            got = index.get(uid)
-            if got is None:
-                got = len(users)
-                index[uid] = got
-                users.append(uid)
-            return got
-
-        caller, callee, ts, is_call, dur = [], [], [], [], []
-        for ev in events:
-            caller.append(code(ev.caller_id))
-            callee.append(code(ev.callee_id))
-            ts.append(ev.timestamp)
-            is_call.append(ev.kind is EventKind.CALL)
-            dur.append(-1 if ev.duration is None else ev.duration)
+        code = index.setdefault
+        caller, callee, ts, dur = array("q"), array("q"), array("q"), array("q")
+        is_call = array("B")
+        for a, b, t, c, d in rows:
+            caller.append(code(a, len(index)))
+            callee.append(code(b, len(index)))
+            ts.append(t)
+            is_call.append(c)
+            dur.append(d)
         return cls(
-            np.asarray(caller, dtype=np.int64),
-            np.asarray(callee, dtype=np.int64),
-            np.asarray(ts, dtype=np.int64),
-            np.asarray(is_call, dtype=bool),
-            np.asarray(dur, dtype=np.int64),
-            users,
+            np.frombuffer(caller, dtype=np.int64),
+            np.frombuffer(callee, dtype=np.int64),
+            np.frombuffer(ts, dtype=np.int64),
+            np.frombuffer(is_call, dtype=bool),
+            np.frombuffer(dur, dtype=np.int64),
+            list(index),
+        )
+
+    @classmethod
+    def from_events(cls, events: Iterable[CdrEvent]) -> "EventColumns":
+        return cls._from_rows(
+            (
+                ev.caller_id,
+                ev.callee_id,
+                ev.timestamp,
+                ev.kind is EventKind.CALL,
+                -1 if ev.duration is None else ev.duration,
+            )
+            for ev in events
         )
 
     def to_events(self) -> list[CdrEvent]:
@@ -233,11 +240,12 @@ def _decode_lines(stream: BinaryIO) -> Iterable[str]:
 
 def parse_events(
     stream: BinaryIO, window: ObservationWindow
-) -> tuple[list[CdrEvent], list[ParseDiagnostic]]:
-    """Parse an events CSV stream into validated events.
+) -> tuple[EventColumns, list[ParseDiagnostic]]:
+    """Parse an events CSV stream into validated event columns.
 
     Malformed rows are skipped and reported with their line number; file
-    order is preserved for accepted rows.
+    order is preserved for accepted rows, and user ids are interned in order
+    of first appearance.
     """
     lines = _decode_lines(stream)
     try:
@@ -246,9 +254,19 @@ def parse_events(
         raise ParseError("events stream is empty (missing header)") from None
     if header != EVENTS_HEADER:
         raise ParseError(f"events header mismatch: expected {EVENTS_HEADER!r}, got {header!r}")
-
-    events: list[CdrEvent] = []
     diagnostics: list[ParseDiagnostic] = []
+    columns = EventColumns._from_rows(_accepted_rows(lines, window, diagnostics))
+    return columns, diagnostics
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _accepted_rows(
+    lines: Iterable[str], window: ObservationWindow, diagnostics: list[ParseDiagnostic]
+) -> Iterator[tuple[str, str, int, bool, int]]:
+    """Yield ``EventColumns._from_rows`` rows for valid lines (numbered from
+    2, after the header) and report every other non-blank line."""
     for lineno, line in enumerate(lines, start=2):
         if line == "":
             continue
@@ -272,31 +290,32 @@ def parse_events(
             diagnostics.append(ParseDiagnostic(lineno, f"timestamp {ts} outside window"))
             continue
         if kind_text == "call":
-            kind = EventKind.CALL
+            is_call = True
         elif kind_text == "text":
-            kind = EventKind.TEXT
+            is_call = False
         else:
             diagnostics.append(ParseDiagnostic(lineno, f"unknown kind {kind_text!r}"))
             continue
         if dur_text == "":
-            if kind is EventKind.TEXT:
+            if not is_call:
                 diagnostics.append(ParseDiagnostic(lineno, "text with unknown duration"))
                 continue
-            duration: int | None = None
+            duration = -1
         else:
             try:
                 duration = int(dur_text)
+                if duration > _INT64_MAX:  # the int64 column cannot hold it
+                    raise ValueError(dur_text)
             except ValueError:
                 diagnostics.append(ParseDiagnostic(lineno, f"bad duration {dur_text!r}"))
                 continue
             if duration < 0:
                 diagnostics.append(ParseDiagnostic(lineno, f"negative duration {duration}"))
                 continue
-            if kind is EventKind.TEXT and duration != 0:
+            if not is_call and duration != 0:
                 diagnostics.append(ParseDiagnostic(lineno, "text with nonzero duration"))
                 continue
-        events.append(CdrEvent(caller, callee, ts, kind, duration))
-    return events, diagnostics
+        yield caller, callee, ts, is_call, duration
 
 
 def parse_subscribers(
@@ -397,7 +416,7 @@ class ValidationReport:
 
 
 def validate_dataset(
-    events: list[CdrEvent],
+    cols: EventColumns,
     subscribers: Mapping[str, SubscriberRecord],
     window: ObservationWindow,
 ) -> ValidationReport:
@@ -406,23 +425,15 @@ def validate_dataset(
     Raises on an empty event set; a month with zero events is flagged as a
     warning (suspicious input) and marks the report not-ok.
     """
-    if not events:
+    if len(cols) == 0:
         raise DatasetError("no events in dataset")
 
-    per_month = [0] * window.n_months
-    users: set[str] = set()
-    n_calls = n_texts = n_unknown = 0
-    for ev in events:
-        per_month[window.month_index(ev.timestamp)] += 1
-        users.add(ev.caller_id)
-        users.add(ev.callee_id)
-        if ev.kind is EventKind.CALL:
-            n_calls += 1
-            if ev.duration is None:
-                n_unknown += 1
-        else:
-            n_texts += 1
-
+    per_month = np.bincount(window.month_index(cols.timestamp), minlength=window.n_months)
+    seen = np.zeros(len(cols.users), dtype=bool)
+    seen[cols.caller] = True
+    seen[cols.callee] = True
+    users = [u for u, s in zip(cols.users, seen.tolist()) if s]
+    n_calls = int(np.count_nonzero(cols.is_call))
     n_subs = sum(1 for u in users if u in subscribers)
     warnings = [
         f"month {i} (starting at epoch {start}) has zero events"
@@ -430,13 +441,13 @@ def validate_dataset(
         if count == 0
     ]
     return ValidationReport(
-        n_events=len(events),
+        n_events=len(cols),
         n_calls=n_calls,
-        n_texts=n_texts,
+        n_texts=len(cols) - n_calls,
         n_users_seen=len(users),
         n_subscribers_seen=n_subs,
         n_nonsubscribers_seen=len(users) - n_subs,
-        n_unknown_duration_calls=n_unknown,
-        events_per_month=per_month,
+        n_unknown_duration_calls=int(np.count_nonzero(cols.is_call & (cols.duration < 0))),
+        events_per_month=per_month.tolist(),
         warnings=warnings,
     )

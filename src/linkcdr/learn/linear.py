@@ -14,6 +14,7 @@ is deterministic and takes no seed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ class TrainedModel:
     train_y: np.ndarray | None = None
     n_iterations: int = 0
     grad_map_norm: float = math.nan
+    converged: bool | None = None
     objective: float = math.nan
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
@@ -208,6 +210,13 @@ def _train(
     if c <= 0:
         raise DatasetError("C must be positive")
     w, b, iterations, grad_map = _fit_linear(x, y01, kind, penalty, c, max_iter, tol)
+    converged = grad_map < tol
+    if not converged:
+        # constant text, so the default filter reports it once per process
+        warnings.warn(
+            "linear solver stopped at max_iter before its gradient-map norm reached tol",
+            RuntimeWarning,
+        )
     return TrainedModel(
         kind=kind,
         penalty=penalty,
@@ -216,6 +225,7 @@ def _train(
         bias=b,
         n_iterations=iterations,
         grad_map_norm=grad_map,
+        converged=converged,
         objective=objective_value(w, b, x, y01, kind, penalty, c),
     )
 

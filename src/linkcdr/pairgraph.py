@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DatasetError
-from .ingest import CdrEvent, EventColumns, EventKind, ObservationWindow, SubscriberRecord
+from .ingest import EventColumns, ObservationWindow, SubscriberRecord
 
 
 class PairKey(NamedTuple):
@@ -83,49 +83,8 @@ class LinkGraph:
         return self.adjacency.get(user, [])
 
 
-def build_links(
-    events: list[CdrEvent] | EventColumns, window: ObservationWindow
-) -> LinkGraph:
-    """Fold the event stream into one PairLink per unordered pair.
-
-    Accepts either a plain event list or the columnar form; the columnar
-    path is vectorized and preferred for large inputs.
-    """
-    if isinstance(events, EventColumns):
-        return _build_links_columns(events, window)
-
-    n_months = window.n_months
-    links: dict[PairKey, PairLink] = {}
-    for ev in events:
-        key = PairKey.of(ev.caller_id, ev.callee_id)
-        link = links.get(key)
-        if link is None:
-            link = PairLink(key, months_active=[0] * n_months)
-            links[key] = link
-        from_first = ev.caller_id == key.first
-        if ev.kind is EventKind.CALL:
-            link.calls_total += 1
-            link.months_active[window.month_index(ev.timestamp)] += 1
-            if from_first:
-                link.calls_from_first += 1
-            else:
-                link.calls_from_second += 1
-            if ev.duration is not None:
-                link.duration_total += ev.duration
-                if from_first:
-                    link.duration_from_first += ev.duration
-                else:
-                    link.duration_from_second += ev.duration
-        else:
-            link.texts_total += 1
-            if from_first:
-                link.texts_from_first += 1
-            else:
-                link.texts_from_second += 1
-    return LinkGraph(links)
-
-
-def _build_links_columns(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
+def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
+    """Fold the event columns into one PairLink per unordered pair."""
     if len(cols) == 0:
         return LinkGraph({})
     n_users = len(cols.users)
@@ -158,11 +117,10 @@ def _build_links_columns(cols: EventColumns, window: ObservationWindow) -> LinkG
     dur_total = total(is_call, dur)
     dur_ff = total(is_call & caller_first, dur)
 
-    month_starts = np.asarray(window.month_starts, dtype=np.int64)
-    month_idx = np.searchsorted(month_starts, cols.timestamp, side="right") - 1
     n_months = window.n_months
     months = np.bincount(
-        group[is_call] * n_months + month_idx[is_call], minlength=n_pairs * n_months
+        group[is_call] * n_months + window.month_index(cols.timestamp[is_call]),
+        minlength=n_pairs * n_months,
     ).reshape(n_pairs, n_months)
 
     first_codes = unique_ids // n_users

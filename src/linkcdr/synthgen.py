@@ -474,13 +474,13 @@ class PlantedReport:
 
 
 def verify_planted(
-    events: EventColumns | list,
+    columns: EventColumns,
     truth: Sequence[PlantedPair],
     window: ObservationWindow,
     min_months: int = 5,
 ) -> PlantedReport:
     """Run pair extraction and report the planted-pair recovery fraction."""
-    graph = build_links(events, window)
+    graph = build_links(columns, window)
     filtered = apply_regularity_filter(graph, window, min_months)
     recovered = set(mutual_top_rank_pairs(filtered))
     planted = {PairKey.of(p.first, p.second) for p in truth}

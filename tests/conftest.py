@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from linkcdr.ingest import CdrEvent, EventKind, ObservationWindow
+from linkcdr.ingest import CdrEvent, EventColumns, EventKind, ObservationWindow
 
 JAN1_2007 = 1167609600  # Monday 2007-01-01 00:00:00 UTC
 DAY = 86400
@@ -32,6 +32,11 @@ def ev(
     if kind == "text":
         duration = 0
     return CdrEvent(caller, callee, ts, EventKind(kind), duration)
+
+
+def columns(events: list[CdrEvent]) -> EventColumns:
+    """The columnar form that ``build_links`` and ``validate_dataset`` take."""
+    return EventColumns.from_events(events)
 
 
 @pytest.fixture

@@ -8,10 +8,70 @@ is meaningful.
 from __future__ import annotations
 
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 from linkcdr.ingest import CdrEvent, EventKind, ObservationWindow
 from linkcdr.manifest import FEATURE_NAMES
+
+
+# --- ingest --------------------------------------------------------------
+
+
+def _reference_row(line: str, window: ObservationWindow) -> CdrEvent | str:
+    """The event a data line encodes, or the reason it is rejected."""
+    fields = line.split(",")
+    if len(fields) != 5:
+        return f"expected 5 fields, got {len(fields)}"
+    caller, callee, ts_text, kind, dur_text = fields
+    if caller == "" or callee == "":
+        return "empty user id"
+    if caller == callee:
+        return "self-loop"
+    try:
+        ts = int(ts_text)
+    except ValueError:
+        return f"bad timestamp {ts_text!r}"
+    if ts < window.start or ts >= window.end:
+        return f"timestamp {ts} outside window"
+    if kind not in ("call", "text"):
+        return f"unknown kind {kind!r}"
+    if dur_text == "":
+        if kind == "text":
+            return "text with unknown duration"
+        return CdrEvent(caller, callee, ts, EventKind.CALL, None)
+    try:
+        duration = int(dur_text)
+    except ValueError:
+        return f"bad duration {dur_text!r}"
+    if duration >= 2**63:  # too large for an int64 column
+        return f"bad duration {dur_text!r}"
+    if duration < 0:
+        return f"negative duration {duration}"
+    if kind == "text" and duration != 0:
+        return "text with nonzero duration"
+    return CdrEvent(caller, callee, ts, EventKind(kind), duration)
+
+
+def parse_events_reference(
+    data: bytes, window: ObservationWindow
+) -> tuple[list[CdrEvent], list[tuple[int, str]]]:
+    """events.csv bytes (header included) parsed from the whole decoded text:
+    accepted rows as events, other non-blank lines as (line number, reason).
+    Lines end at \\r\\n, \\r or \\n, as in universal-newline reading."""
+    lines = re.split(r"\r\n|\r|\n", data.decode("utf-8", errors="replace"))
+    assert lines[0] == "caller_id,callee_id,timestamp,kind,duration"
+    events: list[CdrEvent] = []
+    rejected: list[tuple[int, str]] = []
+    for number, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        got = _reference_row(line, window)
+        if isinstance(got, str):
+            rejected.append((number, got))
+        else:
+            events.append(got)
+    return events, rejected
 
 
 # --- graph layer ---------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import ev
+from conftest import columns, ev
 from linkcdr import manifest
 from linkcdr.bayes import GaussianClassOracle, bayes_bounds, gaussian_bayes_error, one_nn_error
 from linkcdr.decompose import assign_factors, loadings, pca, varimax, varimax_criterion
@@ -124,7 +124,7 @@ def test_criterion_1_feature_cardinality(default_window):
             ts = int(rng.integers(default_window.start, default_window.end))
             kind = "text" if rng.random() < 0.4 else "call"
             events.append(ev("p1", "p2", ts, kind, int(rng.integers(1, 600))))
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         vector = assemble_feature_vector(events, graph, default_window)
         assert vector.shape == (175,)
         assert np.isfinite(vector).all()
@@ -148,7 +148,7 @@ def test_criterion_2_graph_layer_oracle_equivalence(default_window):
                 ts = int(rng.integers(default_window.start, default_window.end))
                 kind = "text" if rng.random() < 0.25 else "call"
                 events.append(ev(users[a], users[b], ts, kind, int(rng.integers(0, 900))))
-            graph = build_links(events, default_window)
+            graph = build_links(columns(events), default_window)
             oracle = recount_links(events, default_window)
 
             got_pairs = [(k.first, k.second) for k in mutual_top_rank_pairs(graph)]

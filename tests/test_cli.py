@@ -101,6 +101,11 @@ class TestTrainAndDownstream:
         model = json.loads((train / "model.json").read_text())
         assert len(model["weights"]) == 175
         assert model["calibration"] is not None
+        assert len(model["per_seed_fit"]) == 3
+        for fit in model["per_seed_fit"]:
+            assert set(fit) == {"n_iterations", "grad_map_norm", "converged"}
+            assert 1 <= fit["n_iterations"] <= 1000
+            assert fit["converged"] == (fit["grad_map_norm"] < 1e-6)
 
         # the run manifest chains back to the features stage by hash
         train_manifest = json.loads((train / "manifest.json").read_text())
@@ -258,6 +263,7 @@ class TestAgeTaskAndKnn:
         assert model["kind"] == "knn"
         assert model["k"] in (1, 3, 5, 11, 21, 51)
         assert model["weights"] is None and model["calibration"] is None
+        assert model["per_seed_fit"] is None
         predictions = (out / "predictions.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",") for line in predictions)  # no probabilities
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY, JAN1_2007, WEEK, epoch, ev
+from conftest import DAY, JAN1_2007, WEEK, columns, epoch, ev
 from linkcdr.errors import DatasetError
 from linkcdr.features import (
     Daypart,
@@ -76,6 +76,18 @@ class TestSegmentOf:
         assert series.n_calls.sum() <= 500
 
 
+# 7 days from a Monday, and 13 days from a Wednesday (2007-01-08 to 01-15).
+ONE_WEEK_WINDOWS = (
+    ObservationWindow.from_dates("2007-01-01", "2007-01-08"),
+    ObservationWindow.from_dates("2007-01-03", "2007-01-16"),
+)
+# 6 days from a Monday, and 7 days from a Thursday.
+NO_WEEK_WINDOWS = (
+    ObservationWindow.from_dates("2007-01-01", "2007-01-07"),
+    ObservationWindow.from_dates("2007-01-04", "2007-01-11"),
+)
+
+
 class TestWeekGrid:
     def test_default_window_has_thirty_weeks(self, default_window):
         grid = WeekGrid.from_window(default_window)
@@ -88,6 +100,17 @@ class TestWeekGrid:
         assert WeekGrid.from_window(window).n_weeks == 3
         with pytest.raises(DatasetError):
             WeekGrid.from_window(ObservationWindow.from_dates("2007-01-02", "2007-01-08"))
+
+    @pytest.mark.parametrize("window", ONE_WEEK_WINDOWS)
+    def test_one_full_week(self, window):
+        assert WeekGrid.from_window(window).n_weeks == 1
+
+    @pytest.mark.parametrize("window", NO_WEEK_WINDOWS)
+    def test_feature_matrix_needs_a_full_week(self, window):
+        cols = columns([ev("a", "b", window.start + 3600), ev("b", "a", window.end - 1)])
+        graph = build_links(cols, window)
+        with pytest.raises(DatasetError, match="no full Monday-aligned week"):
+            compute_feature_matrix(cols, sorted(graph.links), graph, window)
 
 
 class TestWeeklySeries:
@@ -332,14 +355,14 @@ class TestAssembleFeatureVector:
             "common_contacts": 2,
         }
         events, side = build_pair_fixture(default_window)
-        graph = build_links(events + side, default_window)
+        graph = build_links(columns(events + side), default_window)
         vec = assemble_feature_vector(events, graph, default_window)
         assert vec.shape == (175,)
         assert np.isfinite(vec).all()
 
     def test_zero_texts_take_degenerate_values(self, default_window):
         events = [ev("p1", "p2", default_window.start + i * 9999) for i in range(40)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         vec = assemble_feature_vector(events, graph, default_window)
         names = list(FEATURE_NAMES)
         assert vec[names.index("interevent_texts_mean")] == pytest.approx(
@@ -350,7 +373,7 @@ class TestAssembleFeatureVector:
 
     def test_permutation_invariance(self, default_window):
         events, side = build_pair_fixture(default_window)
-        graph = build_links(events + side, default_window)
+        graph = build_links(columns(events + side), default_window)
         base = assemble_feature_vector(events, graph, default_window)
         rng = np.random.default_rng(0)
         shuffled = [events[i] for i in rng.permutation(len(events))]
@@ -360,7 +383,7 @@ class TestAssembleFeatureVector:
         from linkcdr.pairgraph import common_contacts
 
         events, side = build_pair_fixture(default_window)
-        graph = build_links(events + side, default_window)
+        graph = build_links(columns(events + side), default_window)
         vec = assemble_feature_vector(events, graph, default_window)
         common = common_contacts(graph, PairKey.of("p1", "p2"))
         want = feature_vector_oracle(events, default_window, 0, common)
@@ -370,7 +393,7 @@ class TestAssembleFeatureVector:
         from linkcdr.pairgraph import common_contacts
 
         events, side = build_pair_fixture(default_window, seed=77)
-        graph = build_links(events + side, default_window)
+        graph = build_links(columns(events + side), default_window)
         offset = 2 * 3600
         vec = assemble_feature_vector(events, graph, default_window, utc_offset=offset)
         common = common_contacts(graph, PairKey.of("p1", "p2"))
@@ -387,10 +410,10 @@ class TestAssembleFeatureVector:
 
         from linkcdr.ingest import parse_events
 
-        events, diags = parse_events(io.BytesIO("\n".join(rows).encode()), default_window)
+        cols, diags = parse_events(io.BytesIO("\n".join(rows).encode()), default_window)
         assert diags == []
-        graph = build_links(events, default_window)
-        vec = assemble_feature_vector(events, graph, default_window)
+        graph = build_links(cols, default_window)
+        vec = assemble_feature_vector(cols.to_events(), graph, default_window)
         # splice in the fixture's common-contact counts
         vec[-2] = payload["common_top5"]
         vec[-1] = payload["common_all"]
@@ -399,7 +422,7 @@ class TestAssembleFeatureVector:
 
     def test_mixed_pair_events_rejected(self, default_window):
         events = [ev("a", "b", default_window.start), ev("a", "c", default_window.start + 1)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         with pytest.raises(DatasetError, match="more than one pair"):
             assemble_feature_vector(events, graph, default_window)
 
@@ -428,10 +451,12 @@ class TestComputeFeatureMatrix:
 
 
 # A month-aligned window that ends mid-week, and one that starts on a
-# Wednesday and ends mid-month, so events fall outside the full weeks.
+# Wednesday and ends mid-month, so events fall outside the full weeks; the
+# last two hold exactly one full Monday-aligned week.
 KERNEL_WINDOWS = (
     ObservationWindow.default(),
     ObservationWindow.from_dates("2007-01-03", "2007-02-20"),
+    *ONE_WEEK_WINDOWS,
 )
 
 
@@ -440,7 +465,9 @@ def multi_pair_events(draw):
     """Events of 1-4 pairs over six users; each pair sends calls only,
     texts only, or both, and some calls have unknown durations."""
     window = draw(st.sampled_from(KERNEL_WINDOWS))
-    offset = draw(st.sampled_from((0, 7200, -5 * 3600, 19800)))
+    # a 7-day window holds a full local week at UTC offset 0 only
+    offsets = (0,) if window.n_seconds == WEEK else (0, 7200, -5 * 3600, 19800)
+    offset = draw(st.sampled_from(offsets))
     codes = draw(
         st.lists(
             st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]),

@@ -6,8 +6,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import JAN1_2007, ev
+from conftest import JAN1_2007, columns, ev
 from linkcdr.errors import DatasetError, ParseError
 from linkcdr.ingest import (
     EVENTS_HEADER,
@@ -22,6 +24,7 @@ from linkcdr.ingest import (
     parse_subscribers,
     validate_dataset,
 )
+from oracles import parse_events_reference
 
 
 def events_stream(rows: list[str]) -> io.BytesIO:
@@ -41,10 +44,11 @@ class TestObservationWindow:
 
     def test_month_index_boundaries(self):
         window = ObservationWindow.default()
-        assert window.month_index(window.start) == 0
-        assert window.month_index(window.month_starts[1] - 1) == 0
-        assert window.month_index(window.month_starts[1]) == 1
-        assert window.month_index(window.end - 1) == 6
+        stamps = [window.start, window.month_starts[1] - 1, window.month_starts[1], window.end - 1]
+        assert window.month_index(np.asarray(stamps)).tolist() == [0, 0, 1, 6]
+        for outside in (window.start - 1, window.end):
+            with pytest.raises(DatasetError, match="outside window"):
+                window.month_index(np.asarray([window.start, outside]))
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(DatasetError):
@@ -53,28 +57,28 @@ class TestObservationWindow:
 
 class TestParseEvents:
     def test_call_row_maps_fields(self, default_window):
-        events, diags = parse_events(
+        cols, diags = parse_events(
             events_stream(["a,b,1170324000,call,65"]), default_window
         )
         assert diags == []
-        assert events == [CdrEvent("a", "b", 1170324000, EventKind.CALL, 65)]
+        assert cols.to_events() == [CdrEvent("a", "b", 1170324000, EventKind.CALL, 65)]
 
     def test_text_row_has_zero_duration(self, default_window):
-        events, _ = parse_events(events_stream(["a,b,1170324000,text,0"]), default_window)
-        assert events[0].kind is EventKind.TEXT
-        assert events[0].duration == 0
+        cols, _ = parse_events(events_stream(["a,b,1170324000,text,0"]), default_window)
+        assert not cols.is_call[0]
+        assert cols.duration[0] == 0
 
     def test_self_loop_dropped_with_diagnostic(self, default_window):
-        events, diags = parse_events(
+        cols, diags = parse_events(
             events_stream(["a,a,1170324000,call,65"]), default_window
         )
-        assert events == []
+        assert len(cols) == 0
         assert len(diags) == 1 and "self-loop" in diags[0].reason
 
     def test_empty_duration_means_unknown_call(self, default_window):
-        events, diags = parse_events(events_stream(["a,b,1170324000,call,"]), default_window)
+        cols, diags = parse_events(events_stream(["a,b,1170324000,call,"]), default_window)
         assert diags == []
-        assert events[0].duration is None
+        assert cols.to_events()[0].duration is None
 
     @pytest.mark.parametrize(
         "row, fragment",
@@ -89,8 +93,8 @@ class TestParseEvents:
         ],
     )
     def test_bad_rows_become_diagnostics(self, default_window, row, fragment):
-        events, diags = parse_events(events_stream([row]), default_window)
-        assert events == []
+        cols, diags = parse_events(events_stream([row]), default_window)
+        assert len(cols) == 0
         assert len(diags) == 1 and fragment in diags[0].reason
 
     def test_header_mismatch_is_fatal(self, default_window):
@@ -98,11 +102,11 @@ class TestParseEvents:
             parse_events(io.BytesIO(b"x,y,z\n"), default_window)
 
     def test_diagnostics_carry_line_numbers(self, default_window):
-        events, diags = parse_events(
+        cols, diags = parse_events(
             events_stream(["a,b,1170324000,call,65", "a,a,1170324000,call,65"]),
             default_window,
         )
-        assert len(events) == 1
+        assert len(cols) == 1
         assert diags[0].line == 3
 
     def test_parse_is_total_on_fuzzed_bytes(self, default_window):
@@ -110,8 +114,8 @@ class TestParseEvents:
         for _ in range(50):
             blob = bytes(rng.integers(0, 256, size=rng.integers(1, 400)))
             stream = io.BytesIO(EVENTS_HEADER.encode() + b"\n" + blob)
-            events, diags = parse_events(stream, default_window)
-            assert isinstance(events, list) and isinstance(diags, list)
+            cols, diags = parse_events(stream, default_window)
+            assert isinstance(cols, EventColumns) and isinstance(diags, list)
 
     def test_round_trip(self, default_window):
         rng = np.random.default_rng(1)
@@ -129,7 +133,66 @@ class TestParseEvents:
         payload = "\n".join([EVENTS_HEADER] + [format_event_row(e) for e in events]) + "\n"
         reparsed, diags = parse_events(io.BytesIO(payload.encode()), default_window)
         assert diags == []
-        assert reparsed == events
+        assert reparsed.to_events() == events
+
+
+_WINDOW = ObservationWindow.default()
+_USERS = st.sampled_from(["a", "b", "c", "u1", "u22", "x"])
+_IN_WINDOW = st.integers(_WINDOW.start, _WINDOW.end - 1).map(str)
+
+
+@st.composite
+def _valid_row(draw) -> str:
+    caller, callee = draw(st.lists(_USERS, min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        kind, duration = "text", "0"
+    else:
+        kind, duration = "call", draw(st.sampled_from(["", "0", "65", "3599"]))
+    return ",".join([caller, callee, draw(_IN_WINDOW), kind, duration])
+
+
+def _rejected_rows(ts: str) -> list[st.SearchStrategy[str]]:
+    """One strategy per reason ``parse_events`` rejects a row for."""
+    return [
+        st.sampled_from([f"a,b,{ts},call", f"a,b,{ts},call,5,6", "a,b"]),
+        st.sampled_from([f",b,{ts},call,5", f"a,,{ts},text,0"]),
+        _USERS.map(lambda u: f"{u},{u},{ts},call,5"),
+        st.sampled_from(["a,b,x12,call,5", "a,b,,text,0", "a,b,1.5e9,call,1"]),
+        st.sampled_from([_WINDOW.start - 1, _WINDOW.end, 0]).map(lambda t: f"a,b,{t},call,5"),
+        st.sampled_from(["fax", "CALL", ""]).map(lambda k: f"a,b,{ts},{k},5"),
+        st.just(f"a,b,{ts},text,"),
+        st.sampled_from(["4", "60"]).map(lambda d: f"a,b,{ts},text,{d}"),
+        st.sampled_from(["x", "1.5", str(2**63)]).map(lambda d: f"a,b,{ts},call,{d}"),
+        st.sampled_from(["-1", "-600"]).map(lambda d: f"b,a,{ts},call,{d}"),
+    ]
+
+
+@st.composite
+def _events_file(draw) -> bytes:
+    """Valid rows (repeated users, unknown call durations), blank lines and
+    one row per rejection reason, shuffled, with one line ending."""
+    ts = draw(_IN_WINDOW)
+    rows = draw(st.lists(st.one_of(_valid_row(), st.just("")), max_size=25))
+    rows += [draw(reason) for reason in _rejected_rows(ts)]
+    rows = draw(st.permutations(rows))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([EVENTS_HEADER, *rows, ""]).encode()
+
+
+class TestParserDifferential:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_events_file())
+    def test_matches_reference_parser(self, data):
+        cols, diags = parse_events(io.BytesIO(data), _WINDOW)
+        want_events, want_diags = parse_events_reference(data, _WINDOW)
+        assert [(d.line, d.reason) for d in diags] == want_diags
+        assert cols.to_events() == want_events
+        want = EventColumns.from_events(want_events)
+        assert cols.users == want.users
+        for name in ("caller", "callee", "timestamp", "is_call", "duration"):
+            got, expected = getattr(cols, name), getattr(want, name)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestParseSubscribers:
@@ -164,11 +227,11 @@ class TestParseSubscribers:
 class TestValidateDataset:
     def test_empty_events_fatal(self, default_window):
         with pytest.raises(DatasetError):
-            validate_dataset([], {}, default_window)
+            validate_dataset(columns([]), {}, default_window)
 
     def test_zero_month_flagged(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 10) for m in range(6)]
-        report = validate_dataset(events, {}, default_window)
+        report = validate_dataset(columns(events), {}, default_window)
         assert not report.ok
         assert len(report.warnings) == 1 and "month 6" in report.warnings[0]
 
@@ -191,7 +254,7 @@ class TestValidateDataset:
         ]
         events += [ev("a", "b", t0 + 100 + i, "text") for i in range(8)]
         assert len(events) == 20
-        report = validate_dataset(events, subs, default_window)
+        report = validate_dataset(columns(events), subs, default_window)
         assert report.n_events == 20
         assert report.n_calls == 12
         assert report.n_texts == 8

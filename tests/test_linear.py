@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,20 @@ class TestTrainers:
         x, y = blobs(seed=5, gap=1.0)
         model = TRAINERS[kind](x, y, penalty=penalty, c=1.0)
         assert model.grad_map_norm < 1e-5
+
+    def test_stopping_at_max_iter_warns(self, kind):
+        x, y = blobs(seed=5, gap=1.0)
+        with pytest.warns(RuntimeWarning, match="stopped at max_iter"):
+            model = TRAINERS[kind](x, y, penalty="l2", c=1.0, max_iter=3)
+        assert model.n_iterations == 3
+        assert model.converged is False and model.grad_map_norm >= 1e-6
+
+    def test_converged_fit_is_silent(self, kind):
+        x, y = blobs(seed=5, gap=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = TRAINERS[kind](x, y, penalty="l2", c=1.0)
+        assert model.converged is True
 
     def test_analytic_gradient_matches_finite_differences(self, kind):
         x, y = blobs(seed=6, gap=1.0)

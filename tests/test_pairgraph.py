@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ev
+from conftest import columns, ev
 from linkcdr.errors import ConfigError, DatasetError
-from linkcdr.ingest import EventColumns, Gender, SubscriberRecord
+from linkcdr.ingest import Gender, SubscriberRecord
 from linkcdr.pairgraph import (
     AgeDiffCategory,
     GenderComposition,
@@ -41,7 +41,7 @@ class TestBuildLinks:
         t = default_window.start
         events = [ev("a", "b", t + i, "call", 10) for i in range(3)]
         events += [ev("b", "a", t + 10 + i, "call", 20) for i in range(2)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         link = graph.link("a", "b")
         assert link.calls_total == 5
         assert link.calls_from_first == 3
@@ -50,40 +50,38 @@ class TestBuildLinks:
         assert link.duration_from_first == 30
 
     def test_single_text(self, default_window):
-        graph = build_links([ev("a", "b", default_window.start, "text")], default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start, "text")]), default_window)
         link = graph.link("a", "b")
         assert link.calls_total == 0
         assert link.texts_total == 1
 
     def test_absent_pair_has_no_entry(self, default_window):
-        graph = build_links([ev("a", "b", default_window.start)], default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
         assert PairKey.of("c", "d") not in graph.links
         with pytest.raises(DatasetError, match="unknown pair"):
             graph.link("c", "d")
 
     def test_empty_input(self, default_window):
-        assert len(build_links([], default_window)) == 0
+        assert len(build_links(columns([]), default_window)) == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_counters_match_brute_recount(self, default_window, seed):
         rng = np.random.default_rng(seed)
         events = random_events(rng, 12, 1000, default_window)
         oracle = recount_links(events, default_window)
-        for via_columns in (False, True):
-            source = EventColumns.from_events(events) if via_columns else events
-            graph = build_links(source, default_window)
-            assert set(graph.links) == set(oracle)
-            for key, rec in oracle.items():
-                link = graph.links[PairKey(*key)]
-                assert link.calls_total == rec["calls_total"]
-                assert link.texts_total == rec["texts_total"]
-                assert link.duration_total == rec["duration_total"]
-                assert link.calls_from_first == rec["calls_from_first"]
-                assert link.texts_from_first == rec["texts_from_first"]
-                assert link.duration_from_first == rec["duration_from_first"]
-                assert link.months_active == rec["months"]
-                assert link.calls_total == link.calls_from_first + link.calls_from_second
-                assert link.texts_total == link.texts_from_first + link.texts_from_second
+        graph = build_links(columns(events), default_window)
+        assert set(graph.links) == set(oracle)
+        for key, rec in oracle.items():
+            link = graph.links[PairKey(*key)]
+            assert link.calls_total == rec["calls_total"]
+            assert link.texts_total == rec["texts_total"]
+            assert link.duration_total == rec["duration_total"]
+            assert link.calls_from_first == rec["calls_from_first"]
+            assert link.texts_from_first == rec["texts_from_first"]
+            assert link.duration_from_first == rec["duration_from_first"]
+            assert link.months_active == rec["months"]
+            assert link.calls_total == link.calls_from_first + link.calls_from_second
+            assert link.texts_total == link.texts_from_first + link.texts_from_second
 
 
 class TestRankAlters:
@@ -91,24 +89,24 @@ class TestRankAlters:
         t = default_window.start
         events = [ev("e", "x", t + i) for i in range(10)]
         events += [ev("e", "y", t + 100 + i) for i in range(3)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert [alter for alter, _ in rank_alters(graph, "e")] == ["x", "y"]
 
     def test_duration_breaks_count_ties(self, default_window):
         t = default_window.start
         events = [ev("e", "x", t + i, "call", 120) for i in range(5)]
         events += [ev("e", "y", t + 100 + i, "call", 20) for i in range(5)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert [alter for alter, _ in rank_alters(graph, "e")] == ["x", "y"]
 
     def test_ego_without_links(self, default_window):
-        graph = build_links([ev("a", "b", default_window.start)], default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
         assert rank_alters(graph, "zzz") == []
 
     def test_matches_brute_sort_on_fixture(self, default_window):
         rng = np.random.default_rng(7)
         events = random_events(rng, 4, 120, default_window)
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         oracle = recount_links(events, default_window)
         for user in "u00 u01 u02 u03".split():
             assert rank_alters(graph, user) == rank_alters_brute(oracle, user)
@@ -117,29 +115,29 @@ class TestRankAlters:
 class TestRegularityFilter:
     def test_five_active_months_kept(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 5) for m in range(5)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert len(apply_regularity_filter(graph, default_window, 5)) == 1
 
     def test_texts_do_not_count(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 5) for m in range(4)]
         events += [ev("a", "b", default_window.month_starts[m] + 9, "text") for m in range(7)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert len(apply_regularity_filter(graph, default_window, 5)) == 0
 
     def test_min_months_zero_keeps_all(self, default_window):
         events = [ev("a", "b", default_window.start), ev("c", "d", default_window.start + 1)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert len(apply_regularity_filter(graph, default_window, 0)) == 2
 
     def test_min_months_above_window_fatal(self, default_window):
-        graph = build_links([ev("a", "b", default_window.start)], default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
         with pytest.raises(ConfigError):
             apply_regularity_filter(graph, default_window, 8)
 
     def test_raising_min_months_never_adds_pairs(self, default_window):
         rng = np.random.default_rng(3)
         events = random_events(rng, 10, 600, default_window)
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         previous = None
         for months in range(8):
             kept = set(apply_regularity_filter(graph, default_window, months).links)
@@ -150,14 +148,14 @@ class TestRegularityFilter:
 
 class TestMutualTopRank:
     def test_single_link_is_mutual(self, default_window):
-        graph = build_links([ev("a", "b", default_window.start)], default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
         assert mutual_top_rank_pairs(graph) == [PairKey("a", "b")]
 
     def test_star_keeps_only_strongest_leaf(self, default_window):
         t = default_window.start
         events = [ev("c", "l1", t + i) for i in range(10)]
         events += [ev("c", "l2", t + 50 + i) for i in range(5)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert mutual_top_rank_pairs(graph) == [PairKey("c", "l1")]
 
     def test_triangle_matches_exhaustive_oracle(self, default_window):
@@ -165,7 +163,7 @@ class TestMutualTopRank:
         events = []
         for i, (x, y) in enumerate([("a", "b"), ("b", "c"), ("c", "a")]):
             events += [ev(x, y, t + 100 * i + j) for j in range(5)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         oracle = recount_links(events, default_window)
         got = [(k.first, k.second) for k in mutual_top_rank_pairs(graph)]
         assert got == mutual_pairs_brute(oracle)
@@ -174,7 +172,7 @@ class TestMutualTopRank:
     def test_random_graphs_match_oracle(self, default_window, seed):
         rng = np.random.default_rng(100 + seed)
         events = random_events(rng, 20, 800, default_window)
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         pairs = mutual_top_rank_pairs(graph)
         assert [(k.first, k.second) for k in pairs] == mutual_pairs_brute(
             recount_links(events, default_window)
@@ -192,7 +190,7 @@ class TestCommonContacts:
     def test_disjoint_neighborhoods(self, default_window):
         t = default_window.start
         events = [ev("a", "b", t), ev("a", "x", t + 1), ev("b", "y", t + 2)]
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert common_contacts(graph, PairKey.of("a", "b")) == (0, 0)
 
     def test_fully_shared_top5(self, default_window):
@@ -201,11 +199,11 @@ class TestCommonContacts:
         for i, n in enumerate(("n1", "n2", "n3")):
             events.append(ev("a", n, t + 10 + i))
             events.append(ev("b", n, t + 20 + i))
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         assert common_contacts(graph, PairKey.of("a", "b")) == (3, 3)
 
     def test_unknown_pair_errors(self, default_window):
-        graph = build_links([ev("a", "b", default_window.start)], default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
         with pytest.raises(DatasetError, match="unknown pair"):
             common_contacts(graph, PairKey.of("a", "z"))
 
@@ -213,7 +211,7 @@ class TestCommonContacts:
     def test_eight_node_fixture_matches_brute_intersection(self, default_window, seed):
         rng = np.random.default_rng(40 + seed)
         events = random_events(rng, 8, 300, default_window)
-        graph = build_links(events, default_window)
+        graph = build_links(columns(events), default_window)
         oracle = recount_links(events, default_window)
         for key in graph.links:
             assert common_contacts(graph, key) == common_contacts_brute(

@@ -76,10 +76,10 @@ class TestGenerate:
         dataset = generate(config)
         paths = write_dataset(dataset, tmp_path)
         with open(paths["events"], "rb") as handle:
-            events, diagnostics = parse_events(handle, config.window)
+            cols, diagnostics = parse_events(handle, config.window)
         assert diagnostics == []
-        assert len(events) == len(dataset.columns)
-        report = validate_dataset(events, dataset.subscribers, config.window)
+        assert len(cols) == len(dataset.columns)
+        report = validate_dataset(cols, dataset.subscribers, config.window)
         assert report.ok
         assert report.n_unknown_duration_calls > 0  # background calls arrive unknown
 
