@@ -36,6 +36,7 @@ from .learn import (
     C_GRID,
     K_GRID,
     LabeledDataset,
+    TrainedModel,
     age_restricted_experiment,
     balanced_sample,
     evaluate,
@@ -346,16 +347,27 @@ def _standardized_split(
 _SELECTOR_TRAINERS = {"lr-l1": train_logreg, "lsvm-l1": train_linear_svm}
 
 
+def _fit_record(model: TrainedModel) -> dict:
+    """Solver diagnostics of one linear fit, as written to model.json."""
+    return {
+        "n_iterations": model.n_iterations,
+        "grad_map_norm": model.grad_map_norm,
+        "converged": model.converged,
+    }
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, args.task)
     pool, test, scaler = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
 
     selected = None
+    selector_fit = None
     if args.feature_select != "none":
         trainer = _SELECTOR_TRAINERS[args.feature_select]
         sample = balanced_sample(pool, args.n_train, args.seed)
         selector = trainer(sample.x, sample.y, penalty="l1", c=args.select_c)
+        selector_fit = _fit_record(selector)
         selected = select_features(selector)
         if selected.size == 0:
             raise ConfigError(
@@ -381,14 +393,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     lead = result.models[0]
     per_seed_fit = None
     if args.model != "knn":
-        per_seed_fit = [
-            {
-                "n_iterations": m.n_iterations,
-                "grad_map_norm": m.grad_map_norm,
-                "converged": m.converged,
-            }
-            for m in result.models
-        ]
+        per_seed_fit = [_fit_record(m) for m in result.models]
     model_path = os.path.join(out, "model.json")
     write_json(
         model_path,
@@ -404,6 +409,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             "calibration": lead.calibration,
             "per_seed_params": result.best_params,
             "per_seed_fit": per_seed_fit,
+            "per_seed_cv": result.cv_tables,
+            "selector_fit": selector_fit,
             "seeds": seeds,
             "manifest_hash": manifest.manifest_hash(),
         },

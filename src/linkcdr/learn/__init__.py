@@ -1,6 +1,7 @@
-"""Classifier training and evaluation: balanced sampling, linear models via
-proximal gradient, exact kNN, cross-validation, seed-mode ensembling, Platt
-calibration, and per-relationship evaluation reports."""
+"""Classifier training and evaluation: balanced sampling, linear models
+(damped Newton for l2 fits, FISTA for l1 feature selection), exact kNN,
+cross-validation, seed-mode ensembling, Platt calibration, and
+per-relationship evaluation reports."""
 
 from .calibration import platt_fit, platt_probability
 from .evaluation import EvalReport, GroupStats, evaluate

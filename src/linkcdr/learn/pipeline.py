@@ -135,6 +135,7 @@ class EnsembleResult:
     per_seed_predictions: np.ndarray  # (n_seeds, n_test)
     models: list[TrainedModel]
     best_params: list[float | int]
+    cv_tables: list[list[tuple[float | int, float]]]  # per seed, CrossValResult.table
 
 
 def seed_ensemble(
@@ -162,6 +163,7 @@ def seed_ensemble(
     per_seed = []
     models: list[TrainedModel] = []
     best_params: list[float | int] = []
+    cv_tables: list[list[tuple[float | int, float]]] = []
     prob_sum: np.ndarray | None = None
     for seed in seeds:
         sample = balanced_sample(pool, n_train, seed)
@@ -177,9 +179,12 @@ def seed_ensemble(
             prob_sum = p if prob_sum is None else prob_sum + p
         models.append(model)
         best_params.append(cv.best_param)
+        cv_tables.append(cv.table)
     final = (2 * votes > len(seeds)).astype(np.int64)
     probabilities = prob_sum / len(seeds) if prob_sum is not None else None
-    return EnsembleResult(final, probabilities, np.asarray(per_seed), models, best_params)
+    return EnsembleResult(
+        final, probabilities, np.asarray(per_seed), models, best_params, cv_tables
+    )
 
 
 @dataclass(frozen=True)

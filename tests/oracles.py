@@ -2,7 +2,8 @@
 
 Everything here avoids the library's vectorized code paths: plain dicts,
 datetime arithmetic, and math-module moments, so agreement with the package
-is meaningful.
+is meaningful. The l2 linear-model reference is plain gradient descent on
+numpy arrays and shares no code with the library's solvers.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 import re
 from datetime import datetime, timedelta, timezone
+
+import numpy as np
 
 from linkcdr.ingest import CdrEvent, EventKind, ObservationWindow
 from linkcdr.manifest import FEATURE_NAMES
@@ -309,3 +312,46 @@ def feature_vector_oracle(
     values["common_contacts_top5"] = float(common[0])
     values["common_contacts_all"] = float(common[1])
     return [values[name] for name in FEATURE_NAMES]
+
+
+# --- l2 linear models ----------------------------------------------------
+
+
+def l2_linear_objective(w, b: float, x, y01, kind: str, c: float):
+    """(value, w-gradient, b-gradient) of mean loss + ||w||^2 / (2C) with an
+    unpenalized bias, for logistic loss or squared hinge on labels {0, 1}."""
+    s = np.where(np.asarray(y01) == 1, 1.0, -1.0)
+    m = s * (x @ w + b)
+    if kind == "logreg":
+        loss = np.logaddexp(0.0, -m)
+        dloss = -0.5 * (1.0 - np.tanh(0.5 * m))  # -1 / (1 + e^m)
+    else:
+        hinge = np.maximum(0.0, 1.0 - m)
+        loss = hinge * hinge
+        dloss = -2.0 * hinge
+    coef = dloss * s / len(m)
+    return float(loss.mean() + 0.5 * (w @ w) / c), x.T @ coef + w / c, float(coef.sum())
+
+
+def l2_linear_reference(x, y01, kind: str, c: float, tol: float, max_iter: int):
+    """Plain gradient descent with Armijo backtracking on the l2 objective,
+    from zero. Returns (value, gradient norm, converged)."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    value, gw, gb = l2_linear_objective(w, b, x, y01, kind, c)
+    step = 1.0
+    for _ in range(max_iter):
+        sq = float(gw @ gw) + gb * gb
+        if math.sqrt(sq) < tol:
+            return value, math.sqrt(sq), True
+        step *= 2.0
+        while True:
+            w_new, b_new = w - step * gw, b - step * gb
+            new_value, new_gw, new_gb = l2_linear_objective(w_new, b_new, x, y01, kind, c)
+            if new_value <= value - 0.5 * step * sq:
+                break
+            step *= 0.5
+            if step < 1e-20:
+                return value, math.sqrt(sq), False
+        w, b, value, gw, gb = w_new, b_new, new_value, new_gw, new_gb
+    return value, math.sqrt(float(gw @ gw) + gb * gb), False

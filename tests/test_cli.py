@@ -106,6 +106,15 @@ class TestTrainAndDownstream:
             assert set(fit) == {"n_iterations", "grad_map_norm", "converged"}
             assert 1 <= fit["n_iterations"] <= 1000
             assert fit["converged"] == (fit["grad_map_norm"] < 1e-6)
+        # one [C, mean fold accuracy] row per grid value, per seed; the
+        # chosen C is the first best row
+        assert len(model["per_seed_cv"]) == 3
+        for table, chosen in zip(model["per_seed_cv"], model["per_seed_params"]):
+            assert [row[0] for row in table] == [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0]
+            scores = [row[1] for row in table]
+            assert all(0.0 <= s <= 1.0 for s in scores)
+            assert table[scores.index(max(scores))][0] == chosen
+        assert model["selector_fit"] is None
 
         # the run manifest chains back to the features stage by hash
         train_manifest = json.loads((train / "manifest.json").read_text())
@@ -153,6 +162,10 @@ class TestTrainAndDownstream:
         kept = model["selected_features"]
         assert 0 < len(kept) < 175
         assert len(model["weights"]) == len(kept)
+        fit = model["selector_fit"]
+        assert set(fit) == {"n_iterations", "grad_map_norm", "converged"}
+        assert 1 <= fit["n_iterations"] <= 1000
+        assert fit["converged"] == (fit["grad_map_norm"] < 1e-6)
 
     def test_bayes_bounds_stage(self, pipeline_dirs):
         root = pipeline_dirs["root"]
@@ -263,7 +276,10 @@ class TestAgeTaskAndKnn:
         assert model["kind"] == "knn"
         assert model["k"] in (1, 3, 5, 11, 21, 51)
         assert model["weights"] is None and model["calibration"] is None
-        assert model["per_seed_fit"] is None
+        assert model["per_seed_fit"] is None and model["selector_fit"] is None
+        assert [[row[0] for row in table] for table in model["per_seed_cv"]] == [
+            [1, 3, 5, 11, 21, 51]
+        ] * 3
         predictions = (out / "predictions.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",") for line in predictions)  # no probabilities
 

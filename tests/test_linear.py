@@ -1,11 +1,15 @@
-"""Optimizer correctness for the proximal-gradient linear trainers."""
+"""Optimizer correctness for the linear trainers (Newton for l2, FISTA for l1)."""
 
 from __future__ import annotations
 
 import warnings
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkcdr.errors import DatasetError
 from linkcdr.learn.linear import (
@@ -15,6 +19,8 @@ from linkcdr.learn.linear import (
     train_linear_svm,
     train_logreg,
 )
+from linkcdr.learn.pipeline import C_GRID
+from oracles import l2_linear_objective, l2_linear_reference
 
 TRAINERS = {"logreg": train_logreg, "lsvm": train_linear_svm}
 
@@ -75,8 +81,15 @@ class TestTrainers:
     def test_stopping_at_max_iter_warns(self, kind):
         x, y = blobs(seed=5, gap=1.0)
         with pytest.warns(RuntimeWarning, match="stopped at max_iter"):
-            model = TRAINERS[kind](x, y, penalty="l2", c=1.0, max_iter=3)
-        assert model.n_iterations == 3
+            model = TRAINERS[kind](x, y, penalty="l2", c=1.0, max_iter=1)
+        assert model.n_iterations == 1
+        assert model.converged is False and model.grad_map_norm >= 1e-6
+
+    def test_l1_stopping_at_max_iter_warns(self, kind):
+        x, y = blobs(seed=5, gap=1.0)
+        with pytest.warns(RuntimeWarning, match="stopped at max_iter"):
+            model = TRAINERS[kind](x, y, penalty="l1", c=1.0, max_iter=1)
+        assert model.n_iterations == 1
         assert model.converged is False and model.grad_map_norm >= 1e-6
 
     def test_converged_fit_is_silent(self, kind):
@@ -125,6 +138,54 @@ class TestTrainers:
         doubled = np.column_stack([x, x[:, 0]])
         again = TRAINERS[kind](doubled, y, penalty="l2", c=1.0)
         assert (base.predict(x) == again.predict(doubled)).all()
+
+
+@st.composite
+def l2_problems(draw):
+    """A model kind and a standardized problem: a CV fold of the benchmark's
+    shape (n < d), a tall one, one with duplicated columns, or one with
+    about 15% positive labels; label noise from none (separable) to heavy."""
+    kind = draw(st.sampled_from(sorted(TRAINERS)))
+    shape = draw(st.sampled_from(["fold", "tall", "duplicated", "unbalanced"]))
+    noise = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = {"fold": (80, 175), "tall": (200, 12), "duplicated": (60, 8), "unbalanced": (120, 20)}
+    n, d = sizes[shape]
+    x = rng.standard_normal((n, 4)) @ rng.standard_normal((4, d)) + rng.standard_normal((n, d))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    score = x @ rng.standard_normal(d) / math.sqrt(d) + noise * rng.standard_normal(n)
+    cut = np.quantile(score, 0.85) if shape == "unbalanced" else np.median(score)
+    y = (score > cut).astype(int)
+    if shape == "duplicated":
+        x = np.column_stack([x, x[:, :3], x[:, 0]])
+    return kind, x, y
+
+
+class TestNewtonDifferential:
+    """Every l2 fit on the C grid converges in a handful of Newton steps and
+    reaches the optimum that plain gradient descent finds (tests/oracles.py)."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(l2_problems())
+    def test_matches_gradient_descent_reference(self, problem):
+        kind, x, y = problem
+        compared = 0
+        for c in C_GRID:
+            model = TRAINERS[kind](x, y, penalty="l2", c=c)
+            value, gw, gb = l2_linear_objective(model.weights, model.bias, x, y, kind, c)
+            # A wrong Hessian (say, a broken active-set mask) still reaches the
+            # optimum, only in many more steps; Newton needs at most 12 here.
+            assert model.converged and model.n_iterations <= 30
+            assert math.sqrt(float(gw @ gw) + gb * gb) < 1e-6
+            assert model.objective == pytest.approx(value, rel=1e-12)
+            if c <= 10.0:
+                ref_value, _, ref_converged = l2_linear_reference(
+                    x, y, kind, c, tol=1e-7, max_iter=5000
+                )
+                if ref_converged:
+                    assert value == pytest.approx(ref_value, rel=1e-9)
+                    compared += 1
+        assert compared >= 3
 
 
 class TestSelectFeatures:
