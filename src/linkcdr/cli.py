@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -21,7 +20,13 @@ from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from .decompose import assign_factors, loadings, pca, scree_data, varimax
 from .errors import ConfigError, LinkCdrError
 from .features import apply_scaler, compute_feature_matrix, fit_scaler
-from .ingest import ObservationWindow, parse_events, parse_subscribers, validate_dataset
+from .ingest import (
+    ObservationWindow,
+    epoch_seconds,
+    parse_events,
+    parse_subscribers,
+    validate_dataset,
+)
 from .io_utils import (
     RunManifest,
     read_features_csv,
@@ -60,19 +65,12 @@ from .synthgen import generate, verify_planted, write_dataset
 AGE_TASK_CUTOFF = 35
 
 
-def _epoch(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        return int(datetime.fromisoformat(text).replace(tzinfo=timezone.utc).timestamp())
-
-
 def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
     if args.window_start is None and args.window_end is None:
         return ObservationWindow.default()
     if args.window_start is None or args.window_end is None:
         raise ConfigError("--window-start and --window-end must be given together")
-    return ObservationWindow(_epoch(args.window_start), _epoch(args.window_end))
+    return ObservationWindow(epoch_seconds(args.window_start), epoch_seconds(args.window_end))
 
 
 def _ensure_out(args: argparse.Namespace) -> str:
@@ -173,18 +171,18 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     pairs = mutual_top_rank_pairs(filtered)
     labels = label_pairs(pairs, subscribers)
 
+    active = filtered.active_months
     rows = []
-    for pair in pairs:
-        link = filtered.links[pair]
+    for pair, i in zip(pairs, filtered.index(pairs).tolist()):
         label = labels.get(pair)
         rows.append(
             {
                 "first": pair.first,
                 "second": pair.second,
-                "calls_total": link.calls_total,
-                "texts_total": link.texts_total,
-                "duration_total": link.duration_total,
-                "months_active": link.n_active_months,
+                "calls_total": int(filtered.calls[i]),
+                "texts_total": int(filtered.texts[i]),
+                "duration_total": int(filtered.duration[i]),
+                "months_active": int(active[i]),
                 "label_code": label.code if label else "",
                 "younger_age": label.younger_age if label else "",
             }
@@ -378,16 +376,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     seeds = [args.seed + i for i in range(args.seeds)]
     grid = list(K_GRID) if args.model == "knn" else list(C_GRID)
-    result = seed_ensemble(
-        pool,
-        test.x,
-        args.model,
-        grid,
-        seeds,
-        n_train=args.n_train,
-        penalty="l2",
-        calibrate=args.model != "knn",
-    )
+    result = seed_ensemble(pool, test.x, args.model, grid, seeds, n_train=args.n_train)
     report = evaluate(result.predictions, test.y, test.groups, result.probabilities)
 
     lead = result.models[0]
@@ -542,9 +531,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     restricted_report = age_restricted_experiment(pool, test, args.bracket, config)
 
     # reference run: train on everything, evaluate on the restricted slice
-    full_run = seed_ensemble(
-        pool, test.x, config.kind, config.grid, seeds, n_train=args.n_train, penalty="l2"
-    )
+    full_run = seed_ensemble(pool, test.x, config.kind, config.grid, seeds, n_train=args.n_train)
     restricted_test = test.subset(test_rows)
     full_report = evaluate(
         full_run.predictions[test_rows],
@@ -645,8 +632,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-start", help="ISO date or epoch seconds (UTC)")
-    parser.add_argument("--window-end", help="ISO date or epoch seconds (UTC)")
+    parser.add_argument("--window-start", help="epoch seconds or ISO date/time (naive = UTC)")
+    parser.add_argument("--window-end", help="epoch seconds or ISO date/time (naive = UTC)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -398,7 +398,7 @@ def compute_feature_matrix(
         ],
         axis=1,
     )
-    common = np.asarray([common_contacts(graph, pair) for pair in pairs], dtype=np.float64)
+    common = common_contacts(graph, pairs).astype(np.float64)
     return np.concatenate([blocks[inverse], common], axis=1)
 
 

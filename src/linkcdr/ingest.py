@@ -96,6 +96,16 @@ def _month_start_epochs(start: int, end: int) -> tuple[int, ...]:
     return tuple(starts)
 
 
+def epoch_seconds(text: str) -> int:
+    """Epoch seconds of an integer or an ISO date or date-time; a naive date
+    or time means UTC, an aware one (``Z``, ``+02:00``) keeps its offset."""
+    try:
+        return int(text)
+    except ValueError:
+        dt = datetime.fromisoformat(text)
+        return int((dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp())
+
+
 @dataclass(frozen=True)
 class ObservationWindow:
     """Half-open observation interval [start, end) in UTC epoch seconds.
@@ -117,13 +127,8 @@ class ObservationWindow:
 
     @classmethod
     def from_dates(cls, start_date: str, end_date: str) -> "ObservationWindow":
-        """Build a window from ISO dates interpreted at UTC midnight."""
-
-        def to_epoch(text: str) -> int:
-            dt = datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
-            return int(dt.timestamp())
-
-        return cls(to_epoch(start_date), to_epoch(end_date))
+        """Build a window from ISO dates or date-times (see ``epoch_seconds``)."""
+        return cls(epoch_seconds(start_date), epoch_seconds(end_date))
 
     @classmethod
     def default(cls) -> "ObservationWindow":
@@ -368,20 +373,6 @@ def parse_subscribers(
 def format_event_row(event: CdrEvent) -> str:
     dur = "" if event.duration is None else str(event.duration)
     return f"{event.caller_id},{event.callee_id},{event.timestamp},{event.kind.value},{dur}"
-
-
-def write_events_csv(events: Iterable[CdrEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(EVENTS_HEADER + "\n")
-        for ev in events:
-            out.write(format_event_row(ev) + "\n")
-
-
-def write_subscribers_csv(records: Iterable[SubscriberRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(SUBSCRIBERS_HEADER + "\n")
-        for rec in records:
-            out.write(f"{rec.user_id},{rec.age},{rec.gender.value},{rec.postcode or ''}\n")
 
 
 @dataclass

@@ -68,13 +68,11 @@ def balanced_sample(dataset: LabeledDataset, n_train: int, seed: int) -> Labeled
     return dataset.subset(order)
 
 
-def _fit_model(
-    kind: str, x: np.ndarray, y: np.ndarray, param: float | int, penalty: str | None
-) -> TrainedModel:
+def _fit_model(kind: str, x: np.ndarray, y: np.ndarray, param: float | int) -> TrainedModel:
     if kind == KIND_LOGREG:
-        return train_logreg(x, y, penalty=penalty or "l2", c=float(param))
+        return train_logreg(x, y, c=float(param))
     if kind == KIND_LSVM:
-        return train_linear_svm(x, y, penalty=penalty or "l2", c=float(param))
+        return train_linear_svm(x, y, c=float(param))
     if kind == KIND_KNN:
         return TrainedModel(kind=KIND_KNN, k=int(param), train_x=x, train_y=y)
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -103,7 +101,6 @@ def cross_validate(
     kind: str,
     grid: Sequence[float | int],
     seed: int,
-    penalty: str | None = "l2",
     n_folds: int = 5,
 ) -> CrossValResult:
     """Pick the grid value with the best mean fold accuracy and refit on all
@@ -118,13 +115,13 @@ def cross_validate(
         scores = []
         for fold in range(n_folds):
             train_mask = folds != fold
-            model = _fit_model(kind, dataset.x[train_mask], dataset.y[train_mask], param, penalty)
+            model = _fit_model(kind, dataset.x[train_mask], dataset.y[train_mask], param)
             pred = model.predict(dataset.x[~train_mask])
             scores.append(float((pred == dataset.y[~train_mask]).mean()))
         mean_acc.append(float(np.mean(scores)))
     best_idx = int(np.argmax(mean_acc))
     best_param = grid[best_idx]
-    model = _fit_model(kind, dataset.x, dataset.y, best_param, penalty)
+    model = _fit_model(kind, dataset.x, dataset.y, best_param)
     return CrossValResult(best_param, list(zip(grid, mean_acc)), model)
 
 
@@ -145,14 +142,12 @@ def seed_ensemble(
     grid: Sequence[float | int],
     seeds: Sequence[int],
     n_train: int | None = None,
-    penalty: str | None = "l2",
-    calibrate: bool = True,
 ) -> EnsembleResult:
     """Run the full balanced-sample -> CV -> refit -> predict pipeline once
     per seed and take the per-row mode of the predictions.
 
-    With calibration on (linear kinds), per-seed sigmoid probabilities are
-    fitted on each seed's training sample and averaged across seeds.
+    For the linear kinds, per-seed sigmoid probabilities are fitted on each
+    seed's training sample and averaged across seeds; kNN gives none.
     """
     if len(seeds) % 2 == 0:
         raise ConfigError("even seed count: mode may tie")
@@ -167,12 +162,12 @@ def seed_ensemble(
     prob_sum: np.ndarray | None = None
     for seed in seeds:
         sample = balanced_sample(pool, n_train, seed)
-        cv = cross_validate(sample, kind, grid, seed, penalty=penalty)
+        cv = cross_validate(sample, kind, grid, seed)
         model = cv.model
         pred = model.predict(test_x)
         per_seed.append(pred)
         votes += pred
-        if calibrate and kind != KIND_KNN:
+        if kind != KIND_KNN:
             a, b = platt_fit(model.decision_function(sample.x), sample.y)
             model.calibration = (a, b)
             p = platt_probability(model.decision_function(test_x), a, b)
@@ -192,11 +187,9 @@ class TrainConfig:
     """Shared settings for pipeline-level experiments."""
 
     kind: str = KIND_LSVM
-    penalty: str = "l2"
     grid: tuple[float, ...] = C_GRID
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     n_train: int | None = None
-    calibrate: bool = True
     min_class_rows: int = 50
 
 
@@ -237,7 +230,5 @@ def age_restricted_experiment(
         config.grid,
         config.seeds,
         n_train=config.n_train,
-        penalty=config.penalty,
-        calibrate=config.calibrate,
     )
     return evaluate(result.predictions, sub_test.y, sub_test.groups, result.probabilities)

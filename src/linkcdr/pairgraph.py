@@ -2,22 +2,28 @@
 pair extraction, common contacts, and relationship labelling.
 
 A *link* is the undirected aggregate of all events between one unordered
-user pair. Alters of an ego are ranked by total call count on the link,
-with a deterministic tie-break (higher total duration, then smaller alter
-id). A *mutual top-rank pair* is a pair where each user is the other's
-rank-1 alter after the regularity filter.
+user pair. ``LinkGraph`` holds one array entry per link over the user codes
+of the ``EventColumns`` it was built from; user ids appear only at its edges
+(``keys()`` and ``index(pairs)``). Alters of an ego are ranked by total call
+count on the link, with a deterministic tie-break (higher total duration,
+then smaller alter id), in one sort over all egos (``alter_ranking``). A
+*mutual top-rank pair* is a pair where each user is the other's rank-1
+alter after the regularity filter; ``common_contacts`` counts the shared
+top-5 and all shared alters of a list of pairs in one batched call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DatasetError
 from .ingest import EventColumns, ObservationWindow, SubscriberRecord
+
+TOP_ALTERS = 5  # depth of the top-alter lists behind the top-5 common contacts
 
 
 class PairKey(NamedTuple):
@@ -33,125 +39,98 @@ class PairKey(NamedTuple):
         return cls(a, b) if a < b else cls(b, a)
 
 
-@dataclass
-class PairLink:
-    """Aggregated interaction counters for one unordered pair.
+_LINK_FIELDS = ("first", "second", "calls", "texts", "duration", "calls_from_first",
+                "texts_from_first", "duration_from_first", "months")
 
-    Directional counters are oriented from the canonical ``first`` user;
-    ``months_active`` counts calls per calendar month of the window.
-    Duration sums include known durations only.
+
+@dataclass(frozen=True, eq=False)
+class LinkGraph:
+    """Per-link counter arrays over the user codes of the source columns.
+
+    ``first``/``second`` hold each link's user codes, smaller id first, and
+    rows are sorted by ``first * len(users) + second``. Directional counters
+    count from the first user (from-second = total - from-first); durations
+    sum known call durations; ``months`` counts calls per calendar month of
+    the window. ``lex_rank`` is each user code's position in id order.
     """
 
-    key: PairKey
-    calls_total: int = 0
-    texts_total: int = 0
-    duration_total: int = 0
-    calls_from_first: int = 0
-    calls_from_second: int = 0
-    texts_from_first: int = 0
-    texts_from_second: int = 0
-    duration_from_first: int = 0
-    duration_from_second: int = 0
-    months_active: list[int] = field(default_factory=list)
-
-    @property
-    def n_active_months(self) -> int:
-        return sum(1 for c in self.months_active if c > 0)
-
-
-class LinkGraph:
-    """Immutable-by-convention container of links with an adjacency index."""
-
-    def __init__(self, links: dict[PairKey, PairLink]) -> None:
-        self.links = links
-        self.adjacency: dict[str, list[str]] = {}
-        for key in links:
-            self.adjacency.setdefault(key.first, []).append(key.second)
-            self.adjacency.setdefault(key.second, []).append(key.first)
+    users: list[str]
+    user_index: dict[str, int]
+    lex_rank: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    calls: np.ndarray
+    texts: np.ndarray
+    duration: np.ndarray
+    calls_from_first: np.ndarray
+    texts_from_first: np.ndarray
+    duration_from_first: np.ndarray
+    months: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.links)
+        return len(self.first)
 
-    def link(self, a: str, b: str) -> PairLink:
-        key = PairKey.of(a, b)
-        got = self.links.get(key)
-        if got is None:
-            raise DatasetError(f"unknown pair ({key.first}, {key.second})")
-        return got
+    @property
+    def active_months(self) -> np.ndarray:
+        """Months with at least one call, per link."""
+        return np.count_nonzero(self.months, axis=1)
 
-    def neighbors(self, user: str) -> list[str]:
-        return self.adjacency.get(user, [])
+    def keys(self) -> list[PairKey]:
+        """The pair of each link, in row order."""
+        users = np.asarray(self.users, dtype=object)
+        return list(map(PairKey, users[self.first], users[self.second]))
+
+    def index(self, pairs: Sequence[PairKey]) -> np.ndarray:
+        """Link row of each pair; DatasetError for a pair that is not a link."""
+        get, n = self.user_index.get, len(self.users)
+        codes = np.array([(get(a, -1), get(b, -1)) for a, b in pairs], dtype=np.int64)
+        codes = codes.reshape(-1, 2)
+        wanted, ids = codes[:, 0] * n + codes[:, 1], self.first * n + self.second
+        rows = np.searchsorted(ids, wanted)
+        found = (codes >= 0).all(axis=1) & (rows < len(ids))
+        found[found] = ids[rows[found]] == wanted[found]
+        if not found.all():
+            first, second = pairs[int(np.argmin(found))]
+            raise DatasetError(f"unknown pair ({first}, {second})")
+        return rows
 
 
 def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
-    """Fold the event columns into one PairLink per unordered pair."""
-    if len(cols) == 0:
-        return LinkGraph({})
+    """Fold the event columns into per-link counter arrays."""
+    if (cols.caller == cols.callee).any():
+        raise DatasetError("self-loop event: caller and callee are the same user")
     n_users = len(cols.users)
     # canonical order is lexicographic on user ids, not on intern codes
     lex_rank = np.empty(n_users, dtype=np.int64)
     lex_rank[np.argsort(np.asarray(cols.users, dtype=object))] = np.arange(n_users)
-
     caller_first = lex_rank[cols.caller] < lex_rank[cols.callee]
     first = np.where(caller_first, cols.caller, cols.callee)
     second = np.where(caller_first, cols.callee, cols.caller)
-    pair_id = first * n_users + second
-    unique_ids, group = np.unique(pair_id, return_inverse=True)
-    n_pairs = len(unique_ids)
+    unique_ids, group = np.unique(first * n_users + second, return_inverse=True)
+    n_links, n_months = len(unique_ids), window.n_months
 
     is_call = cols.is_call
     is_text = ~is_call
-    known = cols.duration >= 0
-    dur = np.where(known & is_call, cols.duration, 0)
+    dur = np.where(is_call & (cols.duration >= 0), cols.duration, 0)
 
-    def count(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(group[mask], minlength=n_pairs).astype(np.int64)
+    def count(mask: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        w = None if weights is None else weights[mask]
+        return np.bincount(group[mask], weights=w, minlength=n_links).astype(np.int64)
 
-    def total(mask: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return np.bincount(group[mask], weights=weights[mask], minlength=n_pairs).astype(np.int64)
-
-    calls_total = count(is_call)
-    texts_total = count(is_text)
-    calls_ff = count(is_call & caller_first)
-    texts_ff = count(is_text & caller_first)
-    dur_total = total(is_call, dur)
-    dur_ff = total(is_call & caller_first, dur)
-
-    n_months = window.n_months
-    months = np.bincount(
-        group[is_call] * n_months + window.month_index(cols.timestamp[is_call]),
-        minlength=n_pairs * n_months,
-    ).reshape(n_pairs, n_months)
-
-    first_codes = unique_ids // n_users
-    second_codes = unique_ids % n_users
-    links: dict[PairKey, PairLink] = {}
-    for i in range(n_pairs):
-        key = PairKey(cols.users[int(first_codes[i])], cols.users[int(second_codes[i])])
-        links[key] = PairLink(
-            key=key,
-            calls_total=int(calls_total[i]),
-            texts_total=int(texts_total[i]),
-            duration_total=int(dur_total[i]),
-            calls_from_first=int(calls_ff[i]),
-            calls_from_second=int(calls_total[i] - calls_ff[i]),
-            texts_from_first=int(texts_ff[i]),
-            texts_from_second=int(texts_total[i] - texts_ff[i]),
-            duration_from_first=int(dur_ff[i]),
-            duration_from_second=int(dur_total[i] - dur_ff[i]),
-            months_active=[int(c) for c in months[i]],
-        )
-    return LinkGraph(links)
-
-
-def rank_alters(graph: LinkGraph, ego: str) -> list[tuple[str, int]]:
-    """Alters of ego ordered by call count, then duration, then alter id."""
-    ranked = []
-    for alter in graph.neighbors(ego):
-        link = graph.link(ego, alter)
-        ranked.append((-link.calls_total, -link.duration_total, alter))
-    ranked.sort()
-    return [(alter, -neg_calls) for neg_calls, _, alter in ranked]
+    month_cell = group[is_call] * n_months + window.month_index(cols.timestamp[is_call])
+    return LinkGraph(
+        cols.users,
+        cols.user_index,
+        lex_rank,
+        *np.divmod(unique_ids, max(n_users, 1)),
+        calls=count(is_call),
+        texts=count(is_text),
+        duration=count(is_call, dur),
+        calls_from_first=count(is_call & caller_first),
+        texts_from_first=count(is_text & caller_first),
+        duration_from_first=count(is_call & caller_first, dur),
+        months=np.bincount(month_cell, minlength=n_links * n_months).reshape(n_links, n_months),
+    )
 
 
 def apply_regularity_filter(
@@ -165,37 +144,68 @@ def apply_regularity_filter(
         raise ConfigError(
             f"min_months {min_months} exceeds the {window.n_months} months in the window"
         )
-    kept = {key: link for key, link in graph.links.items() if link.n_active_months >= min_months}
-    return LinkGraph(kept)
+    keep = graph.active_months >= min_months
+    return replace(graph, **{name: getattr(graph, name)[keep] for name in _LINK_FIELDS})
+
+
+class AlterRanking(NamedTuple):
+    """Every ego's alters, best first: entries ``start[u]:start[u + 1]`` of
+    ``alter`` (user codes) and ``link`` (link rows) belong to user code ``u``."""
+
+    alter: np.ndarray
+    link: np.ndarray
+    start: np.ndarray
+
+
+def alter_ranking(graph: LinkGraph) -> AlterRanking:
+    """Rank each ego's alters by call count, then total duration (both
+    descending), then alter id, with one sort over both ends of every link."""
+    link = np.tile(np.arange(len(graph)), 2)
+    ego = np.concatenate([graph.first, graph.second])
+    alter = np.concatenate([graph.second, graph.first])
+    order = np.lexsort((graph.lex_rank[alter], -graph.duration[link], -graph.calls[link], ego))
+    start = np.zeros(len(graph.users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ego, minlength=len(graph.users)), out=start[1:])
+    return AlterRanking(alter[order], link[order], start)
 
 
 def mutual_top_rank_pairs(graph: LinkGraph) -> list[PairKey]:
     """Pairs where each user is the other's rank-1 alter, sorted by key."""
-    top: dict[str, str] = {}
-    for user in graph.adjacency:
-        ranked = rank_alters(graph, user)
-        if ranked:
-            top[user] = ranked[0][0]
-    pairs = [
-        PairKey(a, b) for a, b in ((u, t) for u, t in top.items() if u < t) if top.get(b) == a
-    ]
-    pairs.sort()
-    return pairs
+    ranking = alter_ranking(graph)
+    egos = np.flatnonzero(np.diff(ranking.start))
+    top = np.full(len(graph.users), -1, dtype=np.int64)
+    top[egos] = ranking.alter[ranking.start[egos]]
+    mutual = egos[(top[top[egos]] == egos) & (graph.lex_rank[egos] < graph.lex_rank[top[egos]])]
+    users = np.asarray(graph.users, dtype=object)
+    return sorted(map(PairKey, users[mutual], users[top[mutual]]))
 
 
-def common_contacts(graph: LinkGraph, pair: PairKey) -> tuple[int, int]:
-    """(top-5 common alters, all common alters) for a pair, excluding the pair itself."""
-    if pair not in graph.links:
-        raise DatasetError(f"unknown pair ({pair.first}, {pair.second})")
-    a, b = pair.first, pair.second
-    exclude = {a, b}
-    neigh_a = set(graph.neighbors(a)) - exclude
-    neigh_b = set(graph.neighbors(b)) - exclude
-    all_common = len(neigh_a & neigh_b)
-    top_a = {alter for alter, _ in rank_alters(graph, a)[:5]} - exclude
-    top_b = {alter for alter, _ in rank_alters(graph, b)[:5]} - exclude
-    top5_common = len(top_a & top_b)
-    return top5_common, all_common
+def _shared_alters(
+    ranking: AlterRanking, a: np.ndarray, b: np.ndarray, depth: np.ndarray
+) -> np.ndarray:
+    """Per pair i, how many users are among both the first ``depth[a[i]]``
+    ranked alters of a[i] and the first ``depth[b[i]]`` of b[i]. Neither user
+    of a pair is ever counted: a link never joins a user to itself."""
+    n_pairs, n_users = len(a), len(depth)
+    ego = np.concatenate([a, b])
+    take = depth[ego]
+    slot = np.repeat(np.arange(2 * n_pairs), take)
+    offset = np.arange(len(slot)) - (np.cumsum(take) - take)[slot]
+    alter = ranking.alter[ranking.start[ego][slot] + offset]
+    # an alter is listed at most once per ego, so a key seen twice is shared
+    key = np.sort(slot % n_pairs * n_users + alter)
+    return np.bincount(key[1:][key[1:] == key[:-1]] // n_users, minlength=n_pairs)
+
+
+def common_contacts(graph: LinkGraph, pairs: Sequence[PairKey]) -> np.ndarray:
+    """(top-5 common alters, all common alters) of each pair, excluding the
+    pair itself, as an (n, 2) int array; every pair must be a link."""
+    rows = graph.index(pairs)
+    a, b = graph.first[rows], graph.second[rows]
+    ranking = alter_ranking(graph)
+    degree = np.diff(ranking.start)
+    top = _shared_alters(ranking, a, b, np.minimum(degree, TOP_ALTERS))
+    return np.stack([top, _shared_alters(ranking, a, b, degree)], axis=1)
 
 
 # --- Relationship labelling -------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from linkcdr.ingest import CdrEvent, EventColumns, EventKind, ObservationWindow
+from linkcdr.pairgraph import LinkGraph, alter_ranking
 
 JAN1_2007 = 1167609600  # Monday 2007-01-01 00:00:00 UTC
 DAY = 86400
@@ -37,6 +38,21 @@ def ev(
 def columns(events: list[CdrEvent]) -> EventColumns:
     """The columnar form that ``build_links`` and ``validate_dataset`` take."""
     return EventColumns.from_events(events)
+
+
+def ranked_alters(graph: LinkGraph) -> dict[str, list[tuple[str, int]]]:
+    """Each ego's (alter id, calls) list in rank order, read from ``alter_ranking``;
+    the shape of ``tests/oracles.rank_alters_brute``."""
+    ranking = alter_ranking(graph)
+    out = {}
+    for code, user in enumerate(graph.users):
+        block = slice(ranking.start[code], ranking.start[code + 1])
+        if block.start < block.stop:
+            out[user] = [
+                (graph.users[alter], int(graph.calls[link]))
+                for alter, link in zip(ranking.alter[block], ranking.link[block])
+            ]
+    return out
 
 
 @pytest.fixture

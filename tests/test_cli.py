@@ -223,6 +223,17 @@ class TestExitCodes:
         assert not report["ok"] and len(report["warnings"]) == 6
 
 
+class TestWindowFlags:
+    def test_window_start_keeps_its_utc_offset(self):
+        from linkcdr.cli import _window_from_args, build_parser
+
+        args = build_parser().parse_args(
+            ["pairs", "--events", "e.csv", "--out", "o",
+             "--window-start", "2007-01-01T00:00:00+02:00", "--window-end", "2007-08-01"]
+        )
+        assert _window_from_args(args).start == 1167602400
+
+
 class TestSplitHelpers:
     def test_pool_and_test_are_disjoint_and_cover(self):
         from linkcdr.cli import _split_pool_test

@@ -110,7 +110,7 @@ class TestWeekGrid:
         cols = columns([ev("a", "b", window.start + 3600), ev("b", "a", window.end - 1)])
         graph = build_links(cols, window)
         with pytest.raises(DatasetError, match="no full Monday-aligned week"):
-            compute_feature_matrix(cols, sorted(graph.links), graph, window)
+            compute_feature_matrix(cols, sorted(graph.keys()), graph, window)
 
 
 class TestWeeklySeries:
@@ -385,7 +385,7 @@ class TestAssembleFeatureVector:
         events, side = build_pair_fixture(default_window)
         graph = build_links(columns(events + side), default_window)
         vec = assemble_feature_vector(events, graph, default_window)
-        common = common_contacts(graph, PairKey.of("p1", "p2"))
+        (common,) = common_contacts(graph, [PairKey.of("p1", "p2")])
         want = feature_vector_oracle(events, default_window, 0, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
 
@@ -396,7 +396,7 @@ class TestAssembleFeatureVector:
         graph = build_links(columns(events + side), default_window)
         offset = 2 * 3600
         vec = assemble_feature_vector(events, graph, default_window, utc_offset=offset)
-        common = common_contacts(graph, PairKey.of("p1", "p2"))
+        (common,) = common_contacts(graph, [PairKey.of("p1", "p2")])
         want = feature_vector_oracle(events, default_window, offset, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
 
@@ -438,7 +438,7 @@ class TestComputeFeatureMatrix:
             events.append(ev(users[a], users[b], ts, "text" if rng.random() < 0.3 else "call"))
         cols = EventColumns.from_events(events)
         graph = build_links(cols, default_window)
-        pairs = sorted(graph.links)[:6]
+        pairs = sorted(graph.keys())[:6]
         pairs.append(pairs[2])  # a repeated pair gets its own identical row
         matrix = compute_feature_matrix(cols, pairs, graph, default_window)
         for i, pair in enumerate(pairs):
@@ -496,12 +496,12 @@ class TestKernelDifferential:
         window, offset, events = case
         cols = EventColumns.from_events(events)
         graph = build_links(cols, window)
-        pairs = sorted(graph.links)
+        pairs = sorted(graph.keys())
         matrix = compute_feature_matrix(cols, pairs, graph, window, utc_offset=offset)
         assert matrix.shape == (len(pairs), N_FEATURES)
-        for row, pair in zip(matrix, pairs):
+        for row, pair, common in zip(matrix, pairs, common_contacts(graph, pairs)):
             own = [e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair]
-            want = feature_vector_oracle(own, window, offset, common_contacts(graph, pair))
+            want = feature_vector_oracle(own, window, offset, common)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(
                 row, assemble_feature_vector(own, graph, window, utc_offset=offset)

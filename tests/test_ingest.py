@@ -20,6 +20,7 @@ from linkcdr.ingest import (
     Gender,
     ObservationWindow,
     format_event_row,
+    epoch_seconds,
     parse_events,
     parse_subscribers,
     validate_dataset,
@@ -49,6 +50,19 @@ class TestObservationWindow:
         for outside in (window.start - 1, window.end):
             with pytest.raises(DatasetError, match="outside window"):
                 window.month_index(np.asarray([window.start, outside]))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (str(JAN1_2007), JAN1_2007),
+            ("2007-01-01", JAN1_2007),
+            ("2007-01-01T00:00:00Z", JAN1_2007),
+            ("2007-01-01T00:00:00+02:00", JAN1_2007 - 2 * 3600),
+        ],
+    )
+    def test_dates_naive_mean_utc_and_offsets_are_kept(self, text, expected):
+        assert epoch_seconds(text) == expected
+        assert ObservationWindow.from_dates(text, "2007-08-01").start == expected
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(DatasetError):

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import columns, ev
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import columns, ev, ranked_alters
 from linkcdr.errors import ConfigError, DatasetError
-from linkcdr.ingest import Gender, SubscriberRecord
+from linkcdr.ingest import Gender, ObservationWindow, SubscriberRecord
 from linkcdr.pairgraph import (
     AgeDiffCategory,
     GenderComposition,
@@ -19,7 +22,6 @@ from linkcdr.pairgraph import (
     label_relationship,
     mutual_top_rank_pairs,
     peer_bracket_of_code,
-    rank_alters,
 )
 from oracles import common_contacts_brute, mutual_pairs_brute, rank_alters_brute, recount_links
 
@@ -36,33 +38,64 @@ def random_events(rng, n_users, n_events, window):
     return events
 
 
+def counters(graph, a: str, b: str) -> dict:
+    row = graph.index([PairKey.of(a, b)])[0]
+    return {
+        "calls": graph.calls[row],
+        "texts": graph.texts[row],
+        "duration": graph.duration[row],
+        "calls_from_first": graph.calls_from_first[row],
+        "duration_from_first": graph.duration_from_first[row],
+    }
+
+
 class TestBuildLinks:
     def test_hand_counted_directions(self, default_window):
         t = default_window.start
         events = [ev("a", "b", t + i, "call", 10) for i in range(3)]
         events += [ev("b", "a", t + 10 + i, "call", 20) for i in range(2)]
         graph = build_links(columns(events), default_window)
-        link = graph.link("a", "b")
-        assert link.calls_total == 5
-        assert link.calls_from_first == 3
-        assert link.calls_from_second == 2
-        assert link.duration_total == 70
-        assert link.duration_from_first == 30
+        link = counters(graph, "a", "b")
+        assert link["calls"] == 5
+        assert link["calls_from_first"] == 3
+        assert link["calls"] - link["calls_from_first"] == 2
+        assert link["duration"] == 70
+        assert link["duration_from_first"] == 30
 
     def test_single_text(self, default_window):
         graph = build_links(columns([ev("a", "b", default_window.start, "text")]), default_window)
-        link = graph.link("a", "b")
-        assert link.calls_total == 0
-        assert link.texts_total == 1
+        link = counters(graph, "a", "b")
+        assert link["calls"] == 0
+        assert link["texts"] == 1
 
     def test_absent_pair_has_no_entry(self, default_window):
         graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
-        assert PairKey.of("c", "d") not in graph.links
-        with pytest.raises(DatasetError, match="unknown pair"):
-            graph.link("c", "d")
+        assert graph.keys() == [PairKey("a", "b")]
+        for a, b in (("c", "d"), ("a", "c"), ("c", "b")):
+            with pytest.raises(DatasetError, match="unknown pair"):
+                graph.index([PairKey("a", "b"), PairKey.of(a, b)])
+
+    def test_index_maps_pairs_to_rows(self, default_window):
+        t = default_window.start
+        events = [ev("z", "a", t), ev("b", "a", t + 1), ev("a", "c", t + 2)]
+        graph = build_links(columns(events), default_window)
+        keys = graph.keys()
+        assert sorted(keys) == [PairKey("a", "b"), PairKey("a", "c"), PairKey("a", "z")]
+        query = keys[::-1] + keys[:1]
+        assert graph.index(query).tolist() == [2, 1, 0, 0]
+        assert graph.index([]).tolist() == []
+
+    def test_self_loop_event_rejected(self, default_window):
+        t = default_window.start
+        with pytest.raises(DatasetError, match="self-loop"):
+            build_links(columns([ev("a", "b", t), ev("a", "a", t + 1)]), default_window)
 
     def test_empty_input(self, default_window):
-        assert len(build_links(columns([]), default_window)) == 0
+        graph = build_links(columns([]), default_window)
+        assert len(graph) == 0
+        assert graph.keys() == []
+        assert mutual_top_rank_pairs(graph) == []
+        assert common_contacts(graph, []).shape == (0, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_counters_match_brute_recount(self, default_window, seed):
@@ -70,18 +103,17 @@ class TestBuildLinks:
         events = random_events(rng, 12, 1000, default_window)
         oracle = recount_links(events, default_window)
         graph = build_links(columns(events), default_window)
-        assert set(graph.links) == set(oracle)
-        for key, rec in oracle.items():
-            link = graph.links[PairKey(*key)]
-            assert link.calls_total == rec["calls_total"]
-            assert link.texts_total == rec["texts_total"]
-            assert link.duration_total == rec["duration_total"]
-            assert link.calls_from_first == rec["calls_from_first"]
-            assert link.texts_from_first == rec["texts_from_first"]
-            assert link.duration_from_first == rec["duration_from_first"]
-            assert link.months_active == rec["months"]
-            assert link.calls_total == link.calls_from_first + link.calls_from_second
-            assert link.texts_total == link.texts_from_first + link.texts_from_second
+        keys = [PairKey(*key) for key in oracle]
+        assert sorted(graph.keys()) == sorted(keys)
+        rows = graph.index(keys)
+        for row, rec in zip(rows, oracle.values()):
+            assert graph.calls[row] == rec["calls_total"]
+            assert graph.texts[row] == rec["texts_total"]
+            assert graph.duration[row] == rec["duration_total"]
+            assert graph.calls_from_first[row] == rec["calls_from_first"]
+            assert graph.texts_from_first[row] == rec["texts_from_first"]
+            assert graph.duration_from_first[row] == rec["duration_from_first"]
+            assert graph.months[row].tolist() == rec["months"]
 
 
 class TestRankAlters:
@@ -90,26 +122,27 @@ class TestRankAlters:
         events = [ev("e", "x", t + i) for i in range(10)]
         events += [ev("e", "y", t + 100 + i) for i in range(3)]
         graph = build_links(columns(events), default_window)
-        assert [alter for alter, _ in rank_alters(graph, "e")] == ["x", "y"]
+        assert [alter for alter, _ in ranked_alters(graph)["e"]] == ["x", "y"]
 
     def test_duration_breaks_count_ties(self, default_window):
         t = default_window.start
         events = [ev("e", "x", t + i, "call", 120) for i in range(5)]
         events += [ev("e", "y", t + 100 + i, "call", 20) for i in range(5)]
         graph = build_links(columns(events), default_window)
-        assert [alter for alter, _ in rank_alters(graph, "e")] == ["x", "y"]
+        assert [alter for alter, _ in ranked_alters(graph)["e"]] == ["x", "y"]
 
     def test_ego_without_links(self, default_window):
         graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
-        assert rank_alters(graph, "zzz") == []
+        assert "zzz" not in ranked_alters(graph)
 
     def test_matches_brute_sort_on_fixture(self, default_window):
         rng = np.random.default_rng(7)
         events = random_events(rng, 4, 120, default_window)
         graph = build_links(columns(events), default_window)
         oracle = recount_links(events, default_window)
+        ranked = ranked_alters(graph)
         for user in "u00 u01 u02 u03".split():
-            assert rank_alters(graph, user) == rank_alters_brute(oracle, user)
+            assert ranked[user] == rank_alters_brute(oracle, user)
 
 
 class TestRegularityFilter:
@@ -140,7 +173,7 @@ class TestRegularityFilter:
         graph = build_links(columns(events), default_window)
         previous = None
         for months in range(8):
-            kept = set(apply_regularity_filter(graph, default_window, months).links)
+            kept = set(apply_regularity_filter(graph, default_window, months).keys())
             if previous is not None:
                 assert kept <= previous
             previous = kept
@@ -178,10 +211,11 @@ class TestMutualTopRank:
             recount_links(events, default_window)
         )
         # mutuality recheck and uniqueness per user
+        ranked = ranked_alters(graph)
         seen = set()
         for key in pairs:
-            assert rank_alters(graph, key.first)[0][0] == key.second
-            assert rank_alters(graph, key.second)[0][0] == key.first
+            assert ranked[key.first][0][0] == key.second
+            assert ranked[key.second][0][0] == key.first
             assert key.first not in seen and key.second not in seen
             seen.update(key)
 
@@ -191,7 +225,7 @@ class TestCommonContacts:
         t = default_window.start
         events = [ev("a", "b", t), ev("a", "x", t + 1), ev("b", "y", t + 2)]
         graph = build_links(columns(events), default_window)
-        assert common_contacts(graph, PairKey.of("a", "b")) == (0, 0)
+        assert common_contacts(graph, [PairKey.of("a", "b")]).tolist() == [[0, 0]]
 
     def test_fully_shared_top5(self, default_window):
         t = default_window.start
@@ -200,12 +234,12 @@ class TestCommonContacts:
             events.append(ev("a", n, t + 10 + i))
             events.append(ev("b", n, t + 20 + i))
         graph = build_links(columns(events), default_window)
-        assert common_contacts(graph, PairKey.of("a", "b")) == (3, 3)
+        assert common_contacts(graph, [PairKey.of("a", "b")]).tolist() == [[3, 3]]
 
     def test_unknown_pair_errors(self, default_window):
         graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
         with pytest.raises(DatasetError, match="unknown pair"):
-            common_contacts(graph, PairKey.of("a", "z"))
+            common_contacts(graph, [PairKey.of("a", "b"), PairKey.of("a", "z")])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_eight_node_fixture_matches_brute_intersection(self, default_window, seed):
@@ -213,10 +247,69 @@ class TestCommonContacts:
         events = random_events(rng, 8, 300, default_window)
         graph = build_links(columns(events), default_window)
         oracle = recount_links(events, default_window)
-        for key in graph.links:
-            assert common_contacts(graph, key) == common_contacts_brute(
-                oracle, key.first, key.second
-            )
+        keys = graph.keys()
+        assert common_contacts(graph, keys).tolist() == [
+            list(common_contacts_brute(oracle, key.first, key.second)) for key in keys
+        ]
+
+
+# ids whose first-appearance (intern) order differs from their id order
+GRAPH_IDS = ("u7", "b", "u10", "a", "zz", "u2", "m", "c1", "c0", "k", "u1")
+GRAPH_WINDOW = ObservationWindow.default()
+
+
+@st.composite
+def tied_multigraphs(draw):
+    """Events of a small multigraph whose call counts and duration sums tie
+    often, so the alter-id tie-break decides; some examples carry an ego
+    with more than 5 alters and an isolated text-only link."""
+    users = draw(st.permutations(GRAPH_IDS))[: draw(st.integers(2, len(GRAPH_IDS)))]
+    candidates = [(a, b) for i, a in enumerate(users) for b in users[i + 1 :]]
+    links = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=20, unique=True))
+    if len(users) >= 7 and draw(st.booleans()):
+        hub = users[0]
+        links = list(dict.fromkeys(links + [(hub, u) for u in users[1:]]))
+    if draw(st.booleans()):
+        links.append(("t1", "t0"))
+    month_starts = GRAPH_WINDOW.month_starts
+    events = []
+    for a, b in links:
+        n_calls = 0 if a == "t1" else draw(st.integers(0, 3))
+        n_texts = draw(st.integers(0 if n_calls else 1, 2))
+        for i in range(n_calls + n_texts):
+            caller, callee = (a, b) if draw(st.booleans()) else (b, a)
+            ts = month_starts[draw(st.integers(0, len(month_starts) - 1))] + i
+            if i < n_calls:
+                events.append(ev(caller, callee, ts, "call", draw(st.sampled_from([None, 30, 60]))))
+            else:
+                events.append(ev(caller, callee, ts, "text"))
+    return events, draw(st.integers(1, 3))
+
+
+class TestGraphDifferential:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(tied_multigraphs())
+    def test_ranking_mutual_and_common_match_brute(self, case):
+        events, min_months = case
+        graph = build_links(columns(events), GRAPH_WINDOW)
+        recount = recount_links(events, GRAPH_WINDOW)
+        for months in (0, min_months):
+            view = apply_regularity_filter(graph, GRAPH_WINDOW, months)
+            oracle = {
+                key: rec
+                for key, rec in recount.items()
+                if sum(c > 0 for c in rec["months"]) >= months
+            }
+            egos = {user for key in oracle for user in key}
+            assert ranked_alters(view) == {u: rank_alters_brute(oracle, u) for u in egos}
+            got = [(k.first, k.second) for k in mutual_top_rank_pairs(view)]
+            assert got == mutual_pairs_brute(oracle)
+            keys = view.keys()
+            assert sorted(keys) == sorted(PairKey(*key) for key in oracle)
+            query = keys[::-1] + keys[:2]
+            assert common_contacts(view, query).tolist() == [
+                list(common_contacts_brute(oracle, k.first, k.second)) for k in query
+            ]
 
 
 def rec(age: int, gender: Gender, uid: str = "u") -> SubscriberRecord:
