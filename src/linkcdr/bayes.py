@@ -5,8 +5,8 @@ The 1-NN test error e sandwiches the Bayes error E via
     (1 - sqrt(1 - 2e)) / 2  <=  E  <=  e,
 
 so 1 - e and 1 - lower bound the best achievable accuracy from below and
-above. For two isotropic Gaussian classes the exact Bayes error has a
-closed form and serves as an oracle for the sandwich.
+above. The tests check the sandwich against the closed-form Bayes error of
+two isotropic Gaussian classes (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -112,55 +112,3 @@ def bayes_bounds(e_nn: float, clamp_slack: float = 0.02) -> BayesBounds:
         max_accuracy_lower=1.0 - e_nn,
         max_accuracy_upper=1.0 - lower,
     )
-
-
-@dataclass(frozen=True)
-class GaussianClassOracle:
-    """Two-class mixture of isotropic Gaussians with known parameters."""
-
-    priors: tuple[float, float]
-    means: tuple[np.ndarray, np.ndarray]
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if len(self.priors) != 2 or len(self.means) != 2:
-            raise DatasetError("oracle supports exactly two classes")
-        if not all(0 < p < 1 for p in self.priors):
-            raise DatasetError("priors must lie in (0, 1)")
-        if abs(sum(self.priors) - 1.0) > 1e-9:
-            raise DatasetError("priors must sum to 1")
-        if self.sigma <= 0:
-            raise DatasetError("sigma must be positive")
-        object.__setattr__(
-            self,
-            "means",
-            tuple(np.asarray(m, dtype=np.float64) for m in self.means),
-        )
-        if self.means[0].shape != self.means[1].shape:
-            raise DatasetError("unsupported covariance structure: mean dimension mismatch")
-
-    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        labels = (rng.random(n) < self.priors[1]).astype(np.int64)
-        dim = self.means[0].shape[0]
-        x = rng.standard_normal((n, dim)) * self.sigma
-        x += np.where(labels[:, None] == 1, self.means[1], self.means[0])
-        return x, labels
-
-
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def gaussian_bayes_error(oracle: GaussianClassOracle) -> float:
-    """Exact Bayes error of the two-Gaussian oracle.
-
-    The optimal rule thresholds the projection onto the mean difference;
-    with equal priors this reduces to Phi(-d / (2 sigma)).
-    """
-    p0, p1 = oracle.priors
-    d = float(np.linalg.norm(oracle.means[1] - oracle.means[0]))
-    sigma = oracle.sigma
-    if d == 0.0:
-        return min(p0, p1)
-    threshold = -(sigma**2 / d) * math.log(p1 / p0)
-    return p0 * _phi(-(threshold + d / 2.0) / sigma) + p1 * _phi((threshold - d / 2.0) / sigma)

@@ -1,18 +1,27 @@
 """Seeded synthetic CDR generator with planted relationship archetypes.
 
-Every planted pair draws its events from a piecewise-homogeneous Poisson
-process per week x time-segment at archetype-specific rates; call durations
-are lognormal, initiator direction follows a configured skew, and ages and
-genders follow the archetype's sampling rule. Each planted user also gets a
-few low-rate side links into a shared background pool of non-subscribers so
+Every planted pair calls and texts at archetype-specific weekly rates for
+each of the six time segments, scaled by a per-pair activity multiplier and
+any configured factor-group multipliers. Each planted user also gets a few
+low-rate side links into a shared background pool of non-subscribers so
 ranking, top-5 overlap, and unknown-duration handling have something to
-work against. Output is fully deterministic given the seed.
+work against.
+
+All links are drawn at once from one ``default_rng([seed, 1])`` stream: a
+(links x 2 channels x 6 segments) rate array gives each cell a Poisson
+total over the weeks the window touches, and each of a cell's events gets
+a uniform week and a uniform second within the segment's intervals. That
+is the same law as independent weekly Poisson counts per segment. Events
+outside the window are dropped. Call durations are lognormal, the
+initiator follows the link's direction skew, and calls the pool side
+starts may carry an unknown duration. Output is fully deterministic given
+the configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -22,30 +31,34 @@ from .pairgraph import PairKey, apply_regularity_filter, build_links, mutual_top
 
 SECONDS_PER_DAY = 86400
 
-# (start offset within week, length) of each segment's intervals, local
-# seconds from Monday 00:00; late night spans both edges of each day.
-_SEGMENT_INTERVALS: list[tuple[np.ndarray, np.ndarray]] = []
-for _seg in range(6):
-    _weekpart, _daypart = divmod(_seg, 3)
-    _days = range(0, 4) if _weekpart == 0 else range(4, 7)
-    _starts: list[int] = []
-    _lengths: list[int] = []
-    for _day in _days:
-        _base = _day * SECONDS_PER_DAY
-        if _daypart == 0:
-            _starts.append(_base + 7 * 3600)
-            _lengths.append(10 * 3600)
-        elif _daypart == 1:
-            _starts.append(_base + 17 * 3600)
-            _lengths.append(6 * 3600)
-        else:
-            _starts.append(_base)
-            _lengths.append(7 * 3600)
-            _starts.append(_base + 23 * 3600)
-            _lengths.append(3600)
-    _SEGMENT_INTERVALS.append(
-        (np.asarray(_starts, dtype=np.int64), np.asarray(_lengths, dtype=np.int64))
-    )
+# (start hour, hours) of each daypart's intervals within a day; late night
+# spans both edges of the day.
+_DAYPART_HOURS = (((7, 10),), ((17, 6),), ((0, 7), (23, 1)))
+
+
+def _interval_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every segment's intervals laid end to end on one axis.
+
+    Returns the cumulative end of each interval on that axis, the shift
+    from an axis position to its local second from Monday 00:00, and each
+    segment's first axis position (seven entries; the last is the total).
+    """
+    starts: list[int] = []
+    lengths: list[int] = []
+    segment_base = [0]
+    for seg in range(6):
+        weekpart, daypart = divmod(seg, 3)
+        for day in range(0, 4) if weekpart == 0 else range(4, 7):
+            for hour, hours in _DAYPART_HOURS[daypart]:
+                starts.append(day * SECONDS_PER_DAY + hour * 3600)
+                lengths.append(hours * 3600)
+        segment_base.append(sum(lengths))
+    ends = np.cumsum(lengths, dtype=np.int64)
+    shift = np.asarray(starts, dtype=np.int64) - (ends - np.asarray(lengths, dtype=np.int64))
+    return ends, shift, np.asarray(segment_base, dtype=np.int64)
+
+
+_INTERVAL_END, _INTERVAL_SHIFT, _SEGMENT_BASE = _interval_table()
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,10 @@ class BackgroundConfig:
     pool_size: int | None = None  # default: max(32, n_pairs // 16)
     unknown_duration_fraction: float = 1.0
 
+    def pool_for(self, n_pairs: int) -> int:
+        """Number of background users for ``n_pairs`` planted pairs."""
+        return max(32, n_pairs // 16) if self.pool_size is None else self.pool_size
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -118,9 +135,19 @@ class GeneratorConfig:
                 raise ConfigError(f"{arch.code}: ages can exceed 120")
             if arch.gender_rule not in ("opposite", "same", "random"):
                 raise ConfigError(f"{arch.code}: unknown gender rule {arch.gender_rule!r}")
-        if not 0.0 <= self.background.unknown_duration_fraction <= 1.0:
+        background = self.background
+        if background.side_links < 0:
+            raise ConfigError(f"background side_links {background.side_links} is negative")
+        if background.pool_size is not None and background.pool_size < 1:
+            raise ConfigError(f"background pool_size {background.pool_size} must be at least 1")
+        if background.side_links > background.pool_for(self.n_pairs):
+            raise ConfigError(
+                f"background side_links {background.side_links} exceeds the pool of "
+                f"{background.pool_for(self.n_pairs)} users"
+            )
+        if not 0.0 <= background.unknown_duration_fraction <= 1.0:
             raise ConfigError("unknown_duration_fraction outside [0, 1]")
-        if self.background.rate_multiplier < 0:
+        if background.rate_multiplier < 0:
             raise ConfigError("background rate multiplier must be nonnegative")
         # multipliers near or above 1 are allowed here; whether planted pairs
         # stay mutual top-rank is checked post-hoc by verify_planted
@@ -162,32 +189,6 @@ def _allocate_counts(prevalences: Sequence[float], n: int) -> list[int]:
     return counts
 
 
-class _EventBuffer:
-    """Accumulates event columns before the final merge."""
-
-    def __init__(self) -> None:
-        self.caller: list[np.ndarray] = []
-        self.callee: list[np.ndarray] = []
-        self.ts: list[np.ndarray] = []
-        self.is_call: list[np.ndarray] = []
-        self.duration: list[np.ndarray] = []
-
-    def add(
-        self,
-        caller: np.ndarray,
-        callee: np.ndarray,
-        ts: np.ndarray,
-        is_call: np.ndarray,
-        duration: np.ndarray,
-    ) -> None:
-        if ts.size:
-            self.caller.append(caller)
-            self.callee.append(callee)
-            self.ts.append(ts)
-            self.is_call.append(is_call)
-            self.duration.append(duration)
-
-
 def _week_starts(window: ObservationWindow, utc_offset: int) -> np.ndarray:
     """Local epoch seconds of every Monday whose week intersects the window."""
     start_local = window.start + utc_offset
@@ -198,194 +199,160 @@ def _week_starts(window: ObservationWindow, utc_offset: int) -> np.ndarray:
     return starts.astype(np.int64)
 
 
-def _draw_channel_events(
-    rng: np.random.Generator,
-    rates: np.ndarray,
-    week_starts: np.ndarray,
-    window: ObservationWindow,
-    utc_offset: int,
-) -> np.ndarray:
-    """UTC timestamps of one channel's events over all weeks and segments."""
-    n_weeks = week_starts.shape[0]
-    chunks: list[np.ndarray] = []
-    for seg in range(6):
-        rate = float(rates[seg])
-        counts = rng.poisson(rate, size=n_weeks) if rate > 0 else np.zeros(n_weeks, np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        starts, lengths = _SEGMENT_INTERVALS[seg]
-        cum = np.cumsum(lengths)
-        u = rng.random(total) * cum[-1]
-        slot = np.searchsorted(cum, u, side="right")
-        offset = (starts[slot] + (u - (cum[slot] - lengths[slot]))).astype(np.int64)
-        ts_local = np.repeat(week_starts, counts) + offset
-        ts = ts_local - utc_offset
-        chunks.append(ts[(ts >= window.start) & (ts < window.end)])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+def _distinct_draws(rng: np.random.Generator, rows: int, k: int, population: int) -> np.ndarray:
+    """(rows, k) indices into ``range(population)``, distinct within each row.
 
-
-def _emit_link_events(
-    rng: np.random.Generator,
-    buffer: _EventBuffer,
-    user_a: int,
-    user_b: int,
-    skew_toward_a: float,
-    call_rates: np.ndarray,
-    text_rates: np.ndarray,
-    duration_log_mean: float,
-    duration_log_std: float,
-    week_starts: np.ndarray,
-    window: ObservationWindow,
-    utc_offset: int,
-    unknown_fraction_from_b: float = 0.0,
-) -> None:
-    call_ts = _draw_channel_events(rng, call_rates, week_starts, window, utc_offset)
-    text_ts = _draw_channel_events(rng, text_rates, week_starts, window, utc_offset)
-    n_calls, n_texts = call_ts.size, text_ts.size
-
-    durations = np.maximum(
-        1, np.rint(rng.lognormal(duration_log_mean, duration_log_std, size=n_calls))
-    ).astype(np.int64)
-    a_initiates_call = rng.random(n_calls) < skew_toward_a
-    a_initiates_text = rng.random(n_texts) < skew_toward_a
-    if unknown_fraction_from_b > 0 and n_calls:
-        unknown = (~a_initiates_call) & (rng.random(n_calls) < unknown_fraction_from_b)
-        durations = np.where(unknown, -1, durations)
-
-    caller = np.where(a_initiates_call, user_a, user_b).astype(np.int64)
-    callee = np.where(a_initiates_call, user_b, user_a).astype(np.int64)
-    buffer.add(caller, callee, call_ts, np.ones(n_calls, dtype=bool), durations)
-
-    t_caller = np.where(a_initiates_text, user_a, user_b).astype(np.int64)
-    t_callee = np.where(a_initiates_text, user_b, user_a).astype(np.int64)
-    buffer.add(
-        t_caller, t_callee, text_ts, np.zeros(n_texts, dtype=bool), np.zeros(n_texts, np.int64)
-    )
+    Floyd's algorithm with one vectorized draw per step: step j draws t from
+    [0, j] and keeps t unless the row already holds it, then keeps j.
+    """
+    chosen = np.empty((rows, k), dtype=np.int64)
+    for step, j in enumerate(range(population - k, population)):
+        t = rng.integers(0, j + 1, size=rows)
+        taken = (chosen[:, :step] == t[:, None]).any(axis=1)
+        chosen[:, step] = np.where(taken, j, t)
+    return chosen
 
 
 def generate(config: GeneratorConfig) -> SyntheticDataset:
     """Build the full synthetic dataset for a validated configuration."""
     config.validate()
     n = config.n_pairs
-    counts = _allocate_counts([a.prevalence for a in config.archetypes], n)
-    pair_archetype: list[int] = []
-    for arch_idx, count in enumerate(counts):
-        pair_archetype.extend([arch_idx] * count)
-
-    pool_size = config.background.pool_size or max(32, n // 16)
+    archetypes = config.archetypes
+    counts = _allocate_counts([a.prevalence for a in archetypes], n)
+    arch = np.repeat(np.arange(len(archetypes)), counts)
+    background = config.background
+    pool_size = background.pool_for(n)
     users = [f"u{i:06d}" for i in range(2 * n)] + [f"b{i:06d}" for i in range(pool_size)]
+    rng = np.random.default_rng([config.seed, 1])
+
+    def per_pair(values: Sequence) -> np.ndarray:
+        return np.asarray(values)[arch]
+
+    # demographics: ages, who is younger, and two gender coins per pair
+    younger = rng.integers(
+        per_pair([a.younger_age_range[0] for a in archetypes]),
+        per_pair([a.younger_age_range[1] for a in archetypes]) + 1,
+    )
+    older = younger + rng.integers(
+        per_pair([a.age_gap_range[0] for a in archetypes]),
+        per_pair([a.age_gap_range[1] for a in archetypes]) + 1,
+    )
+    first_is_younger = rng.random(n) < 0.5
+    age_first = np.where(first_is_younger, younger, older)
+    age_second = np.where(first_is_younger, older, younger)
+    female = rng.random((n, 2)) < 0.5
+    rule = per_pair([a.gender_rule for a in archetypes])
+    female[:, 1] = np.where(
+        rule == "opposite", ~female[:, 0], np.where(rule == "same", female[:, 0], female[:, 1])
+    )
+
+    # per-pair heterogeneity: activity, duration shift, factor multipliers
+    activity = np.exp(config.pair_activity_sigma * rng.standard_normal(n))
+    duration_shift = config.duration_jitter_sigma * rng.standard_normal(n)
+    pair_rates = per_pair([(a.call_rates, a.text_rates) for a in archetypes]).astype(np.float64)
+    pair_rates *= activity[:, None, None]
+    factors = rng.standard_normal((n, len(config.factor_groups)))
+    for g, group in enumerate(config.factor_groups):
+        cells = list(group.dayparts) + [d + 3 for d in group.dayparts]
+        channel = 0 if group.channel == "calls" else 1
+        pair_rates[:, channel, cells] *= np.exp(group.sigma * factors[:, g])[:, None]
+    postcodes = rng.integers(10000, 100000, size=(n, 2))
+
+    # the link table: planted links, then each user's side links in user order
+    k = background.side_links
+    side_user = np.repeat(np.arange(2 * n), k)
+    side_pair = side_user // 2
+    log_mean = per_pair([a.duration_log_mean for a in archetypes])
+    log_std = per_pair([a.duration_log_std for a in archetypes])
+    link_a = np.concatenate([2 * np.arange(n), side_user])
+    link_b = np.concatenate(
+        [2 * np.arange(n) + 1, 2 * n + _distinct_draws(rng, 2 * n, k, pool_size).ravel()]
+    )
+    skew = np.concatenate(
+        [per_pair([a.direction_skew for a in archetypes]), np.full(side_user.size, 0.5)]
+    )
+    mu = np.concatenate([log_mean + duration_shift, log_mean[side_pair]])
+    sigma = np.concatenate([log_std, log_std[side_pair]])
+    unknown_fraction = np.concatenate(
+        [np.zeros(n), np.full(side_user.size, background.unknown_duration_fraction)]
+    )
+    rates = np.concatenate([pair_rates, pair_rates[side_pair] * background.rate_multiplier])
+
+    # events: a Poisson total per (link, channel, segment) cell over all
+    # weeks, then a uniform week and a uniform second of the segment each
     week_starts = _week_starts(config.window, config.utc_offset)
+    n_weeks = week_starts.size
+    cell = np.repeat(np.arange(rates.size), rng.poisson(rates.ravel() * n_weeks))
+    seg = cell % 6
+    seg_length = np.diff(_SEGMENT_BASE)[seg]
+    draw = rng.integers(0, seg_length * n_weeks)
+    week, position = np.divmod(draw, seg_length)
+    position += _SEGMENT_BASE[seg]
+    slot = np.searchsorted(_INTERVAL_END, position, side="right")
+    ts = week_starts[week] + position + _INTERVAL_SHIFT[slot] - config.utc_offset
+    del seg, seg_length, draw, week, position, slot
+    inside = (ts >= config.window.start) & (ts < config.window.end)
+    ts, cell = ts[inside], cell[inside]
+    link = cell // 12
+    is_call = cell % 12 < 6
+    del cell, inside
 
-    buffer = _EventBuffer()
-    subscribers: dict[str, SubscriberRecord] = {}
-    truth: list[PlantedPair] = []
+    # direction, then durations and unknown flags for calls
+    a_initiates = rng.random(ts.size) < skew[link]
+    calls = np.flatnonzero(is_call)
+    duration = np.zeros(ts.size, dtype=np.int64)
+    duration[calls] = np.maximum(
+        1, np.rint(rng.lognormal(mu[link[calls]], sigma[link[calls]]))
+    ).astype(np.int64)
+    from_b = calls[~a_initiates[calls]]
+    unknown = from_b[rng.random(from_b.size) < unknown_fraction[link[from_b]]]
+    duration[unknown] = -1
+    caller = np.where(a_initiates, link_a[link], link_b[link])
+    callee = np.where(a_initiates, link_b[link], link_a[link])
+    del link, a_initiates, calls, from_b, unknown
 
-    for i in range(n):
-        arch = config.archetypes[pair_archetype[i]]
-        rng = np.random.default_rng([config.seed, 1, i])
-        first, second = 2 * i, 2 * i + 1
-
-        # demographic attributes
-        younger = int(rng.integers(arch.younger_age_range[0], arch.younger_age_range[1] + 1))
-        gap = int(rng.integers(arch.age_gap_range[0], arch.age_gap_range[1] + 1))
-        first_is_younger = bool(rng.random() < 0.5)
-        age_first = younger if first_is_younger else younger + gap
-        age_second = younger + gap if first_is_younger else younger
-        if arch.gender_rule == "opposite":
-            first_female = bool(rng.random() < 0.5)
-            genders = (Gender.FEMALE, Gender.MALE) if first_female else (Gender.MALE, Gender.FEMALE)
-        elif arch.gender_rule == "same":
-            both = Gender.FEMALE if rng.random() < 0.5 else Gender.MALE
-            genders = (both, both)
-        else:
-            genders = tuple(
-                Gender.FEMALE if rng.random() < 0.5 else Gender.MALE for _ in range(2)
-            )
-
-        # per-pair heterogeneity (rng draws unconditionally to keep the
-        # stream layout stable across configuration changes)
-        activity = float(np.exp(config.pair_activity_sigma * rng.standard_normal()))
-        duration_shift = config.duration_jitter_sigma * float(rng.standard_normal())
-        call_rates = np.asarray(arch.call_rates, dtype=np.float64) * activity
-        text_rates = np.asarray(arch.text_rates, dtype=np.float64) * activity
-        for group in config.factor_groups:
-            mult = float(np.exp(group.sigma * rng.standard_normal()))
-            target = call_rates if group.channel == "calls" else text_rates
-            for daypart in group.dayparts:
-                target[daypart] *= mult
-                target[daypart + 3] *= mult
-
-        _emit_link_events(
-            rng,
-            buffer,
-            first,
-            second,
-            arch.direction_skew,
-            call_rates,
-            text_rates,
-            arch.duration_log_mean + duration_shift,
-            arch.duration_log_std,
-            week_starts,
-            config.window,
-            config.utc_offset,
-        )
-
-        for user_code, age, gender in (
-            (first, age_first, genders[0]),
-            (second, age_second, genders[1]),
-        ):
-            postcode = f"{int(rng.integers(10000, 100000)):05d}"
-            subscribers[users[user_code]] = SubscriberRecord(
-                users[user_code], age, gender, postcode
-            )
-
-        # low-rate side links into the shared background pool
-        for user_code in (first, second):
-            side_rng = np.random.default_rng([config.seed, 2, user_code])
-            contacts = side_rng.choice(pool_size, size=config.background.side_links, replace=False)
-            for contact in contacts:
-                _emit_link_events(
-                    side_rng,
-                    buffer,
-                    user_code,
-                    2 * n + int(contact),
-                    0.5,
-                    call_rates * config.background.rate_multiplier,
-                    text_rates * config.background.rate_multiplier,
-                    arch.duration_log_mean,
-                    arch.duration_log_std,
-                    week_starts,
-                    config.window,
-                    config.utc_offset,
-                    unknown_fraction_from_b=config.background.unknown_duration_fraction,
-                )
-
-        truth.append(
-            PlantedPair(
-                users[first], users[second], arch.code, age_first, genders[0], age_second, genders[1]
-            )
-        )
-
-    if buffer.ts:
-        caller = np.concatenate(buffer.caller)
-        callee = np.concatenate(buffer.callee)
-        ts = np.concatenate(buffer.ts)
-        is_call = np.concatenate(buffer.is_call)
-        duration = np.concatenate(buffer.duration)
-    else:
-        caller = callee = ts = duration = np.empty(0, dtype=np.int64)
-        is_call = np.empty(0, dtype=bool)
     order = np.lexsort((callee, caller, ts))
     columns = EventColumns(
         caller[order], callee[order], ts[order], is_call[order], duration[order], users
     )
+
+    gender_of = (Gender.MALE, Gender.FEMALE)
+    subscribers: dict[str, SubscriberRecord] = {}
+    truth: list[PlantedPair] = []
+    rows = zip(
+        age_first.tolist(), age_second.tolist(), female.tolist(), postcodes.tolist(), arch.tolist()
+    )
+    for i, (age_1, age_2, (female_1, female_2), (post_1, post_2), a) in enumerate(rows):
+        first, second = users[2 * i], users[2 * i + 1]
+        gender_1, gender_2 = gender_of[female_1], gender_of[female_2]
+        subscribers[first] = SubscriberRecord(first, age_1, gender_1, f"{post_1:05d}")
+        subscribers[second] = SubscriberRecord(second, age_2, gender_2, f"{post_2:05d}")
+        truth.append(
+            PlantedPair(first, second, archetypes[a].code, age_1, gender_1, age_2, gender_2)
+        )
     return SyntheticDataset(columns, subscribers, truth, config)
 
 
 TRUTH_HEADER = "first,second,archetype_code,age_first,gender_first,age_second,gender_second"
+
+
+def _write_event_rows(out: TextIO, cols: EventColumns, block_rows: int = 65536) -> None:
+    """Write the events.csv data lines of ``cols``, ``block_rows`` rows at a
+    time so only one block is ever held as Python objects."""
+    users = cols.users
+    for lo in range(0, len(cols), block_rows):
+        block = slice(lo, lo + block_rows)
+        rows = zip(
+            cols.caller[block].tolist(),
+            cols.callee[block].tolist(),
+            cols.timestamp[block].tolist(),
+            cols.is_call[block].tolist(),
+            cols.duration[block].tolist(),
+        )
+        out.writelines(
+            f"{users[a]},{users[b]},{t},{'call' if c else 'text'},{'' if d < 0 else d}\n"
+            for a, b, t, c, d in rows
+        )
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir: str) -> dict[str, str]:
@@ -401,21 +368,9 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str) -> dict[str, str]:
         "truth": os.path.join(out_dir, "truth.csv"),
     }
 
-    cols = dataset.columns
-    users = cols.users
     with open(paths["events"], "w", encoding="utf-8", newline="\n") as out:
         out.write(EVENTS_HEADER + "\n")
-        rows = zip(
-            cols.caller.tolist(),
-            cols.callee.tolist(),
-            cols.timestamp.tolist(),
-            cols.is_call.tolist(),
-            cols.duration.tolist(),
-        )
-        out.writelines(
-            f"{users[a]},{users[b]},{t},{'call' if c else 'text'},{'' if d < 0 else d}\n"
-            for a, b, t, c, d in rows
-        )
+        _write_event_rows(out, dataset.columns)
 
     with open(paths["subscribers"], "w", encoding="utf-8", newline="\n") as out:
         out.write(SUBSCRIBERS_HEADER + "\n")

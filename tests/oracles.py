@@ -3,17 +3,20 @@
 Everything here avoids the library's vectorized code paths: plain dicts,
 datetime arithmetic, and math-module moments, so agreement with the package
 is meaningful. The l2 linear-model reference is plain gradient descent on
-numpy arrays and shares no code with the library's solvers.
+numpy arrays and shares no code with the library's solvers. The two-Gaussian
+mixture has a closed-form Bayes error that the 1-NN bounds must sandwich.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from linkcdr.errors import DatasetError
 from linkcdr.ingest import CdrEvent, EventKind, ObservationWindow
 from linkcdr.manifest import FEATURE_NAMES
 
@@ -355,3 +358,58 @@ def l2_linear_reference(x, y01, kind: str, c: float, tol: float, max_iter: int):
                 return value, math.sqrt(sq), False
         w, b, value, gw, gb = w_new, b_new, new_value, new_gw, new_gb
     return value, math.sqrt(float(gw @ gw) + gb * gb), False
+
+
+# --- Bayes error ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianClassOracle:
+    """Two-class mixture of isotropic Gaussians with known parameters."""
+
+    priors: tuple[float, float]
+    means: tuple[np.ndarray, np.ndarray]
+    sigma: float
+
+    def __post_init__(self) -> None:
+        if len(self.priors) != 2 or len(self.means) != 2:
+            raise DatasetError("oracle supports exactly two classes")
+        if not all(0 < p < 1 for p in self.priors):
+            raise DatasetError("priors must lie in (0, 1)")
+        if abs(sum(self.priors) - 1.0) > 1e-9:
+            raise DatasetError("priors must sum to 1")
+        if self.sigma <= 0:
+            raise DatasetError("sigma must be positive")
+        object.__setattr__(
+            self,
+            "means",
+            tuple(np.asarray(m, dtype=np.float64) for m in self.means),
+        )
+        if self.means[0].shape != self.means[1].shape:
+            raise DatasetError("unsupported covariance structure: mean dimension mismatch")
+
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        labels = (rng.random(n) < self.priors[1]).astype(np.int64)
+        dim = self.means[0].shape[0]
+        x = rng.standard_normal((n, dim)) * self.sigma
+        x += np.where(labels[:, None] == 1, self.means[1], self.means[0])
+        return x, labels
+
+
+def _phi(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def gaussian_bayes_error(oracle: GaussianClassOracle) -> float:
+    """Exact Bayes error of the two-Gaussian oracle.
+
+    The optimal rule thresholds the projection onto the mean difference;
+    with equal priors this reduces to Phi(-d / (2 sigma)).
+    """
+    p0, p1 = oracle.priors
+    d = float(np.linalg.norm(oracle.means[1] - oracle.means[0]))
+    sigma = oracle.sigma
+    if d == 0.0:
+        return min(p0, p1)
+    threshold = -(sigma**2 / d) * math.log(p1 / p0)
+    return p0 * _phi(-(threshold + d / 2.0) / sigma) + p1 * _phi((threshold - d / 2.0) / sigma)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import columns, ev, ranked_alters
 from linkcdr import manifest
-from linkcdr.bayes import GaussianClassOracle, bayes_bounds, gaussian_bayes_error, one_nn_error
+from linkcdr.bayes import bayes_bounds, one_nn_error
 from linkcdr.decompose import assign_factors, loadings, pca, varimax, varimax_criterion
 from linkcdr.features import (
     apply_scaler,
@@ -45,7 +45,9 @@ from linkcdr.pairgraph import (
 from linkcdr.presets import planted_factor_membership, planted_factors, table3_like
 from linkcdr.synthgen import generate
 from oracles import (
+    GaussianClassOracle,
     common_contacts_brute,
+    gaussian_bayes_error,
     moment_stats,
     mutual_pairs_brute,
     rank_alters_brute,

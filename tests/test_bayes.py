@@ -7,14 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from linkcdr.bayes import (
-    GaussianClassOracle,
-    bayes_bounds,
-    gaussian_bayes_error,
-    one_nn_error,
-    one_nn_error_loo,
-)
+from linkcdr.bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from linkcdr.errors import DatasetError
+from oracles import GaussianClassOracle, gaussian_bayes_error
 
 
 def brute_one_nn(train_x, train_y, test_x, test_y):

@@ -205,6 +205,16 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_generate_config_with_oversized_side_links_exits_two(self, tmp_path):
+        config_path = tmp_path / "gen.cfg"
+        config_path.write_text(
+            "preset = table3-like\nn_pairs = 400\nseed = 1\n"
+            "background.side_links = 40\nbackground.pool_size = 32\n"
+        )
+        code = main(["generate", "--config", str(config_path), "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert not (tmp_path / "g" / "events.csv").exists()
+
     def test_ingest_validation_failure_exits_two(self, tmp_path):
         events = tmp_path / "events.csv"
         # single event: every other month in the window is empty

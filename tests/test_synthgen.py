@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import io
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkcdr.errors import ConfigError
 from linkcdr.features import WeekGrid, _local_parts
-from linkcdr.ingest import parse_events, validate_dataset
+from linkcdr.ingest import EVENTS_HEADER, parse_events, validate_dataset
 from linkcdr.presets import PRESETS, planted_factors, table3_like
 from linkcdr.synthgen import (
     ArchetypeConfig,
     BackgroundConfig,
     GeneratorConfig,
+    _distinct_draws,
+    _write_event_rows,
     generate,
     read_truth_csv,
     verify_planted,
@@ -111,13 +118,17 @@ class TestGenerate:
             assert 0 <= gap <= 19
             assert planted.gender_first != planted.gender_second
 
-    def test_poisson_weekly_mean(self):
-        # pooled weekday-daytime call counts over full weeks obey the rate
+    @pytest.mark.parametrize("channel", ["calls", "texts"])
+    @pytest.mark.parametrize("segment", range(6))
+    def test_poisson_weekly_mean(self, segment, channel):
+        # pooled counts of one (channel, segment) cell over full weeks obey the rate
         rate = 4.0
+        rates = tuple(rate if s == segment else 0.0 for s in range(6))
+        zero = (0.0,) * 6
         config = small_config(
             n_pairs=60,
-            archetypes=(small_archetype(call_rates=(rate, 0, 0, 0, 0, 0),
-                                        text_rates=(0, 0, 0, 0, 0, 0)),),
+            archetypes=(small_archetype(call_rates=rates if channel == "calls" else zero,
+                                        text_rates=rates if channel == "texts" else zero),),
             background=BackgroundConfig(side_links=0, rate_multiplier=0.0),
             pair_activity_sigma=0.0,
         )
@@ -126,12 +137,53 @@ class TestGenerate:
         grid = WeekGrid.from_window(config.window, 0)
         day, weekday, seg = _local_parts(cols.timestamp, 0)
         widx = grid.week_index(day, weekday)
-        in_full_weeks = (widx >= 0) & cols.is_call
+        on_channel = cols.is_call if channel == "calls" else ~cols.is_call
+        assert on_channel.all()
+        in_full_weeks = (widx >= 0) & on_channel
         n_cells = 60 * grid.n_weeks
         mean_count = in_full_weeks.sum() / n_cells
         tolerance = 3 * np.sqrt(rate / n_cells)
         assert abs(mean_count - rate) < tolerance
-        assert (seg[in_full_weeks] == 0).all()
+        assert (seg[in_full_weeks] == segment).all()
+
+    def test_direction_skew(self):
+        skew = 0.8
+        config = small_config(
+            n_pairs=50,
+            archetypes=(small_archetype(direction_skew=skew),),
+            background=BackgroundConfig(side_links=0, rate_multiplier=0.0),
+        )
+        cols = generate(config).columns
+        # user 2i ("u...even") is the canonical-first user of planted pair i
+        share = float(np.mean(cols.caller % 2 == 0))
+        assert abs(share - skew) < 3 * np.sqrt(skew * (1 - skew) / len(cols))
+
+    def test_side_links_reach_distinct_pool_users(self):
+        side_links = 3
+        config = small_config(
+            n_pairs=40,
+            background=BackgroundConfig(side_links=side_links, rate_multiplier=2.0, pool_size=4),
+        )
+        dataset = generate(config)
+        cols, n_users = dataset.columns, 2 * config.n_pairs
+        contacts: dict[int, set[int]] = {u: set() for u in range(n_users)}
+        for a, b in zip(cols.caller.tolist(), cols.callee.tolist()):
+            for ego, alter in ((a, b), (b, a)):
+                if ego < n_users and alter >= n_users:
+                    contacts[ego].add(alter)
+        assert all(len(pool) == side_links for pool in contacts.values())
+        assert all(cols.users[c].startswith("b") for pool in contacts.values() for c in pool)
+
+    def test_distinct_draws_uniform_over_subsets(self):
+        rows = 6000
+        chosen = _distinct_draws(np.random.default_rng(3), rows, 2, 4)
+        assert (chosen[:, 0] != chosen[:, 1]).all()
+        assert ((chosen >= 0) & (chosen < 4)).all()
+        subsets = Counter(tuple(sorted(r)) for r in chosen.tolist())
+        assert len(subsets) == 6
+        expected = rows / 6
+        sd = np.sqrt(expected * (1 - 1 / 6))
+        assert all(abs(count - expected) < 4 * sd for count in subsets.values())
 
     def test_prevalence_allocation_exact(self):
         archetypes = (
@@ -156,6 +208,94 @@ class TestGenerate:
     def test_prevalences_must_sum_to_one(self):
         with pytest.raises(ConfigError, match="sum"):
             generate(small_config(archetypes=(small_archetype(prevalence=0.5),)))
+
+
+class TestBackgroundValidation:
+    @pytest.mark.parametrize(
+        "background, match",
+        [
+            (BackgroundConfig(side_links=40, pool_size=32), "exceeds the pool"),
+            (BackgroundConfig(side_links=-1), "negative"),
+            (BackgroundConfig(pool_size=-5), "pool_size"),
+            (BackgroundConfig(pool_size=0), "pool_size"),
+        ],
+        ids=["side-links-over-pool", "negative-side-links", "negative-pool", "empty-pool"],
+    )
+    def test_rejected(self, background, match):
+        with pytest.raises(ConfigError, match=match):
+            generate(small_config(n_pairs=400, background=background))
+
+    def test_default_pool_bounds_side_links(self):
+        # 400 pairs give the default pool of max(32, 400 // 16) = 32 users
+        small_config(n_pairs=400, background=BackgroundConfig(side_links=32)).validate()
+        with pytest.raises(ConfigError, match="exceeds the pool of 32"):
+            small_config(n_pairs=400, background=BackgroundConfig(side_links=33)).validate()
+
+    def test_side_links_may_fill_the_pool(self):
+        config = small_config(
+            n_pairs=10, background=BackgroundConfig(side_links=3, pool_size=3)
+        )
+        dataset = generate(config)
+        assert len(dataset.columns.users) == 2 * 10 + 3
+
+
+class TestSlotMapping:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        utc_offset=st.integers(-14 * 3600, 14 * 3600),
+        segment=st.integers(0, 5),
+        channel=st.sampled_from(["calls", "texts"]),
+    )
+    def test_events_land_in_their_drawn_segment(self, seed, utc_offset, segment, channel):
+        rates = tuple(6.0 if s == segment else 0.0 for s in range(6))
+        zero = (0.0,) * 6
+        config = small_config(
+            n_pairs=4,
+            seed=seed,
+            utc_offset=utc_offset,
+            archetypes=(small_archetype(call_rates=rates if channel == "calls" else zero,
+                                        text_rates=rates if channel == "texts" else zero),),
+            background=BackgroundConfig(side_links=1, rate_multiplier=0.5, pool_size=2),
+        )
+        cols = generate(config).columns
+        assert len(cols) > 0
+        _, _, seg = _local_parts(cols.timestamp, utc_offset)
+        assert (seg == segment).all()
+        assert (cols.timestamp >= config.window.start).all()
+        assert (cols.timestamp < config.window.end).all()
+
+
+class TestEventWrite:
+    @staticmethod
+    def all_at_once(cols) -> str:
+        users = cols.users
+        rows = zip(
+            cols.caller.tolist(),
+            cols.callee.tolist(),
+            cols.timestamp.tolist(),
+            cols.is_call.tolist(),
+            cols.duration.tolist(),
+        )
+        return "".join(
+            f"{users[a]},{users[b]},{t},{'call' if c else 'text'},{'' if d < 0 else d}\n"
+            for a, b, t, c, d in rows
+        )
+
+    @pytest.mark.parametrize("block_rows", [1, 997])
+    def test_block_write_matches_all_at_once(self, block_rows):
+        cols = generate(small_config(n_pairs=20)).columns
+        assert len(cols) > 2 * 997
+        out = io.StringIO()
+        _write_event_rows(out, cols, block_rows)
+        assert out.getvalue() == self.all_at_once(cols)
+
+    def test_events_csv_is_header_plus_rows(self, tmp_path):
+        dataset = generate(small_config(n_pairs=20))
+        paths = write_dataset(dataset, tmp_path)
+        with open(paths["events"], encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        assert text == EVENTS_HEADER + "\n" + self.all_at_once(dataset.columns)
 
 
 class TestVerifyPlanted:
