@@ -238,6 +238,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_pca(args: argparse.Namespace) -> int:
+    if not 1 <= args.n_comp <= manifest.N_FEATURES:
+        raise ConfigError(f"--n-comp {args.n_comp} must lie in 1..{manifest.N_FEATURES}")
     out = _ensure_out(args)
     _, matrix = read_features_csv(args.features)
     scaler = fit_scaler(matrix)
@@ -354,7 +356,18 @@ def _fit_record(model: TrainedModel) -> dict:
     }
 
 
+def _ensemble_seeds(args: argparse.Namespace) -> list[int]:
+    """``--seeds`` consecutive seeds from ``--seed``; an odd count, so the
+    majority vote cannot tie."""
+    if args.seeds < 1 or args.seeds % 2 == 0:
+        raise ConfigError(f"--seeds {args.seeds} must be a positive odd count")
+    return [args.seed + i for i in range(args.seeds)]
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    seeds = _ensemble_seeds(args)
+    if args.select_c <= 0:
+        raise ConfigError(f"--select-c {args.select_c} must be positive")
     out = _ensure_out(args)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, args.task)
     pool, test, scaler = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
@@ -374,7 +387,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         pool = LabeledDataset(pool.x[:, selected], pool.y, pool.groups, pool.row_ids)
         test = LabeledDataset(test.x[:, selected], test.y, test.groups, test.row_ids)
 
-    seeds = [args.seed + i for i in range(args.seeds)]
     grid = list(K_GRID) if args.model == "knn" else list(C_GRID)
     result = seed_ensemble(pool, test.x, args.model, grid, seeds, n_train=args.n_train)
     report = evaluate(result.predictions, test.y, test.groups, result.probabilities)
@@ -484,8 +496,8 @@ def cmd_bayes_bounds(args: argparse.Namespace) -> int:
     else:
         pool_idx, test_idx = _split_pool_test(len(y), args.n_test, args.seed)
         if args.n_train is not None:
-            if args.n_train > len(pool_idx):
-                raise ConfigError(f"n_train {args.n_train} exceeds pool size {len(pool_idx)}")
+            if not 2 <= args.n_train <= len(pool_idx):
+                raise ConfigError(f"--n-train {args.n_train} must lie in 2..{len(pool_idx)}")
             pool_idx = pool_idx[: args.n_train]
         scaler = fit_scaler(x[pool_idx])
         z_pool = apply_scaler(x[pool_idx], scaler)
@@ -518,10 +530,10 @@ def cmd_bayes_bounds(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind != "age-restricted":
         raise ConfigError(f"unknown experiment {args.kind!r}")
+    seeds = tuple(_ensemble_seeds(args))
     out = _ensure_out(args)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, "ogp")
     pool, test, _ = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
-    seeds = tuple(args.seed + i for i in range(args.seeds))
     config = TrainConfig(kind=args.model, seeds=seeds, n_train=args.n_train)
 
     test_rows = _peer_bracket_rows(test, args.bracket)

@@ -2,11 +2,9 @@
 fractions, active days, reciprocity, inter-event gaps, and the 175-value
 vector, plus train-time standardization.
 
-``compute_feature_matrix`` is the one implementation. It maps every event to
+``compute_feature_matrix`` is the one entry point. It maps every event to
 its requested pair's row once and builds each feature group for all rows
-with whole-array operations. ``assemble_feature_vector`` is a one-pair call
-into it; ``weekly_series``, ``fraction_features``, ``active_days_features``
-and ``interevent_stats`` are one-group calls into the same stage functions.
+with whole-array operations; one pair's vector is the one-row call.
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
 UTC offset to the event timestamps (single-country data, no DST model).
@@ -18,43 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import manifest
 from .errors import DatasetError
-from .ingest import CdrEvent, EventColumns, ObservationWindow
+from .ingest import EventColumns, ObservationWindow
 from .pairgraph import LinkGraph, PairKey, common_contacts
 
 SECONDS_PER_DAY = 86400
 
 
-class Weekpart(str, Enum):
-    WEEKDAY = "weekday"
-    WEEKEND = "weekend"
-
-
-class Daypart(str, Enum):
-    DAYTIME = "daytime"
-    EVENING = "evening"
-    LATE_NIGHT = "late_night"
-
-
-class TimeSegment(NamedTuple):
-    weekpart: Weekpart
-    daypart: Daypart
-
-
-# index = weekpart * 3 + daypart, matching the manifest ordering
-SEGMENT_ORDER: tuple[TimeSegment, ...] = tuple(
-    TimeSegment(wp, dp) for wp in Weekpart for dp in Daypart
-)
-
-
 def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(local day number, weekday 0=Mon, segment index) for an epoch array."""
+    """(local day number, weekday 0=Mon, segment index) for an epoch array.
+
+    The segment index is weekpart * 3 + daypart in manifest order: weekday
+    (Mon-Thu) then weekend (Fri-Sun), each as daytime, evening, late night.
+    """
     lt = ts + utc_offset
     day = lt // SECONDS_PER_DAY
     weekday = (day + 3) % 7  # epoch day 0 was a Thursday
@@ -62,12 +41,6 @@ def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarra
     daypart = np.where((hour >= 7) & (hour <= 16), 0, np.where((hour >= 17) & (hour <= 22), 1, 2))
     segment = np.where(weekday >= 4, 3, 0) + daypart
     return day, weekday, segment
-
-
-def segment_of(timestamp: int, utc_offset: int = 0) -> TimeSegment:
-    """Map one timestamp to its (weekpart, daypart) segment in local time."""
-    _, _, seg = _local_parts(np.asarray([timestamp], dtype=np.int64), utc_offset)
-    return SEGMENT_ORDER[int(seg[0])]
 
 
 @dataclass(frozen=True)
@@ -93,23 +66,6 @@ class WeekGrid:
         """Full-week index per event day, -1 outside the grid."""
         idx = (day - weekday - self.first_monday_day) // 7
         return np.where((idx >= 0) & (idx < self.n_weeks), idx, -1)
-
-
-@dataclass
-class WeeklySeries:
-    """Per full week x segment counters for one pair.
-
-    Arrays are (n_weeks, 6) with segments ordered as SEGMENT_ORDER; unknown
-    call durations count toward ``n_calls`` but not ``duration``.
-    """
-
-    n_calls: np.ndarray
-    duration: np.ndarray
-    n_texts: np.ndarray
-
-    @property
-    def n_weeks(self) -> int:
-        return self.n_calls.shape[0]
 
 
 class DistStats(NamedTuple):
@@ -171,11 +127,6 @@ class _Events(NamedTuple):
         day, weekday, seg = _local_parts(ts, utc_offset)
         known_dur = np.maximum(cols.duration[idx], 0).astype(np.float64)
         return cls(row, ts, cols.is_call[idx], known_dur, day, weekday, seg)
-
-    @classmethod
-    def one_row(cls, events: Sequence[CdrEvent], utc_offset: int) -> "_Events":
-        cols = EventColumns.from_events(events)
-        return cls.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), utc_offset)
 
 
 def _quantity_sums(
@@ -294,56 +245,6 @@ def _interevent(
     return out
 
 
-# --- one-group views ----------------------------------------------------------
-
-
-def weekly_series(
-    events: Sequence[CdrEvent], window: ObservationWindow, utc_offset: int = 0
-) -> WeeklySeries:
-    """Weekly per-segment (calls, duration, texts) over the window's full weeks."""
-    grid = WeekGrid.from_window(window, utc_offset)
-    tensor = _weekly_tensor(_Events.one_row(events, utc_offset), 1, grid)[0]
-    return WeeklySeries(
-        tensor[:, :6].astype(np.int64), tensor[:, 6:12], tensor[:, 12:].astype(np.int64)
-    )
-
-
-def reciprocity(in_qty: float, out_qty: float) -> float:
-    """Normalized directional imbalance |in-out| / (in+out), 0 for no traffic."""
-    if in_qty < 0 or out_qty < 0:
-        raise ValueError("reciprocity inputs must be nonnegative")
-    return float(_reciprocity(np.asarray([in_qty, out_qty], dtype=np.float64)))
-
-
-def fraction_features(segment_totals: np.ndarray) -> np.ndarray:
-    """18 daypart shares from a (3 quantities, 6 segments) totals matrix.
-
-    Rows are (calls, duration, texts); all three fractions of a weekpart are
-    0 when that weekpart's total is 0. Late-night call-count and duration
-    shares are stored log1p-transformed.
-    """
-    totals = np.asarray(segment_totals, dtype=np.float64)
-    if totals.shape != (3, 6):
-        raise DatasetError(f"expected (3, 6) totals, got {totals.shape}")
-    return _fractions(totals[None])[0]
-
-
-def active_days_features(events: Sequence[CdrEvent], utc_offset: int = 0) -> np.ndarray:
-    """12 log1p counts of distinct local days with >=1 call / text per segment."""
-    return _active_days(_Events.one_row(events, utc_offset), 1)[0]
-
-
-def interevent_stats(timestamps: Sequence[int] | np.ndarray, window_seconds: int) -> np.ndarray:
-    """7 transformed gap statistics for one channel's event times.
-
-    With fewer than two events the scale statistics take the sentinel
-    log1p(window length) and skewness/kurtosis are 0, encoding "rarer than
-    observable" monotonically.
-    """
-    ts = np.asarray(timestamps, dtype=np.int64)
-    return _interevent(np.zeros(ts.size, dtype=np.int64), ts, 1, window_seconds)[0]
-
-
 # --- the kernel ---------------------------------------------------------------
 
 
@@ -400,28 +301,6 @@ def compute_feature_matrix(
     )
     common = common_contacts(graph, pairs).astype(np.float64)
     return np.concatenate([blocks[inverse], common], axis=1)
-
-
-def assemble_feature_vector(
-    pair_events: Sequence[CdrEvent],
-    graph: LinkGraph,
-    window: ObservationWindow,
-    utc_offset: int = 0,
-) -> np.ndarray:
-    """The 175-value vector for one pair given its own events: a one-pair
-    call into ``compute_feature_matrix``.
-
-    ``graph`` supplies the common-contact counts and must contain the pair;
-    all events must belong to the same unordered pair.
-    """
-    if not pair_events:
-        raise DatasetError("assemble_feature_vector needs at least one event")
-    key = PairKey.of(pair_events[0].caller_id, pair_events[0].callee_id)
-    for ev in pair_events:
-        if PairKey.of(ev.caller_id, ev.callee_id) != key:
-            raise DatasetError("events span more than one pair")
-    cols = EventColumns.from_events(pair_events)
-    return compute_feature_matrix(cols, [key], graph, window, utc_offset)[0]
 
 
 # --- standardization ----------------------------------------------------------

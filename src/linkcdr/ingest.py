@@ -12,8 +12,8 @@ The on-disk formats are plain CSV:
 Parsing is total: every input row is either accepted or reported as a
 line-level diagnostic; only an unreadable stream or a wrong header is fatal.
 Accepted event rows go straight into ``EventColumns`` (user ids interned in
-order of first appearance); ``CdrEvent`` is the one-event form used at API
-edges such as one-pair feature calls.
+order of first appearance); ``CdrEvent`` is the one-event record form, and
+``EventColumns.from_events``/``to_events`` convert a record list both ways.
 """
 
 from __future__ import annotations

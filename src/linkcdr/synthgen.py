@@ -65,9 +65,10 @@ _INTERVAL_END, _INTERVAL_SHIFT, _SEGMENT_BASE = _interval_table()
 class ArchetypeConfig:
     """Behavioural profile of one planted relationship type.
 
-    Rates are expected events per week for each of the six segments in
-    SEGMENT_ORDER; ``direction_skew`` is the probability that the
-    canonical-first user initiates an event.
+    Rates are expected events per week for each of the six segments, weekday
+    then weekend, each as daytime, evening, late night (the segment index of
+    ``features._local_parts``); ``direction_skew`` is the probability that
+    the canonical-first user initiates an event.
     """
 
     code: str

@@ -17,7 +17,6 @@ from linkcdr.bayes import bayes_bounds, one_nn_error
 from linkcdr.decompose import assign_factors, loadings, pca, varimax, varimax_criterion
 from linkcdr.features import (
     apply_scaler,
-    assemble_feature_vector,
     compute_feature_matrix,
     dist_stats,
     fit_scaler,
@@ -125,8 +124,9 @@ def test_criterion_1_feature_cardinality(default_window):
             ts = int(rng.integers(default_window.start, default_window.end))
             kind = "text" if rng.random() < 0.4 else "call"
             events.append(ev("p1", "p2", ts, kind, int(rng.integers(1, 600))))
-        graph = build_links(columns(events), default_window)
-        vector = assemble_feature_vector(events, graph, default_window)
+        cols = columns(events)
+        graph = build_links(cols, default_window)
+        (vector,) = compute_feature_matrix(cols, [PairKey.of("p1", "p2")], graph, default_window)
         assert vector.shape == (175,)
         assert np.isfinite(vector).all()
         counts = [126, 18, 12, 3, 14, 2]

@@ -233,6 +233,64 @@ class TestExitCodes:
         assert not report["ok"] and len(report["warnings"]) == 6
 
 
+class TestFlagRanges:
+    """Out-of-range numeric flags are usage errors: exit 2 naming the flag,
+    before any output is written."""
+
+    @staticmethod
+    def labeled(pipeline_dirs) -> list[str]:
+        return [
+            "--features", str(pipeline_dirs["feats"] / "features.csv"),
+            "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"),
+        ]
+
+    @pytest.mark.parametrize("n_train", ["-3", "0", "1", "100000"])
+    def test_bayes_bounds_n_train(self, pipeline_dirs, tmp_path, capsys, n_train):
+        code = main([
+            "bayes-bounds", *self.labeled(pipeline_dirs), "--task", "ogp",
+            "--n-train", n_train, "--n-test", "60", "--out", str(tmp_path / "b"),
+        ])
+        assert code == 2
+        assert f"--n-train {n_train} must lie in 2.." in capsys.readouterr().err
+        assert not (tmp_path / "b" / "bounds.json").exists()
+
+    @pytest.mark.parametrize("n_comp", ["0", "176", "500"])
+    def test_pca_n_comp(self, pipeline_dirs, tmp_path, capsys, n_comp):
+        code = main([
+            "pca", "--features", str(pipeline_dirs["feats"] / "features.csv"),
+            "--n-comp", n_comp, "--out", str(tmp_path / "p"),
+        ])
+        assert code == 2
+        assert f"--n-comp {n_comp} must lie in 1..175" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("select_c", ["0", "-1"])
+    def test_train_select_c(self, pipeline_dirs, tmp_path, capsys, select_c):
+        code = main([
+            "train", *self.labeled(pipeline_dirs), "--task", "ogp",
+            "--feature-select", "lr-l1", "--select-c", select_c,
+            "--n-train", "80", "--n-test", "60", "--out", str(tmp_path / "t"),
+        ])
+        assert code == 2
+        assert f"--select-c {float(select_c)} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-1", "2"])
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            ["train", "--task", "ogp", "--n-train", "80"],
+            ["experiment", "age-restricted", "--bracket", "M"],
+        ],
+        ids=["train", "experiment"],
+    )
+    def test_seeds(self, pipeline_dirs, tmp_path, capsys, stage, seeds):
+        code = main([
+            *stage, *self.labeled(pipeline_dirs), "--n-test", "60",
+            "--seeds", seeds, "--out", str(tmp_path / "s"),
+        ])
+        assert code == 2
+        assert f"--seeds {seeds} must be a positive odd count" in capsys.readouterr().err
+
+
 class TestWindowFlags:
     def test_window_start_keeps_its_utc_offset(self):
         from linkcdr.cli import _window_from_args, build_parser

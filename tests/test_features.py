@@ -15,65 +15,102 @@ from hypothesis import strategies as st
 from conftest import DAY, JAN1_2007, WEEK, columns, epoch, ev
 from linkcdr.errors import DatasetError
 from linkcdr.features import (
-    Daypart,
     WeekGrid,
-    Weekpart,
-    active_days_features,
+    _Events,
+    _interevent,
+    _local_parts,
+    _weekly_tensor,
     apply_scaler,
-    assemble_feature_vector,
     compute_feature_matrix,
     dist_stats,
     fit_scaler,
-    fraction_features,
-    interevent_stats,
-    reciprocity,
-    segment_of,
-    weekly_series,
 )
-from linkcdr.ingest import EventColumns, ObservationWindow
-from linkcdr.manifest import FEATURE_NAMES, GROUP_SIZES, N_FEATURES
+from linkcdr.ingest import ObservationWindow
+from linkcdr.manifest import (
+    DAYPARTS,
+    FEATURE_NAMES,
+    GROUP_SIZES,
+    N_FEATURES,
+    QUANTITIES,
+    STATS,
+    WEEKPARTS,
+    feature_index,
+)
 from linkcdr.pairgraph import PairKey, build_links, common_contacts
-from oracles import feature_vector_oracle, moment_stats
+from oracles import _daypart, _local, _weekpart, feature_vector_oracle, moment_stats
+
+AB = PairKey.of("a", "b")
+# _local_parts' segment index of each weekpart_daypart name
+SEGMENT = {
+    f"{wp}_{dp}": 3 * i + j for i, wp in enumerate(WEEKPARTS) for j, dp in enumerate(DAYPARTS)
+}
+ACTIVE_DAYS = [
+    feature_index(f"active_days_{kind}_{wp}_{dp}")
+    for kind in ("call", "text")
+    for wp in WEEKPARTS
+    for dp in DAYPARTS
+]
+
+
+def stamps(*texts: str) -> np.ndarray:
+    return np.asarray([epoch(t) for t in texts], dtype=np.int64)
+
+
+def oracle_segment(ts: int) -> int:
+    dt = _local(ts, 0)
+    return SEGMENT[f"{_weekpart(dt)}_{_daypart(dt)}"]
 
 
 class TestSegmentOf:
     def test_tuesday_morning_is_weekday_daytime(self):
-        seg = segment_of(epoch("2007-01-02 08:30:00"))
-        assert seg == (Weekpart.WEEKDAY, Daypart.DAYTIME)
+        _, _, seg = _local_parts(stamps("2007-01-02 08:30:00"), 0)
+        assert seg.tolist() == [SEGMENT["weekday_daytime"]]
 
     def test_friday_night_is_weekend_late_night(self):
-        seg = segment_of(epoch("2007-01-05 23:30:00"))
-        assert seg == (Weekpart.WEEKEND, Daypart.LATE_NIGHT)
+        _, _, seg = _local_parts(stamps("2007-01-05 23:30:00"), 0)
+        assert seg.tolist() == [SEGMENT["weekend_late_night"]]
 
     def test_evening_boundary_convention(self):
-        assert segment_of(epoch("2007-01-04 16:59:59")).daypart is Daypart.DAYTIME
-        assert segment_of(epoch("2007-01-04 17:00:00")).daypart is Daypart.EVENING
+        _, _, seg = _local_parts(stamps("2007-01-04 16:59:59", "2007-01-04 17:00:00"), 0)
+        assert seg.tolist() == [SEGMENT["weekday_daytime"], SEGMENT["weekday_evening"]]
 
     def test_late_night_boundaries(self):
-        assert segment_of(epoch("2007-01-04 22:59:59")).daypart is Daypart.EVENING
-        assert segment_of(epoch("2007-01-04 23:00:00")).daypart is Daypart.LATE_NIGHT
-        assert segment_of(epoch("2007-01-04 06:59:59")).daypart is Daypart.LATE_NIGHT
-        assert segment_of(epoch("2007-01-04 07:00:00")).daypart is Daypart.DAYTIME
+        _, _, seg = _local_parts(
+            stamps(
+                "2007-01-04 22:59:59",
+                "2007-01-04 23:00:00",
+                "2007-01-04 06:59:59",
+                "2007-01-04 07:00:00",
+            ),
+            0,
+        )
+        assert seg.tolist() == [
+            SEGMENT["weekday_evening"],
+            SEGMENT["weekday_late_night"],
+            SEGMENT["weekday_late_night"],
+            SEGMENT["weekday_daytime"],
+        ]
 
     def test_weekpart_uses_own_calendar_day(self):
         # Monday 02:00 is weekday late-night, Friday 02:00 weekend late-night
-        assert segment_of(epoch("2007-01-08 02:00:00")).weekpart is Weekpart.WEEKDAY
-        assert segment_of(epoch("2007-01-05 02:00:00")).weekpart is Weekpart.WEEKEND
+        _, _, seg = _local_parts(stamps("2007-01-08 02:00:00", "2007-01-05 02:00:00"), 0)
+        assert seg.tolist() == [SEGMENT["weekday_late_night"], SEGMENT["weekend_late_night"]]
 
     def test_utc_offset_shifts_local_clock(self):
-        ts = epoch("2007-01-02 23:30:00")
-        assert segment_of(ts, 0).daypart is Daypart.LATE_NIGHT
-        assert segment_of(ts, 8 * 3600).daypart is Daypart.DAYTIME
+        ts = stamps("2007-01-02 23:30:00")
+        assert _local_parts(ts, 0)[2].tolist() == [SEGMENT["weekday_late_night"]]
+        assert _local_parts(ts, 8 * 3600)[2].tolist() == [SEGMENT["weekday_daytime"]]
 
     def test_partition_and_segment_totals(self, default_window):
         rng = np.random.default_rng(2)
-        stamps = rng.integers(default_window.start, default_window.end, size=500)
-        segments = [segment_of(int(t)) for t in stamps]
-        assert all(s.weekpart in Weekpart and s.daypart in Daypart for s in segments)
-        events = [ev("a", "b", int(t)) for t in stamps]
-        series = weekly_series(events, default_window)
-        # summing all segment cells over full weeks never exceeds the total
-        assert series.n_calls.sum() <= 500
+        ts = rng.integers(default_window.start, default_window.end, size=500)
+        _, _, seg = _local_parts(ts, 0)
+        assert seg.tolist() == [oracle_segment(int(t)) for t in ts]
+        cols = columns([ev("a", "b", int(t)) for t in ts])
+        events = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
+        weekly = _weekly_tensor(events, 1, WeekGrid.from_window(default_window))[0]
+        # summing all call cells over full weeks never exceeds the total
+        assert weekly[:, :6].sum() <= 500
 
 
 # 7 days from a Monday, and 13 days from a Wednesday (2007-01-08 to 01-15).
@@ -114,31 +151,40 @@ class TestWeekGrid:
 
 
 class TestWeeklySeries:
+    """The kernel's (weeks, 18) weekly tensor of one pair: calls, call
+    durations, then texts, each over the six segments."""
+
     def test_constant_cell(self, default_window):
         events = []
         for week in range(30):
             base = JAN1_2007 + week * WEEK
             events.append(ev("a", "b", base + 9 * 3600))  # Monday 09:00
             events.append(ev("a", "b", base + DAY + 10 * 3600))  # Tuesday 10:00
-        series = weekly_series(events, default_window)
-        assert (series.n_calls[:, 0] == 2).all()
+        cols = columns(events)
+        one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
+        calls, _, texts = np.split(
+            _weekly_tensor(one_row, 1, WeekGrid.from_window(default_window))[0], 3, axis=1
+        )
+        assert (calls[:, 0] == 2).all()
         cells = np.ones((30, 6), dtype=bool)
         cells[:, 0] = False
-        assert series.n_calls[cells].sum() == 0
-        assert series.n_texts.sum() == 0
+        assert calls[cells].sum() == 0
+        assert texts.sum() == 0
 
     def test_unknown_duration_counts_call_only(self, default_window):
-        events = [ev("a", "b", JAN1_2007 + 9 * 3600, "call", None)]
-        series = weekly_series(events, default_window)
-        assert series.n_calls[0, 0] == 1
-        assert series.duration[0, 0] == 0
+        cols = columns([ev("a", "b", JAN1_2007 + 9 * 3600, "call", None)])
+        one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
+        weekly = _weekly_tensor(one_row, 1, WeekGrid.from_window(default_window))[0]
+        assert weekly[0, 0] == 1  # calls, weekday daytime
+        assert weekly[0, 6] == 0  # duration, weekday daytime
 
     def test_edge_week_events_excluded(self):
         window = ObservationWindow.from_dates("2007-01-03", "2007-02-01")
         # Jan 3 is Wednesday; full weeks start Jan 8
-        events = [ev("a", "b", epoch("2007-01-03 10:00:00"))]
-        series = weekly_series(events, window)
-        assert series.n_calls.sum() == 0
+        cols = columns([ev("a", "b", epoch("2007-01-03 10:00:00"))])
+        one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
+        weekly = _weekly_tensor(one_row, 1, WeekGrid.from_window(window))[0]
+        assert weekly.sum() == 0
 
     def test_fifty_event_brute_recount(self, default_window):
         rng = np.random.default_rng(11)
@@ -147,10 +193,12 @@ class TestWeeklySeries:
             ts = int(rng.integers(default_window.start, default_window.end))
             kind = "text" if rng.random() < 0.5 else "call"
             events.append(ev("a", "b", ts, kind, int(rng.integers(1, 500))))
-        series = weekly_series(events, default_window)
         grid = WeekGrid.from_window(default_window)
+        cols = columns(events)
+        one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
+        calls, durations, texts = np.split(_weekly_tensor(one_row, 1, grid)[0], 3, axis=1)
         counts = np.zeros((grid.n_weeks, 6))
-        texts = np.zeros((grid.n_weeks, 6))
+        text_counts = np.zeros((grid.n_weeks, 6))
         durs = np.zeros((grid.n_weeks, 6))
         for e in events:
             day = e.timestamp // DAY
@@ -159,18 +207,15 @@ class TestWeeklySeries:
             widx = (monday - grid.first_monday_day) // 7
             if not 0 <= widx < grid.n_weeks:
                 continue
-            seg = segment_of(e.timestamp)
-            seg_idx = (0 if seg.weekpart is Weekpart.WEEKDAY else 3) + (
-                0 if seg.daypart is Daypart.DAYTIME else 1 if seg.daypart is Daypart.EVENING else 2
-            )
+            seg_idx = oracle_segment(e.timestamp)
             if e.kind.value == "call":
                 counts[widx, seg_idx] += 1
                 durs[widx, seg_idx] += e.duration
             else:
-                texts[widx, seg_idx] += 1
-        assert (series.n_calls == counts).all()
-        assert (series.n_texts == texts).all()
-        assert (series.duration == durs).all()
+                text_counts[widx, seg_idx] += 1
+        assert (calls == counts).all()
+        assert (texts == text_counts).all()
+        assert (durations == durs).all()
 
 
 class TestDistStats:
@@ -207,53 +252,77 @@ class TestDistStats:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def weekday_calls(daytime: int, evening: int, late_night: int) -> list:
+    """Calls from a to b on Mondays of the default window, one per week, at
+    10:00, 18:00 and 23:30 local time."""
+    hours = [10] * daytime + [18] * evening + [23.5] * late_night
+    return [ev("a", "b", JAN1_2007 + k * WEEK + int(h * 3600)) for k, h in enumerate(hours)]
+
+
 class TestFractionFeatures:
-    def test_hand_arithmetic_with_late_night_log(self):
-        totals = np.zeros((3, 6))
-        totals[0, 0:3] = (10, 5, 5)  # weekday calls by daypart
-        out = fraction_features(totals)
-        assert out[0] == pytest.approx(0.5)
-        assert out[1] == pytest.approx(0.25)
-        assert out[2] == pytest.approx(math.log1p(0.25))
+    def test_hand_arithmetic_with_late_night_log(self, default_window):
+        cols = columns(weekday_calls(10, 5, 5))
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert vec[feature_index("frac_weekday_calls_daytime")] == pytest.approx(0.5)
+        assert vec[feature_index("frac_weekday_calls_evening")] == pytest.approx(0.25)
+        assert vec[feature_index("frac_weekday_calls_late_night")] == pytest.approx(
+            math.log1p(0.25)
+        )
 
-    def test_all_daytime_texts(self):
-        totals = np.zeros((3, 6))
-        totals[2, 0] = 8
-        out = fraction_features(totals)
-        assert tuple(out[6:9]) == (1.0, 0.0, 0.0)
+    def test_all_daytime_texts(self, default_window):
+        cols = columns([ev("a", "b", JAN1_2007 + k * WEEK + 9 * 3600, "text") for k in range(8)])
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        fracs = [vec[feature_index(f"frac_weekday_texts_{dp}")] for dp in DAYPARTS]
+        assert fracs == [1.0, 0.0, 0.0]
 
-    def test_zero_weekpart_yields_zeros(self):
-        totals = np.zeros((3, 6))
-        totals[:, 0:3] = 4
-        out = fraction_features(totals)
-        assert (out[9:18] == 0).all()
+    def test_zero_weekpart_yields_zeros(self, default_window):
+        events = weekday_calls(4, 4, 4)
+        events += [ev("b", "a", e.timestamp + 60, "text") for e in events]
+        cols = columns(events)
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        weekend = [feature_index(f"frac_weekend_{q}_{dp}") for q in QUANTITIES for dp in DAYPARTS]
+        assert (vec[weekend] == 0).all()
 
-    def test_raw_fractions_sum_to_one(self):
+    def test_raw_fractions_sum_to_one(self, default_window):
         rng = np.random.default_rng(5)
-        totals = rng.integers(1, 50, size=(3, 6)).astype(float)
-        out = fraction_features(totals)
-        for wp in range(2):
-            for qty in range(3):
-                chunk = out[wp * 9 + qty * 3 : wp * 9 + qty * 3 + 3].copy()
-                if qty in (0, 1):
+        events = []
+        for _ in range(400):
+            ts = int(rng.integers(default_window.start, default_window.end))
+            kind = "text" if rng.random() < 0.5 else "call"
+            events.append(ev("a", "b", ts, kind, int(rng.integers(1, 900))))
+        cols = columns(events)
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        for wp in WEEKPARTS:
+            for qty in QUANTITIES:
+                chunk = np.asarray([vec[feature_index(f"frac_{wp}_{qty}_{dp}")] for dp in DAYPARTS])
+                if qty in ("calls", "duration"):
                     chunk[2] = math.expm1(chunk[2])
                 assert chunk.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestActiveDays:
-    def test_same_day_dedup(self):
-        events = [
-            ev("a", "b", epoch("2007-01-08 08:00:00")),
-            ev("a", "b", epoch("2007-01-08 09:00:00")),
-        ]
-        out = active_days_features(events)
+    def test_same_day_dedup(self, default_window):
+        cols = columns(
+            [
+                ev("a", "b", epoch("2007-01-08 08:00:00")),
+                ev("a", "b", epoch("2007-01-08 09:00:00")),
+            ]
+        )
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        out = vec[ACTIVE_DAYS]
         assert out[0] == pytest.approx(math.log1p(1))
         assert out[1:].sum() == 0
 
-    def test_no_texts_all_zero(self):
-        events = [ev("a", "b", epoch("2007-01-08 08:00:00"))]
-        out = active_days_features(events)
-        assert (out[6:] == 0).all()
+    def test_no_texts_all_zero(self, default_window):
+        cols = columns([ev("a", "b", epoch("2007-01-08 08:00:00"))])
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert (vec[ACTIVE_DAYS][6:] == 0).all()
 
     def test_month_fixture_matches_brute_count(self):
         rng = np.random.default_rng(6)
@@ -262,68 +331,110 @@ class TestActiveDays:
         for _ in range(300):
             ts = int(rng.integers(window.start, window.end))
             events.append(ev("a", "b", ts, "text" if rng.random() < 0.5 else "call"))
-        out = active_days_features(events)
+        cols = columns(events)
+        out = compute_feature_matrix(cols, [AB], build_links(cols, window), window)[0][ACTIVE_DAYS]
         brute: dict[tuple[str, int], set] = {}
         for e in events:
-            seg = segment_of(e.timestamp)
-            seg_idx = (0 if seg.weekpart is Weekpart.WEEKDAY else 3) + (
-                0 if seg.daypart is Daypart.DAYTIME else 1 if seg.daypart is Daypart.EVENING else 2
+            brute.setdefault((e.kind.value, oracle_segment(e.timestamp)), set()).add(
+                e.timestamp // DAY
             )
-            brute.setdefault((e.kind.value, seg_idx), set()).add(e.timestamp // DAY)
         for kind_idx, kind in enumerate(("call", "text")):
             for seg_idx in range(6):
                 want = math.log1p(len(brute.get((kind, seg_idx), set())))
                 assert out[kind_idx * 6 + seg_idx] == pytest.approx(want)
 
 
+RECIPROCITY = [feature_index(f"reciprocity_{q}") for q in QUANTITIES]
+
+
+def directed_calls(n_ab: int, n_ba: int, start: int) -> list:
+    return [ev("a", "b", start + 3600 * i) for i in range(n_ab)] + [
+        ev("b", "a", start + 3600 * (n_ab + i)) for i in range(n_ba)
+    ]
+
+
 class TestReciprocity:
-    def test_balanced_is_zero(self):
-        assert reciprocity(7, 7) == 0
+    def test_balanced_is_zero(self, default_window):
+        cols = columns(directed_calls(7, 7, default_window.start))
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert vec[feature_index("reciprocity_calls")] == 0
+        assert vec[feature_index("reciprocity_duration")] == 0
 
-    def test_one_sided_is_one(self):
-        assert reciprocity(10, 0) == 1
+    def test_one_sided_is_one(self, default_window):
+        cols = columns(directed_calls(10, 0, default_window.start))
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert vec[feature_index("reciprocity_calls")] == 1
 
-    def test_three_to_one(self):
-        assert reciprocity(3, 1) == 0.5
+    def test_three_to_one(self, default_window):
+        cols = columns(directed_calls(3, 1, default_window.start))
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert vec[feature_index("reciprocity_calls")] == 0.5
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            reciprocity(-1, 2)
-
-    def test_range_and_symmetry(self):
+    def test_range_and_symmetry(self, default_window):
+        # 200 random pairs in one call; reversing every event swaps in and out
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b = rng.uniform(0, 100, size=2)
-            r = reciprocity(a, b)
-            assert 0 <= r <= 1
-            assert r == reciprocity(b, a)
+        events = []
+        for i in range(200):
+            for _ in range(int(rng.integers(1, 30))):
+                caller, callee = (f"u{i}", f"v{i}") if rng.random() < 0.5 else (f"v{i}", f"u{i}")
+                ts = int(rng.integers(default_window.start, default_window.end))
+                kind = "text" if rng.random() < 0.3 else "call"
+                events.append(ev(caller, callee, ts, kind, int(rng.integers(0, 900))))
+        reversed_events = [
+            ev(e.callee_id, e.caller_id, e.timestamp, e.kind.value, e.duration) for e in events
+        ]
+        pairs = [PairKey.of(f"u{i}", f"v{i}") for i in range(200)]
+        cols, reversed_cols = columns(events), columns(reversed_events)
+        r = compute_feature_matrix(cols, pairs, build_links(cols, default_window), default_window)
+        r_reversed = compute_feature_matrix(
+            reversed_cols, pairs, build_links(reversed_cols, default_window), default_window
+        )
+        assert ((r[:, RECIPROCITY] >= 0) & (r[:, RECIPROCITY] <= 1)).all()
+        np.testing.assert_array_equal(r[:, RECIPROCITY], r_reversed[:, RECIPROCITY])
+
+
+INTEREVENT_CALLS = [feature_index(f"interevent_calls_{stat}") for stat in STATS]
 
 
 class TestIntereventStats:
-    def test_hand_arithmetic(self):
-        out = interevent_stats([0, 60, 180, 300], window_seconds=1000)
-        assert out[0] == pytest.approx(math.log1p(100))
-        assert out[1] == pytest.approx(math.log1p(120))
-        assert out[3] == pytest.approx(math.log1p(60))
-        assert out[4] == pytest.approx(math.log1p(120))
+    def test_hand_arithmetic(self, default_window):
+        cols = columns([ev("a", "b", default_window.start + t) for t in (0, 60, 180, 300)])
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert vec[feature_index("interevent_calls_mean")] == pytest.approx(math.log1p(100))
+        assert vec[feature_index("interevent_calls_median")] == pytest.approx(math.log1p(120))
+        assert vec[feature_index("interevent_calls_min")] == pytest.approx(math.log1p(60))
+        assert vec[feature_index("interevent_calls_max")] == pytest.approx(math.log1p(120))
 
-    def test_single_event_sentinel(self):
-        out = interevent_stats([5], window_seconds=777)
-        np.testing.assert_allclose(out[:5], math.log1p(777))
+    def test_single_event_sentinel(self, default_window):
+        cols = columns([ev("a", "b", default_window.start + 5)])
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        out = vec[INTEREVENT_CALLS]
+        np.testing.assert_allclose(out[:5], math.log1p(default_window.n_seconds))
         assert out[5] == 0 and out[6] == 0
 
-    def test_constant_gaps_zero_std(self):
-        out = interevent_stats([0, 50, 100, 150], window_seconds=1000)
-        assert out[2] == 0  # log1p(0)
+    def test_constant_gaps_zero_std(self, default_window):
+        cols = columns([ev("a", "b", default_window.start + t) for t in (0, 50, 100, 150)])
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        assert vec[feature_index("interevent_calls_std")] == 0  # log1p(0)
 
-    def test_unsorted_input_is_sorted(self):
-        a = interevent_stats([300, 0, 180, 60], window_seconds=1000)
-        b = interevent_stats([0, 60, 180, 300], window_seconds=1000)
-        np.testing.assert_array_equal(a, b)
+    def test_unsorted_input_is_sorted(self, default_window):
+        vectors = []
+        for offsets in ((300, 0, 180, 60), (0, 60, 180, 300)):
+            cols = columns([ev("a", "b", default_window.start + t) for t in offsets])
+            graph = build_links(cols, default_window)
+            vectors.append(compute_feature_matrix(cols, [AB], graph, default_window)[0])
+        np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_time_span_too_long_for_sort_keys(self):
+        # the guard lives in the gap stage; no window holds such a span
         with pytest.raises(DatasetError, match="span too long"):
-            interevent_stats([-(2**62), 2**62], window_seconds=1000)
+            _interevent(np.zeros(2, dtype=np.int64), np.asarray([-(2**62), 2**62]), 1, 1000)
 
 
 def build_pair_fixture(window, seed=9, n=120):
@@ -343,7 +454,12 @@ def build_pair_fixture(window, seed=9, n=120):
     return events, side
 
 
+P12 = PairKey.of("p1", "p2")
+
+
 class TestAssembleFeatureVector:
+    """One pair's vector as a one-pair ``compute_feature_matrix`` call."""
+
     def test_length_and_group_counts(self, default_window):
         assert N_FEATURES == 175
         assert GROUP_SIZES == {
@@ -356,47 +472,46 @@ class TestAssembleFeatureVector:
         }
         events, side = build_pair_fixture(default_window)
         graph = build_links(columns(events + side), default_window)
-        vec = assemble_feature_vector(events, graph, default_window)
-        assert vec.shape == (175,)
-        assert np.isfinite(vec).all()
+        matrix = compute_feature_matrix(columns(events), [P12], graph, default_window)
+        assert matrix.shape == (1, 175)
+        assert np.isfinite(matrix).all()
 
     def test_zero_texts_take_degenerate_values(self, default_window):
-        events = [ev("p1", "p2", default_window.start + i * 9999) for i in range(40)]
-        graph = build_links(columns(events), default_window)
-        vec = assemble_feature_vector(events, graph, default_window)
-        names = list(FEATURE_NAMES)
-        assert vec[names.index("interevent_texts_mean")] == pytest.approx(
+        cols = columns([ev("p1", "p2", default_window.start + i * 9999) for i in range(40)])
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [P12], graph, default_window)
+        assert vec[feature_index("interevent_texts_mean")] == pytest.approx(
             math.log1p(default_window.n_seconds)
         )
-        assert vec[names.index("weekly_texts_weekday_daytime_mean")] == 0
-        assert vec[names.index("reciprocity_texts")] == 0
+        assert vec[feature_index("weekly_texts_weekday_daytime_mean")] == 0
+        assert vec[feature_index("reciprocity_texts")] == 0
 
     def test_permutation_invariance(self, default_window):
         events, side = build_pair_fixture(default_window)
         graph = build_links(columns(events + side), default_window)
-        base = assemble_feature_vector(events, graph, default_window)
+        base = compute_feature_matrix(columns(events), [P12], graph, default_window)
         rng = np.random.default_rng(0)
         shuffled = [events[i] for i in rng.permutation(len(events))]
-        np.testing.assert_array_equal(base, assemble_feature_vector(shuffled, graph, default_window))
+        np.testing.assert_array_equal(
+            base, compute_feature_matrix(columns(shuffled), [P12], graph, default_window)
+        )
 
     def test_matches_independent_oracle(self, default_window):
-        from linkcdr.pairgraph import common_contacts
-
         events, side = build_pair_fixture(default_window)
         graph = build_links(columns(events + side), default_window)
-        vec = assemble_feature_vector(events, graph, default_window)
-        (common,) = common_contacts(graph, [PairKey.of("p1", "p2")])
+        (vec,) = compute_feature_matrix(columns(events), [P12], graph, default_window)
+        (common,) = common_contacts(graph, [P12])
         want = feature_vector_oracle(events, default_window, 0, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
 
     def test_oracle_agreement_with_utc_offset(self, default_window):
-        from linkcdr.pairgraph import common_contacts
-
         events, side = build_pair_fixture(default_window, seed=77)
         graph = build_links(columns(events + side), default_window)
         offset = 2 * 3600
-        vec = assemble_feature_vector(events, graph, default_window, utc_offset=offset)
-        (common,) = common_contacts(graph, [PairKey.of("p1", "p2")])
+        (vec,) = compute_feature_matrix(
+            columns(events), [P12], graph, default_window, utc_offset=offset
+        )
+        (common,) = common_contacts(graph, [P12])
         want = feature_vector_oracle(events, default_window, offset, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
 
@@ -413,18 +528,13 @@ class TestAssembleFeatureVector:
         cols, diags = parse_events(io.BytesIO("\n".join(rows).encode()), default_window)
         assert diags == []
         graph = build_links(cols, default_window)
-        vec = assemble_feature_vector(cols.to_events(), graph, default_window)
+        (pair,) = graph.keys()
+        (vec,) = compute_feature_matrix(cols, [pair], graph, default_window)
         # splice in the fixture's common-contact counts
         vec[-2] = payload["common_top5"]
         vec[-1] = payload["common_all"]
         want = np.asarray([float(v) for v in payload["values"]])
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
-
-    def test_mixed_pair_events_rejected(self, default_window):
-        events = [ev("a", "b", default_window.start), ev("a", "c", default_window.start + 1)]
-        graph = build_links(columns(events), default_window)
-        with pytest.raises(DatasetError, match="more than one pair"):
-            assemble_feature_vector(events, graph, default_window)
 
 
 class TestComputeFeatureMatrix:
@@ -436,17 +546,15 @@ class TestComputeFeatureMatrix:
             a, b = rng.choice(6, size=2, replace=False)
             ts = int(rng.integers(default_window.start, default_window.end))
             events.append(ev(users[a], users[b], ts, "text" if rng.random() < 0.3 else "call"))
-        cols = EventColumns.from_events(events)
+        cols = columns(events)
         graph = build_links(cols, default_window)
         pairs = sorted(graph.keys())[:6]
         pairs.append(pairs[2])  # a repeated pair gets its own identical row
         matrix = compute_feature_matrix(cols, pairs, graph, default_window)
         for i, pair in enumerate(pairs):
-            own = [
-                e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair
-            ]
+            own = columns([e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair])
             np.testing.assert_array_equal(
-                matrix[i], assemble_feature_vector(own, graph, default_window)
+                matrix[i], compute_feature_matrix(own, [pair], graph, default_window)[0]
             )
 
 
@@ -494,7 +602,7 @@ class TestKernelDifferential:
     @given(multi_pair_events())
     def test_rows_match_oracle_and_one_pair_assembly(self, case):
         window, offset, events = case
-        cols = EventColumns.from_events(events)
+        cols = columns(events)
         graph = build_links(cols, window)
         pairs = sorted(graph.keys())
         matrix = compute_feature_matrix(cols, pairs, graph, window, utc_offset=offset)
@@ -503,9 +611,8 @@ class TestKernelDifferential:
             own = [e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair]
             want = feature_vector_oracle(own, window, offset, common)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(
-                row, assemble_feature_vector(own, graph, window, utc_offset=offset)
-            )
+            one_pair = compute_feature_matrix(columns(own), [pair], graph, window, offset)
+            np.testing.assert_array_equal(row, one_pair[0])
 
 
 class TestScaler:
@@ -566,7 +673,11 @@ class TestSegmentPartitionInvariant:
                 events.append(ev("a", "b", ts, "call", d))
                 n_calls += 1
                 duration_total += d
-        series = weekly_series(events, window)
-        assert series.n_calls.sum() == n_calls
-        assert series.n_texts.sum() == n_texts
-        assert series.duration.sum() == duration_total
+        cols = columns(events)
+        one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
+        calls, durations, texts = np.split(
+            _weekly_tensor(one_row, 1, WeekGrid.from_window(window))[0], 3, axis=1
+        )
+        assert calls.sum() == n_calls
+        assert texts.sum() == n_texts
+        assert durations.sum() == duration_total

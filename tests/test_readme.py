@@ -1,0 +1,30 @@
+"""The README's library example runs as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from linkcdr.cli import main
+
+README = Path(__file__).parent.parent / "README.md"
+EVENTS_PATH = '"run/gen/events.csv"'
+
+
+def library_example() -> str:
+    """The Python block under the README's "Library use" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    match = re.match(r"\s*```python\n(.*?)\n```", section, re.DOTALL)
+    assert match, "no python block opens the Library use section"
+    return match.group(1)
+
+
+def test_library_example_runs(tmp_path):
+    code = library_example()
+    assert EVENTS_PATH in code
+    gen = tmp_path / "gen"
+    assert main(["generate", "--n-pairs", "200", "--seed", "7", "--out", str(gen)]) == 0
+    namespace: dict = {}
+    exec(code.replace(EVENTS_PATH, repr(str(gen / "events.csv"))), namespace)
+    assert namespace["matrix"].shape == (len(namespace["pairs"]), 175)
+    assert namespace["row"].shape == (175,)
