@@ -1,9 +1,12 @@
 """Command-line pipeline with file-based stage handoffs.
 
-Each subcommand wraps one pipeline stage and writes a ``manifest.json``
-recording input/output hashes, configuration, and seeds, so identical
-invocations are byte-reproducible. Exit codes: 0 success, 2 validation
-failure or bad usage, 1 fatal error.
+Each subcommand wraps one pipeline stage. ``main`` runs every stage the
+same way: it hashes the inputs and holds each to the ``manifest.json``
+beside it, runs the stage, which names each file it writes through a
+``Stage``, and writes the stage's own ``manifest.json`` recording input and
+output hashes, the flags as given, and seeds, so identical invocations are
+byte-reproducible. Exit codes: 0 success, 2 validation failure or bad
+usage, 1 fatal error.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .ingest import (
 from .io_utils import (
     RunManifest,
     read_features_csv,
+    read_json,
     read_pairs_csv,
     read_predictions_csv,
     write_features_csv,
@@ -63,6 +67,29 @@ from .presets import PRESETS, load_generator_config
 from .synthgen import generate, verify_planted, write_dataset
 
 AGE_TASK_CUTOFF = 35
+# Flags naming a file a stage reads; manifest.json records each under
+# ``inputs`` and every other flag but these under ``config``.
+INPUT_FLAGS = ("config", "events", "subscribers", "features", "pairs", "predictions")
+NOT_CONFIG = {"out", "handler", "command", "reports", *INPUT_FLAGS}
+
+
+class Stage:
+    """The files one subcommand run writes into ``--out``, and its seeds.
+
+    The out dir is made when the first file is named, so a run that fails a
+    flag check writes nothing."""
+
+    def __init__(self, out: str) -> None:
+        self.out = out
+        self.outputs: list[str] = []
+        self.seeds: list[int] = []
+
+    def path(self, name: str) -> str:
+        """The path of output ``name``, recorded for the manifest."""
+        os.makedirs(self.out, exist_ok=True)
+        path = os.path.join(self.out, name)
+        self.outputs.append(path)
+        return path
 
 
 def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
@@ -71,11 +98,6 @@ def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
     if args.window_start is None or args.window_end is None:
         raise ConfigError("--window-start and --window-end must be given together")
     return ObservationWindow(epoch_seconds(args.window_start), epoch_seconds(args.window_end))
-
-
-def _ensure_out(args: argparse.Namespace) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def _read_events_file(path: str, window: ObservationWindow):
@@ -94,8 +116,7 @@ def _write_diagnostics(path: str, diagnostics) -> None:
             out.write(diag.to_json_line() + "\n")
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
+def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
     if args.config:
         config = load_generator_config(args.config)
     else:
@@ -108,59 +129,32 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config = builder(args.n_pairs, args.seed, window)
         if args.utc_offset:
             config = replace(config, utc_offset=args.utc_offset)
+    stage.seeds = [config.seed]
     dataset = generate(config)
-    paths = write_dataset(dataset, out)
-    outputs = list(paths.values())
-    status = 0
+    stage.outputs += write_dataset(dataset, stage.out).values()
     if args.verify:
         report = verify_planted(dataset.columns, dataset.truth, config.window, args.min_months)
-        verify_path = os.path.join(out, "verify.json")
-        write_json(verify_path, report.to_dict())
-        outputs.append(verify_path)
+        write_json(stage.path("verify.json"), report.to_dict())
         if not report.ok:
             print(
                 f"planted-pair recovery {report.recovered_fraction:.4f} below 0.99",
                 file=sys.stderr,
             )
-            status = 2
-    RunManifest(
-        subcommand="generate",
-        config={
-            "preset": args.preset if not args.config else None,
-            "config_file": args.config,
-            "n_pairs": config.n_pairs,
-            "window": [config.window.start, config.window.end],
-            "utc_offset": config.utc_offset,
-        },
-        seeds=[config.seed],
-        outputs=outputs,
-    ).write(out)
-    return status
+            return 2
+    return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
+def cmd_ingest(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
     columns, event_diags = _read_events_file(args.events, window)
     subscribers, sub_diags = _read_subscribers_file(args.subscribers)
     report = validate_dataset(columns, subscribers, window)
-    validation_path = os.path.join(out, "validation.json")
-    write_json(validation_path, report.to_dict())
-    outputs = [validation_path]
-    diag_path = os.path.join(out, "diagnostics.jsonl")
-    _write_diagnostics(diag_path, event_diags + sub_diags)
-    outputs.append(diag_path)
-    RunManifest(
-        subcommand="ingest",
-        inputs={"events": args.events, "subscribers": args.subscribers},
-        config={"window": [window.start, window.end]},
-        outputs=outputs,
-    ).write(out)
+    write_json(stage.path("validation.json"), report.to_dict())
+    _write_diagnostics(stage.path("diagnostics.jsonl"), event_diags + sub_diags)
     return 0 if report.ok else 2
 
 
-def cmd_pairs(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
+def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
     columns, event_diags = _read_events_file(args.events, window)
     subscribers, _ = (
@@ -187,29 +181,12 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 "younger_age": label.younger_age if label else "",
             }
         )
-    pairs_path = os.path.join(out, "pairs.csv")
-    write_pairs_csv(pairs_path, rows)
-    diag_path = os.path.join(out, "diagnostics.jsonl")
-    _write_diagnostics(diag_path, event_diags)
-    RunManifest(
-        subcommand="pairs",
-        inputs={
-            key: value
-            for key, value in (("events", args.events), ("subscribers", args.subscribers))
-            if value
-        },
-        config={
-            "window": [window.start, window.end],
-            "min_months": args.min_months,
-            "n_pairs": len(rows),
-        },
-        outputs=[pairs_path, diag_path],
-    ).write(out)
+    write_pairs_csv(stage.path("pairs.csv"), rows)
+    _write_diagnostics(stage.path("diagnostics.jsonl"), event_diags)
     return 0
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
+def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
     columns, _ = _read_events_file(args.events, window)
     pair_rows = read_pairs_csv(args.pairs)
@@ -221,49 +198,33 @@ def cmd_features(args: argparse.Namespace) -> int:
         else graph
     )
     matrix = compute_feature_matrix(columns, pairs, contact_graph, window, args.utc_offset)
-    features_path = os.path.join(out, "features.csv")
-    write_features_csv(features_path, pairs, matrix)
-    RunManifest(
-        subcommand="features",
-        inputs={"events": args.events, "pairs": args.pairs},
-        config={
-            "window": [window.start, window.end],
-            "utc_offset": args.utc_offset,
-            "common_contacts_filtered": bool(args.common_contacts_filtered),
-            "manifest_hash": manifest.manifest_hash(),
-        },
-        outputs=[features_path],
-    ).write(out)
+    write_features_csv(stage.path("features.csv"), pairs, matrix)
     return 0
 
 
-def cmd_pca(args: argparse.Namespace) -> int:
+def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
     if not 1 <= args.n_comp <= manifest.N_FEATURES:
         raise ConfigError(f"--n-comp {args.n_comp} must lie in 1..{manifest.N_FEATURES}")
-    out = _ensure_out(args)
     _, matrix = read_features_csv(args.features)
     scaler = fit_scaler(matrix)
     standardized = apply_scaler(matrix, scaler)
     result = pca(standardized)
 
-    scree_path = os.path.join(out, "scree.csv")
-    with open(scree_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(stage.path("scree.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("component,ratio,cumulative\n")
         for idx, ratio, cumulative in scree_data(result):
             handle.write(f"{idx},{ratio!r},{cumulative!r}\n")
 
     load = loadings(result, args.n_comp)
     rotated = varimax(load, kaiser_normalize=not args.no_kaiser)
-    loadings_path = os.path.join(out, "loadings.csv")
-    with open(loadings_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(stage.path("loadings.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("feature," + ",".join(f"factor_{j + 1}" for j in range(args.n_comp)) + "\n")
         for name, row in zip(manifest.FEATURE_NAMES, rotated.loadings):
             handle.write(name + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
 
     assignment = assign_factors(rotated.loadings, manifest.FEATURE_NAMES, args.cutoff)
-    factors_path = os.path.join(out, "factors.json")
     write_json(
-        factors_path,
+        stage.path("factors.json"),
         {
             "n_comp": args.n_comp,
             "kaiser_normalize": not args.no_kaiser,
@@ -271,14 +232,7 @@ def cmd_pca(args: argparse.Namespace) -> int:
             **assignment.to_dict(),
         },
     )
-    scaler_path = os.path.join(out, "scaler.json")
-    write_json(scaler_path, scaler.to_dict())
-    RunManifest(
-        subcommand="pca",
-        inputs={"features": args.features},
-        config={"n_comp": args.n_comp, "cutoff": args.cutoff, "kaiser": not args.no_kaiser},
-        outputs=[scree_path, loadings_path, factors_path, scaler_path],
-    ).write(out)
+    write_json(stage.path("scaler.json"), scaler.to_dict())
     return 0
 
 
@@ -296,28 +250,30 @@ def _task_label(row: dict, task: str) -> int | None:
     raise ConfigError(f"unknown task {task!r}")
 
 
+def _task_labels(pairs_path: str, task: str) -> dict[str, tuple[int, str]]:
+    """Row id ``first|second`` -> (label, relationship code) of each pair in
+    ``pairs_path`` that has a ``task`` label, in file order."""
+    labels = {}
+    for row in read_pairs_csv(pairs_path):
+        label = _task_label(row, task)
+        if label is not None:
+            labels[f"{row['first']}|{row['second']}"] = (label, row["label_code"])
+    return labels
+
+
 def _labeled_matrix(
     features_path: str, pairs_path: str, task: str
 ) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
     """Join features with pair labels; returns (x, y, group codes, row ids)."""
     pairs, matrix = read_features_csv(features_path)
-    by_key = {pair: i for i, pair in enumerate(pairs)}
-    x_rows, y, groups, row_ids = [], [], [], []
-    for row in read_pairs_csv(pairs_path):
-        key = PairKey(row["first"], row["second"])
-        idx = by_key.get(key)
-        if idx is None:
-            continue
-        label = _task_label(row, task)
-        if label is None:
-            continue
-        x_rows.append(matrix[idx])
-        y.append(label)
-        groups.append(row["label_code"])
-        row_ids.append(f"{key.first}|{key.second}")
-    if not x_rows:
+    by_id = {f"{pair.first}|{pair.second}": i for i, pair in enumerate(pairs)}
+    labels = _task_labels(pairs_path, task)
+    row_ids = [row_id for row_id in labels if row_id in by_id]
+    if not row_ids:
         raise ConfigError("no labeled rows: check --features/--pairs/--task")
-    return np.vstack(x_rows), np.asarray(y, dtype=np.int64), groups, row_ids
+    x = matrix[[by_id[row_id] for row_id in row_ids]]
+    y = np.asarray([labels[row_id][0] for row_id in row_ids], dtype=np.int64)
+    return x, y, [labels[row_id][1] for row_id in row_ids], row_ids
 
 
 def _split_pool_test(
@@ -364,16 +320,14 @@ def _ensemble_seeds(args: argparse.Namespace) -> list[int]:
     return [args.seed + i for i in range(args.seeds)]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    seeds = _ensemble_seeds(args)
+def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
+    seeds = stage.seeds = _ensemble_seeds(args)
     if args.select_c <= 0:
         raise ConfigError(f"--select-c {args.select_c} must be positive")
-    out = _ensure_out(args)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, args.task)
     pool, test, scaler = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
 
-    selected = None
-    selector_fit = None
+    selected = selector_fit = None
     if args.feature_select != "none":
         trainer = _SELECTOR_TRAINERS[args.feature_select]
         sample = balanced_sample(pool, args.n_train, args.seed)
@@ -392,19 +346,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     report = evaluate(result.predictions, test.y, test.groups, result.probabilities)
 
     lead = result.models[0]
-    per_seed_fit = None
-    if args.model != "knn":
-        per_seed_fit = [_fit_record(m) for m in result.models]
-    model_path = os.path.join(out, "model.json")
+    per_seed_fit = None if args.model == "knn" else [_fit_record(m) for m in result.models]
     write_json(
-        model_path,
+        stage.path("model.json"),
         {
             "kind": args.model,
             "task": args.task,
             "penalty": lead.penalty,
             "c": lead.c,
             "k": lead.k,
-            "weights": None if lead.weights is None else lead.weights,
+            "weights": lead.weights,
             "bias": lead.bias,
             "selected_features": selected,
             "calibration": lead.calibration,
@@ -416,14 +367,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             "manifest_hash": manifest.manifest_hash(),
         },
     )
-    scaler_path = os.path.join(out, "scaler.json")
-    write_json(scaler_path, scaler.to_dict())
-    predictions_path = os.path.join(out, "predictions.csv")
-    write_predictions_csv(predictions_path, test.row_ids, result.predictions, result.probabilities)
-    baseline = float(max(test.y.mean(), 1.0 - test.y.mean()))
-    report_path = os.path.join(out, "report.json")
+    write_json(stage.path("scaler.json"), scaler.to_dict())
+    write_predictions_csv(
+        stage.path("predictions.csv"), test.row_ids, result.predictions, result.probabilities
+    )
     write_json(
-        report_path,
+        stage.path("report.json"),
         {
             "task": args.task,
             "model": args.model,
@@ -431,44 +380,24 @@ def cmd_train(args: argparse.Namespace) -> int:
             "n_train": args.n_train,
             "n_test": args.n_test,
             "seeds": seeds,
-            "baseline_accuracy": baseline,
+            "baseline_accuracy": float(max(test.y.mean(), 1.0 - test.y.mean())),
             "metrics": report.to_dict(),
         },
     )
-    RunManifest(
-        subcommand="train",
-        inputs={"features": args.features, "pairs": args.pairs},
-        config={
-            "task": args.task,
-            "model": args.model,
-            "feature_select": args.feature_select,
-            "n_train": args.n_train,
-            "n_test": args.n_test,
-            "select_c": args.select_c,
-        },
-        seeds=seeds,
-        outputs=[model_path, scaler_path, predictions_path, report_path],
-    ).write(out)
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
+def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> int:
     row_ids, predictions, probabilities = read_predictions_csv(args.predictions)
-    labels_by_id: dict[str, tuple[int, str]] = {}
-    for row in read_pairs_csv(args.pairs):
-        label = _task_label(row, args.task)
-        if label is not None:
-            labels_by_id[f"{row['first']}|{row['second']}"] = (label, row["label_code"])
-    missing = [rid for rid in row_ids if rid not in labels_by_id]
+    labels = _task_labels(args.pairs, args.task)
+    missing = [rid for rid in row_ids if rid not in labels]
     if missing:
         raise ConfigError(f"{len(missing)} predictions have no labeled pair (e.g. {missing[0]!r})")
-    y = np.asarray([labels_by_id[rid][0] for rid in row_ids], dtype=np.int64)
-    groups = [labels_by_id[rid][1] for rid in row_ids]
+    y = np.asarray([labels[rid][0] for rid in row_ids], dtype=np.int64)
+    groups = [labels[rid][1] for rid in row_ids]
     report = evaluate(predictions, y, groups, probabilities)
-    report_path = os.path.join(out, "report.json")
     write_json(
-        report_path,
+        stage.path("report.json"),
         {
             "task": args.task,
             "source": os.path.basename(args.predictions),
@@ -476,25 +405,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "metrics": report.to_dict(),
         },
     )
-    RunManifest(
-        subcommand="evaluate",
-        inputs={"predictions": args.predictions, "pairs": args.pairs},
-        config={"task": args.task},
-        outputs=[report_path],
-    ).write(out)
     return 0
 
 
-def cmd_bayes_bounds(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
+def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
+    stage.seeds = [args.seed]
+    if args.loo:
+        for flag, value in (("--n-train", args.n_train), ("--n-test", args.n_test)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply with --loo, which tests every row")
     x, y, _, _ = _labeled_matrix(args.features, args.pairs, args.task)
     if args.loo:
-        scaler = fit_scaler(x)
-        z = apply_scaler(x, scaler)
-        e_nn = one_nn_error_loo(z, y)
+        e_nn = one_nn_error_loo(apply_scaler(x, fit_scaler(x)), y)
         n_train = n_test = len(y)
     else:
-        pool_idx, test_idx = _split_pool_test(len(y), args.n_test, args.seed)
+        n_test = 1000 if args.n_test is None else args.n_test
+        pool_idx, test_idx = _split_pool_test(len(y), n_test, args.seed)
         if args.n_train is not None:
             if not 2 <= args.n_train <= len(pool_idx):
                 raise ConfigError(f"--n-train {args.n_train} must lie in 2..{len(pool_idx)}")
@@ -505,9 +431,8 @@ def cmd_bayes_bounds(args: argparse.Namespace) -> int:
         e_nn = one_nn_error(z_pool, y[pool_idx], z_test, y[test_idx])
         n_train, n_test = len(pool_idx), len(test_idx)
     bounds = bayes_bounds(e_nn)
-    bounds_path = os.path.join(out, "bounds.json")
     write_json(
-        bounds_path,
+        stage.path("bounds.json"),
         {
             **bounds.to_dict(),
             "task": args.task,
@@ -517,21 +442,12 @@ def cmd_bayes_bounds(args: argparse.Namespace) -> int:
             "leave_one_out": bool(args.loo),
         },
     )
-    RunManifest(
-        subcommand="bayes-bounds",
-        inputs={"features": args.features, "pairs": args.pairs},
-        config={"task": args.task, "loo": bool(args.loo), "n_test": args.n_test},
-        seeds=[args.seed],
-        outputs=[bounds_path],
-    ).write(out)
     return 0
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.kind != "age-restricted":
-        raise ConfigError(f"unknown experiment {args.kind!r}")
-    seeds = tuple(_ensemble_seeds(args))
-    out = _ensure_out(args)
+def cmd_experiment(args: argparse.Namespace, stage: Stage) -> int:
+    stage.seeds = _ensemble_seeds(args)
+    seeds = tuple(stage.seeds)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, "ogp")
     pool, test, _ = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
     config = TrainConfig(kind=args.model, seeds=seeds, n_train=args.n_train)
@@ -554,13 +470,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     gap_full = full_report.tpr - full_report.tnr
     gap_restricted = restricted_report.tpr - restricted_report.tnr
-    report_path = os.path.join(out, "age_report.json")
     write_json(
-        report_path,
+        stage.path("age_report.json"),
         {
             "bracket": args.bracket,
             "model": args.model,
-            "seeds": list(seeds),
+            "seeds": stage.seeds,
             "full_training": full_report.to_dict(),
             "restricted_training": restricted_report.to_dict(),
             "ogp_sgp_gap_full": gap_full,
@@ -572,25 +487,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             ),
         },
     )
-    RunManifest(
-        subcommand="experiment age-restricted",
-        inputs={"features": args.features, "pairs": args.pairs},
-        config={
-            "bracket": args.bracket,
-            "model": args.model,
-            "n_train": args.n_train,
-            "n_test": args.n_test,
-        },
-        seeds=list(seeds),
-        outputs=[report_path],
-    ).write(out)
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
-    from .io_utils import read_json
-
+def cmd_report(args: argparse.Namespace, stage: Stage) -> int:
     lines: list[str] = []
     histogram_rows: list[str] = []
     for path in args.reports:
@@ -626,20 +526,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
             lines.append(payload["gap_direction"])
         lines.append("")
-    summary_path = os.path.join(out, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(stage.path("summary.txt"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines))
-    histogram_path = os.path.join(out, "histograms.csv")
-    with open(histogram_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(stage.path("histograms.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("report,group,bin_lo,bin_hi,rel_freq\n")
         handle.write("\n".join(histogram_rows))
         if histogram_rows:
             handle.write("\n")
-    RunManifest(
-        subcommand="report",
-        inputs={os.path.basename(p): p for p in args.reports},
-        outputs=[summary_path, histogram_path],
-    ).write(out)
     return 0
 
 
@@ -664,14 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utc-offset", type=int, default=0)
     p.add_argument("--min-months", type=int, default=5)
     p.add_argument("--verify", action="store_true", help="check planted-pair recovery")
-    p.add_argument("--out", required=True)
     _add_window_flags(p)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("ingest", help="parse and validate raw CSV inputs")
     p.add_argument("--events", required=True)
     p.add_argument("--subscribers", required=True)
-    p.add_argument("--out", required=True)
     _add_window_flags(p)
     p.set_defaults(handler=cmd_ingest)
 
@@ -679,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--subscribers")
     p.add_argument("--min-months", type=int, default=5)
-    p.add_argument("--out", required=True)
     _add_window_flags(p)
     p.set_defaults(handler=cmd_pairs)
 
@@ -693,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count common contacts on the regularity-filtered graph",
     )
-    p.add_argument("--out", required=True)
     _add_window_flags(p)
     p.set_defaults(handler=cmd_features)
 
@@ -702,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-comp", type=int, default=5)
     p.add_argument("--cutoff", type=float, default=0.4)
     p.add_argument("--no-kaiser", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_pca)
 
     p = sub.add_parser("train", help="train and evaluate a classifier")
@@ -721,14 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=5, help="number of ensemble seeds")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score an external predictions file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--task", choices=("ogp", "age35"), required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("bayes-bounds", help="bound the Bayes error from the 1-NN error")
@@ -736,10 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--task", choices=("ogp", "age35"), required=True)
     p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int, default=1000)
+    p.add_argument("--n-test", type=int, help="test rows (default 1000; not with --loo)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loo", action="store_true", help="leave-one-out estimate, no split")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_bayes_bounds)
 
     p = sub.add_parser("experiment", help="protocol experiments")
@@ -752,22 +637,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_experiment)
 
     p = sub.add_parser("report", help="merge report files into a readable summary")
     p.add_argument("--reports", nargs="+", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 
+def run_stage(args: argparse.Namespace) -> int:
+    """Run one parsed subcommand and write its ``manifest.json``.
+
+    Inputs are hashed and held to their sibling manifests before the stage
+    runs; the manifest records them by flag (``--reports`` files by file
+    name), every other flag under ``config``, and the seeds and files the
+    stage named."""
+    flags = vars(args)
+    inputs = {flag: flags[flag] for flag in INPUT_FLAGS if flags.get(flag)}
+    inputs.update((os.path.basename(path), path) for path in flags.get("reports", ()))
+    record = RunManifest(
+        subcommand=args.command,
+        inputs=inputs,
+        config={key: value for key, value in flags.items() if key not in NOT_CONFIG},
+    )
+    record.check_inputs()
+    stage = Stage(args.out)
+    status = args.handler(args, stage)
+    record.seeds, record.outputs = stage.seeds, stage.outputs
+    record.write(stage.out)
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return run_stage(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -370,11 +370,6 @@ def parse_subscribers(
     return records, diagnostics
 
 
-def format_event_row(event: CdrEvent) -> str:
-    dur = "" if event.duration is None else str(event.duration)
-    return f"{event.caller_id},{event.callee_id},{event.timestamp},{event.kind.value},{dur}"
-
-
 @dataclass
 class ValidationReport:
     n_events: int

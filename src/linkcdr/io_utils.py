@@ -11,7 +11,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import __version__, manifest
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .pairgraph import PairKey
 
 
@@ -48,6 +48,22 @@ def read_json(path: str) -> Any:
         return json.load(handle)
 
 
+def _recorded_sha256(path: str) -> tuple[str, str | None]:
+    """The ``manifest.json`` beside ``path`` and the sha256 it records for
+    ``path``'s file name among its outputs (None if it is absent or does not
+    list the file)."""
+    sibling = os.path.join(os.path.dirname(path), "manifest.json")
+    if not os.path.isfile(sibling):
+        return sibling, None
+    try:
+        payload = read_json(sibling)
+        outputs = payload["outputs"] if "subcommand" in payload else None
+        entry = outputs.get(os.path.basename(path))
+        return sibling, None if entry is None else entry["sha256"]
+    except (ValueError, LookupError, TypeError, AttributeError):
+        raise ConfigError(f"{sibling} beside input {path} is not a stage manifest") from None
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written next to every stage's outputs."""
@@ -57,13 +73,30 @@ class RunManifest:
     config: dict[str, Any] = field(default_factory=dict)
     seeds: list[int] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
+    input_sha256: dict[str, str] = field(default_factory=dict)  # label -> digest
+
+    def check_inputs(self) -> None:
+        """Hash each input once and hold it to the manifest beside it: a
+        sibling ``manifest.json`` that lists the input's file name with
+        another sha256, or is no stage manifest, raises ConfigError."""
+        for label, path in self.inputs.items():
+            digest = sha256_file(path)
+            sibling, recorded = _recorded_sha256(path)
+            if recorded is not None and recorded != digest:
+                raise ConfigError(
+                    f"input {label} {path} has sha256 {digest}, "
+                    f"but {sibling} records {recorded}"
+                )
+            self.input_sha256[label] = digest
 
     def write(self, out_dir: str) -> str:
+        """Write ``manifest.json`` into ``out_dir``; inputs carry the
+        digests ``check_inputs`` took."""
         payload = {
             "subcommand": self.subcommand,
             "toolkit_version": __version__,
             "inputs": {
-                label: {"path": path, "sha256": sha256_file(path)}
+                label: {"path": path, "sha256": self.input_sha256[label]}
                 for label, path in self.inputs.items()
             },
             "config": _sanitize(self.config),

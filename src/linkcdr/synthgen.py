@@ -389,23 +389,6 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str) -> dict[str, str]:
     return paths
 
 
-def read_truth_csv(path: str) -> list[PlantedPair]:
-    from .errors import ParseError
-
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\r\n")
-        if header != TRUTH_HEADER:
-            raise ParseError(f"truth header mismatch: got {header!r}")
-        out = []
-        for line in handle:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            first, second, code, a1, g1, a2, g2 = line.split(",")
-            out.append(PlantedPair(first, second, code, int(a1), Gender(g1), int(a2), Gender(g2)))
-    return out
-
-
 @dataclass
 class PlantedReport:
     n_planted: int

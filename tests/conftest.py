@@ -10,8 +10,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from linkcdr.ingest import CdrEvent, EventColumns, EventKind, ObservationWindow
+from linkcdr.errors import ParseError
+from linkcdr.ingest import CdrEvent, EventColumns, EventKind, Gender, ObservationWindow
 from linkcdr.pairgraph import LinkGraph, alter_ranking
+from linkcdr.synthgen import TRUTH_HEADER, PlantedPair
 
 JAN1_2007 = 1167609600  # Monday 2007-01-01 00:00:00 UTC
 DAY = 86400
@@ -38,6 +40,28 @@ def ev(
 def columns(events: list[CdrEvent]) -> EventColumns:
     """The columnar form that ``build_links`` and ``validate_dataset`` take."""
     return EventColumns.from_events(events)
+
+
+def format_event_row(event: CdrEvent) -> str:
+    """One ``events.csv`` data line, in the column order of ``EVENTS_HEADER``."""
+    dur = "" if event.duration is None else str(event.duration)
+    return f"{event.caller_id},{event.callee_id},{event.timestamp},{event.kind.value},{dur}"
+
+
+def read_truth_csv(path: str) -> list[PlantedPair]:
+    """The planted pairs of a ``truth.csv`` written by ``write_dataset``."""
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\r\n")
+        if header != TRUTH_HEADER:
+            raise ParseError(f"truth header mismatch: got {header!r}")
+        out = []
+        for line in handle:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            first, second, code, a1, g1, a2, g2 = line.split(",")
+            out.append(PlantedPair(first, second, code, int(a1), Gender(g1), int(a2), Gender(g2)))
+    return out
 
 
 def ranked_alters(graph: LinkGraph) -> dict[str, list[tuple[str, int]]]:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +474,164 @@ class TestExperimentStage:
         assert code == 1
         err = capsys.readouterr().err
         assert "bracket 'O' has only 10 pairs in its smaller class, need 50" in err
+
+
+class TestBayesBoundsLoo:
+    @pytest.mark.parametrize("flag", ["--n-train", "--n-test"])
+    def test_split_flag_with_loo_exits_two(self, pipeline_dirs, tmp_path, capsys, flag):
+        code = main([
+            "bayes-bounds", *TestFlagRanges.labeled(pipeline_dirs), "--task", "ogp",
+            "--loo", flag, "-3", "--out", str(tmp_path / "b"),
+        ])
+        assert code == 2
+        assert f"{flag} does not apply with --loo" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+
+def copy_files(src, dst, *names):
+    dst.mkdir()
+    for name in names:
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+class TestSiblingManifest:
+    """An input is held to the manifest.json beside it before the stage runs."""
+
+    def test_changed_input_exits_two_and_writes_nothing(self, pipeline_dirs, tmp_path, capsys):
+        gen = copy_files(
+            pipeline_dirs["gen"], tmp_path / "gen", "events.csv", "subscribers.csv", "manifest.json"
+        )
+        with open(gen / "events.csv", "a", encoding="utf-8") as handle:
+            handle.write("u1,u2,1170000000,call,30\n")
+        code = main([
+            "pairs", "--events", str(gen / "events.csv"),
+            "--subscribers", str(gen / "subscribers.csv"), "--out", str(tmp_path / "p"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"input events {gen / 'events.csv'}" in err
+        assert str(gen / "manifest.json") in err
+        assert not (tmp_path / "p").exists()
+
+    def test_intact_chain_passes(self, pipeline_dirs, tmp_path):
+        # generate -> pairs -> features passed in the fixture; train reads both
+        assert main([
+            "train", *TestFlagRanges.labeled(pipeline_dirs), "--task", "ogp",
+            "--model", "logreg", "--n-train", "80", "--n-test", "60", "--seeds", "1",
+            "--out", str(tmp_path / "t"),
+        ]) == 0
+
+    def test_input_without_manifest_passes(self, pipeline_dirs, tmp_path):
+        bare = copy_files(pipeline_dirs["gen"], tmp_path / "bare", "events.csv", "subscribers.csv")
+        assert main([
+            "pairs", "--events", str(bare / "events.csv"),
+            "--subscribers", str(bare / "subscribers.csv"), "--out", str(tmp_path / "p"),
+        ]) == 0
+
+    def test_manifest_not_listing_input_passes(self, pipeline_dirs, tmp_path):
+        # pairs.csv and features.csv share a directory whose manifest, once
+        # features has run, lists only features.csv
+        shared = copy_files(pipeline_dirs["pairs"], tmp_path / "shared", "pairs.csv", "manifest.json")
+        assert main([
+            "features", "--events", str(pipeline_dirs["gen"] / "events.csv"),
+            "--pairs", str(shared / "pairs.csv"), "--out", str(shared),
+        ]) == 0
+        assert main([
+            "bayes-bounds", "--features", str(shared / "features.csv"),
+            "--pairs", str(shared / "pairs.csv"), "--task", "ogp", "--loo",
+            "--out", str(tmp_path / "b"),
+        ]) == 0
+
+    @pytest.mark.parametrize("payload", ["[]", '{"outputs": {}}', "not json", '{"subcommand": 1}'])
+    def test_bad_manifest_exits_two(self, pipeline_dirs, tmp_path, capsys, payload):
+        src = copy_files(pipeline_dirs["feats"], tmp_path / "src", "features.csv")
+        (src / "manifest.json").write_text(payload)
+        code = main([
+            "pca", "--features", str(src / "features.csv"), "--out", str(tmp_path / "p"),
+        ])
+        assert code == 2
+        assert "is not a stage manifest" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+
+@pytest.fixture(scope="module")
+def train_dir(pipeline_dirs):
+    """A one-seed train run whose predictions and report feed evaluate and report."""
+    out = pipeline_dirs["root"] / "train_one_seed"
+    assert main([
+        "train", *TestFlagRanges.labeled(pipeline_dirs), "--task", "ogp", "--model", "logreg",
+        "--n-train", "80", "--n-test", "60", "--seed", "4", "--seeds", "1", "--out", str(out),
+    ]) == 0
+    return out
+
+
+def stage_argv(name: str, dirs: dict, train) -> list[str]:
+    gen, pairs, feats = dirs["gen"], dirs["pairs"], dirs["feats"]
+    events = ["--events", str(gen / "events.csv")]
+    labeled = ["--features", str(feats / "features.csv"), "--pairs", str(pairs / "pairs.csv")]
+    return {
+        "generate": ["generate", "--n-pairs", "200", "--seed", "5", "--verify"],
+        "ingest": ["ingest", *events, "--subscribers", str(gen / "subscribers.csv")],
+        "pairs": ["pairs", *events, "--subscribers", str(gen / "subscribers.csv")],
+        "features": ["features", *events, "--pairs", str(pairs / "pairs.csv")],
+        "pca": ["pca", "--features", str(feats / "features.csv"), "--n-comp", "3"],
+        "train": ["train", *labeled, "--task", "age35", "--model", "knn",
+                  "--n-train", "80", "--n-test", "60", "--seeds", "1"],
+        "evaluate": ["evaluate", "--predictions", str(train / "predictions.csv"),
+                     "--pairs", str(pairs / "pairs.csv"), "--task", "ogp"],
+        "bayes-bounds": ["bayes-bounds", *labeled, "--task", "ogp", "--n-test", "60"],
+        "experiment": ["experiment", "age-restricted", *labeled, "--bracket", "M",
+                       "--n-test", "150", "--seed", "3", "--seeds", "1"],
+        "report": ["report", "--reports", str(train / "report.json")],
+    }[name]
+
+
+INPUT_FLAGS = ("config", "events", "subscribers", "features", "pairs", "predictions")
+STAGES = ("generate", "ingest", "pairs", "features", "pca", "train", "evaluate",
+          "bayes-bounds", "experiment", "report")
+
+
+class TestStageRunner:
+    @pytest.mark.parametrize("name", STAGES)
+    def test_manifest_records_inputs_flags_and_outputs(
+        self, pipeline_dirs, train_dir, tmp_path, name
+    ):
+        from linkcdr.cli import build_parser
+
+        out = tmp_path / "out"
+        argv = [*stage_argv(name, pipeline_dirs, train_dir), "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == name
+
+        written = {path.name for path in out.iterdir()} - {"manifest.json"}
+        assert set(manifest["outputs"]) == written
+        for file_name, entry in manifest["outputs"].items():
+            assert entry["sha256"] == sha256_file(str(out / file_name))
+
+        flags = vars(build_parser().parse_args(argv))
+        inputs = {flag: flags[flag] for flag in INPUT_FLAGS if flags.get(flag)}
+        inputs.update({os.path.basename(path): path for path in flags.get("reports", [])})
+        assert {label: entry["path"] for label, entry in manifest["inputs"].items()} == inputs
+        for label, entry in manifest["inputs"].items():
+            assert entry["sha256"] == sha256_file(inputs[label])
+
+        skipped = {"out", "handler", "command", "reports", *INPUT_FLAGS}
+        assert manifest["config"] == {k: v for k, v in flags.items() if k not in skipped}
+
+
+def test_benchmark_tracer_finds_every_layer():
+    """perfbench/traced_stage.py wraps layer functions by their names in
+    linkcdr modules; a name it cannot resolve would read 0 without an error."""
+    root = Path(__file__).parent.parent
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import traced_stage; "
+        "traced_stage.install(traced_stage.Tracer())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(root / "perfbench")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert "not found" not in done.stderr

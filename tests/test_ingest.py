@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JAN1_2007, columns, ev
+from conftest import JAN1_2007, columns, ev, format_event_row
 from linkcdr.errors import DatasetError, ParseError
 from linkcdr.ingest import (
     EVENTS_HEADER,
@@ -19,7 +19,6 @@ from linkcdr.ingest import (
     EventKind,
     Gender,
     ObservationWindow,
-    format_event_row,
     epoch_seconds,
     parse_events,
     parse_subscribers,

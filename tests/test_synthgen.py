@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_truth_csv
 from linkcdr.errors import ConfigError
 from linkcdr.features import WeekGrid, _local_parts
 from linkcdr.ingest import EVENTS_HEADER, parse_events, validate_dataset
@@ -21,7 +22,6 @@ from linkcdr.synthgen import (
     _distinct_draws,
     _write_event_rows,
     generate,
-    read_truth_csv,
     verify_planted,
     write_dataset,
 )
