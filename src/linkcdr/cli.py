@@ -657,7 +657,10 @@ def run_stage(args: argparse.Namespace) -> int:
     stage named."""
     flags = vars(args)
     inputs = {flag: flags[flag] for flag in INPUT_FLAGS if flags.get(flag)}
-    inputs.update((os.path.basename(path), path) for path in flags.get("reports", ()))
+    for path in flags.get("reports", ()):
+        if (name := os.path.basename(path)) in inputs:
+            raise ConfigError(f"--reports {inputs[name]} and {path} share the file name {name}")
+        inputs[name] = path
     record = RunManifest(
         subcommand=args.command,
         inputs=inputs,

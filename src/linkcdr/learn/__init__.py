@@ -1,6 +1,6 @@
 """Classifier training and evaluation: balanced sampling, linear models
-(damped Newton for l2 fits, FISTA for l1 feature selection), exact kNN,
-cross-validation, seed-mode ensembling, Platt calibration, and
+(one damped Newton solver for l2 fits and l1 feature selection), exact
+kNN, cross-validation, seed-mode ensembling, Platt calibration, and
 per-relationship evaluation reports."""
 
 from .calibration import platt_fit, platt_probability

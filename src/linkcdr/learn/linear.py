@@ -6,15 +6,13 @@ Both trainers minimize
 
 with logistic loss or squared hinge, R either 0.5*||w||^2 or ||w||_1, and
 an unpenalized bias. Labels are {0, 1} at the interface and mapped to
-{-1, +1} internally. Each penalty has one solver, and both start from zero
-weights, so training is deterministic and takes no seed:
-
-- l2: damped Newton on [w, b], one linear solve per step with Armijo
-  backtracking. Logistic loss uses its exact Hessian (Lin, Weng & Keerthi
-  2008); the squared hinge uses the generalized Hessian, curvature 2 on the
-  active set margin < 1 and 0 elsewhere (Keerthi & DeCoste 2005).
-- l1 (feature selection): FISTA with adaptive restart on the
-  soft-thresholding proximal map.
+{-1, +1} internally. One solver serves both penalties: damped Newton on
+[w, b] from zero weights (so training is deterministic and takes no seed)
+with Armijo backtracking on the full objective, using the exact logistic
+Hessian (Lin, Weng & Keerthi 2008) or the generalized squared-hinge one,
+curvature 2 where margin < 1 and 0 elsewhere (Keerthi & DeCoste 2005). An
+l2 step is one linear solve; an l1 step minimizes the model plus penalty
+exactly by feature-sign search: proximal Newton (Lee, Sun & Saunders 2014).
 """
 
 from __future__ import annotations
@@ -30,6 +28,10 @@ from ..errors import DatasetError
 KIND_LOGREG = "logreg"
 KIND_LSVM = "lsvm"
 KIND_KNN = "knn"
+
+# Added to the diagonal of the l1 model Hessian, singular when n < d + 1 or few
+# hinge samples are active; any H >= mI keeps proximal Newton's fixed point.
+L1_DAMPING = 1e-10
 
 
 @dataclass
@@ -136,91 +138,92 @@ def _curvature(kind: str, margins: np.ndarray) -> np.ndarray:
     return np.where(margins < 1.0, 2.0, 0.0)
 
 
+def _feature_sign(hess: np.ndarray, grad: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007), from d = 0, for the step
+    d minimizing grad.d + d.hess.d / 2 + lam * ||w + d_w||_1 at theta = [w, b]."""
+
+    def model(z: np.ndarray) -> float:
+        d = z - theta
+        return float(grad @ d + 0.5 * (d @ hess @ d)) + lam * float(np.abs(z[:-1]).sum())
+
+    z, value = theta, model(theta)
+    sign = np.append(np.sign(theta[:-1]), 0.0)  # the bias has none, yet is active
+    while True:
+        # Minimize the model over the active set with its signs fixed, and
+        # keep the best of that point and those where a weight crosses zero.
+        active = np.append(sign[:-1] != 0, True)
+        a, rest = np.flatnonzero(active), np.flatnonzero(~active)
+        rhs = grad[a] + lam * sign[a] - hess[np.ix_(a, rest)] @ theta[rest]
+        target = np.zeros_like(z)
+        target[a] = theta[a] + np.linalg.solve(hess[np.ix_(a, a)], -rhs)
+        best, best_value = target, model(target)
+        for i in np.flatnonzero(z[:-1] * target[:-1] < 0):
+            point = z + z[i] / (z[i] - target[i]) * (target - z)
+            point[i] = 0.0
+            if (point_value := model(point)) < best_value:
+                best, best_value = point, point_value
+        if best_value < value:
+            z, value = best, best_value
+            new_sign = np.append(np.sign(z[:-1]), 0.0)
+            if not np.array_equal(new_sign[a], sign[a]):
+                sign = new_sign
+                continue
+        # The signs hold (or no step decreases the model): activate the zero
+        # weight whose slope most exceeds lam; none left means z is optimal.
+        slope = grad + hess @ (z - theta)
+        excess = np.where(active, 0.0, np.abs(slope))
+        j = int(np.argmax(excess))
+        if excess[j] <= lam:
+            return z - theta
+        sign[j] = -np.sign(slope[j])
+
+
 def _fit_newton(
-    x: np.ndarray, y01: np.ndarray, kind: str, c: float, max_iter: int, tol: float
-) -> tuple[np.ndarray, float, int, float]:
-    """Damped Newton for the l2 objective on [w, b]."""
+    x: np.ndarray, y01: np.ndarray, kind: str, penalty: str, c: float, max_iter: int, tol: float
+) -> tuple[np.ndarray, float, int, float, float]:
+    """(w, b, steps, KKT residual, objective); the residual is the norm of the
+    minimum-norm subgradient, which for l2 is the gradient norm."""
     n, d = x.shape
     y = 2.0 * y01 - 1.0
     xa = np.column_stack([x, np.ones(n)])
-    ridge = np.append(np.full(d, 1.0 / c), 0.0)  # the bias is unpenalized
+    l1, lam = penalty == "l1", 1.0 / c
+    diagonal = np.append(np.full(d, L1_DAMPING if l1 else lam), 0.0)  # bias unpenalized
     w, b = np.zeros(d), 0.0
-    value = objective_value(w, b, x, y01, kind, "l2", c)
+    value = objective_value(w, b, x, y01, kind, penalty, c)
     iterations = 0
     while True:
-        grad = np.append(*smooth_gradient(w, b, x, y01, kind, "l2", c))
-        grad_norm = math.sqrt(float(grad @ grad))
-        if grad_norm < tol or iterations == max_iter:
+        grad = np.append(*smooth_gradient(w, b, x, y01, kind, penalty, c))
+        residual = grad
+        if l1:  # less the l1 subgradient nearest to the gradient
+            nearest = np.where(w != 0, -lam * np.sign(w), np.clip(grad[:-1], -lam, lam))
+            residual = grad - np.append(nearest, 0.0)
+        residual_norm = math.sqrt(float(residual @ residual))
+        if residual_norm < tol or iterations == max_iter:
             break
-        hess = (xa.T * (_curvature(kind, y * (x @ w + b)) / n)) @ xa + np.diag(ridge)
+        hess = (xa.T * (_curvature(kind, y * (x @ w + b)) / n)) @ xa + np.diag(diagonal)
         if hess[-1, -1] == 0.0:
             # No sample has curvature (an empty active set, or every sigmoid
             # saturated): the loss is flat in b, its gradient entry is 0, and
             # a unit pivot keeps the solve defined and leaves b in place.
             hess[-1, -1] = 1.0
-        step = np.linalg.solve(hess, -grad)
-        slope = float(grad @ step)
+        if l1:
+            step = _feature_sign(hess, grad, np.append(w, b), lam)
+            l1_change = lam * float(np.abs(w + step[:-1]).sum() - np.abs(w).sum())
+        else:
+            step, l1_change = np.linalg.solve(hess, -grad), 0.0
+        decrease = float(grad @ step) + l1_change
         t = 1.0
         for _ in range(60):
             w_trial, b_trial = w + t * step[:-1], b + t * float(step[-1])
-            trial_value = objective_value(w_trial, b_trial, x, y01, kind, "l2", c)
-            if trial_value <= value + 1e-4 * t * slope:
+            trial_value = objective_value(w_trial, b_trial, x, y01, kind, penalty, c)
+            if trial_value <= value + 1e-4 * t * decrease:
                 break
             t *= 0.5
         else:
             break  # no step decreases the objective measurably: stop unconverged
         w, b, value = w_trial, b_trial, trial_value
         iterations += 1
-    return w, b, iterations, grad_norm
-
-
-def _lipschitz_bound(x: np.ndarray, kind: str) -> float:
-    xa = np.column_stack([x, np.ones(x.shape[0])])
-    top = float(np.linalg.eigvalsh(xa.T @ xa)[-1])
-    curvature = 0.25 if kind == KIND_LOGREG else 2.0
-    return max(curvature * top / x.shape[0], 1e-12)
-
-
-def _soft_threshold(v: np.ndarray, amount: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - amount, 0.0)
-
-
-def _fit_fista(
-    x: np.ndarray, y01: np.ndarray, kind: str, c: float, max_iter: int, tol: float
-) -> tuple[np.ndarray, float, int, float]:
-    """FISTA with adaptive restart for the l1 objective."""
-    d = x.shape[1]
-    step = 1.0 / _lipschitz_bound(x, kind)
-    shrink = step / c
-    w = np.zeros(d)
-    b = 0.0
-    w_prev, b_prev = w, b
-    t_prev = 1.0
-    grad_map = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        beta = (t_prev - 1.0) / t
-        zw = w + beta * (w - w_prev)
-        zb = b + beta * (b - b_prev)
-        gw, gb = smooth_gradient(zw, zb, x, y01, kind, "l1", c)
-        w_next = _soft_threshold(zw - step * gw, shrink)
-        b_next = zb - step * gb
-        # adaptive restart: momentum points against the last move
-        if (zw - w_next) @ (w_next - w) + (zb - b_next) * (b_next - b) > 0:
-            t = 1.0
-            gw, gb = smooth_gradient(w, b, x, y01, kind, "l1", c)
-            w_next = _soft_threshold(w - step * gw, shrink)
-            b_next = b - step * gb
-        w_prev, b_prev = w, b
-        w, b = w_next, b_next
-        t_prev = t
-        gw, gb = smooth_gradient(w, b, x, y01, kind, "l1", c)
-        map_w = (w - _soft_threshold(w - step * gw, shrink)) / step
-        grad_map = math.sqrt(float(map_w @ map_w) + gb * gb)
-        if grad_map < tol:
-            break
-    return w, b, iterations, grad_map
+    return w, b, iterations, residual_norm, value
 
 
 def _train(
@@ -243,13 +246,7 @@ def _train(
         raise DatasetError("labels must be binary 0/1")
     if c <= 0:
         raise DatasetError("C must be positive")
-    if penalty == "l2":
-        fit = _fit_newton
-    elif penalty == "l1":
-        fit = _fit_fista
-    else:
-        raise DatasetError(f"unknown penalty {penalty!r}")
-    w, b, iterations, grad_map = fit(x, y01, kind, c, max_iter, tol)
+    w, b, iterations, grad_map, value = _fit_newton(x, y01, kind, penalty, c, max_iter, tol)
     converged = grad_map < tol
     if not converged:
         # constant text, so the default filter reports it once per process
@@ -266,7 +263,7 @@ def _train(
         n_iterations=iterations,
         grad_map_norm=grad_map,
         converged=converged,
-        objective=objective_value(w, b, x, y01, kind, penalty, c),
+        objective=value,
     )
 
 

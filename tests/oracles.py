@@ -360,6 +360,49 @@ def l2_linear_reference(x, y01, kind: str, c: float, tol: float, max_iter: int):
     return value, math.sqrt(float(gw @ gw) + gb * gb), False
 
 
+# --- l1 linear models ----------------------------------------------------
+
+
+def l1_kkt_residual(w, b: float, x, y01, kind: str, c: float) -> float:
+    """How far (w, b) is from the optimality conditions of mean loss +
+    ||w||_1 / C with an unpenalized bias: the loss gradient must equal
+    -sign(w_j)/C where w_j != 0, lie within [-1/C, 1/C] where w_j == 0, and
+    vanish in b. Returns the Euclidean norm of the violations."""
+    _, gw, gb = l2_linear_objective(w, b, x, y01, kind, math.inf)  # the loss part
+    off = np.where(w != 0, np.abs(gw + np.sign(w) / c), np.maximum(np.abs(gw) - 1.0 / c, 0.0))
+    return math.sqrt(float(off @ off) + gb * gb)
+
+
+def l1_linear_reference(x, y01, kind: str, c: float, tol: float, max_iter: int):
+    """Proximal gradient with backtracking on mean loss + ||w||_1 / C, from
+    zero: a gradient step on the loss, then soft-thresholding by step / C.
+    Returns (value, KKT residual, converged)."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    loss, gw, gb = l2_linear_objective(w, b, x, y01, kind, math.inf)
+    step = 1.0
+    for _ in range(max_iter):
+        residual = l1_kkt_residual(w, b, x, y01, kind, c)
+        if residual < tol:
+            return loss + np.abs(w).sum() / c, residual, True
+        step *= 2.0
+        while True:
+            moved = w - step * gw
+            w_new = np.sign(moved) * np.maximum(np.abs(moved) - step / c, 0.0)
+            b_new = b - step * gb
+            new_loss, new_gw, new_gb = l2_linear_objective(w_new, b_new, x, y01, kind, math.inf)
+            dw, db = w_new - w, b_new - b
+            # the quadratic upper bound with curvature 1/step must hold
+            if new_loss <= loss + gw @ dw + gb * db + (dw @ dw + db * db) / (2.0 * step):
+                break
+            step *= 0.5
+            if step < 1e-20:
+                return loss + np.abs(w).sum() / c, residual, False
+        w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb
+    residual = l1_kkt_residual(w, b, x, y01, kind, c)
+    return loss + np.abs(w).sum() / c, residual, residual < tol
+
+
 # --- Bayes error ---------------------------------------------------------
 
 

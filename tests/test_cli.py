@@ -151,13 +151,14 @@ class TestTrainAndDownstream:
         assert histo[0] == "report,group,bin_lo,bin_hi,rel_freq"
         assert len(histo) > 20
 
-    def test_feature_selection_path(self, pipeline_dirs):
+    @pytest.mark.parametrize("selector", ["lr-l1", "lsvm-l1"])
+    def test_feature_selection_path(self, pipeline_dirs, selector):
         root = pipeline_dirs["root"]
-        out = root / "train_select"
+        out = root / f"train_select_{selector}"
         code = main([
             "train", "--features", str(pipeline_dirs["feats"] / "features.csv"),
             "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"),
-            "--task", "ogp", "--model", "logreg", "--feature-select", "lr-l1",
+            "--task", "ogp", "--model", "logreg", "--feature-select", selector,
             "--n-train", "80", "--n-test", "60",
             "--seed", "4", "--seeds", "3", "--out", str(out),
         ])
@@ -169,7 +170,7 @@ class TestTrainAndDownstream:
         fit = model["selector_fit"]
         assert set(fit) == {"n_iterations", "grad_map_norm", "converged"}
         assert 1 <= fit["n_iterations"] <= 1000
-        assert fit["converged"] == (fit["grad_map_norm"] < 1e-6)
+        assert fit["converged"] is True and fit["grad_map_norm"] < 1e-6
 
     def test_bayes_bounds_stage(self, pipeline_dirs):
         root = pipeline_dirs["root"]
@@ -619,6 +620,36 @@ class TestStageRunner:
 
         skipped = {"out", "handler", "command", "reports", *INPUT_FLAGS}
         assert manifest["config"] == {k: v for k, v in flags.items() if k not in skipped}
+
+
+class TestReportInputs:
+    """``report`` records each ``--reports`` file under its file name."""
+
+    def test_same_file_name_exits_two_and_writes_nothing(self, train_dir, tmp_path, capsys):
+        scored = copy_files(train_dir, tmp_path / "scored", "report.json")
+        out = tmp_path / "summary"
+        code = main([
+            "report", "--reports", str(train_dir / "report.json"), str(scored / "report.json"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(train_dir / "report.json") in err and str(scored / "report.json") in err
+        assert not out.exists()
+
+    def test_distinct_file_names_each_get_a_section(self, train_dir, tmp_path):
+        age = tmp_path / "age"
+        age.mkdir()
+        (age / "age_report.json").write_bytes((train_dir / "report.json").read_bytes())
+        out = tmp_path / "summary"
+        assert main([
+            "report", "--reports", str(train_dir / "report.json"), str(age / "age_report.json"),
+            "--out", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"report.json", "age_report.json"}
+        text = (out / "summary.txt").read_text()
+        assert "== report ==" in text and "== age_report ==" in text
 
 
 def test_benchmark_tracer_finds_every_layer():
