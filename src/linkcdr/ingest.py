@@ -14,6 +14,12 @@ line-level diagnostic; only an unreadable stream or a wrong header is fatal.
 Accepted event rows go straight into ``EventColumns`` (user ids interned in
 order of first appearance); ``CdrEvent`` is the one-event record form, and
 ``EventColumns.from_events``/``to_events`` convert a record list both ways.
+
+``parse_events`` reads the stream in blocks of whole lines. Its block path
+decodes the *plain* rows of a block (see ``_plain_rows``) with whole-array
+operations and interns their ids as packed uint64 words against a sorted
+cache. Its line path, ``_row``, is the row grammar and the only source of
+diagnostic text; it reads every other non-blank line, one at a time.
 """
 
 from __future__ import annotations
@@ -185,41 +191,18 @@ class EventColumns:
         return len(self.timestamp)
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[tuple[str, str, int, bool, int]]) -> "EventColumns":
-        """Columns of ``(caller, callee, timestamp, is_call, duration)`` rows,
-        with -1 for an unknown duration; user ids are interned in order of
-        first appearance."""
+    def from_events(cls, events: Iterable[CdrEvent]) -> "EventColumns":
+        """Columns of an event list; user ids are interned in order of first
+        appearance."""
         index: dict[str, int] = {}
         code = index.setdefault
-        caller, callee, ts, dur = array("q"), array("q"), array("q"), array("q")
-        is_call = array("B")
-        for a, b, t, c, d in rows:
-            caller.append(code(a, len(index)))
-            callee.append(code(b, len(index)))
-            ts.append(t)
-            is_call.append(c)
-            dur.append(d)
-        return cls(
-            np.frombuffer(caller, dtype=np.int64),
-            np.frombuffer(callee, dtype=np.int64),
-            np.frombuffer(ts, dtype=np.int64),
-            np.frombuffer(is_call, dtype=bool),
-            np.frombuffer(dur, dtype=np.int64),
-            list(index),
-        )
-
-    @classmethod
-    def from_events(cls, events: Iterable[CdrEvent]) -> "EventColumns":
-        return cls._from_rows(
-            (
-                ev.caller_id,
-                ev.callee_id,
-                ev.timestamp,
-                ev.kind is EventKind.CALL,
-                -1 if ev.duration is None else ev.duration,
-            )
+        rows = [
+            (code(ev.caller_id, len(index)), code(ev.callee_id, len(index)), ev.timestamp,
+             ev.kind is EventKind.CALL, -1 if ev.duration is None else ev.duration)
             for ev in events
-        )
+        ]
+        caller, callee, ts, is_call, dur = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+        return cls(caller, callee, ts, is_call.astype(bool), dur, list(index))
 
     def to_events(self) -> list[CdrEvent]:
         out = []
@@ -252,75 +235,230 @@ def parse_events(
     order is preserved for accepted rows, and user ids are interned in order
     of first appearance.
     """
-    lines = _decode_lines(stream)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise ParseError("events stream is empty (missing header)") from None
-    if header != EVENTS_HEADER:
-        raise ParseError(f"events header mismatch: expected {EVENTS_HEADER!r}, got {header!r}")
+    interner = _Interner()
+    columns = (array("q"), array("q"), array("q"), array("B"), array("q"))
     diagnostics: list[ParseDiagnostic] = []
-    columns = EventColumns._from_rows(_accepted_rows(lines, window, diagnostics))
-    return columns, diagnostics
+    header = None
+    first_line = 2
+    for block in _line_blocks(stream):
+        a = np.frombuffer(block + _PAD, dtype=np.uint8)
+        starts, ends = _line_spans(a, len(block))
+        if header is None:
+            header = block[: ends[0]].decode("utf-8", errors="replace")
+            if header != EVENTS_HEADER:
+                raise ParseError(
+                    f"events header mismatch: expected {EVENTS_HEADER!r}, got {header!r}"
+                )
+            starts, ends = starts[1:], ends[1:]
+        lines, words, values = _plain_rows(a, starts, ends, window)
+        rest = ends > starts  # blank lines are skipped
+        rest[lines] = False
+        other_lines, other_values, names = [], [], []
+        for i in np.flatnonzero(rest).tolist():
+            got = _row(block[starts[i] : ends[i]].decode("utf-8", errors="replace"), window)
+            if isinstance(got, str):
+                diagnostics.append(ParseDiagnostic(first_line + i, got))
+            else:
+                other_lines.append(i)
+                names += got[:2]
+                other_values.append(got[2:])
+        other_lines = np.array(other_lines, dtype=np.int64)
+        codes = interner.intern(words, lines, other_lines, names)
+        other = np.array(other_values, dtype=np.int64).reshape(-1, 3).T
+        rows = np.concatenate((codes, np.concatenate((values, other), axis=1)))
+        order = np.argsort(np.concatenate((lines, other_lines)), kind="stable")
+        for column, row in zip(columns, rows[:, order]):
+            column.frombytes(row.astype(column.typecode).view(np.uint8))
+        first_line += len(starts)
+    if header is None:
+        raise ParseError("events stream is empty (missing header)")
+    caller, callee, ts, is_call, dur = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    users = list(interner.index)
+    return EventColumns(caller, callee, ts, is_call.view(bool), dur, users), diagnostics
 
 
+_BLOCK_BYTES = 1 << 18
+_PAD = bytes(64)  # lets a word be read at every byte of a block
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # first n bytes
+_CALL, _TEXT = (int.from_bytes(kind, "little") for kind in (b"call", b"text"))
 _INT64_MAX = 2**63 - 1
 
 
-def _accepted_rows(
-    lines: Iterable[str], window: ObservationWindow, diagnostics: list[ParseDiagnostic]
-) -> Iterator[tuple[str, str, int, bool, int]]:
-    """Yield ``EventColumns._from_rows`` rows for valid lines (numbered from
-    2, after the header) and report every other non-blank line."""
-    for lineno, line in enumerate(lines, start=2):
-        if line == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            diagnostics.append(ParseDiagnostic(lineno, f"expected 5 fields, got {len(parts)}"))
-            continue
-        caller, callee, ts_text, kind_text, dur_text = parts
-        if not caller or not callee:
-            diagnostics.append(ParseDiagnostic(lineno, "empty user id"))
-            continue
-        if caller == callee:
-            diagnostics.append(ParseDiagnostic(lineno, "self-loop"))
-            continue
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            diagnostics.append(ParseDiagnostic(lineno, f"bad timestamp {ts_text!r}"))
-            continue
-        if not window.contains(ts):
-            diagnostics.append(ParseDiagnostic(lineno, f"timestamp {ts} outside window"))
-            continue
-        if kind_text == "call":
-            is_call = True
-        elif kind_text == "text":
-            is_call = False
-        else:
-            diagnostics.append(ParseDiagnostic(lineno, f"unknown kind {kind_text!r}"))
-            continue
-        if dur_text == "":
-            if not is_call:
-                diagnostics.append(ParseDiagnostic(lineno, "text with unknown duration"))
-                continue
-            duration = -1
-        else:
-            try:
-                duration = int(dur_text)
-                if duration > _INT64_MAX:  # the int64 column cannot hold it
-                    raise ValueError(dur_text)
-            except ValueError:
-                diagnostics.append(ParseDiagnostic(lineno, f"bad duration {dur_text!r}"))
-                continue
-            if duration < 0:
-                diagnostics.append(ParseDiagnostic(lineno, f"negative duration {duration}"))
-                continue
-            if not is_call and duration != 0:
-                diagnostics.append(ParseDiagnostic(lineno, "text with nonzero duration"))
-                continue
-        yield caller, callee, ts, is_call, duration
+def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The stream in blocks of whole lines, which end at ``\\r\\n``, ``\\r`` or
+    ``\\n`` (a last line may lack its ending); a ``\\r`` that ends a read is
+    held back, since the next read may start with the ``\\n`` of its pair."""
+    held = b""
+    while chunk := stream.read(_BLOCK_BYTES):
+        data = held + chunk
+        stop = len(data) - data.endswith(b"\r")
+        cut = max(data.rfind(b"\n", 0, stop), data.rfind(b"\r", 0, stop)) + 1
+        if cut:
+            yield data[:cut]
+        held = data[cut:]
+    if held:
+        yield held
+
+
+def _line_spans(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First byte and end (before the line ending) of each line of a block,
+    the ``n`` first bytes of ``a``; ``a`` is zero-padded past them."""
+    ending = np.flatnonzero((a[:n] == 10) | (a[:n] == 13))
+    ends = ending[~((a[ending] == 10) & (a[ending - 1] == 13))]  # \r\n ends once; a[-1] is 0
+    starts = np.concatenate(([0], ends + 1 + ((a[ends] == 13) & (a[ends + 1] == 10))))
+    if starts[-1] < n:
+        return starts, np.append(ends, n)
+    return starts[:-1], ends
+
+
+def _plain_rows(
+    a: np.ndarray, starts: np.ndarray, ends: np.ndarray, window: ObservationWindow
+) -> tuple[np.ndarray, ...]:
+    """The plain lines of a block that ``_row`` accepts, decoded in bulk: their
+    indices, ids packed into zero-padded (lines, 2, words) uint64 words, and
+    a (3, lines) array of timestamp, is_call and duration. A line is plain,
+    and ``_row`` reads it the same way, when it has four commas, both ids are
+    1-64 bytes in 0x21-0x7E, the timestamp is 1-18 ASCII digits, the kind is
+    ``call`` or ``text`` and the duration is 0-18 ASCII digits."""
+    n = len(a) - len(_PAD)
+    # the word at byte i packs bytes i..i+7, first byte lowest
+    word = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
+    commas = np.flatnonzero(a[:n] == 44)
+    first = np.searchsorted(commas, starts)
+    lines = np.flatnonzero(np.searchsorted(commas, ends) - first == 4)
+    c = commas[first[lines] + np.arange(4)[:, None]]  # (4, lines)
+    begin, end = starts[lines], ends[lines]
+    id_start = np.stack((begin, c[0] + 1), axis=1)
+    id_len = c[:2].T - id_start
+    offsets = np.arange(0, 8 * -(-min(int(id_len.max(initial=1)), 64) // 8), 8)
+    words = word[id_start[..., None] + offsets]
+    words &= _MASKS[np.clip(id_len[..., None] - offsets, 0, 8)]
+    ts, ts_digits = _decimal(a, c[1] + 1, c[2])
+    duration, duration_digits = _decimal(a, c[3] + 1, end)
+    duration[end == c[3] + 1] = -1
+    kind = word[c[2] + 1] & _MASKS[4]
+    is_call = kind == _CALL
+    unprintable = np.flatnonzero(a[:n] - np.uint8(0x21) > 0x7E - 0x21)
+    ok = (
+        ((id_len >= 1) & (id_len <= 64)).all(axis=1)
+        & (np.searchsorted(unprintable, begin) == np.searchsorted(unprintable, c[1]))
+        & (words[:, 0] != words[:, 1]).any(axis=1)
+        & (c[2] > c[1] + 1)
+        & ts_digits
+        & (ts >= window.start)
+        & (ts < window.end)
+        & (c[3] - c[2] == 5)
+        & (is_call | (kind == _TEXT))
+        & duration_digits
+        & (is_call | (duration == 0))
+    )
+    return lines[ok], words[ok], np.stack((ts, is_call, duration))[:, ok]
+
+
+def _decimal(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the byte spans [start, end) of ``a`` read as decimal digits,
+    and whether each span is at most 18 ASCII digits (its value is then exact)."""
+    at = np.arange(-min(int((end - start).max(initial=0)), 18), 0)[:, None] + end
+    digits = np.take(a, at, mode="clip") - np.uint8(48)  # right-aligned, one row per place
+    digits[at < start] = 0
+    value = np.zeros(len(end), dtype=np.int64)
+    for place in digits:
+        value *= 10
+        value += place
+    return value, (digits <= 9).all(axis=0) & (end - start <= 18)
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of a C-contiguous (ids, width) word array."""
+    width = words.shape[1]
+    return words.view(np.uint64 if width == 1 else np.dtype((np.void, 8 * width))).ravel()
+
+
+class _Interner:
+    """User codes in order of first appearance: ``index`` maps each id to its
+    code, and a sorted cache of packed plain ids (``words``, ``codes``) finds
+    most codes without a dict lookup. Only ids new to the cache reach the dict.
+    The cache starts with the all-zero key, which no id packs to, as code -1."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.words = np.zeros((1, 1), dtype=np.uint64)
+        self.codes = np.full(1, -1, dtype=np.int64)
+
+    def intern(
+        self, words: np.ndarray, lines: np.ndarray, other_lines: np.ndarray, names: list[str]
+    ) -> np.ndarray:
+        """Caller and callee codes, (2, rows), of a block's plain rows, then of
+        its other accepted rows (``names`` holds their caller, callee pairs);
+        ids new to the cache get codes in order of line, caller first."""
+        width = max(words.shape[-1], self.words.shape[1])
+        if width > self.words.shape[1]:  # wider keys sort as bytes, not as uint64
+            self.words = np.pad(self.words, ((0, 0), (0, width - self.words.shape[1])))
+            order = np.argsort(_keys(self.words))
+            self.words, self.codes = self.words[order], self.codes[order]
+        words = np.pad(words, ((0, 0), (0, 0), (0, width - words.shape[-1]))).reshape(-1, width)
+        unique, inverse = np.unique(_keys(words), return_inverse=True)
+        known = _keys(self.words)
+        at = np.minimum(np.searchsorted(known, unique), len(known) - 1)
+        codes = np.where(known[at] == unique, self.codes[at], -1)
+        occurs = np.flatnonzero(codes[inverse] < 0)
+        fresh, first = np.unique(inverse[occurs], return_index=True)
+        new = occurs[first]  # where each id new to the cache first occurs
+        new_names = [w.tobytes().rstrip(b"\0").decode("ascii") for w in words[new]]
+        # a plain id's slot is 2 * line, one more for a callee; a stable sort
+        # keeps the caller of another row before its callee
+        slots = np.concatenate((2 * lines[new // 2] + new % 2, np.repeat(2 * other_lines, 2)))
+        every = new_names + names
+        code = self.index.setdefault
+        for k in np.argsort(slots, kind="stable").tolist():
+            code(every[k], len(self.index))
+        new_codes = np.array([self.index[name] for name in new_names], dtype=np.int64)
+        codes[fresh] = new_codes
+        at = np.searchsorted(known, unique[fresh])
+        self.words = np.insert(self.words, at, words[new], axis=0)
+        self.codes = np.insert(self.codes, at, new_codes)
+        other = np.array([self.index[name] for name in names], dtype=np.int64)
+        return np.concatenate((codes[inverse].reshape(-1, 2), other.reshape(-1, 2))).T
+
+
+def _row(line: str, window: ObservationWindow) -> tuple[str, str, int, bool, int] | str:
+    """The ``(caller, callee, timestamp, is_call, duration)`` row a data line
+    encodes, with -1 for an unknown duration, or the reason it is rejected."""
+    parts = line.split(",")
+    if len(parts) != 5:
+        return f"expected 5 fields, got {len(parts)}"
+    caller, callee, ts_text, kind_text, dur_text = parts
+    if not caller or not callee:
+        return "empty user id"
+    if caller == callee:
+        return "self-loop"
+    try:
+        ts = int(ts_text)
+    except ValueError:
+        return f"bad timestamp {ts_text!r}"
+    if not window.contains(ts):
+        return f"timestamp {ts} outside window"
+    if kind_text == "call":
+        is_call = True
+    elif kind_text == "text":
+        is_call = False
+    else:
+        return f"unknown kind {kind_text!r}"
+    if dur_text == "":
+        if not is_call:
+            return "text with unknown duration"
+        return caller, callee, ts, is_call, -1
+    try:
+        duration = int(dur_text)
+        if duration > _INT64_MAX:  # the int64 column cannot hold it
+            raise ValueError(dur_text)
+    except ValueError:
+        return f"bad duration {dur_text!r}"
+    if duration < 0:
+        return f"negative duration {duration}"
+    if not is_call and duration != 0:
+        return "text with nonzero duration"
+    return caller, callee, ts, is_call, duration
 
 
 def parse_subscribers(

@@ -65,14 +65,6 @@ class TrainedModel:
             return knn_predict(self.train_x, self.train_y, x, self.k)
         return (self.decision_function(x) > 0).astype(np.int64)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        from .calibration import platt_probability
-
-        if self.calibration is None:
-            raise DatasetError("model has no calibration parameters")
-        a, b = self.calibration
-        return platt_probability(self.decision_function(x), a, b)
-
 
 def _loss_terms(kind: str, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(per-sample loss, dloss/dmargin) for margins y * (w.x + b)."""

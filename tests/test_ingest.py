@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JAN1_2007, columns, ev, format_event_row
+from linkcdr import ingest
 from linkcdr.errors import DatasetError, ParseError
 from linkcdr.ingest import (
     EVENTS_HEADER,
@@ -180,32 +183,139 @@ def _rejected_rows(ts: str) -> list[st.SearchStrategy[str]]:
     ]
 
 
+def _unplain_rows(ts: str) -> list[st.SearchStrategy[bytes]]:
+    """Rows outside the plain subset the block path decodes in bulk, which
+    ``parse_events`` may accept or reject: one strategy per way to leave it."""
+    numbers = [f" {ts}", f"+{ts}", f"{ts[:3]}_{ts[3:]}", f"000{ts}", "٠" + ts, "١٧",
+               f"{ts[:-1]}:", str(2**64 + int(ts))]  # ':' follows '9'; 2**64 wraps an int64
+    durations = ["+5", " 5", "1_0", "007", "٣", "9" * 18, "9" * 19, str(2**63 - 1), str(2**63)]
+    ids = ["abcdefghi", "u" * 64, "v" * 65, "a b", "a\tb", "a\0b", "é", "ü" * 40]
+    return [
+        st.sampled_from(numbers).map(lambda t: f"a,b,{t},call,5".encode()),
+        st.sampled_from(numbers).map(lambda d: f"a,b,{ts},call,{d.strip()}".encode()),
+        st.sampled_from(durations).map(lambda d: f"b,a,{ts},call,{d}".encode()),
+        st.sampled_from(durations).map(lambda d: f"b,a,{ts},text,{d}".encode()),
+        st.tuples(st.sampled_from(ids), _USERS).map(
+            lambda pair: f"{pair[0]},{pair[1]},{ts},call,5".encode()
+        ),
+        st.sampled_from(ids).map(lambda u: f"a,{u},{ts},text,0".encode()),
+        st.sampled_from(ids).map(lambda u: f"{u},{u},{ts},call,5".encode()),
+        st.sampled_from([b"a\xff,b,", b"\xe2\x82,b,", b"a,\xc3,", b"a,b,\xff"]).map(
+            lambda head: head + f"{ts},call,1".encode()
+        ),
+    ]
+
+
 @st.composite
 def _events_file(draw) -> bytes:
-    """Valid rows (repeated users, unknown call durations), blank lines and
-    one row per rejection reason, shuffled, with one line ending."""
+    """Valid rows (repeated users, unknown call durations), blank lines, one
+    row per rejection reason and rows outside the plain subset, shuffled,
+    with one line ending."""
     ts = draw(_IN_WINDOW)
-    rows = draw(st.lists(st.one_of(_valid_row(), st.just("")), max_size=25))
-    rows += [draw(reason) for reason in _rejected_rows(ts)]
+    rows = [r.encode() for r in draw(st.lists(st.one_of(_valid_row(), st.just("")), max_size=25))]
+    rows += [draw(reason).encode() for reason in _rejected_rows(ts)]
+    rows += draw(st.lists(st.one_of(_unplain_rows(ts)), max_size=8))
     rows = draw(st.permutations(rows))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join([EVENTS_HEADER, *rows, ""]).encode()
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return newline.join([EVENTS_HEADER.encode(), *rows, b""])
+
+
+def _assert_matches_reference(data: bytes, stream=None) -> None:
+    cols, diags = parse_events(stream or io.BytesIO(data), _WINDOW)
+    want_events, want_diags = parse_events_reference(data, _WINDOW)
+    assert [(d.line, d.reason) for d in diags] == want_diags
+    assert cols.to_events() == want_events
+    want = EventColumns.from_events(want_events)
+    assert cols.users == want.users
+    for name in ("caller", "callee", "timestamp", "is_call", "duration"):
+        got, expected = getattr(cols, name), getattr(want, name)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+class _Trickle(io.RawIOBase):
+    """A stream whose ``read`` returns at most ``most`` bytes."""
+
+    def __init__(self, data: bytes, most: int) -> None:
+        self.data, self.most, self.at = data, most, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        size = self.most if size < 0 else min(size, self.most)
+        out = self.data[self.at : self.at + size]
+        self.at += len(out)
+        return out
 
 
 class TestParserDifferential:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(_events_file())
     def test_matches_reference_parser(self, data):
+        _assert_matches_reference(data)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=_events_file())
+    def test_blocks_split_headers_rows_and_line_endings(self, block, data):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_BYTES", block)
+            _assert_matches_reference(data)
+
+    def test_short_reads(self):
+        rows = [f"u{i},u{i + 1},{_WINDOW.start + i},call,{i}" for i in range(40)]
+        data = "\r\n".join([EVENTS_HEADER, *rows, "a,a,1,call,5", "é,b,x,call,"]).encode()
+        _assert_matches_reference(data, _Trickle(data, 3))
+
+    def test_benchmark_builders_file(self, tmp_path):
+        """The benchmark's raw file: every injected rejection reason and pool
+        calls with unknown durations, written apart from the package."""
+        spec = importlib.util.spec_from_file_location(
+            "build_inputs", Path(__file__).parent.parent / "perfbench" / "build_inputs.py"
+        )
+        builder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(builder)
+        builder.build(3, 20, str(tmp_path))
+        _assert_matches_reference((tmp_path / "events.csv").read_bytes())
+
+
+class TestParserEdges:
+    def test_empty_stream(self):
+        with pytest.raises(ParseError, match="events stream is empty"):
+            parse_events(io.BytesIO(b""), _WINDOW)
+
+    @pytest.mark.parametrize("ending", [b"", b"\n", b"\r\n", b"\r"])
+    def test_header_only(self, ending):
+        cols, diags = parse_events(io.BytesIO(EVENTS_HEADER.encode() + ending), _WINDOW)
+        assert len(cols) == 0 and cols.users == [] and diags == []
+        assert cols.timestamp.dtype == np.int64 and cols.is_call.dtype == bool
+
+    def test_lone_carriage_return_at_end(self):
+        data = f"{EVENTS_HEADER}\na,b,{_WINDOW.start},call,5\r".encode()
+        _assert_matches_reference(data)
+        assert len(parse_events(io.BytesIO(data), _WINDOW)[0]) == 1
+
+    def test_plain_rows_skip_the_line_parser(self, monkeypatch):
+        """Plain rows are decoded in bulk; one that reached ``_row`` would
+        still parse right but lose the block path's speed."""
+
+        def refuse(line, window):
+            raise AssertionError(f"line parser called on {line!r}")
+
+        monkeypatch.setattr(ingest, "_row", refuse)
+        rows = [
+            f"{caller},{callee},{_WINDOW.start + i},{kind},{duration}"
+            for i, (caller, callee, kind, duration) in enumerate(
+                [("a", "b", "call", "65"), ("b", "a", "text", "0"), ("c", "a", "call", ""),
+                 ("abcdefghijk", "~!#$", "call", "9" * 18), ("u" * 64, "b", "text", "00")] * 30
+            )
+        ]
+        data = "\r\n".join([EVENTS_HEADER, *rows, ""]).encode()
         cols, diags = parse_events(io.BytesIO(data), _WINDOW)
-        want_events, want_diags = parse_events_reference(data, _WINDOW)
-        assert [(d.line, d.reason) for d in diags] == want_diags
-        assert cols.to_events() == want_events
-        want = EventColumns.from_events(want_events)
-        assert cols.users == want.users
-        for name in ("caller", "callee", "timestamp", "is_call", "duration"):
-            got, expected = getattr(cols, name), getattr(want, name)
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+        assert diags == [] and len(cols) == len(rows)
+        assert cols.users == ["a", "b", "c", "abcdefghijk", "~!#$", "u" * 64]
+        assert cols.duration[:5].tolist() == [65, 0, -1, 10**18 - 1, 0]
 
 
 class TestParseSubscribers:
