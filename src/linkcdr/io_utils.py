@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -163,23 +164,36 @@ def write_features_csv(path: str, pairs: Sequence[PairKey], matrix: np.ndarray) 
 
 
 def read_features_csv(path: str) -> tuple[list[PairKey], np.ndarray]:
+    """Pair ids and the (pairs, N_FEATURES) value matrix of a features.csv.
+    One pass over the lines checks the header and each row's field count and
+    reads the ids; numpy's C reader then reads the values."""
+    n_fields = manifest.N_FEATURES + 2
+    pairs: list[PairKey] = []
+    line_nos: list[int] = []
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\r\n")
-        expected = "first,second," + ",".join(manifest.FEATURE_NAMES)
-        if header != expected:
+        if header != "first,second," + ",".join(manifest.FEATURE_NAMES):
             raise ParseError("features header does not match the feature manifest")
-        pairs: list[PairKey] = []
-        rows: list[np.ndarray] = []
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != manifest.N_FEATURES + 2:
-                raise ParseError(f"feature row has {len(parts)} fields")
-            pairs.append(PairKey(parts[0], parts[1]))
-            rows.append(np.asarray([float(v) for v in parts[2:]], dtype=np.float64))
-    matrix = np.vstack(rows) if rows else np.zeros((0, manifest.N_FEATURES))
+            if line.count(",") != n_fields - 1:
+                raise ParseError(f"feature row has {line.count(',') + 1} fields")
+            first, second, _ = line.split(",", 2)
+            pairs.append(PairKey(first, second))
+            line_nos.append(line_no)
+    if not pairs:
+        return pairs, np.zeros((0, manifest.N_FEATURES))
+    try:
+        matrix = np.loadtxt(
+            path, delimiter=",", skiprows=1, comments=None,  # '#' is an id byte
+            usecols=range(2, n_fields), ndmin=2, encoding="utf-8",
+        )
+    except ValueError as exc:  # numpy names the data row, counted from 0
+        row = re.search(r"at row (\d+)", str(exc))
+        where = f"line {line_nos[int(row[1])]}" if row else "a feature row"
+        raise ParseError(f"{path}: bad value on {where}: {exc}") from None
     return pairs, matrix
 
 

@@ -17,7 +17,6 @@ late-night texts) so the feature matrix has a known five-factor structure.
 from __future__ import annotations
 
 from .ingest import ObservationWindow
-from .manifest import FEATURE_NAMES
 from .synthgen import ArchetypeConfig, BackgroundConfig, FactorGroup, GeneratorConfig
 
 # segment order: wd-day, wd-eve, wd-late, we-day, we-eve, we-late
@@ -213,34 +212,6 @@ def planted_factors(
         duration_jitter_sigma=0.2,
         factor_groups=_FACTOR_GROUPS,
     )
-
-
-def planted_factor_membership() -> dict[str, list[str]]:
-    """Expected feature groupings for the planted-factors preset.
-
-    Only robustly driven features are declared: weekly mean/median/std/max
-    of the factor's channel in its dayparts plus the matching active-day
-    counts. min/skew/kurt stay undeclared (too quantized at low rates).
-    """
-    stats = ("mean", "median", "std", "max")
-    groups: dict[str, list[str]] = {}
-    spec = {
-        "calls_daytime": ("calls", "call", ("daytime",)),
-        "calls_evening": ("calls", "call", ("evening",)),
-        "calls_late_night": ("calls", "call", ("late_night",)),
-        "texts_day_evening": ("texts", "text", ("daytime", "evening")),
-        "texts_late_night": ("texts", "text", ("late_night",)),
-    }
-    for group, (qty, kind, dayparts) in spec.items():
-        names = []
-        for wp in ("weekday", "weekend"):
-            for dp in dayparts:
-                names.extend(f"weekly_{qty}_{wp}_{dp}_{s}" for s in stats)
-                names.append(f"active_days_{kind}_{wp}_{dp}")
-        groups[group] = names
-    missing = [n for names in groups.values() for n in names if n not in FEATURE_NAMES]
-    assert not missing, f"unknown feature names: {missing}"
-    return groups
 
 
 PRESETS = {

@@ -21,7 +21,7 @@ the configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -337,23 +337,69 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
 TRUTH_HEADER = "first,second,archetype_code,age_first,gender_first,age_second,gender_second"
 
 
-def _write_event_rows(out: TextIO, cols: EventColumns, block_rows: int = 65536) -> None:
-    """Write the events.csv data lines of ``cols``, ``block_rows`` rows at a
-    time so only one block is ever held as Python objects."""
-    users = cols.users
+_KIND_BYTES = np.frombuffer(b"text,call,", dtype=np.uint8).reshape(2, 5)  # by is_call
+
+
+def _digits(out: np.ndarray, keep: np.ndarray, mag: np.ndarray) -> None:
+    """Write the decimal digits of the uint64 ``mag`` right-aligned into the
+    (rows, width) byte slots ``out`` and mark the significant ones in
+    ``keep``: a place is kept while the value left to write is nonzero, and
+    the last place always, so 0 is written as ``0``."""
+    if int(mag.max()) < 1 << 32:  # 32-bit division is several times faster
+        mag = mag.astype(np.uint32)
+    for place in range(out.shape[1] - 1, -1, -1):
+        np.not_equal(mag, 0, out=keep[:, place])
+        mag, digit = np.divmod(mag, 10)
+        np.add(digit, 48, out=out[:, place], casting="unsafe")
+    keep[:, -1] = True
+
+
+def _write_event_rows(out: BinaryIO, cols: EventColumns, block_rows: int = 65536) -> None:
+    """Write the events.csv data lines of ``cols`` as UTF-8 bytes,
+    ``block_rows`` rows at a time, with no Python object per row.
+
+    Each block is one uint8 matrix with a fixed slot per byte a row can
+    have: the caller id (``width`` bytes), ``,``, the callee id, ``,``, a
+    sign slot, the timestamp digits, ``,``, ``call,`` or ``text,``, the
+    duration digits and ``\\n``. A bool matrix of the same shape marks the
+    bytes that are written: id bytes below the id's length, the sign only
+    for a negative timestamp, each number's significant digits, and no
+    duration digits for an unknown (negative) duration. ``mat[keep]`` read
+    in row order is the block's text. The ids and their byte masks are
+    packed once per file as zero-padded uint64 words and gathered by code."""
+    if not len(cols):
+        return
+    encoded = [u.encode("utf-8") for u in cols.users]
+    width = 8 * max(1, (max(map(len, encoded)) + 7) // 8)
+    id_bytes = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in encoded), dtype=np.uint64)
+    id_bytes = id_bytes.reshape(len(encoded), width // 8)
+    id_len = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    id_mask = (np.arange(width) < id_len[:, None]).view(np.uint64)
     for lo in range(0, len(cols), block_rows):
         block = slice(lo, lo + block_rows)
-        rows = zip(
-            cols.caller[block].tolist(),
-            cols.callee[block].tolist(),
-            cols.timestamp[block].tolist(),
-            cols.is_call[block].tolist(),
-            cols.duration[block].tolist(),
-        )
-        out.writelines(
-            f"{users[a]},{users[b]},{t},{'call' if c else 'text'},{'' if d < 0 else d}\n"
-            for a, b, t, c, d in rows
-        )
+        caller, callee = cols.caller[block], cols.callee[block]
+        ts, dur = cols.timestamp[block], cols.duration[block]
+        ts_mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to 2**63
+        dur_mag = np.maximum(dur, 0).astype(np.uint64)
+        tw, dw = len(str(int(ts_mag.max()))), len(str(int(dur_mag.max())))
+        t0 = 2 * width + 3  # first timestamp digit
+        k0 = t0 + tw + 1  # kind field
+        d0 = k0 + 5  # first duration digit
+        mat = np.empty((len(ts), d0 + dw + 1), dtype=np.uint8)
+        keep = np.ones(mat.shape, dtype=bool)
+        mat[:, :width] = id_bytes[caller].view(np.uint8)
+        keep[:, :width] = id_mask[caller].view(bool)
+        mat[:, width + 1 : 2 * width + 1] = id_bytes[callee].view(np.uint8)
+        keep[:, width + 1 : 2 * width + 1] = id_mask[callee].view(bool)
+        mat[:, [width, 2 * width + 1, t0 + tw]] = ord(",")
+        mat[:, t0 - 1] = ord("-")
+        keep[:, t0 - 1] = ts < 0
+        _digits(mat[:, t0 : t0 + tw], keep[:, t0 : t0 + tw], ts_mag)
+        mat[:, k0:d0] = _KIND_BYTES[cols.is_call[block].view(np.uint8)]
+        _digits(mat[:, d0:-1], keep[:, d0:-1], dur_mag)
+        keep[:, d0:-1] &= (dur >= 0)[:, None]
+        mat[:, -1] = ord("\n")
+        out.write(mat[keep])
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir: str) -> dict[str, str]:
@@ -369,8 +415,8 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str) -> dict[str, str]:
         "truth": os.path.join(out_dir, "truth.csv"),
     }
 
-    with open(paths["events"], "w", encoding="utf-8", newline="\n") as out:
-        out.write(EVENTS_HEADER + "\n")
+    with open(paths["events"], "wb") as out:
+        out.write(EVENTS_HEADER.encode("utf-8") + b"\n")
         _write_event_rows(out, dataset.columns)
 
     with open(paths["subscribers"], "w", encoding="utf-8", newline="\n") as out:

@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from linkcdr.errors import ParseError
 from linkcdr.ingest import CdrEvent, EventColumns, EventKind, Gender, ObservationWindow
+from linkcdr.manifest import FEATURE_NAMES
 from linkcdr.pairgraph import LinkGraph, alter_ranking
 from linkcdr.synthgen import TRUTH_HEADER, PlantedPair
 
@@ -87,3 +88,31 @@ def default_window() -> ObservationWindow:
 @pytest.fixture
 def two_month_window() -> ObservationWindow:
     return ObservationWindow.from_dates("2007-01-01", "2007-03-01")
+
+
+def planted_factor_membership() -> dict[str, list[str]]:
+    """Expected feature groupings for the planted-factors preset.
+
+    Only robustly driven features are declared: weekly mean/median/std/max
+    of the factor's channel in its dayparts plus the matching active-day
+    counts. min/skew/kurt stay undeclared (too quantized at low rates).
+    """
+    stats = ("mean", "median", "std", "max")
+    groups: dict[str, list[str]] = {}
+    spec = {
+        "calls_daytime": ("calls", "call", ("daytime",)),
+        "calls_evening": ("calls", "call", ("evening",)),
+        "calls_late_night": ("calls", "call", ("late_night",)),
+        "texts_day_evening": ("texts", "text", ("daytime", "evening")),
+        "texts_late_night": ("texts", "text", ("late_night",)),
+    }
+    for group, (qty, kind, dayparts) in spec.items():
+        names = []
+        for wp in ("weekday", "weekend"):
+            for dp in dayparts:
+                names.extend(f"weekly_{qty}_{wp}_{dp}_{s}" for s in stats)
+                names.append(f"active_days_{kind}_{wp}_{dp}")
+        groups[group] = names
+    missing = [n for names in groups.values() for n in names if n not in FEATURE_NAMES]
+    assert not missing, f"unknown feature names: {missing}"
+    return groups

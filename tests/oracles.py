@@ -80,6 +80,26 @@ def parse_events_reference(
     return events, rejected
 
 
+# --- synthgen ------------------------------------------------------------
+
+
+def event_rows_reference(cols) -> bytes:
+    """The events.csv data lines of ``cols``: one f-string per row, an empty
+    duration field for an unknown (negative) duration, UTF-8 encoded."""
+    users = cols.users
+    rows = zip(
+        cols.caller.tolist(),
+        cols.callee.tolist(),
+        cols.timestamp.tolist(),
+        cols.is_call.tolist(),
+        cols.duration.tolist(),
+    )
+    return "".join(
+        f"{users[a]},{users[b]},{t},{'call' if c else 'text'},{'' if d < 0 else d}\n"
+        for a, b, t, c, d in rows
+    ).encode("utf-8")
+
+
 # --- graph layer ---------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import columns, ev, ranked_alters
+from conftest import columns, ev, planted_factor_membership, ranked_alters
 from linkcdr import manifest
 from linkcdr.bayes import bayes_bounds, one_nn_error
 from linkcdr.decompose import assign_factors, loadings, pca, varimax, varimax_criterion
@@ -41,7 +41,7 @@ from linkcdr.pairgraph import (
     is_opposite_gender_peer_code,
     mutual_top_rank_pairs,
 )
-from linkcdr.presets import planted_factor_membership, planted_factors, table3_like
+from linkcdr.presets import planted_factors, table3_like
 from linkcdr.synthgen import generate
 from oracles import (
     GaussianClassOracle,

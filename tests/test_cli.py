@@ -210,6 +210,18 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_non_numeric_feature_value_is_fatal(self, pipeline_dirs, tmp_path, capsys):
+        lines = (pipeline_dirs["feats"] / "features.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[5] = "abc"
+        lines[3] = ",".join(fields)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(lines))
+        code = main(["pca", "--features", str(features), "--out", str(tmp_path / "p")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal: ") and "line 4" in err and "'abc'" in err
+
     def test_generate_config_with_oversized_side_links_exits_two(self, tmp_path):
         config_path = tmp_path / "gen.cfg"
         config_path.write_text(
@@ -305,6 +317,24 @@ class TestWindowFlags:
              "--window-start", "2007-01-01T00:00:00+02:00", "--window-end", "2007-08-01"]
         )
         assert _window_from_args(args).start == 1167602400
+
+    def test_generate_then_ingest_across_1970(self, tmp_path):
+        window = ["--window-start", "1969-09-01", "--window-end", "1970-03-01"]
+        gen = tmp_path / "gen"
+        assert main([
+            "generate", "--preset", "table3-like", "--n-pairs", "50", "--seed", "1",
+            *window, "--out", str(gen),
+        ]) == 0
+        rows = (gen / "events.csv").read_text().splitlines()[1:]
+        assert any(row.split(",")[2].startswith("-") for row in rows)
+        assert main([
+            "ingest", "--events", str(gen / "events.csv"),
+            "--subscribers", str(gen / "subscribers.csv"), *window,
+            "--out", str(tmp_path / "ingest"),
+        ]) == 0
+        assert (tmp_path / "ingest" / "diagnostics.jsonl").read_text() == ""
+        report = json.loads((tmp_path / "ingest" / "validation.json").read_text())
+        assert report["n_events"] == len(rows)
 
 
 class TestSplitHelpers:

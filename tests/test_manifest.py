@@ -10,7 +10,6 @@ from linkcdr.manifest import (
     GROUP_SIZES,
     N_FEATURES,
     manifest_hash,
-    render_markdown,
 )
 
 
@@ -46,3 +45,30 @@ def test_hash_is_stable_within_session():
 def test_committed_features_md_is_current():
     committed = (Path(__file__).parent.parent / "FEATURES.md").read_text()
     assert committed == render_markdown()
+
+
+def render_markdown() -> str:
+    """FEATURES.md content: one table row per feature, in vector order."""
+    lines = [
+        "# Feature manifest",
+        "",
+        f"The pair feature vector has {N_FEATURES} entries in the fixed order below.",
+        "Stored values are post-transform: `log1p` is ln(1+x), `signed_log1p` is",
+        "sgn(x)·ln(1+|x|), `none` stores the raw value. Standardization to mean 0 /",
+        "std 1 happens separately at training time and is recorded in `scaler.json`.",
+        "",
+        "Group sizes: "
+        + ", ".join(f"{g} {n}" for g, n in GROUP_SIZES.items())
+        + f" (total {N_FEATURES}).",
+        "",
+        f"Manifest hash: `{manifest_hash()}`",
+        "",
+        "| # | name | group | transform | definition |",
+        "|---|------|-------|-----------|------------|",
+    ]
+    for i, spec in enumerate(FEATURE_SPECS):
+        lines.append(
+            f"| {i} | `{spec.name}` | {spec.group} | {spec.transform} | {spec.description} |"
+        )
+    lines.append("")
+    return "\n".join(lines)

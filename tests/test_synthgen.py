@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import read_truth_csv
+from conftest import planted_factor_membership, read_truth_csv
 from linkcdr.errors import ConfigError
 from linkcdr.features import WeekGrid, _local_parts
-from linkcdr.ingest import EVENTS_HEADER, parse_events, validate_dataset
+from linkcdr.ingest import EVENTS_HEADER, EventColumns, parse_events, validate_dataset
 from linkcdr.presets import PRESETS, planted_factors, table3_like
 from linkcdr.synthgen import (
     ArchetypeConfig,
@@ -25,6 +25,7 @@ from linkcdr.synthgen import (
     verify_planted,
     write_dataset,
 )
+from oracles import event_rows_reference
 
 
 def small_archetype(**overrides) -> ArchetypeConfig:
@@ -266,36 +267,60 @@ class TestSlotMapping:
         assert (cols.timestamp < config.window.end).all()
 
 
-class TestEventWrite:
-    @staticmethod
-    def all_at_once(cols) -> str:
-        users = cols.users
-        rows = zip(
-            cols.caller.tolist(),
-            cols.callee.tolist(),
-            cols.timestamp.tolist(),
-            cols.is_call.tolist(),
-            cols.duration.tolist(),
-        )
-        return "".join(
-            f"{users[a]},{users[b]},{t},{'call' if c else 'text'},{'' if d < 0 else d}\n"
-            for a, b, t, c, d in rows
-        )
+# at most 4 UTF-8 bytes a character, so at most 64 bytes an id
+_EVENT_IDS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=16),
+    st.sampled_from(["a", "#", "x" * 64, "é" * 32, "\U0001f4de" * 16, "u" * 60 + "-\u00e9#"]),
+)
 
+
+@st.composite
+def _event_columns(draw) -> EventColumns:
+    """Columns over ids of 1-64 UTF-8 bytes, with timestamps of every sign
+    and digit count and durations from unknown to int64's maximum."""
+    users = draw(st.lists(_EVENT_IDS, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(0, 12))
+    codes = st.integers(0, len(users) - 1)
+    ts = st.one_of(
+        st.sampled_from([0, -1, 7, -7, 10**17, -(10**17), 2**63 - 1, -(2**63)]),
+        st.integers(-9, 9),
+        st.integers(-(2**63), 2**63 - 1),
+    )
+    dur = st.one_of(st.sampled_from([-1, 0, 9, 10, 2**63 - 1]), st.integers(0, 2**63 - 1))
+
+    def column(values, dtype):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    return EventColumns(
+        column(codes, np.int64), column(codes, np.int64), column(ts, np.int64),
+        column(st.booleans(), bool), column(dur, np.int64), users,
+    )
+
+
+class TestEventWrite:
     @pytest.mark.parametrize("block_rows", [1, 997])
     def test_block_write_matches_all_at_once(self, block_rows):
         cols = generate(small_config(n_pairs=20)).columns
         assert len(cols) > 2 * 997
-        out = io.StringIO()
+        out = io.BytesIO()
         _write_event_rows(out, cols, block_rows)
-        assert out.getvalue() == self.all_at_once(cols)
+        assert out.getvalue() == event_rows_reference(cols)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(cols=_event_columns(), data=st.data())
+    def test_matches_reference_bytes(self, cols, data):
+        edges = {1, 2} | {max(1, len(cols) + d) for d in (-1, 0, 1)}
+        block_rows = data.draw(st.sampled_from(sorted(edges)))
+        out = io.BytesIO()
+        _write_event_rows(out, cols, block_rows)
+        assert out.getvalue() == event_rows_reference(cols)
 
     def test_events_csv_is_header_plus_rows(self, tmp_path):
         dataset = generate(small_config(n_pairs=20))
         paths = write_dataset(dataset, tmp_path)
-        with open(paths["events"], encoding="utf-8", newline="") as handle:
-            text = handle.read()
-        assert text == EVENTS_HEADER + "\n" + self.all_at_once(dataset.columns)
+        with open(paths["events"], "rb") as handle:
+            data = handle.read()
+        assert data == EVENTS_HEADER.encode() + b"\n" + event_rows_reference(dataset.columns)
 
 
 class TestVerifyPlanted:
@@ -343,8 +368,6 @@ class TestPresets:
         assert config.pair_activity_sigma == 0.0
 
     def test_membership_names_are_valid(self):
-        from linkcdr.presets import planted_factor_membership
-
         groups = planted_factor_membership()
         assert len(groups) == 5
         assert sum(len(v) for v in groups.values()) == 60
