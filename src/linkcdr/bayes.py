@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetError
-from .learn.neighbors import pairwise_sq_dists
+from .learn.neighbors import nearest
 
 
 def one_nn_error(
@@ -28,10 +28,7 @@ def one_nn_error(
     test_y: np.ndarray,
     chunk_size: int = 1024,
 ) -> float:
-    """Fraction of test rows whose nearest training row has another label.
-
-    Nearest-neighbor ties resolve toward the lower training-row index.
-    """
+    """Fraction of test rows whose nearest training row has another label."""
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y)
     test_x = np.asarray(test_x, dtype=np.float64)
@@ -40,12 +37,8 @@ def one_nn_error(
         raise DatasetError("train and test sets must be nonempty")
     if train_x.shape[1] != test_x.shape[1]:
         raise DatasetError("feature dimension mismatch between train and test")
-    errors = 0
-    for lo in range(0, test_x.shape[0], chunk_size):
-        block = test_x[lo : lo + chunk_size]
-        nearest = np.argmin(pairwise_sq_dists(block, train_x), axis=1)
-        errors += int(np.sum(train_y[nearest] != test_y[lo : lo + block.shape[0]]))
-    return errors / test_x.shape[0]
+    nearest_y = train_y[nearest(train_x, test_x, 1, chunk_size=chunk_size)[:, 0]]
+    return int(np.sum(nearest_y != test_y)) / test_x.shape[0]
 
 
 def one_nn_error_loo(x: np.ndarray, y: np.ndarray, chunk_size: int = 1024) -> float:
@@ -54,15 +47,8 @@ def one_nn_error_loo(x: np.ndarray, y: np.ndarray, chunk_size: int = 1024) -> fl
     y = np.asarray(y)
     if x.shape[0] < 2:
         raise DatasetError("leave-one-out needs at least 2 rows")
-    errors = 0
-    for lo in range(0, x.shape[0], chunk_size):
-        block = x[lo : lo + chunk_size]
-        dists = pairwise_sq_dists(block, x)
-        for row, col in enumerate(range(lo, lo + block.shape[0])):
-            dists[row, col] = np.inf
-        nearest = np.argmin(dists, axis=1)
-        errors += int(np.sum(y[nearest] != y[lo : lo + block.shape[0]]))
-    return errors / x.shape[0]
+    nearest_y = y[nearest(x, x, 1, exclude_self=True, chunk_size=chunk_size)[:, 0]]
+    return int(np.sum(nearest_y != y)) / x.shape[0]
 
 
 @dataclass(frozen=True)

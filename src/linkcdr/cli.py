@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, manifest
 from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from .decompose import assign_factors, loadings, pca, scree_data, varimax
-from .errors import ConfigError, LinkCdrError
+from .errors import ConfigError, DatasetError, LinkCdrError
 from .features import apply_scaler, compute_feature_matrix, fit_scaler
 from .ingest import (
     ObservationWindow,
@@ -202,10 +202,24 @@ def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
     return 0
 
 
+def _finite_features(path: str) -> tuple[list[PairKey], np.ndarray]:
+    """``read_features_csv``, with a non-finite value raising DatasetError
+    before any fit sees it."""
+    pairs, matrix = read_features_csv(path)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, col = bad[0]
+        raise DatasetError(
+            f"{path}: pair {pairs[row].first}|{pairs[row].second} has non-finite "
+            f"{manifest.FEATURE_NAMES[col]} = {float(matrix[row, col])}"
+        )
+    return pairs, matrix
+
+
 def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
     if not 1 <= args.n_comp <= manifest.N_FEATURES:
         raise ConfigError(f"--n-comp {args.n_comp} must lie in 1..{manifest.N_FEATURES}")
-    _, matrix = read_features_csv(args.features)
+    _, matrix = _finite_features(args.features)
     scaler = fit_scaler(matrix)
     standardized = apply_scaler(matrix, scaler)
     result = pca(standardized)
@@ -265,7 +279,7 @@ def _labeled_matrix(
     features_path: str, pairs_path: str, task: str
 ) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
     """Join features with pair labels; returns (x, y, group codes, row ids)."""
-    pairs, matrix = read_features_csv(features_path)
+    pairs, matrix = _finite_features(features_path)
     by_id = {f"{pair.first}|{pair.second}": i for i, pair in enumerate(pairs)}
     labels = _task_labels(pairs_path, task)
     row_ids = [row_id for row_id in labels if row_id in by_id]

@@ -134,23 +134,26 @@ def read_pairs_csv(path: str) -> list[dict]:
         if header != PAIRS_HEADER:
             raise ParseError(f"pairs header mismatch: got {header!r}")
         rows = []
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            first, second, calls, texts, dur, months, code, younger = line.split(",")
-            rows.append(
-                {
-                    "first": first,
-                    "second": second,
-                    "calls_total": int(calls),
-                    "texts_total": int(texts),
-                    "duration_total": int(dur),
-                    "months_active": int(months),
-                    "label_code": code,
-                    "younger_age": int(younger) if younger else None,
-                }
-            )
+            try:
+                first, second, calls, texts, dur, months, code, younger = line.split(",")
+                rows.append(
+                    {
+                        "first": first,
+                        "second": second,
+                        "calls_total": int(calls),
+                        "texts_total": int(texts),
+                        "duration_total": int(dur),
+                        "months_active": int(months),
+                        "label_code": code,
+                        "younger_age": int(younger) if younger else None,
+                    }
+                )
+            except ValueError as exc:  # a wrong field count or a non-integer count
+                raise ParseError(f"{path}: bad pairs row on line {line_no}: {exc}") from None
     return rows
 
 
@@ -179,7 +182,10 @@ def read_features_csv(path: str) -> tuple[list[PairKey], np.ndarray]:
             if not line:
                 continue
             if line.count(",") != n_fields - 1:
-                raise ParseError(f"feature row has {line.count(',') + 1} fields")
+                raise ParseError(
+                    f"{path}: line {line_no}: feature row has {line.count(',') + 1} fields, "
+                    f"expected {n_fields}"
+                )
             first, second, _ = line.split(",", 2)
             pairs.append(PairKey(first, second))
             line_nos.append(line_no)
@@ -222,16 +228,18 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
         preds: list[int] = []
         probs: list[float] = []
         any_prob = False
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            row_id, pred, prob = line.rsplit(",", 2)
+            try:
+                row_id, pred, prob = line.rsplit(",", 2)
+                if pred not in ("0", "1"):
+                    raise ValueError(f"prediction {pred!r} is not 0 or 1")
+                probs.append(float(prob) if prob else float("nan"))
+            except ValueError as exc:  # a wrong field count or a bad value
+                raise ParseError(f"{path}: bad predictions row on line {line_no}: {exc}") from None
             ids.append(row_id)
             preds.append(int(pred))
-            if prob:
-                any_prob = True
-                probs.append(float(prob))
-            else:
-                probs.append(float("nan"))
+            any_prob = any_prob or bool(prob)
     return ids, np.asarray(preds, dtype=np.int64), (np.asarray(probs) if any_prob else None)

@@ -13,6 +13,7 @@ from ..pairgraph import peer_bracket_of_code
 from .calibration import platt_fit, platt_probability
 from .evaluation import EvalReport, evaluate
 from .linear import KIND_KNN, KIND_LOGREG, KIND_LSVM, TrainedModel, train_linear_svm, train_logreg
+from .neighbors import knn_predict_grid
 
 C_GRID: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 K_GRID: tuple[int, ...] = (1, 3, 5, 11, 21, 51)
@@ -110,15 +111,16 @@ def cross_validate(
     if dataset.n < 10:
         raise DatasetError(f"cross-validation needs at least 10 rows, got {dataset.n}")
     folds = stratified_folds(dataset.y, n_folds, seed)
-    mean_acc = []
-    for param in grid:
-        scores = []
-        for fold in range(n_folds):
-            train_mask = folds != fold
-            model = _fit_model(kind, dataset.x[train_mask], dataset.y[train_mask], param)
-            pred = model.predict(dataset.x[~train_mask])
-            scores.append(float((pred == dataset.y[~train_mask]).mean()))
-        mean_acc.append(float(np.mean(scores)))
+    fold_acc = []
+    for fold in range(n_folds):
+        train, test = folds != fold, folds == fold
+        x, y = dataset.x[train], dataset.y[train]
+        if kind == KIND_KNN:  # one neighbour ordering scores every k
+            preds = knn_predict_grid(x, y, dataset.x[test], [int(k) for k in grid])
+        else:
+            preds = [_fit_model(kind, x, y, param).predict(dataset.x[test]) for param in grid]
+        fold_acc.append([float((pred == dataset.y[test]).mean()) for pred in preds])
+    mean_acc = [float(np.mean(scores)) for scores in zip(*fold_acc)]
     best_idx = int(np.argmax(mean_acc))
     best_param = grid[best_idx]
     model = _fit_model(kind, dataset.x, dataset.y, best_param)

@@ -4,7 +4,8 @@ Everything here avoids the library's vectorized code paths: plain dicts,
 datetime arithmetic, and math-module moments, so agreement with the package
 is meaningful. The l2 linear-model reference is plain gradient descent on
 numpy arrays and shares no code with the library's solvers. The two-Gaussian
-mixture has a closed-form Bayes error that the 1-NN bounds must sandwich.
+mixture has a closed-form Bayes error that the 1-NN bounds must sandwich;
+the neighbour order is a full stable argsort of explicit differences.
 """
 
 from __future__ import annotations
@@ -421,6 +422,23 @@ def l1_linear_reference(x, y01, kind: str, c: float, tol: float, max_iter: int):
         w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb
     residual = l1_kkt_residual(w, b, x, y01, kind, c)
     return loss + np.abs(w).sum() / c, residual, residual < tol
+
+
+# --- nearest neighbours ----------------------------------------------------
+
+
+def neighbor_order_reference(train_x, queries, m: int, exclude_self: bool = False):
+    """The first m training rows per query in (squared distance, training
+    index) order, by a full stable argsort of distances taken as sums of
+    squared differences. With ``exclude_self`` the queries are the training
+    rows and each row's own distance is infinite. Exact on data whose squared
+    differences add up without rounding, such as small integers."""
+    train_x = np.asarray(train_x, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    dists = ((queries[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    if exclude_self:
+        dists[np.arange(len(queries)), np.arange(len(queries))] = np.inf
+    return np.argsort(dists, axis=1, kind="stable")[:, :m]
 
 
 # --- Bayes error ---------------------------------------------------------

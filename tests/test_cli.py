@@ -13,6 +13,7 @@ import pytest
 
 from linkcdr.cli import main
 from linkcdr.io_utils import read_pairs_csv, sha256_file
+from linkcdr.manifest import FEATURE_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,59 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("fatal: ") and "line 4" in err and "'abc'" in err
+
+    def test_non_integer_pair_count_is_fatal(self, pipeline_dirs, tmp_path, capsys):
+        lines = (pipeline_dirs["pairs"] / "pairs.csv").read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[2] = "abc"  # calls_total
+        lines[2] = ",".join(fields)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("".join(lines))
+        code = main([
+            "bayes-bounds", "--features", str(pipeline_dirs["feats"] / "features.csv"),
+            "--pairs", str(pairs), "--task", "ogp", "--n-test", "60", "--out", str(tmp_path / "b"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fatal: {pairs}: bad pairs row on line 3: ") and "'abc'" in err
+
+    def test_bad_prediction_is_fatal(self, pipeline_dirs, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("row_id,prediction,probability\na|b,yes,\n")
+        code = main([
+            "evaluate", "--predictions", str(predictions),
+            "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"), "--task", "ogp",
+            "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"fatal: {predictions}: bad predictions row on line 2: prediction 'yes'"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("stage", ["pca", "train", "bayes-bounds"])
+    def test_non_finite_feature_value_is_fatal(self, pipeline_dirs, tmp_path, capsys, stage, value):
+        lines = (pipeline_dirs["feats"] / "features.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[5] = value
+        lines[3] = ",".join(fields)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(lines))
+        argv = {
+            "pca": ["pca"],
+            "train": ["train", "--model", "knn", "--n-train", "80", "--n-test", "60"],
+            "bayes-bounds": ["bayes-bounds", "--loo"],
+        }[stage]
+        if stage != "pca":
+            argv += ["--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"), "--task", "ogp"]
+        out = tmp_path / "o"
+        assert main([*argv, "--features", str(features), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"fatal: {features}: pair {fields[0]}|{fields[1]} has non-finite "
+            f"{FEATURE_NAMES[3]} = {float(value)}"
+        )
+        assert not out.exists() or os.listdir(out) == []
 
     def test_generate_config_with_oversized_side_links_exits_two(self, tmp_path):
         config_path = tmp_path / "gen.cfg"

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from linkcdr.errors import ConfigError, DatasetError
+from linkcdr.learn.neighbors import knn_predict
 from linkcdr.learn.pipeline import (
+    K_GRID,
     LabeledDataset,
     TrainConfig,
     age_restricted_experiment,
@@ -109,6 +111,21 @@ class TestCrossValidate:
         result = cross_validate(ds, "knn", [1, 3, 5], seed=0)
         assert result.best_param in (1, 3, 5)
         assert (result.model.predict(ds.x) == ds.y).mean() > 0.9
+
+    def test_knn_table_equals_one_knn_predict_per_k_and_fold(self):
+        # rounded features tie often; the table must be bitwise the per-k scan
+        ds = make_dataset(70, 60, seed=4, d=3, gap=0.5)
+        ds.x = np.round(ds.x)
+        folds = stratified_folds(ds.y, 5, seed=9)
+        want = []
+        for k in K_GRID:
+            scores = []
+            for fold in range(5):
+                train = folds != fold
+                pred = knn_predict(ds.x[train], ds.y[train], ds.x[~train], k)
+                scores.append(float((pred == ds.y[~train]).mean()))
+            want.append((k, float(np.mean(scores))))
+        assert cross_validate(ds, "knn", K_GRID, seed=9).table == want
 
 
 class TestSeedEnsemble:
