@@ -13,6 +13,8 @@ Hessian (Lin, Weng & Keerthi 2008) or the generalized squared-hinge one,
 curvature 2 where margin < 1 and 0 elsewhere (Keerthi & DeCoste 2005). An
 l2 step is one linear solve; an l1 step minimizes the model plus penalty
 exactly by feature-sign search: proximal Newton (Lee, Sun & Saunders 2014).
+An l2 fit with fewer rows than features runs in the span of the rows, which
+holds every iterate from w = 0, so its steps are n + 1 dimensional.
 """
 
 from __future__ import annotations
@@ -177,8 +179,14 @@ def _fit_newton(
     minimum-norm subgradient, which for l2 is the gradient norm."""
     n, d = x.shape
     y = 2.0 * y01 - 1.0
-    xa = np.column_stack([x, np.ones(n)])
     l1, lam = penalty == "l1", 1.0 / c
+    basis = None
+    if not l1 and n < d:
+        # Solve for w = basis @ z: the iterates, their norms, the objective and
+        # the gradient norm are those of the full space (Chapelle 2007).
+        basis = np.linalg.qr(x.T)[0]
+        x, d = x @ basis, n
+    xa = np.column_stack([x, np.ones(n)])
     diagonal = np.append(np.full(d, L1_DAMPING if l1 else lam), 0.0)  # bias unpenalized
     w, b = np.zeros(d), 0.0
     value = objective_value(w, b, x, y01, kind, penalty, c)
@@ -192,7 +200,8 @@ def _fit_newton(
         residual_norm = math.sqrt(float(residual @ residual))
         if residual_norm < tol or iterations == max_iter:
             break
-        hess = (xa.T * (_curvature(kind, y * (x @ w + b)) / n)) @ xa + np.diag(diagonal)
+        hess = (xa.T * (_curvature(kind, y * (x @ w + b)) / n)) @ xa
+        hess.flat[:: d + 2] += diagonal  # the diagonal, in place
         if hess[-1, -1] == 0.0:
             # No sample has curvature (an empty active set, or every sigmoid
             # saturated): the loss is flat in b, its gradient entry is 0, and
@@ -215,6 +224,8 @@ def _fit_newton(
             break  # no step decreases the objective measurably: stop unconverged
         w, b, value = w_trial, b_trial, trial_value
         iterations += 1
+    if basis is not None:
+        w = basis @ w
     return w, b, iterations, residual_norm, value
 
 

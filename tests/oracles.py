@@ -3,9 +3,12 @@
 Everything here avoids the library's vectorized code paths: plain dicts,
 datetime arithmetic, and math-module moments, so agreement with the package
 is meaningful. The l2 linear-model reference is plain gradient descent on
-numpy arrays and shares no code with the library's solvers. The two-Gaussian
-mixture has a closed-form Bayes error that the 1-NN bounds must sandwich;
-the neighbour order is a full stable argsort of explicit differences.
+numpy arrays and shares no code with the library's solvers; the full-space
+l2 Newton loop is the trainers' loop as it ran before fits with fewer rows
+than features moved to the span of the rows, and holds that path to it. The
+two-Gaussian mixture has a closed-form Bayes error that the 1-NN bounds must
+sandwich; the neighbour order is a full stable argsort of explicit
+differences.
 """
 
 from __future__ import annotations
@@ -379,6 +382,60 @@ def l2_linear_reference(x, y01, kind: str, c: float, tol: float, max_iter: int):
                 return value, math.sqrt(sq), False
         w, b, value, gw, gb = w_new, b_new, new_value, new_gw, new_gb
     return value, math.sqrt(float(gw @ gw) + gb * gb), False
+
+
+def _newton_terms(kind: str, margins):
+    """Per-sample (loss, dloss/dmargin, d2loss/dmargin2) in the library's own
+    expressions; for the squared hinge the generalized curvature."""
+    if kind == "logreg":
+        loss = np.logaddexp(0.0, -margins)
+        dloss = -np.exp(-np.logaddexp(0.0, margins))
+        curvature = np.exp(-np.logaddexp(0.0, margins) - np.logaddexp(0.0, -margins))
+        return loss, dloss, curvature
+    gap = np.maximum(0.0, 1.0 - margins)
+    return gap**2, -2.0 * gap, np.where(margins < 1.0, 2.0, 0.0)
+
+
+def l2_newton_reference(x, y01, kind: str, c: float, max_iter: int = 1000, tol: float = 1e-6):
+    """Damped Newton with Armijo backtracking on the l2 objective in the full
+    [w, b] space: the trainers' loop before l2 fits with fewer rows than
+    features moved to the span of the rows. Returns (w, b, steps, gradient
+    norm, objective)."""
+    n, d = x.shape
+    y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
+    xa = np.column_stack([x, np.ones(n)])
+
+    def objective(w, b):
+        return float(_newton_terms(kind, y * (x @ w + b))[0].mean()) + 0.5 * float(w @ w) / c
+
+    w, b = np.zeros(d), 0.0
+    value = objective(w, b)
+    iterations = 0
+    while True:
+        margins = y * (x @ w + b)
+        _, dloss, curvature = _newton_terms(kind, margins)
+        dmargin = dloss * y / n
+        grad = np.append(x.T @ dmargin + w / c, float(dmargin.sum()))
+        grad_norm = math.sqrt(float(grad @ grad))
+        if grad_norm < tol or iterations == max_iter:
+            break
+        hess = (xa.T * (curvature / n)) @ xa + np.diag(np.append(np.full(d, 1.0 / c), 0.0))
+        if hess[-1, -1] == 0.0:
+            hess[-1, -1] = 1.0
+        step = np.linalg.solve(hess, -grad)
+        decrease = float(grad @ step)
+        t = 1.0
+        for _ in range(60):
+            w_trial, b_trial = w + t * step[:-1], b + t * float(step[-1])
+            trial_value = objective(w_trial, b_trial)
+            if trial_value <= value + 1e-4 * t * decrease:
+                break
+            t *= 0.5
+        else:
+            break
+        w, b, value = w_trial, b_trial, trial_value
+        iterations += 1
+    return w, b, iterations, grad_norm, value
 
 
 # --- l1 linear models ----------------------------------------------------

@@ -4,9 +4,9 @@ optimality conditions and plain first-order references (tests/oracles.py)."""
 
 from __future__ import annotations
 
-import warnings
-
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from oracles import (
     l1_linear_reference,
     l2_linear_objective,
     l2_linear_reference,
+    l2_newton_reference,
 )
 
 TRAINERS = {"logreg": train_logreg, "lsvm": train_linear_svm}
@@ -194,6 +195,69 @@ class TestNewtonDifferential:
                     assert value == pytest.approx(ref_value, rel=1e-9)
                     compared += 1
         assert compared >= 3
+
+
+@st.composite
+def wide_problems(draw):
+    """A problem with fewer rows than features: a CV fold of the benchmark's
+    shape, n = d - 1, every row twice, an all-zero column, or one sample per
+    class near the boundary and the rest far from it (at large C each class
+    keeps a single active hinge sample, the fewest an unpenalized bias
+    allows)."""
+    shape = draw(st.sampled_from(["fold", "square", "duplicated", "zero_column", "one_active"]))
+    noise = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "one_active":
+        n, d = 40, 120
+        y = np.arange(n) % 2
+        side = 2.0 * y - 1.0
+        s = side * rng.uniform(3.0, 6.0, n)
+        s[:2] = side[:2] * 0.2
+        direction = rng.standard_normal(d)
+        x = np.outer(s, direction / np.linalg.norm(direction))
+        return shape, x + 0.01 * rng.standard_normal((n, d)), y
+    n, d = {"square": (39, 40), "duplicated": (40, 175)}.get(shape, (80, 175))
+    x = rng.standard_normal((n, 4)) @ rng.standard_normal((4, d)) + rng.standard_normal((n, d))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    score = x @ rng.standard_normal(d) / math.sqrt(d) + noise * rng.standard_normal(n)
+    y = (score > np.median(score)).astype(int)
+    if shape == "duplicated":
+        x, y = np.vstack([x, x]), np.concatenate([y, y])
+    if shape == "zero_column":
+        x[:, draw(st.integers(0, d - 1))] = 0.0
+    return shape, x, y
+
+
+class TestSpanDifferential:
+    """An l2 fit with fewer rows than features runs Newton in the span of the
+    rows; it must follow the full-space loop it replaced (tests/oracles.py)."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(wide_problems())
+    def test_matches_full_space_newton(self, problem):
+        shape, x, y = problem
+        assert x.shape[0] < x.shape[1]
+        for kind, c in itertools.product(TRAINERS, C_GRID):
+            model = TRAINERS[kind](x, y, penalty="l2", c=c)
+            w, b, iterations, _, value = l2_newton_reference(x, y, kind, c)
+            assert model.objective == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-9)
+            assert model.bias == pytest.approx(b, rel=0, abs=1e-9)
+            np.testing.assert_array_equal(model.predict(x), (x @ w + b > 0).astype(int))
+            assert abs(model.n_iterations - iterations) <= 1
+            if shape == "one_active" and kind == "lsvm" and c == C_GRID[-1]:
+                margins = (2 * y - 1) * model.decision_function(x)
+                np.testing.assert_array_equal(np.flatnonzero(margins < 1), [0, 1])
+
+    @pytest.mark.parametrize("kind", TRAINERS)
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_reported_norm_is_full_space_gradient_norm(self, kind, n):
+        x, y = blobs(seed=16, n=n, d=60, gap=0.5)
+        for c in C_GRID:
+            model = TRAINERS[kind](x, y, penalty="l2", c=c)
+            gw, gb = smooth_gradient(model.weights, model.bias, x, y, kind, "l2", c)
+            full = math.sqrt(float(gw @ gw) + gb * gb)
+            assert model.grad_map_norm == pytest.approx(full, rel=0, abs=1e-12)
 
 
 class TestL1Differential:
