@@ -15,13 +15,21 @@ l2 step is one linear solve; an l1 step minimizes the model plus penalty
 exactly by feature-sign search: proximal Newton (Lee, Sun & Saunders 2014).
 An l2 fit with fewer rows than features runs in the span of the rows, which
 holds every iterate from w = 0, so its steps are n + 1 dimensional.
+
+An l2 fit may start from an earlier l2 fit of the same kind on the same
+matrix (``start=``): it reuses that fit's basis of the rows' span and the
+matrix in its coordinates, and starts Newton at that fit's solution instead
+of zero. Cross-validation fits each fold's C grid as one such path (a
+pathwise warm start; Friedman, Hastie & Tibshirani 2010). The optimum does
+not depend on the start, so a path fit reaches the cold fit's solution to
+within the stopping tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +42,18 @@ KIND_KNN = "knn"
 # Added to the diagonal of the l1 model Hessian, singular when n < d + 1 or few
 # hinge samples are active; any H >= mI keeps proximal Newton's fixed point.
 L1_DAMPING = 1e-10
+
+
+@dataclass
+class NewtonPath:
+    """Where an l2 fit ended, for a later fit on the same matrix to start
+    from: the matrix, the basis of its rows' span (None when the fit ran in
+    full space), the matrix in the fit's coordinates and the weights there."""
+
+    x: np.ndarray
+    basis: np.ndarray | None
+    reduced: np.ndarray
+    z: np.ndarray
 
 
 @dataclass
@@ -54,6 +74,7 @@ class TrainedModel:
     grad_map_norm: float = math.nan
     converged: bool | None = None
     objective: float = math.nan
+    path: NewtonPath | None = field(default=None, repr=False)  # l2 fits only
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
@@ -173,22 +194,34 @@ def _feature_sign(hess: np.ndarray, grad: np.ndarray, theta: np.ndarray, lam: fl
 
 
 def _fit_newton(
-    x: np.ndarray, y01: np.ndarray, kind: str, penalty: str, c: float, max_iter: int, tol: float
-) -> tuple[np.ndarray, float, int, float, float]:
-    """(w, b, steps, KKT residual, objective); the residual is the norm of the
-    minimum-norm subgradient, which for l2 is the gradient norm."""
+    x: np.ndarray,
+    y01: np.ndarray,
+    kind: str,
+    penalty: str,
+    c: float,
+    max_iter: int,
+    tol: float,
+    start: TrainedModel | None,
+) -> tuple[np.ndarray, float, int, float, float, NewtonPath | None]:
+    """(w, b, steps, KKT residual, objective, path); the residual is the norm
+    of the minimum-norm subgradient, which for l2 is the gradient norm. The fit
+    starts at zero, or at ``start``'s solution and on its basis."""
     n, d = x.shape
     y = 2.0 * y01 - 1.0
     l1, lam = penalty == "l1", 1.0 / c
-    basis = None
-    if not l1 and n < d:
+    if start is not None:
+        path, b = start.path, start.bias
+    elif not l1 and n < d:
         # Solve for w = basis @ z: the iterates, their norms, the objective and
         # the gradient norm are those of the full space (Chapelle 2007).
         basis = np.linalg.qr(x.T)[0]
-        x, d = x @ basis, n
+        path, b = NewtonPath(x, basis, x @ basis, np.zeros(n)), 0.0
+    else:
+        path, b = NewtonPath(x, None, x, np.zeros(d)), 0.0
+    x, w = path.reduced, path.z
+    d = x.shape[1]
     xa = np.column_stack([x, np.ones(n)])
     diagonal = np.append(np.full(d, L1_DAMPING if l1 else lam), 0.0)  # bias unpenalized
-    w, b = np.zeros(d), 0.0
     value = objective_value(w, b, x, y01, kind, penalty, c)
     iterations = 0
     while True:
@@ -224,9 +257,8 @@ def _fit_newton(
             break  # no step decreases the objective measurably: stop unconverged
         w, b, value = w_trial, b_trial, trial_value
         iterations += 1
-    if basis is not None:
-        w = basis @ w
-    return w, b, iterations, residual_norm, value
+    weights = w if path.basis is None else path.basis @ w
+    return weights, b, iterations, residual_norm, value, None if l1 else replace(path, z=w)
 
 
 def _train(
@@ -237,6 +269,7 @@ def _train(
     c: float,
     max_iter: int,
     tol: float,
+    start: TrainedModel | None,
 ) -> TrainedModel:
     x = np.asarray(x, dtype=np.float64)
     y01 = np.asarray(y, dtype=np.int64)
@@ -249,7 +282,22 @@ def _train(
         raise DatasetError("labels must be binary 0/1")
     if c <= 0:
         raise DatasetError("C must be positive")
-    w, b, iterations, grad_map, value = _fit_newton(x, y01, kind, penalty, c, max_iter, tol)
+    if start is not None:
+        if start.kind == KIND_KNN:
+            raise DatasetError("a kNN model cannot start a linear fit")
+        if penalty == "l1":
+            raise DatasetError("an l1 fit takes no start")
+        if (start.kind, start.penalty) != (kind, penalty):
+            raise DatasetError(
+                f"start is a {start.kind} {start.penalty} fit, not a {kind} {penalty} one"
+            )
+        if start.path is None:
+            raise DatasetError("start holds no Newton path")
+        if start.path.x is not x and not np.array_equal(start.path.x, x):
+            raise DatasetError("start was fitted on a different matrix")
+    w, b, iterations, grad_map, value, path = _fit_newton(
+        x, y01, kind, penalty, c, max_iter, tol, start
+    )
     converged = grad_map < tol
     if not converged:
         # constant text, so the default filter reports it once per process
@@ -267,6 +315,7 @@ def _train(
         grad_map_norm=grad_map,
         converged=converged,
         objective=value,
+        path=path,
     )
 
 
@@ -277,9 +326,12 @@ def train_logreg(
     c: float = 1.0,
     max_iter: int = 1000,
     tol: float = 1e-6,
+    start: TrainedModel | None = None,
 ) -> TrainedModel:
-    """Logistic regression."""
-    return _train(x, y, KIND_LOGREG, penalty, c, max_iter, tol)
+    """Logistic regression. An l2 fit may ``start`` from an earlier l2
+    logistic fit on the same matrix (a warm start along a C path); anything
+    else as ``start`` is a DatasetError, raised before any fitting."""
+    return _train(x, y, KIND_LOGREG, penalty, c, max_iter, tol, start)
 
 
 def train_linear_svm(
@@ -289,10 +341,11 @@ def train_linear_svm(
     c: float = 1.0,
     max_iter: int = 1000,
     tol: float = 1e-6,
+    start: TrainedModel | None = None,
 ) -> TrainedModel:
-    """Linear SVM with squared hinge loss; same optimizer contract as
-    train_logreg."""
-    return _train(x, y, KIND_LSVM, penalty, c, max_iter, tol)
+    """Linear SVM with squared hinge loss; same optimizer and ``start``
+    contract as train_logreg (a start must be an l2 linear SVM fit)."""
+    return _train(x, y, KIND_LSVM, penalty, c, max_iter, tol, start)
 
 
 def select_features(model: TrainedModel, threshold: float = 1e-5) -> np.ndarray:

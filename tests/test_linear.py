@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkcdr.errors import DatasetError
+from linkcdr.learn import linear
 from linkcdr.learn.linear import (
+    TrainedModel,
     objective_value,
     select_features,
     smooth_gradient,
@@ -150,12 +152,12 @@ class TestTrainers:
 
 
 @st.composite
-def l2_problems(draw):
+def l2_problems(draw, shapes=("fold", "tall", "duplicated", "unbalanced")):
     """A model kind and a standardized problem: a CV fold of the benchmark's
     shape (n < d), a tall one, one with duplicated columns, or one with
     about 15% positive labels; label noise from none (separable) to heavy."""
     kind = draw(st.sampled_from(sorted(TRAINERS)))
-    shape = draw(st.sampled_from(["fold", "tall", "duplicated", "unbalanced"]))
+    shape = draw(st.sampled_from(shapes))
     noise = draw(st.sampled_from([0.0, 0.5, 2.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = {"fold": (80, 175), "tall": (200, 12), "duplicated": (60, 8), "unbalanced": (120, 20)}
@@ -260,6 +262,94 @@ class TestSpanDifferential:
             assert model.grad_map_norm == pytest.approx(full, rel=0, abs=1e-12)
 
 
+class TestPathDifferential:
+    """Cross-validation fits a fold's C grid as one path, each fit starting
+    from the previous one; every fit must reach the cold fit's optimum."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(l2_problems(shapes=("fold", "tall")))
+    def test_path_matches_cold_fits(self, problem):
+        kind, x, y = problem
+        tol = 1e-6
+        basis = np.linalg.qr(x.T)[0] if x.shape[0] < x.shape[1] else None
+        model = None
+        for c in C_GRID:
+            model = TRAINERS[kind](x, y, c=c, tol=tol, start=model)
+            cold = TRAINERS[kind](x, y, c=c, tol=tol)
+            assert model.converged
+            # Both gradient norms are below tol and the objective is
+            # (1/C)-strongly convex in w, so each is within C tol^2 / 2 of
+            # the optimum.
+            assert abs(model.objective - cold.objective) <= c * tol**2
+            sure = np.abs(cold.decision_function(x)) > 1e-6
+            np.testing.assert_array_equal(model.predict(x)[sure], cold.predict(x)[sure])
+            if basis is None:
+                assert model.path.basis is None and cold.path.basis is None
+            else:  # one QR of this matrix, bitwise, for the whole path
+                np.testing.assert_array_equal(model.path.basis, basis)
+                np.testing.assert_array_equal(cold.path.basis, basis)
+            # Started at its own solution, a fit takes no step.
+            again = TRAINERS[kind](x, y, c=c, tol=tol, start=model)
+            assert again.n_iterations == 0
+            np.testing.assert_array_equal(again.weights, model.weights)
+            assert again.bias == model.bias
+
+
+def _no_fit(*args):
+    raise AssertionError("a bad start reached the solver")
+
+
+class TestStart:
+    """A start must be an l2 fit of the same kind on the same matrix;
+    anything else is a DatasetError before any fitting."""
+
+    def fitted(self, monkeypatch, **kwargs):
+        x, y = blobs(seed=17, n=40, d=60, gap=1.0)
+        start = train_logreg(x, y, **kwargs)
+        monkeypatch.setattr(linear, "_fit_newton", _no_fit)
+        return x, y, start
+
+    def test_equal_copy_of_the_matrix_accepted(self):
+        x, y = blobs(seed=17, n=40, d=60, gap=1.0)
+        start = train_logreg(x, y, c=10.0)
+        again = train_logreg(x.copy(), y, c=10.0, start=start)
+        assert again.n_iterations == 0 and again.path.basis is start.path.basis
+
+    def test_different_matrix_rejected(self, monkeypatch):
+        x, y, start = self.fitted(monkeypatch)
+        other = x.copy()
+        other[0, 0] += 1e-12
+        with pytest.raises(DatasetError, match="different matrix"):
+            train_logreg(other, y, start=start)
+
+    def test_different_kind_rejected(self, monkeypatch):
+        x, y, start = self.fitted(monkeypatch)
+        with pytest.raises(DatasetError, match="start is a logreg l2 fit, not a lsvm l2"):
+            train_linear_svm(x, y, start=start)
+
+    def test_different_penalty_rejected(self, monkeypatch):
+        x, y, start = self.fitted(monkeypatch, penalty="l1")
+        with pytest.raises(DatasetError, match="start is a logreg l1 fit, not a logreg l2"):
+            train_logreg(x, y, start=start)
+
+    def test_model_without_path_rejected(self, monkeypatch):
+        x, y, start = self.fitted(monkeypatch)
+        start.path = None  # as cross_validate leaves its refit
+        with pytest.raises(DatasetError, match="no Newton path"):
+            train_logreg(x, y, start=start)
+
+    def test_l1_fit_rejected(self, monkeypatch):
+        x, y, start = self.fitted(monkeypatch)
+        with pytest.raises(DatasetError, match="l1 fit takes no start"):
+            train_logreg(x, y, penalty="l1", start=start)
+
+    def test_knn_model_rejected(self, monkeypatch):
+        x, y, _ = self.fitted(monkeypatch)
+        knn = TrainedModel(kind="knn", k=3, train_x=x, train_y=y)
+        with pytest.raises(DatasetError, match="kNN model cannot start"):
+            train_logreg(x, y, start=knn)
+
+
 class TestL1Differential:
     """Every l1 fit on the C grid, and at the selector's default C of 30,
     converges and meets the l1 optimality conditions (tests/oracles.py); where
@@ -304,8 +394,6 @@ class TestSelectFeatures:
         np.testing.assert_array_equal(select_features(model, threshold=0.0), np.arange(5))
 
     def test_knn_rejected(self):
-        from linkcdr.learn.linear import TrainedModel
-
         with pytest.raises(DatasetError, match="not a linear model"):
             select_features(TrainedModel(kind="knn", k=3))
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from linkcdr.errors import ConfigError, DatasetError
+from linkcdr.learn.linear import train_linear_svm, train_logreg
 from linkcdr.learn.neighbors import knn_predict
 from linkcdr.learn.pipeline import (
+    C_GRID,
     K_GRID,
     LabeledDataset,
     TrainConfig,
@@ -126,6 +128,24 @@ class TestCrossValidate:
                 scores.append(float((pred == ds.y[~train]).mean()))
             want.append((k, float(np.mean(scores))))
         assert cross_validate(ds, "knn", K_GRID, seed=9).table == want
+
+    @pytest.mark.parametrize("kind", ["lsvm", "logreg"])
+    @pytest.mark.parametrize("d", [80, 4], ids=["n<d", "n>=d"])
+    def test_linear_table_equals_cold_fits_per_c_and_fold(self, kind, d):
+        # the path along the C grid must score each fold as cold fits do
+        trainer = {"lsvm": train_linear_svm, "logreg": train_logreg}[kind]
+        ds = make_dataset(35, 30, seed=5, d=d, gap=0.8)
+        folds = stratified_folds(ds.y, 5, seed=2)
+        want = []
+        for c in C_GRID:
+            scores = []
+            for fold in range(5):
+                train = folds != fold
+                pred = trainer(ds.x[train], ds.y[train], c=c).predict(ds.x[~train])
+                scores.append(float((pred == ds.y[~train]).mean()))
+            want.append((c, float(np.mean(scores))))
+        assert len({score for _, score in want}) > 1  # the grid matters here
+        assert cross_validate(ds, kind, C_GRID, seed=2).table == want
 
 
 class TestSeedEnsemble:
