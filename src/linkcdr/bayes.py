@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class BayesBounds:
     max_accuracy_upper: float
 
     def to_dict(self) -> dict:
-        return {
-            "e_nn": self.e_nn,
-            "bayes_lower": self.bayes_lower,
-            "bayes_upper": self.bayes_upper,
-            "max_accuracy_lower": self.max_accuracy_lower,
-            "max_accuracy_upper": self.max_accuracy_upper,
-        }
+        return asdict(self)
 
 
 def bayes_bounds(e_nn: float, clamp_slack: float = 0.02) -> BayesBounds:

@@ -97,7 +97,10 @@ def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
         return ObservationWindow.default()
     if args.window_start is None or args.window_end is None:
         raise ConfigError("--window-start and --window-end must be given together")
-    return ObservationWindow(epoch_seconds(args.window_start), epoch_seconds(args.window_end))
+    return ObservationWindow(
+        epoch_seconds(args.window_start, "--window-start"),
+        epoch_seconds(args.window_end, "--window-end"),
+    )
 
 
 def _read_events_file(path: str, window: ObservationWindow):

@@ -27,14 +27,14 @@ from __future__ import annotations
 import calendar
 import io
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DatasetError, ParseError
+from .errors import ConfigError, DatasetError, ParseError
 
 EVENTS_HEADER = "caller_id,callee_id,timestamp,kind,duration"
 SUBSCRIBERS_HEADER = "user_id,age,gender,postcode"
@@ -102,14 +102,21 @@ def _month_start_epochs(start: int, end: int) -> tuple[int, ...]:
     return tuple(starts)
 
 
-def epoch_seconds(text: str) -> int:
+def epoch_seconds(text: str, source: str = "time") -> int:
     """Epoch seconds of an integer or an ISO date or date-time; a naive date
-    or time means UTC, an aware one (``Z``, ``+02:00``) keeps its offset."""
+    or time means UTC, an aware one (``Z``, ``+02:00``) keeps its offset.
+    Other text is a ConfigError naming ``source``, the flag or key it came from."""
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         dt = datetime.fromisoformat(text)
-        return int((dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp())
+    except ValueError:
+        raise ConfigError(
+            f"{source}: {text!r} is neither epoch seconds nor an ISO date or date-time"
+        ) from None
+    return int((dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp())
 
 
 @dataclass(frozen=True)
@@ -525,18 +532,7 @@ class ValidationReport:
         return not self.warnings
 
     def to_dict(self) -> dict:
-        return {
-            "n_events": self.n_events,
-            "n_calls": self.n_calls,
-            "n_texts": self.n_texts,
-            "n_users_seen": self.n_users_seen,
-            "n_subscribers_seen": self.n_subscribers_seen,
-            "n_nonsubscribers_seen": self.n_nonsubscribers_seen,
-            "n_unknown_duration_calls": self.n_unknown_duration_calls,
-            "events_per_month": self.events_per_month,
-            "warnings": self.warnings,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate_dataset(

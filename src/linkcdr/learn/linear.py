@@ -16,20 +16,21 @@ exactly by feature-sign search: proximal Newton (Lee, Sun & Saunders 2014).
 An l2 fit with fewer rows than features runs in the span of the rows, which
 holds every iterate from w = 0, so its steps are n + 1 dimensional.
 
-An l2 fit may start from an earlier l2 fit of the same kind on the same
-matrix (``start=``): it reuses that fit's basis of the rows' span and the
-matrix in its coordinates, and starts Newton at that fit's solution instead
-of zero. Cross-validation fits each fold's C grid as one such path (a
-pathwise warm start; Friedman, Hastie & Tibshirani 2010). The optimum does
-not depend on the start, so a path fit reaches the cold fit's solution to
-within the stopping tolerance.
+``train_path`` fits one model per C of a grid, in order: the first from
+zero, each later one from the previous solution (a pathwise warm start;
+Friedman, Hastie & Tibshirani 2010), all on one basis of the rows' span.
+The optimum does not depend on the start, so each fit reaches the cold
+fit's solution to within the stopping tolerance. Cross-validation fits
+each fold's C grid as one path; a trainer call is a path of one C, so it
+starts from zero.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,18 +46,6 @@ L1_DAMPING = 1e-10
 
 
 @dataclass
-class NewtonPath:
-    """Where an l2 fit ended, for a later fit on the same matrix to start
-    from: the matrix, the basis of its rows' span (None when the fit ran in
-    full space), the matrix in the fit's coordinates and the weights there."""
-
-    x: np.ndarray
-    basis: np.ndarray | None
-    reduced: np.ndarray
-    z: np.ndarray
-
-
-@dataclass
 class TrainedModel:
     """A fitted classifier: linear decision function or kNN reference set."""
 
@@ -66,7 +55,6 @@ class TrainedModel:
     k: int | None = None
     weights: np.ndarray | None = None
     bias: float = 0.0
-    selected_features: np.ndarray | None = None
     calibration: tuple[float, float] | None = None
     train_x: np.ndarray | None = None
     train_y: np.ndarray | None = None
@@ -74,7 +62,6 @@ class TrainedModel:
     grad_map_norm: float = math.nan
     converged: bool | None = None
     objective: float = math.nan
-    path: NewtonPath | None = field(default=None, repr=False)  # l2 fits only
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
@@ -201,25 +188,15 @@ def _fit_newton(
     c: float,
     max_iter: int,
     tol: float,
-    start: TrainedModel | None,
-) -> tuple[np.ndarray, float, int, float, float, NewtonPath | None]:
-    """(w, b, steps, KKT residual, objective, path); the residual is the norm
-    of the minimum-norm subgradient, which for l2 is the gradient norm. The fit
-    starts at zero, or at ``start``'s solution and on its basis."""
+    w: np.ndarray,
+    b: float,
+) -> tuple[np.ndarray, float, int, float, float]:
+    """(w, b, steps, KKT residual, objective) of the fit started at (w, b);
+    the residual is the norm of the minimum-norm subgradient, which for l2 is
+    the gradient norm."""
     n, d = x.shape
     y = 2.0 * y01 - 1.0
     l1, lam = penalty == "l1", 1.0 / c
-    if start is not None:
-        path, b = start.path, start.bias
-    elif not l1 and n < d:
-        # Solve for w = basis @ z: the iterates, their norms, the objective and
-        # the gradient norm are those of the full space (Chapelle 2007).
-        basis = np.linalg.qr(x.T)[0]
-        path, b = NewtonPath(x, basis, x @ basis, np.zeros(n)), 0.0
-    else:
-        path, b = NewtonPath(x, None, x, np.zeros(d)), 0.0
-    x, w = path.reduced, path.z
-    d = x.shape[1]
     xa = np.column_stack([x, np.ones(n)])
     diagonal = np.append(np.full(d, L1_DAMPING if l1 else lam), 0.0)  # bias unpenalized
     value = objective_value(w, b, x, y01, kind, penalty, c)
@@ -257,20 +234,23 @@ def _fit_newton(
             break  # no step decreases the objective measurably: stop unconverged
         w, b, value = w_trial, b_trial, trial_value
         iterations += 1
-    weights = w if path.basis is None else path.basis @ w
-    return weights, b, iterations, residual_norm, value, None if l1 else replace(path, z=w)
+    return w, b, iterations, residual_norm, value
 
 
-def _train(
+def train_path(
     x: np.ndarray,
     y: np.ndarray,
     kind: str,
-    penalty: str,
-    c: float,
-    max_iter: int,
-    tol: float,
-    start: TrainedModel | None,
-) -> TrainedModel:
+    cs: Sequence[float],
+    penalty: str = "l2",
+    max_iter: int = 1000,
+    tol: float = 1e-6,
+) -> list[TrainedModel]:
+    """One fit per C of ``cs``, in order, the first from zero and each later
+    one from the previous solution. An l2 path with fewer rows than features
+    runs in the span of the rows, on one basis for every C: the iterates,
+    their norms, the objective and the gradient norm are those of the full
+    space (Chapelle 2007)."""
     x = np.asarray(x, dtype=np.float64)
     y01 = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y01.shape[0]:
@@ -280,43 +260,39 @@ def _train(
         raise DatasetError("single-class training set")
     if not set(classes.tolist()) <= {0, 1}:
         raise DatasetError("labels must be binary 0/1")
-    if c <= 0:
+    if any(c <= 0 for c in cs):
         raise DatasetError("C must be positive")
-    if start is not None:
-        if start.kind == KIND_KNN:
-            raise DatasetError("a kNN model cannot start a linear fit")
-        if penalty == "l1":
-            raise DatasetError("an l1 fit takes no start")
-        if (start.kind, start.penalty) != (kind, penalty):
-            raise DatasetError(
-                f"start is a {start.kind} {start.penalty} fit, not a {kind} {penalty} one"
-            )
-        if start.path is None:
-            raise DatasetError("start holds no Newton path")
-        if start.path.x is not x and not np.array_equal(start.path.x, x):
-            raise DatasetError("start was fitted on a different matrix")
-    w, b, iterations, grad_map, value, path = _fit_newton(
-        x, y01, kind, penalty, c, max_iter, tol, start
-    )
-    converged = grad_map < tol
-    if not converged:
-        # constant text, so the default filter reports it once per process
-        warnings.warn(
-            "linear solver stopped at max_iter before its gradient-map norm reached tol",
-            RuntimeWarning,
+    basis, reduced = None, x
+    if penalty != "l1" and x.shape[0] < x.shape[1]:  # solve for w = basis @ z
+        basis = np.linalg.qr(x.T)[0]
+        reduced = x @ basis
+    z, b = np.zeros(reduced.shape[1]), 0.0
+    models = []
+    for c in cs:
+        z, b, iterations, grad_map, value = _fit_newton(
+            reduced, y01, kind, penalty, c, max_iter, tol, z, b
         )
-    return TrainedModel(
-        kind=kind,
-        penalty=penalty,
-        c=c,
-        weights=w,
-        bias=b,
-        n_iterations=iterations,
-        grad_map_norm=grad_map,
-        converged=converged,
-        objective=value,
-        path=path,
-    )
+        converged = grad_map < tol
+        if not converged:
+            # constant text, so the default filter reports it once per process
+            warnings.warn(
+                "linear solver stopped at max_iter before its gradient-map norm reached tol",
+                RuntimeWarning,
+            )
+        models.append(
+            TrainedModel(
+                kind=kind,
+                penalty=penalty,
+                c=c,
+                weights=z if basis is None else basis @ z,
+                bias=b,
+                n_iterations=iterations,
+                grad_map_norm=grad_map,
+                converged=converged,
+                objective=value,
+            )
+        )
+    return models
 
 
 def train_logreg(
@@ -326,12 +302,9 @@ def train_logreg(
     c: float = 1.0,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    start: TrainedModel | None = None,
 ) -> TrainedModel:
-    """Logistic regression. An l2 fit may ``start`` from an earlier l2
-    logistic fit on the same matrix (a warm start along a C path); anything
-    else as ``start`` is a DatasetError, raised before any fitting."""
-    return _train(x, y, KIND_LOGREG, penalty, c, max_iter, tol, start)
+    """Logistic regression."""
+    return train_path(x, y, KIND_LOGREG, [c], penalty, max_iter, tol)[0]
 
 
 def train_linear_svm(
@@ -341,11 +314,10 @@ def train_linear_svm(
     c: float = 1.0,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    start: TrainedModel | None = None,
 ) -> TrainedModel:
-    """Linear SVM with squared hinge loss; same optimizer and ``start``
-    contract as train_logreg (a start must be an l2 linear SVM fit)."""
-    return _train(x, y, KIND_LSVM, penalty, c, max_iter, tol, start)
+    """Linear SVM with squared hinge loss; same optimizer contract as
+    train_logreg."""
+    return train_path(x, y, KIND_LSVM, [c], penalty, max_iter, tol)[0]
 
 
 def select_features(model: TrainedModel, threshold: float = 1e-5) -> np.ndarray:

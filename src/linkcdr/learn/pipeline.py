@@ -12,7 +12,9 @@ from ..errors import ConfigError, DatasetError
 from ..pairgraph import peer_bracket_of_code
 from .calibration import platt_fit, platt_probability
 from .evaluation import EvalReport, evaluate
-from .linear import KIND_KNN, KIND_LOGREG, KIND_LSVM, TrainedModel, train_linear_svm, train_logreg
+from .linear import (
+    KIND_KNN, KIND_LOGREG, KIND_LSVM, TrainedModel, train_linear_svm, train_logreg, train_path,
+)
 from .neighbors import knn_predict_grid
 
 C_GRID: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
@@ -69,18 +71,6 @@ def balanced_sample(dataset: LabeledDataset, n_train: int, seed: int) -> Labeled
     return dataset.subset(order)
 
 
-def _fit_model(
-    kind: str, x: np.ndarray, y: np.ndarray, param: float | int, start: TrainedModel | None = None
-) -> TrainedModel:
-    if kind == KIND_LOGREG:
-        return train_logreg(x, y, c=float(param), start=start)
-    if kind == KIND_LSVM:
-        return train_linear_svm(x, y, c=float(param), start=start)
-    if kind == KIND_KNN:
-        return TrainedModel(kind=KIND_KNN, k=int(param), train_x=x, train_y=y)
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
 def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     """Deterministic per-class round-robin fold assignment."""
     rng = np.random.default_rng(seed)
@@ -109,13 +99,15 @@ def cross_validate(
     """Pick the grid value with the best mean fold accuracy and refit on all
     rows; ties go to the earlier grid entry.
 
-    A linear kind fits each fold's grid in grid order as one path, each C
-    starting from the previous C's solution on that fold (Friedman, Hastie &
-    Tibshirani 2010); the refit on all rows starts from zero."""
+    A linear kind scores each fold with one ``train_path`` over the grid, each
+    C starting from the previous C's solution on that fold (Friedman, Hastie &
+    Tibshirani 2010); the refit on all rows is a trainer call, from zero."""
     if len(grid) == 0:
         raise ConfigError("hyperparameter grid is empty")
     if dataset.n < 10:
         raise DatasetError(f"cross-validation needs at least 10 rows, got {dataset.n}")
+    if kind not in (KIND_KNN, KIND_LOGREG, KIND_LSVM):
+        raise ConfigError(f"unknown model kind {kind!r}")
     folds = stratified_folds(dataset.y, n_folds, seed)
     fold_acc = []
     for fold in range(n_folds):
@@ -124,16 +116,17 @@ def cross_validate(
         if kind == KIND_KNN:  # one neighbour ordering scores every k
             preds = knn_predict_grid(x, y, dataset.x[test], [int(k) for k in grid])
         else:
-            preds, model = [], None
-            for param in grid:
-                model = _fit_model(kind, x, y, param, start=model)
-                preds.append(model.predict(dataset.x[test]))
+            path = train_path(x, y, kind, [float(c) for c in grid])
+            preds = [model.predict(dataset.x[test]) for model in path]
         fold_acc.append([float((pred == dataset.y[test]).mean()) for pred in preds])
     mean_acc = [float(np.mean(scores)) for scores in zip(*fold_acc)]
-    best_idx = int(np.argmax(mean_acc))
-    best_param = grid[best_idx]
-    model = _fit_model(kind, dataset.x, dataset.y, best_param)
-    model.path = None  # no fit starts from the refit; do not hold its matrix
+    best_param = grid[int(np.argmax(mean_acc))]
+    if kind == KIND_KNN:
+        model = TrainedModel(kind=KIND_KNN, k=int(best_param), train_x=dataset.x, train_y=dataset.y)
+    elif kind == KIND_LOGREG:
+        model = train_logreg(dataset.x, dataset.y, c=float(best_param))
+    else:
+        model = train_linear_svm(dataset.x, dataset.y, c=float(best_param))
     return CrossValResult(best_param, list(zip(grid, mean_acc)), model)
 
 

@@ -16,7 +16,7 @@ late-night texts) so the feature matrix has a known five-factor structure.
 
 from __future__ import annotations
 
-from .ingest import ObservationWindow
+from .ingest import ObservationWindow, epoch_seconds
 from .synthgen import ArchetypeConfig, BackgroundConfig, FactorGroup, GeneratorConfig
 
 # segment order: wd-day, wd-eve, wd-late, we-day, we-eve, we-late
@@ -267,8 +267,19 @@ def load_generator_config(path: str) -> GeneratorConfig:
     if "window_start" in values or "window_end" in values:
         if not ("window_start" in values and "window_end" in values):
             raise ConfigError(f"{path}: window_start and window_end must be given together")
-        window = ObservationWindow.from_dates(values["window_start"], values["window_end"])
-    config = builder(int(values["n_pairs"]), int(values["seed"]), window)
+        window = ObservationWindow(
+            epoch_seconds(values["window_start"], f"{path}:window_start"),
+            epoch_seconds(values["window_end"], f"{path}:window_end"),
+        )
+
+    def number(key: str, cast: type = int):
+        try:
+            return cast(values[key])
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise ConfigError(f"{path}:{key}: {values[key]!r} is not {kind}") from None
+
+    config = builder(number("n_pairs"), number("seed"), window)
 
     scalar = {}
     for key, cast in (
@@ -277,7 +288,7 @@ def load_generator_config(path: str) -> GeneratorConfig:
         ("duration_jitter_sigma", float),
     ):
         if key in values:
-            scalar[key] = cast(values[key])
+            scalar[key] = number(key, cast)
     background_overrides = {}
     for key, cast in (
         ("side_links", int),
@@ -287,7 +298,7 @@ def load_generator_config(path: str) -> GeneratorConfig:
     ):
         full = f"background.{key}"
         if full in values:
-            background_overrides[key] = cast(values[full])
+            background_overrides[key] = number(full, cast)
     if background_overrides:
         scalar["background"] = replace(config.background, **background_overrides)
     if scalar:

@@ -20,7 +20,7 @@ the configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -448,14 +448,7 @@ class PlantedReport:
         return self.recovered_fraction >= 0.99
 
     def to_dict(self) -> dict:
-        return {
-            "n_planted": self.n_planted,
-            "n_recovered": self.n_recovered,
-            "n_extra": self.n_extra,
-            "recovered_fraction": self.recovered_fraction,
-            "missing": self.missing,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_planted(

@@ -372,6 +372,50 @@ class TestWindowFlags:
         )
         assert _window_from_args(args).start == 1167602400
 
+    @pytest.mark.parametrize("stage", ["generate", "ingest", "pairs", "features"])
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+    def test_unparseable_window_exits_two_and_writes_nothing(
+        self, pipeline_dirs, tmp_path, capsys, stage, flag
+    ):
+        gen, pairs = pipeline_dirs["gen"], pipeline_dirs["pairs"]
+        events = ["--events", str(gen / "events.csv")]
+        argv = {
+            "generate": ["generate", "--n-pairs", "20"],
+            "ingest": ["ingest", *events, "--subscribers", str(gen / "subscribers.csv")],
+            "pairs": ["pairs", *events],
+            "features": ["features", *events, "--pairs", str(pairs / "pairs.csv")],
+        }[stage]
+        window = {"--window-start": "2007-01-01", "--window-end": "2007-08-01", flag: "garbage"}
+        out = tmp_path / "o"
+        assert main([*argv, *(t for item in window.items() for t in item), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: 'garbage' is neither epoch seconds nor an ISO date or date-time\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_pairs = abc", "n_pairs: 'abc' is not an integer"),
+            ("background.pool_size = x", "background.pool_size: 'x' is not an integer"),
+            ("pair_activity_sigma = wide", "pair_activity_sigma: 'wide' is not a number"),
+            ("window_start = garbage", "window_start: 'garbage' is neither epoch seconds"),
+        ],
+    )
+    def test_unparseable_config_value_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, line, message
+    ):
+        values = {"preset": "table3-like", "n_pairs": "20", "seed": "1",
+                  "window_start": "2007-01-01", "window_end": "2007-08-01"}
+        key, _, value = line.partition(" = ")
+        values[key] = value
+        config_path = tmp_path / "gen.cfg"
+        config_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = tmp_path / "g"
+        assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}:{message}")
+        assert not out.exists()
+
     def test_generate_then_ingest_across_1970(self, tmp_path):
         window = ["--window-start", "1969-09-01", "--window-end", "1970-03-01"]
         gen = tmp_path / "gen"

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkcdr.errors import DatasetError
-from linkcdr.learn import linear
 from linkcdr.learn.linear import (
     TrainedModel,
     objective_value,
@@ -22,6 +21,7 @@ from linkcdr.learn.linear import (
     smooth_gradient,
     train_linear_svm,
     train_logreg,
+    train_path,
 )
 from linkcdr.learn.pipeline import C_GRID
 from oracles import (
@@ -263,18 +263,18 @@ class TestSpanDifferential:
 
 
 class TestPathDifferential:
-    """Cross-validation fits a fold's C grid as one path, each fit starting
-    from the previous one; every fit must reach the cold fit's optimum."""
+    """Cross-validation fits a fold's C grid as one ``train_path``, each fit
+    starting from the previous one; every fit must reach the cold fit's
+    optimum."""
 
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(l2_problems(shapes=("fold", "tall")))
     def test_path_matches_cold_fits(self, problem):
         kind, x, y = problem
         tol = 1e-6
-        basis = np.linalg.qr(x.T)[0] if x.shape[0] < x.shape[1] else None
-        model = None
-        for c in C_GRID:
-            model = TRAINERS[kind](x, y, c=c, tol=tol, start=model)
+        path = train_path(x, y, kind, C_GRID, tol=tol)
+        assert [model.c for model in path] == list(C_GRID)
+        for c, model in zip(C_GRID, path):
             cold = TRAINERS[kind](x, y, c=c, tol=tol)
             assert model.converged
             # Both gradient norms are below tol and the objective is
@@ -283,71 +283,45 @@ class TestPathDifferential:
             assert abs(model.objective - cold.objective) <= c * tol**2
             sure = np.abs(cold.decision_function(x)) > 1e-6
             np.testing.assert_array_equal(model.predict(x)[sure], cold.predict(x)[sure])
-            if basis is None:
-                assert model.path.basis is None and cold.path.basis is None
-            else:  # one QR of this matrix, bitwise, for the whole path
-                np.testing.assert_array_equal(model.path.basis, basis)
-                np.testing.assert_array_equal(cold.path.basis, basis)
-            # Started at its own solution, a fit takes no step.
-            again = TRAINERS[kind](x, y, c=c, tol=tol, start=model)
-            assert again.n_iterations == 0
-            np.testing.assert_array_equal(again.weights, model.weights)
-            assert again.bias == model.bias
+        # Started at its own solution, a fit takes no step, so a path that
+        # fits every C twice is the path above with a copy of each fit.
+        twice = train_path(x, y, kind, [c for c in C_GRID for _ in range(2)], tol=tol)
+        for model, first, again in zip(path, twice[::2], twice[1::2]):
+            np.testing.assert_equal(vars(first), vars(model))
+            np.testing.assert_equal(vars(again), {**vars(model), "n_iterations": 0})
 
+    @pytest.mark.parametrize("kind", TRAINERS)
+    @pytest.mark.parametrize(
+        "n, penalty, qr_calls", [(30, "l2", 1), (120, "l2", 0), (30, "l1", 0)]
+    )
+    def test_one_qr_per_wide_l2_path(self, monkeypatch, kind, n, penalty, qr_calls):
+        calls = []
+        qr = np.linalg.qr
 
-def _no_fit(*args):
-    raise AssertionError("a bad start reached the solver")
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return qr(*args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        x, y = blobs(seed=18, n=n, d=60, gap=1.0)
+        assert len(train_path(x, y, kind, (0.1, 1.0, 10.0), penalty=penalty)) == 3
+        assert len(calls) == qr_calls
 
-class TestStart:
-    """A start must be an l2 fit of the same kind on the same matrix;
-    anything else is a DatasetError before any fitting."""
+    @pytest.mark.parametrize("kind", TRAINERS)
+    @pytest.mark.parametrize("penalty", ["l2", "l1"])
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_one_c_path_and_path_head_are_the_cold_fit(self, kind, penalty, n):
+        x, y = blobs(seed=19, n=n, d=60, gap=1.0)
+        cold = vars(TRAINERS[kind](x, y, penalty=penalty, c=1.0))
+        np.testing.assert_equal(vars(train_path(x, y, kind, [1.0], penalty=penalty)[0]), cold)
+        head = train_path(x, y, kind, [1.0, 10.0], penalty=penalty)[0]
+        np.testing.assert_equal(vars(head), cold)
 
-    def fitted(self, monkeypatch, **kwargs):
-        x, y = blobs(seed=17, n=40, d=60, gap=1.0)
-        start = train_logreg(x, y, **kwargs)
-        monkeypatch.setattr(linear, "_fit_newton", _no_fit)
-        return x, y, start
-
-    def test_equal_copy_of_the_matrix_accepted(self):
-        x, y = blobs(seed=17, n=40, d=60, gap=1.0)
-        start = train_logreg(x, y, c=10.0)
-        again = train_logreg(x.copy(), y, c=10.0, start=start)
-        assert again.n_iterations == 0 and again.path.basis is start.path.basis
-
-    def test_different_matrix_rejected(self, monkeypatch):
-        x, y, start = self.fitted(monkeypatch)
-        other = x.copy()
-        other[0, 0] += 1e-12
-        with pytest.raises(DatasetError, match="different matrix"):
-            train_logreg(other, y, start=start)
-
-    def test_different_kind_rejected(self, monkeypatch):
-        x, y, start = self.fitted(monkeypatch)
-        with pytest.raises(DatasetError, match="start is a logreg l2 fit, not a lsvm l2"):
-            train_linear_svm(x, y, start=start)
-
-    def test_different_penalty_rejected(self, monkeypatch):
-        x, y, start = self.fitted(monkeypatch, penalty="l1")
-        with pytest.raises(DatasetError, match="start is a logreg l1 fit, not a logreg l2"):
-            train_logreg(x, y, start=start)
-
-    def test_model_without_path_rejected(self, monkeypatch):
-        x, y, start = self.fitted(monkeypatch)
-        start.path = None  # as cross_validate leaves its refit
-        with pytest.raises(DatasetError, match="no Newton path"):
-            train_logreg(x, y, start=start)
-
-    def test_l1_fit_rejected(self, monkeypatch):
-        x, y, start = self.fitted(monkeypatch)
-        with pytest.raises(DatasetError, match="l1 fit takes no start"):
-            train_logreg(x, y, penalty="l1", start=start)
-
-    def test_knn_model_rejected(self, monkeypatch):
-        x, y, _ = self.fitted(monkeypatch)
-        knn = TrainedModel(kind="knn", k=3, train_x=x, train_y=y)
-        with pytest.raises(DatasetError, match="kNN model cannot start"):
-            train_logreg(x, y, start=knn)
+    @pytest.mark.parametrize("kind", TRAINERS)
+    def test_every_c_must_be_positive(self, kind):
+        x, y = blobs(seed=20)
+        with pytest.raises(DatasetError, match="C must be positive"):
+            train_path(x, y, kind, [1.0, 0.0])
 
 
 class TestL1Differential:

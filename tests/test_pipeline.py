@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from linkcdr.errors import ConfigError, DatasetError
+from linkcdr.learn import pipeline
 from linkcdr.learn.linear import train_linear_svm, train_logreg
 from linkcdr.learn.neighbors import knn_predict
 from linkcdr.learn.pipeline import (
@@ -103,6 +104,15 @@ class TestCrossValidate:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             cross_validate(make_dataset(20, 20), "logreg", [], seed=0)
+
+    def test_unknown_kind_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("an unknown kind reached a trainer")
+
+        for name in ("train_path", "train_logreg", "train_linear_svm", "knn_predict_grid"):
+            monkeypatch.setattr(pipeline, name, no_fit)
+        with pytest.raises(ConfigError, match="unknown model kind 'svm'"):
+            cross_validate(make_dataset(20, 20), "svm", C_GRID, seed=0)
 
     def test_too_small_training_set(self):
         with pytest.raises(DatasetError):

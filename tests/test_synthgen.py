@@ -413,6 +413,31 @@ class TestGeneratorConfigFile:
         with pytest.raises(ConfigError, match="n_pairs"):
             load_generator_config(str(config_path))
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_pairs", "abc", "is not an integer"),
+            ("seed", "1.5", "is not an integer"),
+            ("utc_offset", "east", "is not an integer"),
+            ("duration_jitter_sigma", "", "is not a number"),
+            ("background.side_links", "two", "is not an integer"),
+            ("background.rate_multiplier", "fast", "is not a number"),
+            ("background.pool_size", "x", "is not an integer"),
+            ("background.unknown_duration_fraction", "1/2", "is not a number"),
+            ("window_end", "2007-13-01", "is neither epoch seconds nor an ISO date"),
+        ],
+    )
+    def test_unparseable_value_names_path_key_and_text(self, tmp_path, key, value, message):
+        from linkcdr.presets import load_generator_config
+
+        values = {"preset": "planted-factors", "n_pairs": "20", "seed": "2",
+                  "window_start": "2007-01-01", "window_end": "2007-04-01", key: value}
+        config_path = tmp_path / "gen.cfg"
+        config_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ConfigError) as excinfo:
+            load_generator_config(str(config_path))
+        assert str(excinfo.value).startswith(f"{config_path}:{key}: {value!r} {message}")
+
     def test_window_override(self, tmp_path):
         from linkcdr.presets import load_generator_config
 
