@@ -22,13 +22,13 @@ from . import __version__, manifest
 from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from .decompose import assign_factors, loadings, pca, scree_data, varimax
 from .errors import ConfigError, DatasetError, LinkCdrError
-from .features import apply_scaler, compute_feature_matrix, fit_scaler
+from .features import compute_feature_matrix
 from .ingest import (
     ObservationWindow,
-    epoch_seconds,
     parse_events,
     parse_subscribers,
     validate_dataset,
+    window_from_texts,
 )
 from .io_utils import (
     RunManifest,
@@ -41,29 +41,22 @@ from .io_utils import (
     write_pairs_csv,
     write_predictions_csv,
 )
-from .learn import (
+from .learn.evaluation import evaluate
+from .learn.linear import TrainedModel, select_features, train_linear_svm, train_logreg
+from .learn.pipeline import (
     C_GRID,
     K_GRID,
     LabeledDataset,
-    TrainedModel,
+    TrainConfig,
     age_restricted_experiment,
     balanced_sample,
-    evaluate,
+    peer_bracket_rows,
     seed_ensemble,
-    select_features,
-    train_linear_svm,
-    train_logreg,
 )
-from .learn.pipeline import TrainConfig, _peer_bracket_rows
-from .pairgraph import (
-    PairKey,
-    apply_regularity_filter,
-    build_links,
-    is_opposite_gender_peer_code,
-    label_pairs,
-    mutual_top_rank_pairs,
-)
+from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
 from .presets import PRESETS, load_generator_config
+from .relations import PairKey, is_opposite_gender_peer_code, label_pairs
+from .scaling import apply_scaler, fit_scaler
 from .synthgen import generate, verify_planted, write_dataset
 
 AGE_TASK_CUTOFF = 35
@@ -93,14 +86,10 @@ class Stage:
 
 
 def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
-    if args.window_start is None and args.window_end is None:
-        return ObservationWindow.default()
-    if args.window_start is None or args.window_end is None:
-        raise ConfigError("--window-start and --window-end must be given together")
-    return ObservationWindow(
-        epoch_seconds(args.window_start, "--window-start"),
-        epoch_seconds(args.window_end, "--window-end"),
+    window = window_from_texts(
+        args.window_start, args.window_end, "--window-start", "--window-end"
     )
+    return window or ObservationWindow.default()
 
 
 def _read_events_file(path: str, window: ObservationWindow):
@@ -469,7 +458,7 @@ def cmd_experiment(args: argparse.Namespace, stage: Stage) -> int:
     pool, test, _ = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
     config = TrainConfig(kind=args.model, seeds=seeds, n_train=args.n_train)
 
-    test_rows = _peer_bracket_rows(test, args.bracket)
+    test_rows = peer_bracket_rows(test, args.bracket)
     if test_rows.size == 0:
         raise ConfigError(f"no peer test pairs in bracket {args.bracket!r}")
     # the restricted run checks the bracket's class sizes before any training

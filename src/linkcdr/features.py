@@ -1,6 +1,6 @@
 """Pair feature extraction: time segmentation, weekly statistics, daypart
 fractions, active days, reciprocity, inter-event gaps, and the 175-value
-vector, plus train-time standardization.
+vector.
 
 ``compute_feature_matrix`` is the one entry point. It maps every event to
 its requested pair's row once and builds each feature group for all rows
@@ -23,7 +23,8 @@ import numpy as np
 from . import manifest
 from .errors import DatasetError
 from .ingest import EventColumns, ObservationWindow
-from .pairgraph import LinkGraph, PairKey, common_contacts
+from .pairgraph import LinkGraph, common_contacts
+from .relations import PairKey
 
 SECONDS_PER_DAY = 86400
 
@@ -66,28 +67,6 @@ class WeekGrid:
         """Full-week index per event day, -1 outside the grid."""
         idx = (day - weekday - self.first_monday_day) // 7
         return np.where((idx >= 0) & (idx < self.n_weeks), idx, -1)
-
-
-class DistStats(NamedTuple):
-    mean: float
-    median: float
-    std: float
-    min: float
-    max: float
-    skew: float
-    kurt: float
-
-
-def dist_stats(values: Sequence[float] | np.ndarray) -> DistStats:
-    """Population-moment summary of a series; excess kurtosis.
-
-    Constant series (std 0) report skewness and kurtosis as 0.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DatasetError("dist_stats requires a non-empty 1-D series")
-    stats = _column_stats(x[:, None])
-    return DistStats(*(float(v) for v in stats[:, 0]))
 
 
 def _column_stats(x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -301,44 +280,3 @@ def compute_feature_matrix(
     )
     common = common_contacts(graph, pairs).astype(np.float64)
     return np.concatenate([blocks[inverse], common], axis=1)
-
-
-# --- standardization ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalerParams:
-    """Per-feature mean and population std learned on training rows."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "std": [float(v) for v in self.std],
-            "manifest_hash": manifest.manifest_hash(),
-        }
-
-
-def fit_scaler(matrix: np.ndarray, names: Sequence[str] | None = None) -> ScalerParams:
-    """Learn per-column mean/std; rejects constant columns by name."""
-    x = np.asarray(matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise DatasetError("scaler fit needs a 2-D matrix with at least 2 rows")
-    mean = x.mean(axis=0)
-    std = np.sqrt(np.mean((x - mean) ** 2, axis=0))
-    floor = 1e-12 * np.maximum(1.0, np.abs(mean))
-    constant = np.flatnonzero(std <= floor)
-    if constant.size:
-        if names is None and x.shape[1] == manifest.N_FEATURES:
-            names = manifest.FEATURE_NAMES
-        labels = [names[i] if names is not None else str(i) for i in constant[:8]]
-        raise DatasetError(f"constant feature column(s) at fit time: {', '.join(labels)}")
-    return ScalerParams(mean, std)
-
-
-def apply_scaler(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
-    """Standardize with parameters learned by ``fit_scaler``."""
-    x = np.asarray(matrix, dtype=np.float64)
-    return (x - params.mean) / params.std

@@ -119,6 +119,24 @@ def epoch_seconds(text: str, source: str = "time") -> int:
     return int((dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp())
 
 
+def window_from_texts(
+    start: str | None, end: str | None, start_name: str, end_name: str
+) -> ObservationWindow | None:
+    """The window between two ``epoch_seconds`` texts given by the flags or
+    keys ``start_name`` and ``end_name``; None when neither is given. Only
+    one text, an unparseable text or start >= end is a ConfigError."""
+    if start is None and end is None:
+        return None
+    if start is None or end is None:
+        raise ConfigError(f"{start_name} and {end_name} must be given together")
+    first, last = epoch_seconds(start, start_name), epoch_seconds(end, end_name)
+    if first >= last:
+        raise ConfigError(
+            f"empty observation window: {start_name} {start!r} is not before {end_name} {end!r}"
+        )
+    return ObservationWindow(first, last)
+
+
 @dataclass(frozen=True)
 class ObservationWindow:
     """Half-open observation interval [start, end) in UTC epoch seconds.
@@ -130,13 +148,12 @@ class ObservationWindow:
 
     start: int
     end: int
-    month_starts: tuple[int, ...] = field(default=())
+    month_starts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise DatasetError(f"empty observation window: start {self.start} >= end {self.end}")
-        if not self.month_starts:
-            object.__setattr__(self, "month_starts", _month_start_epochs(self.start, self.end))
+        object.__setattr__(self, "month_starts", _month_start_epochs(self.start, self.end))
 
     @classmethod
     def from_dates(cls, start_date: str, end_date: str) -> "ObservationWindow":

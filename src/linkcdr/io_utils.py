@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__, manifest
 from .errors import ConfigError, ParseError
-from .pairgraph import PairKey
+from .relations import PairKey
 
 
 def sha256_file(path: str) -> str:

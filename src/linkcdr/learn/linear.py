@@ -70,6 +70,7 @@ class TrainedModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.kind == KIND_KNN:
+            # bound at call time, so a wrapper installed on neighbors.knn_predict sees the call
             from .neighbors import knn_predict
 
             return knn_predict(self.train_x, self.train_y, x, self.k)

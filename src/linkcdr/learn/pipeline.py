@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, DatasetError
-from ..pairgraph import peer_bracket_of_code
+from ..relations import peer_bracket_of_code
 from .calibration import platt_fit, platt_probability
 from .evaluation import EvalReport, evaluate
 from .linear import (
@@ -198,7 +198,8 @@ class TrainConfig:
     min_class_rows: int = 50
 
 
-def _peer_bracket_rows(dataset: LabeledDataset, bracket: str) -> np.ndarray:
+def peer_bracket_rows(dataset: LabeledDataset, bracket: str) -> np.ndarray:
+    """Rows of ``dataset`` that are peers whose younger user is in ``bracket``."""
     return np.asarray(
         [i for i, code in enumerate(dataset.groups) if peer_bracket_of_code(code) == bracket],
         dtype=np.int64,
@@ -216,8 +217,8 @@ def age_restricted_experiment(
     With opposite-gender-peer labels the report's TPR is the accuracy among
     opposite-gender peers and the TNR the accuracy among same-gender peers.
     """
-    pool_idx = _peer_bracket_rows(pool, bracket)
-    test_idx = _peer_bracket_rows(test, bracket)
+    pool_idx = peer_bracket_rows(pool, bracket)
+    test_idx = peer_bracket_rows(test, bracket)
     if pool_idx.size == 0 or test_idx.size == 0:
         raise DatasetError(f"no peer pairs in bracket {bracket!r}")
     sub_pool = pool.subset(pool_idx)

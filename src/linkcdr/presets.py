@@ -16,7 +16,10 @@ late-night texts) so the feature matrix has a known five-factor structure.
 
 from __future__ import annotations
 
-from .ingest import ObservationWindow, epoch_seconds
+from dataclasses import replace
+
+from .errors import ConfigError
+from .ingest import ObservationWindow, window_from_texts
 from .synthgen import ArchetypeConfig, BackgroundConfig, FactorGroup, GeneratorConfig
 
 # segment order: wd-day, wd-eve, wd-late, we-day, we-eve, we-late
@@ -159,8 +162,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
 
 def _normalized(archetypes: tuple[ArchetypeConfig, ...]) -> tuple[ArchetypeConfig, ...]:
     total = sum(a.prevalence for a in archetypes)
-    from dataclasses import replace
-
     return tuple(replace(a, prevalence=a.prevalence / total) for a in archetypes)
 
 
@@ -232,10 +233,6 @@ def load_generator_config(path: str) -> GeneratorConfig:
         background.rate_multiplier, background.pool_size,
         background.unknown_duration_fraction
     """
-    from dataclasses import replace
-
-    from .errors import ConfigError
-
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -263,14 +260,12 @@ def load_generator_config(path: str) -> GeneratorConfig:
     if builder is None:
         raise ConfigError(f"{path}: unknown preset {values['preset']!r}")
 
-    window = None
-    if "window_start" in values or "window_end" in values:
-        if not ("window_start" in values and "window_end" in values):
-            raise ConfigError(f"{path}: window_start and window_end must be given together")
-        window = ObservationWindow(
-            epoch_seconds(values["window_start"], f"{path}:window_start"),
-            epoch_seconds(values["window_end"], f"{path}:window_end"),
-        )
+    window = window_from_texts(
+        values.get("window_start"),
+        values.get("window_end"),
+        f"{path}:window_start",
+        f"{path}:window_end",
+    )
 
     def number(key: str, cast: type = int):
         try:

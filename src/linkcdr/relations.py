@@ -1,0 +1,129 @@
+"""Pair keys and relationship labels.
+
+``PairKey`` names an unordered user pair. A labelled pair's relationship
+comes from the two subscribers' ages and genders: the age gap makes it a
+peer, parent-child or grandparent-child pair, and its display code (such as
+``-Y peers`` or ``M child``) carries the younger user's age bracket and, for
+peers, the gender composition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+from .errors import DatasetError
+
+if TYPE_CHECKING:
+    from .ingest import SubscriberRecord
+
+
+class PairKey(NamedTuple):
+    """Unordered user pair in canonical order (first < second)."""
+
+    first: str
+    second: str
+
+    @classmethod
+    def of(cls, a: str, b: str) -> "PairKey":
+        if a == b:
+            raise DatasetError(f"degenerate pair ({a!r}, {a!r})")
+        return cls(a, b) if a < b else cls(b, a)
+
+
+PEER_GAP_YEARS = 20
+GRANDPARENT_GAP_YEARS = 40
+
+BRACKETS: tuple[tuple[str, int, int], ...] = (
+    ("<18", 0, 17),
+    ("Y", 18, 28),
+    ("M", 29, 45),
+    ("L", 46, 55),
+    ("O", 56, 79),
+    ("80+", 80, 120),
+)
+
+
+class AgeDiffCategory(str, Enum):
+    PEER = "peer"
+    PARENT_CHILD = "parent_child"
+    GRANDPARENT_CHILD = "grandparent_child"
+
+
+class GenderComposition(str, Enum):
+    SAME = "same"
+    OPPOSITE = "opposite"
+
+
+def age_bracket(age: int) -> str:
+    for code, lo, hi in BRACKETS:
+        if lo <= age <= hi:
+            return code
+    raise DatasetError(f"age {age} outside 0-120")
+
+
+@dataclass(frozen=True)
+class RelationshipLabel:
+    age_diff_category: AgeDiffCategory
+    gender_composition: GenderComposition
+    younger_age: int
+    younger_bracket: str
+    code: str
+
+
+def label_relationship(
+    rec_a: SubscriberRecord | None, rec_b: SubscriberRecord | None
+) -> RelationshipLabel:
+    """Infer the relationship category of a pair from age and gender.
+
+    Age gaps below 20 years make peers, 20-39 a parent-child-like pair,
+    40+ a grandparent-child-like pair; the display code carries the gender
+    sign for peers and the younger user's age bracket throughout.
+    """
+    if rec_a is None or rec_b is None:
+        raise DatasetError("unlabeled pair: subscriber metadata missing")
+    gap = abs(rec_a.age - rec_b.age)
+    if gap < PEER_GAP_YEARS:
+        category = AgeDiffCategory.PEER
+    elif gap < GRANDPARENT_GAP_YEARS:
+        category = AgeDiffCategory.PARENT_CHILD
+    else:
+        category = AgeDiffCategory.GRANDPARENT_CHILD
+    composition = (
+        GenderComposition.SAME if rec_a.gender is rec_b.gender else GenderComposition.OPPOSITE
+    )
+    younger = min(rec_a.age, rec_b.age)
+    bracket = age_bracket(younger)
+    if category is AgeDiffCategory.PEER:
+        sign = "-" if composition is GenderComposition.OPPOSITE else "+"
+        code = f"{sign}{bracket} peers"
+    elif category is AgeDiffCategory.PARENT_CHILD:
+        code = f"{bracket} child"
+    else:
+        code = f"{bracket} grandchild"
+    return RelationshipLabel(category, composition, younger, bracket, code)
+
+
+def is_opposite_gender_peer_code(code: str) -> bool:
+    return code.startswith("-") and code.endswith(" peers")
+
+
+def peer_bracket_of_code(code: str) -> str | None:
+    """Age bracket of a peer code like ``-Y peers``; None for non-peer codes."""
+    if not code.endswith(" peers"):
+        return None
+    return code[1 : -len(" peers")]
+
+
+def label_pairs(
+    pairs: Iterable[PairKey], subscribers: dict[str, SubscriberRecord]
+) -> dict[PairKey, RelationshipLabel]:
+    """Labels for every pair with metadata on both sides; others are skipped."""
+    labels: dict[PairKey, RelationshipLabel] = {}
+    for pair in pairs:
+        rec_a = subscribers.get(pair.first)
+        rec_b = subscribers.get(pair.second)
+        if rec_a is not None and rec_b is not None:
+            labels[pair] = label_relationship(rec_a, rec_b)
+    return labels

@@ -20,14 +20,23 @@ the configuration.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import EventColumns, Gender, ObservationWindow, SubscriberRecord
-from .pairgraph import PairKey, apply_regularity_filter, build_links, mutual_top_rank_pairs
+from .ingest import (
+    EVENTS_HEADER,
+    SUBSCRIBERS_HEADER,
+    EventColumns,
+    Gender,
+    ObservationWindow,
+    SubscriberRecord,
+)
+from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
+from .relations import PairKey
 
 SECONDS_PER_DAY = 86400
 
@@ -404,10 +413,6 @@ def _write_event_rows(out: BinaryIO, cols: EventColumns, block_rows: int = 65536
 
 def write_dataset(dataset: SyntheticDataset, out_dir: str) -> dict[str, str]:
     """Write events.csv, subscribers.csv, and truth.csv; returns the paths."""
-    import os
-
-    from .ingest import EVENTS_HEADER, SUBSCRIBERS_HEADER
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "events": os.path.join(out_dir, "events.csv"),

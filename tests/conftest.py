@@ -5,12 +5,15 @@ from __future__ import annotations
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from linkcdr.errors import ParseError
+from linkcdr.features import _column_stats
 from linkcdr.ingest import CdrEvent, EventColumns, EventKind, Gender, ObservationWindow
 from linkcdr.manifest import FEATURE_NAMES
 from linkcdr.pairgraph import LinkGraph, alter_ranking
@@ -19,6 +22,23 @@ from linkcdr.synthgen import TRUTH_HEADER, PlantedPair
 JAN1_2007 = 1167609600  # Monday 2007-01-01 00:00:00 UTC
 DAY = 86400
 WEEK = 7 * DAY
+
+
+class DistStats(NamedTuple):
+    mean: float
+    median: float
+    std: float
+    min: float
+    max: float
+    skew: float
+    kurt: float
+
+
+def dist_stats(values) -> DistStats:
+    """The feature kernel's population statistics (``_column_stats``) of one
+    1-D series; excess kurtosis, and 0 skewness and kurtosis at std 0."""
+    stats = _column_stats(np.asarray(values, dtype=np.float64)[:, None])
+    return DistStats(*(float(v) for v in stats[:, 0]))
 
 
 def epoch(text: str) -> int:

@@ -11,37 +11,32 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import columns, ev, planted_factor_membership, ranked_alters
+from conftest import columns, dist_stats, ev, planted_factor_membership, ranked_alters
 from linkcdr import manifest
 from linkcdr.bayes import bayes_bounds, one_nn_error
 from linkcdr.decompose import assign_factors, loadings, pca, varimax, varimax_criterion
-from linkcdr.features import (
-    apply_scaler,
-    compute_feature_matrix,
-    dist_stats,
-    fit_scaler,
-)
-from linkcdr.learn import (
-    C_GRID,
-    LabeledDataset,
-    balanced_sample,
-    cross_validate,
-    evaluate,
-    seed_ensemble,
+from linkcdr.features import compute_feature_matrix
+from linkcdr.learn.evaluation import evaluate
+from linkcdr.learn.linear import (
+    objective_value,
     select_features,
+    smooth_gradient,
     train_linear_svm,
     train_logreg,
 )
-from linkcdr.learn.linear import objective_value, smooth_gradient
-from linkcdr.learn.pipeline import TrainConfig, age_restricted_experiment
-from linkcdr.pairgraph import (
-    PairKey,
-    build_links,
-    common_contacts,
-    is_opposite_gender_peer_code,
-    mutual_top_rank_pairs,
+from linkcdr.learn.pipeline import (
+    C_GRID,
+    LabeledDataset,
+    TrainConfig,
+    age_restricted_experiment,
+    balanced_sample,
+    cross_validate,
+    seed_ensemble,
 )
+from linkcdr.pairgraph import build_links, common_contacts, mutual_top_rank_pairs
 from linkcdr.presets import planted_factors, table3_like
+from linkcdr.relations import PairKey, is_opposite_gender_peer_code
+from linkcdr.scaling import apply_scaler, fit_scaler
 from linkcdr.synthgen import generate
 from oracles import (
     GaussianClassOracle,

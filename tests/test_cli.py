@@ -362,6 +362,10 @@ class TestFlagRanges:
         assert f"--seeds {seeds} must be a positive odd count" in capsys.readouterr().err
 
 
+# a reversed window and an empty one
+EMPTY_WINDOWS = [("2007-08-01", "2007-01-01"), ("2007-08-01", "2007-08-01")]
+
+
 class TestWindowFlags:
     def test_window_start_keeps_its_utc_offset(self):
         from linkcdr.cli import _window_from_args, build_parser
@@ -414,6 +418,37 @@ class TestWindowFlags:
         out = tmp_path / "g"
         assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {config_path}:{message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, end", EMPTY_WINDOWS)
+    @pytest.mark.parametrize("stage", ["generate", "pairs"])
+    def test_empty_window_exits_two_and_writes_nothing(
+        self, pipeline_dirs, tmp_path, capsys, stage, start, end
+    ):
+        events = ["--events", str(pipeline_dirs["gen"] / "events.csv")]
+        argv = {"generate": ["generate", "--n-pairs", "20"], "pairs": ["pairs", *events]}[stage]
+        out = tmp_path / "o"
+        window = ["--window-start", start, "--window-end", end]
+        assert main([*argv, *window, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: empty observation window: --window-start {start!r} "
+            f"is not before --window-end {end!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, end", EMPTY_WINDOWS)
+    def test_empty_config_window_exits_two_and_writes_nothing(self, tmp_path, capsys, start, end):
+        config_path = tmp_path / "gen.cfg"
+        config_path.write_text(
+            f"preset = table3-like\nn_pairs = 20\nseed = 1\n"
+            f"window_start = {start}\nwindow_end = {end}\n"
+        )
+        out = tmp_path / "g"
+        assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: empty observation window: {config_path}:window_start {start!r} "
+            f"is not before {config_path}:window_end {end!r}\n"
+        )
         assert not out.exists()
 
     def test_generate_then_ingest_across_1970(self, tmp_path):

@@ -70,6 +70,10 @@ class TestObservationWindow:
         with pytest.raises(DatasetError):
             ObservationWindow(100, 100)
 
+    def test_month_grid_is_always_derived(self):
+        with pytest.raises(TypeError):
+            ObservationWindow(JAN1_2007, JAN1_2007 + 86400, (JAN1_2007,))
+
 
 class TestParseEvents:
     def test_call_row_maps_fields(self, default_window):

@@ -18,7 +18,7 @@ from linkcdr.io_utils import (
     write_predictions_csv,
 )
 from linkcdr.manifest import N_FEATURES
-from linkcdr.pairgraph import PairKey
+from linkcdr.relations import PairKey
 
 _SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, 1.7976931348623157e308, 0.1]
 

@@ -12,15 +12,17 @@ from conftest import columns, ev, ranked_alters
 from linkcdr.errors import ConfigError, DatasetError
 from linkcdr.ingest import Gender, ObservationWindow, SubscriberRecord
 from linkcdr.pairgraph import (
-    AgeDiffCategory,
-    GenderComposition,
-    PairKey,
     apply_regularity_filter,
     build_links,
     common_contacts,
+    mutual_top_rank_pairs,
+)
+from linkcdr.relations import (
+    AgeDiffCategory,
+    GenderComposition,
+    PairKey,
     is_opposite_gender_peer_code,
     label_relationship,
-    mutual_top_rank_pairs,
     peer_bracket_of_code,
 )
 from oracles import common_contacts_brute, mutual_pairs_brute, rank_alters_brute, recount_links
