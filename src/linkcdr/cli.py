@@ -16,6 +16,12 @@ import os
 import sys
 from dataclasses import replace
 
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# the summation order of a threaded BLAS, and so the bytes of every
+# artifact, would depend on the thread count.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 
 from . import __version__, manifest
@@ -92,6 +98,11 @@ def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
     return window or ObservationWindow.default()
 
 
+def _check_min_months(min_months: int, window: ObservationWindow) -> None:
+    if not 0 <= min_months <= window.n_months:
+        raise ConfigError(f"--min-months {min_months} must lie in 0..{window.n_months}")
+
+
 def _read_events_file(path: str, window: ObservationWindow):
     with open(path, "rb") as handle:
         return parse_events(handle, window)
@@ -121,6 +132,8 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
         config = builder(args.n_pairs, args.seed, window)
         if args.utc_offset:
             config = replace(config, utc_offset=args.utc_offset)
+    if args.verify:
+        _check_min_months(args.min_months, config.window)
     stage.seeds = [config.seed]
     dataset = generate(config)
     stage.outputs += write_dataset(dataset, stage.out).values()
@@ -148,6 +161,7 @@ def cmd_ingest(args: argparse.Namespace, stage: Stage) -> int:
 
 def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
+    _check_min_months(args.min_months, window)
     columns, event_diags = _read_events_file(args.events, window)
     subscribers, _ = (
         _read_subscribers_file(args.subscribers) if args.subscribers else ({}, [])
@@ -180,6 +194,8 @@ def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
 
 def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
+    if args.common_contacts_filtered:
+        _check_min_months(args.min_months, window)
     columns, _ = _read_events_file(args.events, window)
     pair_rows = read_pairs_csv(args.pairs)
     pairs = [PairKey(row["first"], row["second"]) for row in pair_rows]
@@ -209,8 +225,8 @@ def _finite_features(path: str) -> tuple[list[PairKey], np.ndarray]:
 
 
 def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
-    if not 1 <= args.n_comp <= manifest.N_FEATURES:
-        raise ConfigError(f"--n-comp {args.n_comp} must lie in 1..{manifest.N_FEATURES}")
+    if not 2 <= args.n_comp <= manifest.N_FEATURES:  # varimax rotates two or more factors
+        raise ConfigError(f"--n-comp {args.n_comp} must lie in 2..{manifest.N_FEATURES}")
     _, matrix = _finite_features(args.features)
     scaler = fit_scaler(matrix)
     standardized = apply_scaler(matrix, scaler)

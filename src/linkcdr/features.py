@@ -2,9 +2,9 @@
 fractions, active days, reciprocity, inter-event gaps, and the 175-value
 vector.
 
-``compute_feature_matrix`` is the one entry point. It maps every event to
-its requested pair's row once and builds each feature group for all rows
-with whole-array operations; one pair's vector is the one-row call.
+``compute_feature_matrix`` is the one entry point. It takes each pair's
+events from the link graph's ``event_link`` and builds each feature group
+for all rows with whole-array operations; one pair's vector is the one-row call.
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
 UTC offset to the event timestamps (single-country data, no DST model).
@@ -170,11 +170,15 @@ def _active_days(ev: _Events, n_rows: int) -> np.ndarray:
     return np.log1p(np.bincount(active_slots, minlength=n_rows * 12).reshape(n_rows, 12))
 
 
-def _reciprocity(directional: np.ndarray) -> np.ndarray:
-    """|in - out| / (in + out) over a last axis of [in, out]; 0 without traffic."""
-    total = directional.sum(axis=-1)
-    gap = np.abs(directional[..., 0] - directional[..., 1])
-    return np.divide(gap, total, out=np.zeros_like(total), where=total > 0)
+def _reciprocity(graph: LinkGraph, links: np.ndarray) -> np.ndarray:
+    """(rows, 3) |out - in| / (out + in) of the calls, durations and texts on
+    the graph's rows ``links``; 0 without traffic."""
+    total = np.stack([graph.calls, graph.duration, graph.texts], axis=1)[links]
+    from_first = np.stack(
+        [graph.calls_from_first, graph.duration_from_first, graph.texts_from_first], axis=1
+    )[links]
+    gap = np.abs(total - 2 * from_first).astype(np.float64)
+    return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0)
 
 
 def _interevent(
@@ -227,29 +231,6 @@ def _interevent(
 # --- the kernel ---------------------------------------------------------------
 
 
-def _pair_rows(
-    cols: EventColumns, pairs: Sequence[PairKey]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Map events to rows of the distinct requested pairs.
-
-    Returns (event indices, their rows, each row's lexicographically first
-    user code, the row of every entry of ``pairs``).
-    """
-    n_users = len(cols.users)
-    codes = np.asarray(
-        [[cols.user_index.get(min(p), -1), cols.user_index.get(max(p), -1)] for p in pairs],
-        dtype=np.int64,
-    )
-    wanted = np.where(
-        (codes >= 0).all(axis=1), codes.min(axis=1) * n_users + codes.max(axis=1), -1
-    )
-    keys, first_entry, inverse = np.unique(wanted, return_index=True, return_inverse=True)
-    pair_id = np.minimum(cols.caller, cols.callee) * n_users + np.maximum(cols.caller, cols.callee)
-    pos = np.minimum(np.searchsorted(keys, pair_id), len(keys) - 1)
-    idx = np.flatnonzero(keys[pos] == pair_id)
-    return idx, pos[idx], codes[first_entry, 0], inverse
-
-
 def compute_feature_matrix(
     cols: EventColumns,
     pairs: Sequence[PairKey],
@@ -259,22 +240,32 @@ def compute_feature_matrix(
 ) -> np.ndarray:
     """Feature matrix (len(pairs) x 175) in the order of ``pairs``.
 
-    ``graph`` supplies the common-contact counts and must contain every pair.
+    ``graph`` is ``build_links(cols, window)`` or a filtered view of it and
+    holds every pair; it gives each pair's events, totals and common contacts.
     """
+    if len(graph.event_link) != len(cols):
+        raise DatasetError(
+            f"the link graph indexes {len(graph.event_link)} events, the columns {len(cols)}"
+        )
     if not pairs:
         return np.zeros((0, manifest.N_FEATURES))
     grid = WeekGrid.from_window(window, utc_offset)
-    idx, row, first_user, inverse = _pair_rows(cols, pairs)
-    n = len(first_user)
+    links, inverse = np.unique(graph.index(pairs), return_inverse=True)
+    n = len(links)
+    lookup = np.full(len(graph) + 1, -1)  # the last slot keeps a dropped link's -1
+    lookup[links] = np.arange(n)
+    row = lookup[graph.event_link]
+    idx = np.flatnonzero(row >= 0)
+    row = row[idx]  # frees the full-length rows before the selection
     ev = _Events.select(cols, idx, row, utc_offset)
-    from_first = (cols.caller[idx] == first_user[row]).astype(np.int64)
+    del lookup, idx, row  # free the selection's temporaries; ev.row keeps the rows
     blocks = np.concatenate(
         [
             _weekly_stats(_weekly_tensor(ev, n, grid)),
-            _fractions(_quantity_sums(row, ev.seg, ev.is_call, ev.known_dur, n, 6)),
+            _fractions(_quantity_sums(ev.row, ev.seg, ev.is_call, ev.known_dur, n, 6)),
             _active_days(ev, n),
-            _reciprocity(_quantity_sums(row, from_first, ev.is_call, ev.known_dur, n, 2)),
-            _interevent(2 * row + ~ev.is_call, ev.ts, 2 * n, window.n_seconds).reshape(n, 14),
+            _reciprocity(graph, links),
+            _interevent(2 * ev.row + ~ev.is_call, ev.ts, 2 * n, window.n_seconds).reshape(n, 14),
         ],
         axis=1,
     )

@@ -192,7 +192,7 @@ class EventColumns:
     code; unknown durations are stored as -1.
     """
 
-    __slots__ = ("caller", "callee", "timestamp", "is_call", "duration", "users", "user_index")
+    __slots__ = ("caller", "callee", "timestamp", "is_call", "duration", "users")
 
     def __init__(
         self,
@@ -209,7 +209,6 @@ class EventColumns:
         self.is_call = is_call
         self.duration = duration
         self.users = users
-        self.user_index = {u: i for i, u in enumerate(users)}
 
     def __len__(self) -> int:
         return len(self.timestamp)

@@ -227,7 +227,7 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
         ids: list[str] = []
         preds: list[int] = []
         probs: list[float] = []
-        any_prob = False
+        any_prob: bool | None = None  # whether the first row has a probability
         for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\r\n")
             if not line:
@@ -236,10 +236,20 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
                 row_id, pred, prob = line.rsplit(",", 2)
                 if pred not in ("0", "1"):
                     raise ValueError(f"prediction {pred!r} is not 0 or 1")
-                probs.append(float(prob) if prob else float("nan"))
+                if any_prob is None:
+                    any_prob = bool(prob)
+                elif bool(prob) != any_prob:
+                    raise ValueError(
+                        f"probability {prob!r} given, but the first row has none"
+                        if prob
+                        else "probability is empty, but the first row has one"
+                    )
+                if prob:
+                    probs.append(float(prob))
+                    if not 0.0 <= probs[-1] <= 1.0:  # nan fails too
+                        raise ValueError(f"probability {prob!r} is not between 0 and 1")
             except ValueError as exc:  # a wrong field count or a bad value
                 raise ParseError(f"{path}: bad predictions row on line {line_no}: {exc}") from None
             ids.append(row_id)
             preds.append(int(pred))
-            any_prob = any_prob or bool(prob)
     return ids, np.asarray(preds, dtype=np.int64), (np.asarray(probs) if any_prob else None)

@@ -3,13 +3,14 @@ pair extraction and common contacts.
 
 A *link* is the undirected aggregate of all events between one unordered
 user pair. ``LinkGraph`` holds one array entry per link over the user codes
-of the ``EventColumns`` it was built from; user ids appear only at its edges
-(``keys()`` and ``index(pairs)``). Alters of an ego are ranked by total call
-count on the link, with a deterministic tie-break (higher total duration,
-then smaller alter id), in one sort over all egos (``alter_ranking``). A
-*mutual top-rank pair* is a pair where each user is the other's rank-1
-alter after the regularity filter; ``common_contacts`` counts the shared
-top-5 and all shared alters of a list of pairs in one batched call.
+of the ``EventColumns`` it was built from, and the one index from events to
+links (``event_link``); user ids appear only at its edges (``keys()`` and
+``index(pairs)``). Alters of an ego are ranked by total call count on the
+link, with a deterministic tie-break (higher total duration, then smaller
+alter id), in one sort over all egos (``alter_ranking``). A *mutual
+top-rank pair* is a pair where each user is the other's rank-1 alter after
+the regularity filter; ``common_contacts`` counts the shared top-5 and all
+shared alters of a list of pairs in one batched call.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ class LinkGraph:
     count from the first user (from-second = total - from-first); durations
     sum known call durations; ``months`` counts calls per calendar month of
     the window. ``lex_rank`` is each user code's position in id order.
+    ``event_link`` is each source event's link row (int32), -1 once filtered out.
     """
 
     users: list[str]
     user_index: dict[str, int]
     lex_rank: np.ndarray
+    event_link: np.ndarray
     first: np.ndarray
     second: np.ndarray
     calls: np.ndarray
@@ -106,8 +109,9 @@ def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
     month_cell = group[is_call] * n_months + window.month_index(cols.timestamp[is_call])
     return LinkGraph(
         cols.users,
-        cols.user_index,
+        {user: code for code, user in enumerate(cols.users)},
         lex_rank,
+        group.astype(np.int32),  # a link row is below the event count
         *np.divmod(unique_ids, max(n_users, 1)),
         calls=count(is_call),
         texts=count(is_text),
@@ -124,14 +128,18 @@ def apply_regularity_filter(
 ) -> LinkGraph:
     """Keep links with at least one call in ``min_months`` distinct months.
 
-    Text-only activity never counts toward regularity.
+    Text-only activity never counts toward regularity. The view's
+    ``event_link`` points at its own rows, -1 for the events of a dropped link.
     """
-    if min_months > window.n_months:
+    if not 0 <= min_months <= window.n_months:
         raise ConfigError(
-            f"min_months {min_months} exceeds the {window.n_months} months in the window"
+            f"min_months {min_months} must lie in 0..{window.n_months}, the months in the window"
         )
     keep = graph.active_months >= min_months
-    return replace(graph, **{name: getattr(graph, name)[keep] for name in _LINK_FIELDS})
+    remap = np.full(len(graph) + 1, -1, dtype=np.int32)  # the last slot keeps a -1
+    remap[:-1][keep] = np.arange(np.count_nonzero(keep))
+    fields = {name: getattr(graph, name)[keep] for name in _LINK_FIELDS}
+    return replace(graph, event_link=remap[graph.event_link], **fields)
 
 
 class AlterRanking(NamedTuple):

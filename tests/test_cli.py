@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from linkcdr.cli import main
-from linkcdr.io_utils import read_pairs_csv, sha256_file
-from linkcdr.manifest import FEATURE_NAMES
+from linkcdr.io_utils import read_pairs_csv, sha256_file, write_features_csv
+from linkcdr.manifest import FEATURE_NAMES, N_FEATURES
+from linkcdr.relations import PairKey
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -325,14 +328,33 @@ class TestFlagRanges:
         assert f"--n-train {n_train} must lie in 2.." in capsys.readouterr().err
         assert not (tmp_path / "b" / "bounds.json").exists()
 
-    @pytest.mark.parametrize("n_comp", ["0", "176", "500"])
+    @pytest.mark.parametrize("n_comp", ["0", "1", "176", "500"])
     def test_pca_n_comp(self, pipeline_dirs, tmp_path, capsys, n_comp):
         code = main([
             "pca", "--features", str(pipeline_dirs["feats"] / "features.csv"),
             "--n-comp", n_comp, "--out", str(tmp_path / "p"),
         ])
         assert code == 2
-        assert f"--n-comp {n_comp} must lie in 1..175" in capsys.readouterr().err
+        assert f"--n-comp {n_comp} must lie in 2..175" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("min_months", ["-2", "8"])
+    @pytest.mark.parametrize("stage", ["generate", "pairs", "features"])
+    def test_min_months(self, pipeline_dirs, tmp_path, capsys, stage, min_months):
+        gen, pairs = pipeline_dirs["gen"], pipeline_dirs["pairs"]
+        events = ["--events", str(gen / "events.csv")]
+        argv = {
+            "generate": ["generate", "--n-pairs", "20", "--verify"],
+            "pairs": ["pairs", *events],
+            "features": [
+                "features", *events, "--pairs", str(pairs / "pairs.csv"),
+                "--common-contacts-filtered",
+            ],
+        }[stage]
+        out = tmp_path / "o"
+        assert main([*argv, "--min-months", min_months, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --min-months {min_months} must lie in 0..7\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("select_c", ["0", "-1"])
     def test_train_select_c(self, pipeline_dirs, tmp_path, capsys, select_c):
@@ -581,6 +603,30 @@ class TestPcaStage:
         loadings_rows = (out / "loadings.csv").read_text().splitlines()
         assert len(loadings_rows) == 176
         assert loadings_rows[0].startswith("feature,factor_1")
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path):
+    """A stage pins one BLAS thread unless told otherwise, so its output
+    matches a run with the thread variables set to 1."""
+    features = tmp_path / "features.csv"
+    rng = np.random.default_rng(5)
+    pairs = [PairKey(f"a{i:03d}", f"b{i:03d}") for i in range(300)]
+    write_features_csv(str(features), pairs, rng.standard_normal((300, N_FEATURES)))
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = {"unset": unset, "one": {**unset, **dict.fromkeys(BLAS_THREADS, "1")}}
+    for name, env in runs.items():
+        subprocess.run(
+            [sys.executable, "-m", "linkcdr.cli", "pca", "--features", str(features),
+             "--out", str(tmp_path / name)],
+            env={**env, "PYTHONPATH": path},
+            check=True,
+        )
+    for name in ("scree.csv", "loadings.csv", "factors.json", "scaler.json"):
+        assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 class TestExperimentStage:

@@ -33,7 +33,12 @@ from linkcdr.manifest import (
     WEEKPARTS,
     feature_index,
 )
-from linkcdr.pairgraph import build_links, common_contacts
+from linkcdr.pairgraph import (
+    apply_regularity_filter,
+    build_links,
+    common_contacts,
+    mutual_top_rank_pairs,
+)
 from linkcdr.relations import PairKey
 from linkcdr.scaling import apply_scaler, fit_scaler
 from oracles import _daypart, _local, _weekpart, feature_vector_oracle, moment_stats
@@ -450,6 +455,8 @@ def build_pair_fixture(window, seed=9, n=120):
 
 
 P12 = PairKey.of("p1", "p2")
+# the columns computed from a pair's own events; the last two count common contacts
+EVENT_COLUMNS = N_FEATURES - 2
 
 
 class TestAssembleFeatureVector:
@@ -466,8 +473,9 @@ class TestAssembleFeatureVector:
             "common_contacts": 2,
         }
         events, side = build_pair_fixture(default_window)
-        graph = build_links(columns(events + side), default_window)
-        matrix = compute_feature_matrix(columns(events), [P12], graph, default_window)
+        cols = columns(events + side)
+        graph = build_links(cols, default_window)
+        matrix = compute_feature_matrix(cols, [P12], graph, default_window)
         assert matrix.shape == (1, 175)
         assert np.isfinite(matrix).all()
 
@@ -483,29 +491,31 @@ class TestAssembleFeatureVector:
 
     def test_permutation_invariance(self, default_window):
         events, side = build_pair_fixture(default_window)
-        graph = build_links(columns(events + side), default_window)
-        base = compute_feature_matrix(columns(events), [P12], graph, default_window)
+        cols = columns(events + side)
+        graph = build_links(cols, default_window)
+        base = compute_feature_matrix(cols, [P12], graph, default_window)
         rng = np.random.default_rng(0)
-        shuffled = [events[i] for i in rng.permutation(len(events))]
+        shuffled = columns([(events + side)[i] for i in rng.permutation(len(events + side))])
+        graph = build_links(shuffled, default_window)
         np.testing.assert_array_equal(
-            base, compute_feature_matrix(columns(shuffled), [P12], graph, default_window)
+            base, compute_feature_matrix(shuffled, [P12], graph, default_window)
         )
 
     def test_matches_independent_oracle(self, default_window):
         events, side = build_pair_fixture(default_window)
-        graph = build_links(columns(events + side), default_window)
-        (vec,) = compute_feature_matrix(columns(events), [P12], graph, default_window)
+        cols = columns(events + side)
+        graph = build_links(cols, default_window)
+        (vec,) = compute_feature_matrix(cols, [P12], graph, default_window)
         (common,) = common_contacts(graph, [P12])
         want = feature_vector_oracle(events, default_window, 0, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
 
     def test_oracle_agreement_with_utc_offset(self, default_window):
         events, side = build_pair_fixture(default_window, seed=77)
-        graph = build_links(columns(events + side), default_window)
+        cols = columns(events + side)
+        graph = build_links(cols, default_window)
         offset = 2 * 3600
-        (vec,) = compute_feature_matrix(
-            columns(events), [P12], graph, default_window, utc_offset=offset
-        )
+        (vec,) = compute_feature_matrix(cols, [P12], graph, default_window, utc_offset=offset)
         (common,) = common_contacts(graph, [P12])
         want = feature_vector_oracle(events, default_window, offset, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
@@ -546,11 +556,41 @@ class TestComputeFeatureMatrix:
         pairs = sorted(graph.keys())[:6]
         pairs.append(pairs[2])  # a repeated pair gets its own identical row
         matrix = compute_feature_matrix(cols, pairs, graph, default_window)
+        np.testing.assert_array_equal(matrix[:, EVENT_COLUMNS:], common_contacts(graph, pairs))
         for i, pair in enumerate(pairs):
             own = columns([e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair])
-            np.testing.assert_array_equal(
-                matrix[i], compute_feature_matrix(own, [pair], graph, default_window)[0]
+            (one_pair,) = compute_feature_matrix(
+                own, [pair], build_links(own, default_window), default_window
             )
+            np.testing.assert_array_equal(matrix[i, :EVENT_COLUMNS], one_pair[:EVENT_COLUMNS])
+
+
+class TestGraphIndex:
+    """The kernel selects events through the graph's ``event_link``."""
+
+    def test_filtered_graph_selects_the_same_events(self, default_window):
+        events, side = build_pair_fixture(default_window)
+        q = [ev("q1", "q2", default_window.start + i * 3 * DAY) for i in range(60)]
+        # calls in two months: kept at min_months 2, dropped at 3
+        s3 = [ev("p2", "s3", default_window.start + 1000), ev("s3", "p2", epoch("2007-04-02"))]
+        cols = columns(events + side + q + s3)
+        graph = build_links(cols, default_window)
+        once = apply_regularity_filter(graph, default_window, 2)
+        twice = apply_regularity_filter(once, default_window, 3)
+        pairs = mutual_top_rank_pairs(twice)
+        assert pairs == [P12, PairKey.of("q1", "q2")]
+        assert (len(graph), len(once), len(twice)) == (6, 3, 2)
+        full = compute_feature_matrix(cols, pairs, graph, default_window)
+        for view in (once, twice):
+            matrix = compute_feature_matrix(cols, pairs, view, default_window)
+            np.testing.assert_array_equal(matrix[:, :EVENT_COLUMNS], full[:, :EVENT_COLUMNS])
+            np.testing.assert_array_equal(matrix[:, EVENT_COLUMNS:], common_contacts(view, pairs))
+
+    def test_columns_of_another_length_raise(self, default_window):
+        events, side = build_pair_fixture(default_window)
+        graph = build_links(columns(events + side), default_window)
+        with pytest.raises(DatasetError, match="indexes 123 events, the columns 120"):
+            compute_feature_matrix(columns(events), [P12], graph, default_window)
 
 
 # A month-aligned window that ends mid-week, and one that starts on a
@@ -606,8 +646,11 @@ class TestKernelDifferential:
             own = [e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair]
             want = feature_vector_oracle(own, window, offset, common)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
-            one_pair = compute_feature_matrix(columns(own), [pair], graph, window, offset)
-            np.testing.assert_array_equal(row, one_pair[0])
+            own_cols = columns(own)
+            (one_pair,) = compute_feature_matrix(
+                own_cols, [pair], build_links(own_cols, window), window, offset
+            )
+            np.testing.assert_array_equal(row[:EVENT_COLUMNS], one_pair[:EVENT_COLUMNS])
 
 
 class TestScaler:

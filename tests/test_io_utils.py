@@ -144,6 +144,11 @@ class TestReadPredictions:
             ("c|d,2,0.5", "prediction '2' is not 0 or 1"),
             ("c|d,1,high", "could not convert string to float"),
             ("c|d,1", "not enough values"),
+            ("c|d,1,", "probability is empty, but the first row has one"),
+            ("c|d,1,nan", "probability 'nan' is not between 0 and 1"),
+            ("c|d,1,inf", "probability 'inf' is not between 0 and 1"),
+            ("c|d,1,1.5", "probability '1.5' is not between 0 and 1"),
+            ("c|d,0,-0.25", "probability '-0.25' is not between 0 and 1"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, detail):
@@ -151,4 +156,12 @@ class TestReadPredictions:
         write_predictions_csv(str(path), ["a|b", "c|d"], np.asarray([0, 1]), np.asarray([0.5, 0.5]))
         _with_line(path, 3, row)
         with pytest.raises(ParseError, match=f"^{path}: bad predictions row on line 3: {detail}"):
+            read_predictions_csv(str(path))
+
+    def test_probability_after_rows_without_one(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(str(path), ["a|b", "c|d"], np.asarray([0, 1]), None)
+        _with_line(path, 3, "c|d,1,0.5")
+        match = f"^{path}: bad predictions row on line 3: probability '0.5' given, but the first"
+        with pytest.raises(ParseError, match=match):
             read_predictions_csv(str(path))

@@ -87,6 +87,16 @@ class TestBuildLinks:
         assert graph.index(query).tolist() == [2, 1, 0, 0]
         assert graph.index([]).tolist() == []
 
+    def test_event_link_is_each_events_link_row(self, default_window):
+        t = default_window.start
+        events = [ev("z", "a", t), ev("b", "a", t + 1), ev("a", "c", t + 2), ev("a", "z", t + 3)]
+        graph = build_links(columns(events), default_window)
+        assert graph.event_link.dtype == np.int32
+        keys = graph.keys()
+        assert [keys[i] for i in graph.event_link] == [
+            PairKey.of(e.caller_id, e.callee_id) for e in events
+        ]
+
     def test_self_loop_event_rejected(self, default_window):
         t = default_window.start
         with pytest.raises(DatasetError, match="self-loop"):
@@ -308,6 +318,10 @@ class TestGraphDifferential:
             assert got == mutual_pairs_brute(oracle)
             keys = view.keys()
             assert sorted(keys) == sorted(PairKey(*key) for key in oracle)
+            row = {key: i for i, key in enumerate(keys)}
+            assert view.event_link.tolist() == [
+                row.get(PairKey.of(e.caller_id, e.callee_id), -1) for e in events
+            ]
             query = keys[::-1] + keys[:2]
             assert common_contacts(view, query).tolist() == [
                 list(common_contacts_brute(oracle, k.first, k.second)) for k in query
