@@ -12,6 +12,7 @@ usage, 1 fatal error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__, manifest
 from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
 from .decompose import assign_factors, loadings, pca, scree_data, varimax
-from .errors import ConfigError, DatasetError, LinkCdrError
+from .errors import ConfigError, DatasetError, LinkCdrError, ParseError
 from .features import compute_feature_matrix
 from .ingest import (
     ObservationWindow,
@@ -227,6 +228,8 @@ def _finite_features(path: str) -> tuple[list[PairKey], np.ndarray]:
 def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
     if not 2 <= args.n_comp <= manifest.N_FEATURES:  # varimax rotates two or more factors
         raise ConfigError(f"--n-comp {args.n_comp} must lie in 2..{manifest.N_FEATURES}")
+    if not 0.0 <= args.cutoff <= 1.0:  # |loading| of standardized data is at most 1
+        raise ConfigError(f"--cutoff {args.cutoff} must lie in [0, 1]")
     _, matrix = _finite_features(args.features)
     scaler = fit_scaler(matrix)
     standardized = apply_scaler(matrix, scaler)
@@ -344,8 +347,8 @@ def _ensemble_seeds(args: argparse.Namespace) -> list[int]:
 
 def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
     seeds = stage.seeds = _ensemble_seeds(args)
-    if args.select_c <= 0:
-        raise ConfigError(f"--select-c {args.select_c} must be positive")
+    if not 0 < args.select_c < math.inf:  # NaN fails every comparison
+        raise ConfigError(f"--select-c {args.select_c} must be positive and finite")
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, args.task)
     pool, test, scaler = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
 
@@ -512,42 +515,53 @@ def cmd_experiment(args: argparse.Namespace, stage: Stage) -> int:
     return 0
 
 
+def _summarize_report(
+    payload: dict, label: str, lines: list[str], histogram_rows: list[str]
+) -> None:
+    """Append one report's summary lines and histogram rows."""
+    lines.append(f"== {label} ==")
+    if "metrics" in payload:
+        metrics = payload["metrics"]
+        lines.append(
+            f"task={payload.get('task', '?')} model={payload.get('model', '?')} "
+            f"accuracy={metrics['accuracy']:.4f} "
+            f"baseline={payload.get('baseline_accuracy', float('nan')):.4f}"
+        )
+        lines.append(
+            f"precision={metrics['precision']:.4f} tpr={metrics['tpr']:.4f} "
+            f"tnr={metrics['tnr']:.4f}"
+        )
+        lines.append(f"{'relationship':14s} {'accuracy':>9s} {'share':>7s}")
+        for code, group in sorted(metrics.get("per_group", {}).items()):
+            lines.append(f"{code:14s} {group['accuracy']:9.3f} {group['share']:7.3f}")
+        for group, bins in (metrics.get("histograms") or {}).items():
+            for b, freq in enumerate(bins):
+                histogram_rows.append(
+                    f"{label},{group},{b / len(bins)!r},{(b + 1) / len(bins)!r},{freq!r}"
+                )
+    if "full_training" in payload:
+        lines.append(
+            f"bracket={payload['bracket']} "
+            f"full OGP/SGP={payload['full_training']['tpr']:.3f}/"
+            f"{payload['full_training']['tnr']:.3f} "
+            f"restricted OGP/SGP={payload['restricted_training']['tpr']:.3f}/"
+            f"{payload['restricted_training']['tnr']:.3f}"
+        )
+        lines.append(payload["gap_direction"])
+    lines.append("")
+
+
 def cmd_report(args: argparse.Namespace, stage: Stage) -> int:
     lines: list[str] = []
     histogram_rows: list[str] = []
     for path in args.reports:
-        payload = read_json(path)
         label = os.path.splitext(os.path.basename(path))[0]
-        lines.append(f"== {label} ==")
-        if "metrics" in payload:
-            metrics = payload["metrics"]
-            lines.append(
-                f"task={payload.get('task', '?')} model={payload.get('model', '?')} "
-                f"accuracy={metrics['accuracy']:.4f} "
-                f"baseline={payload.get('baseline_accuracy', float('nan')):.4f}"
-            )
-            lines.append(
-                f"precision={metrics['precision']:.4f} tpr={metrics['tpr']:.4f} "
-                f"tnr={metrics['tnr']:.4f}"
-            )
-            lines.append(f"{'relationship':14s} {'accuracy':>9s} {'share':>7s}")
-            for code, group in sorted(metrics.get("per_group", {}).items()):
-                lines.append(f"{code:14s} {group['accuracy']:9.3f} {group['share']:7.3f}")
-            for group, bins in (metrics.get("histograms") or {}).items():
-                for b, freq in enumerate(bins):
-                    histogram_rows.append(
-                        f"{label},{group},{b / len(bins)!r},{(b + 1) / len(bins)!r},{freq!r}"
-                    )
-        if "full_training" in payload:
-            lines.append(
-                f"bracket={payload['bracket']} "
-                f"full OGP/SGP={payload['full_training']['tpr']:.3f}/"
-                f"{payload['full_training']['tnr']:.3f} "
-                f"restricted OGP/SGP={payload['restricted_training']['tpr']:.3f}/"
-                f"{payload['restricted_training']['tnr']:.3f}"
-            )
-            lines.append(payload["gap_direction"])
-        lines.append("")
+        try:
+            _summarize_report(read_json(path), label, lines, histogram_rows)
+        except KeyError as exc:
+            raise ParseError(f"{path}: report lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:  # not JSON, or a value of the wrong type
+            raise ParseError(f"{path} is not a report: {exc}") from None
     with open(stage.path("summary.txt"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines))
     with open(stage.path("histograms.csv"), "w", encoding="utf-8", newline="\n") as handle:

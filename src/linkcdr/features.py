@@ -7,9 +7,10 @@ events from the link graph's ``event_link`` and builds each feature group
 for all rows with whole-array operations; one pair's vector is the one-row call.
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
-UTC offset to the event timestamps (single-country data, no DST model).
-Weeks are Monday-aligned local calendar weeks fully contained in the
-observation window; weeks without activity contribute explicit zeros.
+UTC offset to the event timestamps (single-country data, no DST model); an
+event's time segment is a lookup in ``manifest.SEGMENT_OF_HOUR``. Weeks are
+Monday-aligned local calendar weeks fully contained in the observation
+window; weeks without activity contribute explicit zeros.
 """
 
 from __future__ import annotations
@@ -23,25 +24,19 @@ import numpy as np
 from . import manifest
 from .errors import DatasetError
 from .ingest import EventColumns, ObservationWindow
+from .manifest import MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT_OF_HOUR
 from .pairgraph import LinkGraph, common_contacts
 from .relations import PairKey
 
-SECONDS_PER_DAY = 86400
+_SEGMENT_OF_HOUR = np.array(SEGMENT_OF_HOUR, dtype=np.int8)
 
 
-def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(local day number, weekday 0=Mon, segment index) for an epoch array.
-
-    The segment index is weekpart * 3 + daypart in manifest order: weekday
-    (Mon-Thu) then weekend (Fri-Sun), each as daytime, evening, late night.
-    """
+def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """(local day number, int8 segment index) for an epoch array; the
+    segment is ``manifest.SEGMENT_OF_HOUR`` at the local hour of the week."""
     lt = ts + utc_offset
-    day = lt // SECONDS_PER_DAY
-    weekday = (day + 3) % 7  # epoch day 0 was a Thursday
-    hour = (lt % SECONDS_PER_DAY) // 3600
-    daypart = np.where((hour >= 7) & (hour <= 16), 0, np.where((hour >= 17) & (hour <= 22), 1, 2))
-    segment = np.where(weekday >= 4, 3, 0) + daypart
-    return day, weekday, segment
+    hour_of_week = (lt - MONDAY_EPOCH_DAY * SECONDS_PER_DAY) % (7 * SECONDS_PER_DAY) // 3600
+    return lt // SECONDS_PER_DAY, _SEGMENT_OF_HOUR[hour_of_week]
 
 
 @dataclass(frozen=True)
@@ -57,15 +52,15 @@ class WeekGrid:
         start_local = window.start + utc_offset
         end_local = window.end + utc_offset
         first_day = -(-start_local // SECONDS_PER_DAY)
-        first_monday = first_day + ((4 - first_day) % 7)  # epoch day 4 was a Monday
+        first_monday = first_day + (MONDAY_EPOCH_DAY - first_day) % 7
         n_weeks = (end_local // SECONDS_PER_DAY - first_monday) // 7
         if n_weeks < 1:
             raise DatasetError("observation window holds no full Monday-aligned week")
         return cls(int(first_monday), int(n_weeks), utc_offset)
 
-    def week_index(self, day: np.ndarray, weekday: np.ndarray) -> np.ndarray:
+    def week_index(self, day: np.ndarray) -> np.ndarray:
         """Full-week index per event day, -1 outside the grid."""
-        idx = (day - weekday - self.first_monday_day) // 7
+        idx = (day - self.first_monday_day) // 7
         return np.where((idx >= 0) & (idx < self.n_weeks), idx, -1)
 
 
@@ -97,15 +92,14 @@ class _Events(NamedTuple):
     is_call: np.ndarray
     known_dur: np.ndarray  # unknown call durations as 0
     day: np.ndarray
-    weekday: np.ndarray
     seg: np.ndarray
 
     @classmethod
     def select(cls, cols: EventColumns, idx, row: np.ndarray, utc_offset: int) -> "_Events":
         ts = cols.timestamp[idx]
-        day, weekday, seg = _local_parts(ts, utc_offset)
+        day, seg = _local_parts(ts, utc_offset)
         known_dur = np.maximum(cols.duration[idx], 0).astype(np.float64)
-        return cls(row, ts, cols.is_call[idx], known_dur, day, weekday, seg)
+        return cls(row, ts, cols.is_call[idx], known_dur, day, seg)
 
 
 def _quantity_sums(
@@ -128,7 +122,7 @@ def _quantity_sums(
 
 def _weekly_tensor(ev: _Events, n_rows: int, grid: WeekGrid) -> np.ndarray:
     """(rows, weeks, 18) weekly calls, durations and texts per segment."""
-    week = grid.week_index(ev.day, ev.weekday)
+    week = grid.week_index(ev.day)
     inside = week >= 0
     sums = _quantity_sums(
         ev.row[inside] * grid.n_weeks + week[inside],

@@ -261,8 +261,8 @@ def train_path(
         raise DatasetError("single-class training set")
     if not set(classes.tolist()) <= {0, 1}:
         raise DatasetError("labels must be binary 0/1")
-    if any(c <= 0 for c in cs):
-        raise DatasetError("C must be positive")
+    if not all(0 < c < math.inf for c in cs):  # NaN fails every comparison
+        raise DatasetError("C must be positive and finite")
     basis, reduced = None, x
     if penalty != "l1" and x.shape[0] < x.shape[1]:  # solve for w = basis @ z
         basis = np.linalg.qr(x.T)[0]

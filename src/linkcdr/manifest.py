@@ -11,6 +11,11 @@ out as six groups:
     interevent          14  2 channels x 7 statistics
     common_contacts      2  top-5 and all-alter overlap
 
+The local time model is defined here too: ``SEGMENT_OF_HOUR`` gives the
+time segment (weekpart * 3 + daypart) of every local hour of a
+Monday-aligned week to the feature kernel, the generator and the feature
+descriptions.
+
 Counts and durations live on heavy-tailed scales, so most magnitude-like
 values are stored log1p-transformed; statistics that may be negative
 (inter-event skewness/kurtosis) use the signed log sgn(x) * log1p(|x|).
@@ -18,6 +23,7 @@ values are stored log1p-transformed; statistics that may be negative
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 
@@ -28,6 +34,20 @@ STATS = ("mean", "median", "std", "min", "max", "skew", "kurt")
 CHANNELS = ("calls", "texts")
 SCALE_STATS = ("mean", "median", "std", "min", "max")
 
+SECONDS_PER_DAY = 86400
+MONDAY_EPOCH_DAY = 4  # 1970-01-05, the first Monday of the epoch
+WEEKEND_FIRST_DAY = 4  # Friday, counting from Monday = 0
+# The local hour each daypart starts, in DAYPARTS order, which is clock
+# order; a daypart runs to the next one's start, the last past midnight.
+DAYPART_START_HOURS = (7, 17, 23)
+# The segment index (weekpart * 3 + daypart) of each local hour of a week,
+# from Monday 00:00.
+SEGMENT_OF_HOUR: tuple[int, ...] = tuple(
+    3 * (day >= WEEKEND_FIRST_DAY) + (bisect.bisect(DAYPART_START_HOURS, hour) - 1) % 3
+    for day in range(7)
+    for hour in range(24)
+)
+
 TRANSFORM_NONE = "none"
 TRANSFORM_LOG1P = "log1p"
 TRANSFORM_SIGNED_LOG1P = "signed_log1p"
@@ -37,12 +57,15 @@ _QUANTITY_TEXT = {
     "duration": "call duration (s)",
     "texts": "number of texts",
 }
+_DAY_TEXT = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _DAYPART_TEXT = {
-    "daytime": "daytime (07:00-16:59)",
-    "evening": "evening (17:00-22:59)",
-    "late_night": "late night (23:00-06:59)",
+    dp: f"{dp.replace('_', ' ')} ({start:02d}:00-{DAYPART_START_HOURS[(i + 1) % 3] - 1:02d}:59)"
+    for i, (dp, start) in enumerate(zip(DAYPARTS, DAYPART_START_HOURS))
 }
-_WEEKPART_TEXT = {"weekday": "Mon-Thu", "weekend": "Fri-Sun"}
+_WEEKPART_TEXT = {
+    "weekday": f"{_DAY_TEXT[0]}-{_DAY_TEXT[WEEKEND_FIRST_DAY - 1]}",
+    "weekend": f"{_DAY_TEXT[WEEKEND_FIRST_DAY]}-{_DAY_TEXT[-1]}",
+}
 
 
 @dataclass(frozen=True)

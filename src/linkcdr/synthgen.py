@@ -10,16 +10,17 @@ work against.
 All links are drawn at once from one ``default_rng([seed, 1])`` stream: a
 (links x 2 channels x 6 segments) rate array gives each cell a Poisson
 total over the weeks the window touches, and each of a cell's events gets
-a uniform week and a uniform second within the segment's intervals. That
-is the same law as independent weekly Poisson counts per segment. Events
-outside the window are dropped. Call durations are lognormal, the
-initiator follows the link's direction skew, and calls the pool side
-starts may carry an unknown duration. Output is fully deterministic given
-the configuration.
+a uniform week and a uniform second within the segment's hours of the week
+(``manifest.SEGMENT_OF_HOUR``). That is the same law as independent weekly
+Poisson counts per segment. Events outside the window are dropped. Call
+durations are lognormal, the initiator follows the link's direction skew,
+and calls the pool side starts may carry an unknown duration. Output is
+fully deterministic given the configuration.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Sequence
@@ -35,39 +36,16 @@ from .ingest import (
     ObservationWindow,
     SubscriberRecord,
 )
+from .manifest import MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT_OF_HOUR
 from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
 from .relations import PairKey
 
-SECONDS_PER_DAY = 86400
-
-# (start hour, hours) of each daypart's intervals within a day; late night
-# spans both edges of the day.
-_DAYPART_HOURS = (((7, 10),), ((17, 6),), ((0, 7), (23, 1)))
-
-
-def _interval_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every segment's intervals laid end to end on one axis.
-
-    Returns the cumulative end of each interval on that axis, the shift
-    from an axis position to its local second from Monday 00:00, and each
-    segment's first axis position (seven entries; the last is the total).
-    """
-    starts: list[int] = []
-    lengths: list[int] = []
-    segment_base = [0]
-    for seg in range(6):
-        weekpart, daypart = divmod(seg, 3)
-        for day in range(0, 4) if weekpart == 0 else range(4, 7):
-            for hour, hours in _DAYPART_HOURS[daypart]:
-                starts.append(day * SECONDS_PER_DAY + hour * 3600)
-                lengths.append(hours * 3600)
-        segment_base.append(sum(lengths))
-    ends = np.cumsum(lengths, dtype=np.int64)
-    shift = np.asarray(starts, dtype=np.int64) - (ends - np.asarray(lengths, dtype=np.int64))
-    return ends, shift, np.asarray(segment_base, dtype=np.int64)
-
-
-_INTERVAL_END, _INTERVAL_SHIFT, _SEGMENT_BASE = _interval_table()
+# Every hour of the week from Monday 00:00, grouped by segment and in time
+# order within each; the number of hours of each segment; and where each
+# segment's hours start in that grouping.
+_HOURS_BY_SEGMENT = np.argsort(SEGMENT_OF_HOUR, kind="stable")
+_SEGMENT_HOURS = np.bincount(SEGMENT_OF_HOUR)
+_SEGMENT_FIRST = np.cumsum(_SEGMENT_HOURS) - _SEGMENT_HOURS
 
 
 @dataclass(frozen=True)
@@ -76,7 +54,7 @@ class ArchetypeConfig:
 
     Rates are expected events per week for each of the six segments, weekday
     then weekend, each as daytime, evening, late night (the segment index of
-    ``features._local_parts``); ``direction_skew`` is the probability that
+    ``manifest.SEGMENT_OF_HOUR``); ``direction_skew`` is the probability that
     the canonical-first user initiates an event.
     """
 
@@ -157,8 +135,13 @@ class GeneratorConfig:
             )
         if not 0.0 <= background.unknown_duration_fraction <= 1.0:
             raise ConfigError("unknown_duration_fraction outside [0, 1]")
-        if background.rate_multiplier < 0:
-            raise ConfigError("background rate multiplier must be nonnegative")
+        for key, scale in (
+            ("pair_activity_sigma", self.pair_activity_sigma),
+            ("duration_jitter_sigma", self.duration_jitter_sigma),
+            ("background.rate_multiplier", background.rate_multiplier),
+        ):
+            if not 0.0 <= scale < math.inf:  # NaN fails every comparison
+                raise ConfigError(f"{key} {scale} must be finite and nonnegative")
         # multipliers near or above 1 are allowed here; whether planted pairs
         # stay mutual top-rank is checked post-hoc by verify_planted
 
@@ -204,7 +187,7 @@ def _week_starts(window: ObservationWindow, utc_offset: int) -> np.ndarray:
     start_local = window.start + utc_offset
     end_local = window.end + utc_offset
     first_day = start_local // SECONDS_PER_DAY
-    first_monday = first_day - (first_day + 3) % 7
+    first_monday = first_day - (first_day - MONDAY_EPOCH_DAY) % 7
     starts = np.arange(first_monday * SECONDS_PER_DAY, end_local, 7 * SECONDS_PER_DAY)
     return starts.astype(np.int64)
 
@@ -294,13 +277,12 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     n_weeks = week_starts.size
     cell = np.repeat(np.arange(rates.size), rng.poisson(rates.ravel() * n_weeks))
     seg = cell % 6
-    seg_length = np.diff(_SEGMENT_BASE)[seg]
-    draw = rng.integers(0, seg_length * n_weeks)
-    week, position = np.divmod(draw, seg_length)
-    position += _SEGMENT_BASE[seg]
-    slot = np.searchsorted(_INTERVAL_END, position, side="right")
-    ts = week_starts[week] + position + _INTERVAL_SHIFT[slot] - config.utc_offset
-    del seg, seg_length, draw, week, position, slot
+    seg_seconds = 3600 * _SEGMENT_HOURS[seg]
+    week, position = np.divmod(rng.integers(0, seg_seconds * n_weeks), seg_seconds)
+    position += 3600 * _SEGMENT_FIRST[seg]  # a second of _HOURS_BY_SEGMENT's hours
+    hour, second = np.divmod(position, 3600)
+    ts = week_starts[week] + 3600 * _HOURS_BY_SEGMENT[hour] + second - config.utc_offset
+    del seg, seg_seconds, week, position, hour, second
     inside = (ts >= config.window.start) & (ts < config.window.end)
     ts, cell = ts[inside], cell[inside]
     link = cell // 12

@@ -289,6 +289,18 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "g" / "events.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize(
+        "key", ["pair_activity_sigma", "duration_jitter_sigma", "background.rate_multiplier"]
+    )
+    def test_generate_config_with_bad_scale_exits_two(self, tmp_path, capsys, key, value):
+        config_path = tmp_path / "gen.cfg"
+        config_path.write_text(f"preset = table3-like\nn_pairs = 50\nseed = 1\n{key} = {value}\n")
+        code = main(["generate", "--config", str(config_path), "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_ingest_validation_failure_exits_two(self, tmp_path):
         events = tmp_path / "events.csv"
         # single event: every other month in the window is empty
@@ -356,7 +368,7 @@ class TestFlagRanges:
         assert capsys.readouterr().err == f"error: --min-months {min_months} must lie in 0..7\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("select_c", ["0", "-1"])
+    @pytest.mark.parametrize("select_c", ["0", "-1", "nan", "inf"])
     def test_train_select_c(self, pipeline_dirs, tmp_path, capsys, select_c):
         code = main([
             "train", *self.labeled(pipeline_dirs), "--task", "ogp",
@@ -365,6 +377,16 @@ class TestFlagRanges:
         ])
         assert code == 2
         assert f"--select-c {float(select_c)} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["-0.1", "1.5", "7", "nan"])
+    def test_pca_cutoff(self, pipeline_dirs, tmp_path, capsys, cutoff):
+        code = main([
+            "pca", "--features", str(pipeline_dirs["feats"] / "features.csv"),
+            "--cutoff", cutoff, "--out", str(tmp_path / "p"),
+        ])
+        assert code == 2
+        assert f"--cutoff {float(cutoff)} must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-1", "2"])
     @pytest.mark.parametrize(
@@ -844,6 +866,20 @@ class TestReportInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert str(train_dir / "report.json") in err and str(scored / "report.json") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [("{bad", "is not a report"), ('{"metrics": {}}', "report lacks the key 'accuracy'")],
+        ids=["not-json", "missing-key"],
+    )
+    def test_bad_report_is_fatal_and_writes_nothing(self, tmp_path, capsys, payload, message):
+        report = tmp_path / "x.json"
+        report.write_text(payload)
+        out = tmp_path / "summary"
+        assert main(["report", "--reports", str(report), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fatal: {report}") and message in err
         assert not out.exists()
 
     def test_distinct_file_names_each_get_a_section(self, train_dir, tmp_path):

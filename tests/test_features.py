@@ -60,26 +60,26 @@ def stamps(*texts: str) -> np.ndarray:
     return np.asarray([epoch(t) for t in texts], dtype=np.int64)
 
 
-def oracle_segment(ts: int) -> int:
-    dt = _local(ts, 0)
+def oracle_segment(ts: int, utc_offset: int = 0) -> int:
+    dt = _local(ts, utc_offset)
     return SEGMENT[f"{_weekpart(dt)}_{_daypart(dt)}"]
 
 
 class TestSegmentOf:
     def test_tuesday_morning_is_weekday_daytime(self):
-        _, _, seg = _local_parts(stamps("2007-01-02 08:30:00"), 0)
+        _, seg = _local_parts(stamps("2007-01-02 08:30:00"), 0)
         assert seg.tolist() == [SEGMENT["weekday_daytime"]]
 
     def test_friday_night_is_weekend_late_night(self):
-        _, _, seg = _local_parts(stamps("2007-01-05 23:30:00"), 0)
+        _, seg = _local_parts(stamps("2007-01-05 23:30:00"), 0)
         assert seg.tolist() == [SEGMENT["weekend_late_night"]]
 
     def test_evening_boundary_convention(self):
-        _, _, seg = _local_parts(stamps("2007-01-04 16:59:59", "2007-01-04 17:00:00"), 0)
+        _, seg = _local_parts(stamps("2007-01-04 16:59:59", "2007-01-04 17:00:00"), 0)
         assert seg.tolist() == [SEGMENT["weekday_daytime"], SEGMENT["weekday_evening"]]
 
     def test_late_night_boundaries(self):
-        _, _, seg = _local_parts(
+        _, seg = _local_parts(
             stamps(
                 "2007-01-04 22:59:59",
                 "2007-01-04 23:00:00",
@@ -97,18 +97,31 @@ class TestSegmentOf:
 
     def test_weekpart_uses_own_calendar_day(self):
         # Monday 02:00 is weekday late-night, Friday 02:00 weekend late-night
-        _, _, seg = _local_parts(stamps("2007-01-08 02:00:00", "2007-01-05 02:00:00"), 0)
+        _, seg = _local_parts(stamps("2007-01-08 02:00:00", "2007-01-05 02:00:00"), 0)
         assert seg.tolist() == [SEGMENT["weekday_late_night"], SEGMENT["weekend_late_night"]]
 
     def test_utc_offset_shifts_local_clock(self):
         ts = stamps("2007-01-02 23:30:00")
-        assert _local_parts(ts, 0)[2].tolist() == [SEGMENT["weekday_late_night"]]
-        assert _local_parts(ts, 8 * 3600)[2].tolist() == [SEGMENT["weekday_daytime"]]
+        assert _local_parts(ts, 0)[1].tolist() == [SEGMENT["weekday_late_night"]]
+        assert _local_parts(ts, 8 * 3600)[1].tolist() == [SEGMENT["weekday_daytime"]]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        ts=st.lists(st.integers(-(2**35), 2**35), min_size=1, max_size=20),
+        utc_offset=st.one_of(
+            st.sampled_from([19800, -34200, 14 * 3600, -14 * 3600]),
+            st.integers(-14 * 3600, 14 * 3600),
+        ),
+    )
+    def test_segment_matches_oracle_at_any_offset(self, ts, utc_offset):
+        # stamps from about the year 881 to 3058, so before 1970 too
+        _, seg = _local_parts(np.array(ts, dtype=np.int64), utc_offset)
+        assert seg.tolist() == [oracle_segment(t, utc_offset) for t in ts]
 
     def test_partition_and_segment_totals(self, default_window):
         rng = np.random.default_rng(2)
         ts = rng.integers(default_window.start, default_window.end, size=500)
-        _, _, seg = _local_parts(ts, 0)
+        _, seg = _local_parts(ts, 0)
         assert seg.tolist() == [oracle_segment(int(t)) for t in ts]
         cols = columns([ev("a", "b", int(t)) for t in ts])
         events = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)

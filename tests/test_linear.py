@@ -323,6 +323,13 @@ class TestPathDifferential:
         with pytest.raises(DatasetError, match="C must be positive"):
             train_path(x, y, kind, [1.0, 0.0])
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_every_c_must_be_finite(self, c):
+        # an l2 fit at NaN C returned zero weights after no step
+        x, y = blobs(seed=20)
+        with pytest.raises(DatasetError, match="C must be positive and finite"):
+            train_path(x, y, "logreg", [c])
+
 
 class TestL1Differential:
     """Every l1 fit on the C grid, and at the selector's default C of 30,

@@ -9,6 +9,7 @@ from linkcdr.manifest import (
     FEATURE_SPECS,
     GROUP_SIZES,
     N_FEATURES,
+    SEGMENT_OF_HOUR,
     manifest_hash,
 )
 
@@ -20,6 +21,13 @@ def test_names_unique_and_counted():
     for spec in FEATURE_SPECS:
         by_group[spec.group] = by_group.get(spec.group, 0) + 1
     assert by_group == GROUP_SIZES
+
+
+def test_segment_table_shape():
+    # 168 hours from Monday 00:00; the hours of each segment: 4 days x 10,
+    # 4 x 6, 4 x 8, then 3 x 10, 3 x 6, 3 x 8
+    assert len(SEGMENT_OF_HOUR) == 7 * 24
+    assert [SEGMENT_OF_HOUR.count(seg) for seg in range(6)] == [40, 24, 32, 30, 18, 24]
 
 
 def test_transform_footnotes():

@@ -14,6 +14,7 @@ from conftest import planted_factor_membership, read_truth_csv
 from linkcdr.errors import ConfigError
 from linkcdr.features import WeekGrid, _local_parts
 from linkcdr.ingest import EVENTS_HEADER, EventColumns, parse_events, validate_dataset
+from linkcdr.manifest import SEGMENT_OF_HOUR
 from linkcdr.presets import PRESETS, planted_factors, table3_like
 from linkcdr.synthgen import (
     ArchetypeConfig,
@@ -25,7 +26,7 @@ from linkcdr.synthgen import (
     verify_planted,
     write_dataset,
 )
-from oracles import event_rows_reference
+from oracles import _local, event_rows_reference
 
 
 def small_archetype(**overrides) -> ArchetypeConfig:
@@ -136,8 +137,8 @@ class TestGenerate:
         dataset = generate(config)
         cols = dataset.columns
         grid = WeekGrid.from_window(config.window, 0)
-        day, weekday, seg = _local_parts(cols.timestamp, 0)
-        widx = grid.week_index(day, weekday)
+        day, seg = _local_parts(cols.timestamp, 0)
+        widx = grid.week_index(day)
         on_channel = cols.is_call if channel == "calls" else ~cols.is_call
         assert on_channel.all()
         in_full_weeks = (widx >= 0) & on_channel
@@ -261,10 +262,25 @@ class TestSlotMapping:
         )
         cols = generate(config).columns
         assert len(cols) > 0
-        _, _, seg = _local_parts(cols.timestamp, utc_offset)
+        _, seg = _local_parts(cols.timestamp, utc_offset)
         assert (seg == segment).all()
         assert (cols.timestamp >= config.window.start).all()
         assert (cols.timestamp < config.window.end).all()
+
+    @pytest.mark.parametrize("utc_offset", [0, 19800, -34200])
+    @pytest.mark.parametrize("segment", range(6))
+    def test_every_hour_of_the_segment_is_reached(self, segment, utc_offset):
+        rates = tuple(300.0 if s == segment else 0.0 for s in range(6))
+        config = small_config(
+            n_pairs=2,
+            utc_offset=utc_offset,
+            archetypes=(small_archetype(call_rates=rates, text_rates=(0.0,) * 6),),
+            background=BackgroundConfig(side_links=0, rate_multiplier=0.0),
+        )
+        local_hours = np.unique((generate(config).columns.timestamp + utc_offset) // 3600)
+        local = [_local(3600 * hour, 0) for hour in local_hours.tolist()]
+        reached = {24 * dt.weekday() + dt.hour for dt in local}
+        assert reached == {h for h, s in enumerate(SEGMENT_OF_HOUR) if s == segment}
 
 
 # at most 4 UTF-8 bytes a character, so at most 64 bytes an id
