@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DatasetError
 from .learn.neighbors import nearest
 
+CLAMP_SLACK = 0.02  # a 1-NN error up to this far above 0.5 is clamped to 0.5
+
 
 def one_nn_error(
     train_x: np.ndarray,
@@ -63,16 +65,16 @@ class BayesBounds:
         return asdict(self)
 
 
-def bayes_bounds(e_nn: float, clamp_slack: float = 0.02) -> BayesBounds:
+def bayes_bounds(e_nn: float) -> BayesBounds:
     """Sandwich the Bayes error given a 1-NN error estimate in [0, 0.5].
 
-    Estimates marginally above 0.5 (sampling noise, within ``clamp_slack``)
+    Estimates marginally above 0.5 (sampling noise, within ``CLAMP_SLACK``)
     are clamped with a warning; larger values are rejected.
     """
     if e_nn < 0:
         raise DatasetError(f"1-NN error {e_nn} is negative")
     if e_nn > 0.5:
-        if e_nn <= 0.5 + clamp_slack:
+        if e_nn <= 0.5 + CLAMP_SLACK:
             warnings.warn(
                 f"1-NN error {e_nn:.4f} marginally above 0.5; clamping to 0.5",
                 RuntimeWarning,

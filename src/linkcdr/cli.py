@@ -104,14 +104,25 @@ def _check_min_months(min_months: int, window: ObservationWindow) -> None:
         raise ConfigError(f"--min-months {min_months} must lie in 0..{window.n_months}")
 
 
-def _read_events_file(path: str, window: ObservationWindow):
-    with open(path, "rb") as handle:
-        return parse_events(handle, window)
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"--seed {seed} must be non-negative")
 
 
-def _read_subscribers_file(path: str):
+def _check_utc_offset(utc_offset: int) -> None:
+    bound = manifest.MAX_UTC_OFFSET
+    if not -bound <= utc_offset <= bound:
+        raise ConfigError(f"--utc-offset {utc_offset} must lie in {-bound}..{bound}")
+
+
+def _parse_file(parse, path: str, *args):
+    """``parse`` (``parse_events`` or ``parse_subscribers``) of the file at
+    ``path``; the error of a missing or wrong header names the file."""
     with open(path, "rb") as handle:
-        return parse_subscribers(handle)
+        try:
+            return parse(handle, *args)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _write_diagnostics(path: str, diagnostics) -> None:
@@ -126,11 +137,8 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
     else:
         if args.n_pairs is None:
             raise ConfigError("--n-pairs is required without --config")
-        builder = PRESETS.get(args.preset)
-        if builder is None:
-            raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
         window = _window_from_args(args)
-        config = builder(args.n_pairs, args.seed, window)
+        config = PRESETS[args.preset](args.n_pairs, args.seed, window)
         if args.utc_offset:
             config = replace(config, utc_offset=args.utc_offset)
     if args.verify:
@@ -152,8 +160,8 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
 
 def cmd_ingest(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
-    columns, event_diags = _read_events_file(args.events, window)
-    subscribers, sub_diags = _read_subscribers_file(args.subscribers)
+    columns, event_diags = _parse_file(parse_events, args.events, window)
+    subscribers, sub_diags = _parse_file(parse_subscribers, args.subscribers)
     report = validate_dataset(columns, subscribers, window)
     write_json(stage.path("validation.json"), report.to_dict())
     _write_diagnostics(stage.path("diagnostics.jsonl"), event_diags + sub_diags)
@@ -163,26 +171,25 @@ def cmd_ingest(args: argparse.Namespace, stage: Stage) -> int:
 def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
     _check_min_months(args.min_months, window)
-    columns, event_diags = _read_events_file(args.events, window)
+    columns, event_diags = _parse_file(parse_events, args.events, window)
     subscribers, _ = (
-        _read_subscribers_file(args.subscribers) if args.subscribers else ({}, [])
+        _parse_file(parse_subscribers, args.subscribers) if args.subscribers else ({}, [])
     )
     graph = build_links(columns, window)
-    filtered = apply_regularity_filter(graph, window, args.min_months)
-    pairs = mutual_top_rank_pairs(filtered)
+    pairs = mutual_top_rank_pairs(graph, apply_regularity_filter(graph, window, args.min_months))
     labels = label_pairs(pairs, subscribers)
 
-    active = filtered.active_months
+    active = graph.active_months
     rows = []
-    for pair, i in zip(pairs, filtered.index(pairs).tolist()):
+    for pair, i in zip(pairs, graph.index(pairs).tolist()):
         label = labels.get(pair)
         rows.append(
             {
                 "first": pair.first,
                 "second": pair.second,
-                "calls_total": int(filtered.calls[i]),
-                "texts_total": int(filtered.texts[i]),
-                "duration_total": int(filtered.duration[i]),
+                "calls_total": int(graph.calls[i]),
+                "texts_total": int(graph.texts[i]),
+                "duration_total": int(graph.duration[i]),
                 "months_active": int(active[i]),
                 "label_code": label.code if label else "",
                 "younger_age": label.younger_age if label else "",
@@ -195,18 +202,19 @@ def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
 
 def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
     window = _window_from_args(args)
+    _check_utc_offset(args.utc_offset)
     if args.common_contacts_filtered:
         _check_min_months(args.min_months, window)
-    columns, _ = _read_events_file(args.events, window)
+    columns, _ = _parse_file(parse_events, args.events, window)
     pair_rows = read_pairs_csv(args.pairs)
     pairs = [PairKey(row["first"], row["second"]) for row in pair_rows]
     graph = build_links(columns, window)
-    contact_graph = (
+    contact_links = (
         apply_regularity_filter(graph, window, args.min_months)
         if args.common_contacts_filtered
-        else graph
+        else None
     )
-    matrix = compute_feature_matrix(columns, pairs, contact_graph, window, args.utc_offset)
+    matrix = compute_feature_matrix(columns, pairs, graph, window, args.utc_offset, contact_links)
     write_features_csv(stage.path("features.csv"), pairs, matrix)
     return 0
 
@@ -340,6 +348,7 @@ def _fit_record(model: TrainedModel) -> dict:
 def _ensemble_seeds(args: argparse.Namespace) -> list[int]:
     """``--seeds`` consecutive seeds from ``--seed``; an odd count, so the
     majority vote cannot tie."""
+    _check_seed(args.seed)
     if args.seeds < 1 or args.seeds % 2 == 0:
         raise ConfigError(f"--seeds {args.seeds} must be a positive odd count")
     return [args.seed + i for i in range(args.seeds)]
@@ -434,6 +443,7 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> int:
 
 
 def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
+    _check_seed(args.seed)
     stage.seeds = [args.seed]
     if args.loo:
         for flag, value in (("--n-train", args.n_train), ("--n-test", args.n_test)):

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DatasetError
 
 EIGENVALUE_SLACK = -1e-10
+# varimax stops once a step raises the singular-value sum by at most this share
+VARIMAX_TOL = 1e-6
+VARIMAX_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,7 @@ class VarimaxResult:
     n_iterations: int
 
 
-def varimax(
-    load: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
-    kaiser_normalize: bool = True,
-) -> VarimaxResult:
+def varimax(load: np.ndarray, kaiser_normalize: bool = True) -> VarimaxResult:
     """Orthogonally rotate loadings to maximize the varimax criterion.
 
     Kaiser row normalization is applied before and undone after rotation
@@ -120,7 +118,7 @@ def varimax(
     converged = False
     d_old = 0.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, VARIMAX_MAX_ITER + 1):
         b = a @ rotation
         gradient = a.T @ (b**3 - b @ np.diag((b**2).sum(axis=0)) / p)
         u, s, vt = np.linalg.svd(gradient)
@@ -131,13 +129,13 @@ def varimax(
         if criterion > best_criterion:
             best_criterion = criterion
             best_rotation = rotation
-        if d == 0.0 or (d_old > 0.0 and d - d_old <= tol * d):
+        if d == 0.0 or (d_old > 0.0 and d - d_old <= VARIMAX_TOL * d):
             converged = True
             break
         d_old = d
     if not converged:
         warnings.warn(
-            f"varimax did not converge in {max_iter} iterations; returning best iterate",
+            f"varimax did not converge in {VARIMAX_MAX_ITER} iterations; returning best iterate",
             RuntimeWarning,
             stacklevel=2,
         )

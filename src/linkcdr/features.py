@@ -45,7 +45,6 @@ class WeekGrid:
 
     first_monday_day: int
     n_weeks: int
-    utc_offset: int
 
     @classmethod
     def from_window(cls, window: ObservationWindow, utc_offset: int = 0) -> "WeekGrid":
@@ -56,7 +55,7 @@ class WeekGrid:
         n_weeks = (end_local // SECONDS_PER_DAY - first_monday) // 7
         if n_weeks < 1:
             raise DatasetError("observation window holds no full Monday-aligned week")
-        return cls(int(first_monday), int(n_weeks), utc_offset)
+        return cls(int(first_monday), int(n_weeks))
 
     def week_index(self, day: np.ndarray) -> np.ndarray:
         """Full-week index per event day, -1 outside the grid."""
@@ -231,11 +230,12 @@ def compute_feature_matrix(
     graph: LinkGraph,
     window: ObservationWindow,
     utc_offset: int = 0,
+    contact_links: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feature matrix (len(pairs) x 175) in the order of ``pairs``.
 
-    ``graph`` is ``build_links(cols, window)`` or a filtered view of it and
-    holds every pair; it gives each pair's events, totals and common contacts.
+    ``graph`` is ``build_links(cols, window)`` and holds every pair; the common
+    contacts count over its rows ``contact_links`` (default: every link).
     """
     if len(graph.event_link) != len(cols):
         raise DatasetError(
@@ -243,10 +243,11 @@ def compute_feature_matrix(
         )
     if not pairs:
         return np.zeros((0, manifest.N_FEATURES))
+    common = common_contacts(graph, pairs, contact_links).astype(np.float64)
     grid = WeekGrid.from_window(window, utc_offset)
     links, inverse = np.unique(graph.index(pairs), return_inverse=True)
     n = len(links)
-    lookup = np.full(len(graph) + 1, -1)  # the last slot keeps a dropped link's -1
+    lookup = np.full(len(graph), -1)
     lookup[links] = np.arange(n)
     row = lookup[graph.event_link]
     idx = np.flatnonzero(row >= 0)
@@ -263,5 +264,4 @@ def compute_feature_matrix(
         ],
         axis=1,
     )
-    common = common_contacts(graph, pairs).astype(np.float64)
     return np.concatenate([blocks[inverse], common], axis=1)

@@ -132,7 +132,7 @@ def read_pairs_csv(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\r\n")
         if header != PAIRS_HEADER:
-            raise ParseError(f"pairs header mismatch: got {header!r}")
+            raise ParseError(f"{path}: pairs header mismatch: got {header!r}")
         rows = []
         for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\r\n")
@@ -176,7 +176,7 @@ def read_features_csv(path: str) -> tuple[list[PairKey], np.ndarray]:
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\r\n")
         if header != "first,second," + ",".join(manifest.FEATURE_NAMES):
-            raise ParseError("features header does not match the feature manifest")
+            raise ParseError(f"{path}: features header does not match the feature manifest")
         for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\r\n")
             if not line:
@@ -223,7 +223,7 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\r\n")
         if header != PREDICTIONS_HEADER:
-            raise ParseError(f"predictions header mismatch: got {header!r}")
+            raise ParseError(f"{path}: predictions header mismatch: got {header!r}")
         ids: list[str] = []
         preds: list[int] = []
         probs: list[float] = []

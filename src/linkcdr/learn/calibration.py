@@ -12,6 +12,9 @@ import numpy as np
 
 from ..errors import DatasetError
 
+MAX_ITER = 200  # Newton steps of the sigmoid fit
+TOL = 1e-10  # the fit stops once both gradient entries are below this
+
 
 def platt_probability(scores: np.ndarray | float, a: float, b: float) -> np.ndarray:
     """Stable evaluation of 1 / (1 + exp(a*scores + b))."""
@@ -26,12 +29,7 @@ def _nll(scores: np.ndarray, targets: np.ndarray, a: float, b: float) -> float:
     return float(np.sum(np.where(f >= 0, targets * f, (targets - 1.0) * f) + np.logaddexp(0.0, -np.abs(f))))
 
 
-def platt_fit(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
+def platt_fit(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Fit (A, B) of the calibration sigmoid on decision values and 0/1 labels."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -51,12 +49,12 @@ def platt_fit(
     value = _nll(scores, targets, a, b)
     ridge = 1e-12
     min_step = 1e-12
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         p = platt_probability(scores, a, b)
         residual = targets - p  # dNLL/df per sample
         grad_a = float(np.dot(scores, residual))
         grad_b = float(np.sum(residual))
-        if abs(grad_a) < tol and abs(grad_b) < tol:
+        if abs(grad_a) < TOL and abs(grad_b) < TOL:
             break
         d2 = p * (1.0 - p)
         h_aa = float(np.dot(scores * scores, d2)) + ridge

@@ -19,6 +19,7 @@ from .neighbors import knn_predict_grid
 
 C_GRID: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 K_GRID: tuple[int, ...] = (1, 3, 5, 11, 21, 51)
+N_FOLDS = 5  # cross-validation folds
 
 
 @dataclass
@@ -94,7 +95,6 @@ def cross_validate(
     kind: str,
     grid: Sequence[float | int],
     seed: int,
-    n_folds: int = 5,
 ) -> CrossValResult:
     """Pick the grid value with the best mean fold accuracy and refit on all
     rows; ties go to the earlier grid entry.
@@ -108,9 +108,9 @@ def cross_validate(
         raise DatasetError(f"cross-validation needs at least 10 rows, got {dataset.n}")
     if kind not in (KIND_KNN, KIND_LOGREG, KIND_LSVM):
         raise ConfigError(f"unknown model kind {kind!r}")
-    folds = stratified_folds(dataset.y, n_folds, seed)
+    folds = stratified_folds(dataset.y, N_FOLDS, seed)
     fold_acc = []
-    for fold in range(n_folds):
+    for fold in range(N_FOLDS):
         train, test = folds != fold, folds == fold
         x, y = dataset.x[train], dataset.y[train]
         if kind == KIND_KNN:  # one neighbour ordering scores every k

@@ -37,6 +37,7 @@ SCALE_STATS = ("mean", "median", "std", "min", "max")
 SECONDS_PER_DAY = 86400
 MONDAY_EPOCH_DAY = 4  # 1970-01-05, the first Monday of the epoch
 WEEKEND_FIRST_DAY = 4  # Friday, counting from Monday = 0
+MAX_UTC_OFFSET = 14 * 3600  # a UTC offset lies in -14 h..+14 h, the civil time zones' span
 # The local hour each daypart starts, in DAYPARTS order, which is clock
 # order; a daypart runs to the next one's start, the last past midnight.
 DAYPART_START_HOURS = (7, 17, 23)

@@ -5,9 +5,11 @@ A *link* is the undirected aggregate of all events between one unordered
 user pair. ``LinkGraph`` holds one array entry per link over the user codes
 of the ``EventColumns`` it was built from, and the one index from events to
 links (``event_link``); user ids appear only at its edges (``keys()`` and
-``index(pairs)``). Alters of an ego are ranked by total call count on the
-link, with a deterministic tie-break (higher total duration, then smaller
-alter id), in one sort over all egos (``alter_ranking``). A *mutual
+``index(pairs)``). A subset of the links, such as those the regularity
+filter keeps, is an array of link rows (``links``), never a second graph.
+Alters of an ego are ranked over such rows (default: every link) by total
+call count, with a deterministic tie-break (higher total duration, then
+smaller alter id), in one sort over all egos (``alter_ranking``). A *mutual
 top-rank pair* is a pair where each user is the other's rank-1 alter after
 the regularity filter; ``common_contacts`` counts the shared top-5 and all
 shared alters of a list of pairs in one batched call.
@@ -15,7 +17,7 @@ shared alters of a list of pairs in one batched call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,9 +27,6 @@ from .ingest import EventColumns, ObservationWindow
 from .relations import PairKey
 
 TOP_ALTERS = 5  # depth of the top-alter lists behind the top-5 common contacts
-
-_LINK_FIELDS = ("first", "second", "calls", "texts", "duration", "calls_from_first",
-                "texts_from_first", "duration_from_first", "months")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +38,7 @@ class LinkGraph:
     count from the first user (from-second = total - from-first); durations
     sum known call durations; ``months`` counts calls per calendar month of
     the window. ``lex_rank`` is each user code's position in id order.
-    ``event_link`` is each source event's link row (int32), -1 once filtered out.
+    ``event_link`` is each source event's link row (int32).
     """
 
     users: list[str]
@@ -125,21 +124,14 @@ def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
 
 def apply_regularity_filter(
     graph: LinkGraph, window: ObservationWindow, min_months: int = 5
-) -> LinkGraph:
-    """Keep links with at least one call in ``min_months`` distinct months.
-
-    Text-only activity never counts toward regularity. The view's
-    ``event_link`` points at its own rows, -1 for the events of a dropped link.
-    """
+) -> np.ndarray:
+    """Ascending int64 rows of the links with at least one call in
+    ``min_months`` distinct months; text-only activity never counts."""
     if not 0 <= min_months <= window.n_months:
         raise ConfigError(
             f"min_months {min_months} must lie in 0..{window.n_months}, the months in the window"
         )
-    keep = graph.active_months >= min_months
-    remap = np.full(len(graph) + 1, -1, dtype=np.int32)  # the last slot keeps a -1
-    remap[:-1][keep] = np.arange(np.count_nonzero(keep))
-    fields = {name: getattr(graph, name)[keep] for name in _LINK_FIELDS}
-    return replace(graph, event_link=remap[graph.event_link], **fields)
+    return np.flatnonzero(graph.active_months >= min_months).astype(np.int64, copy=False)
 
 
 class AlterRanking(NamedTuple):
@@ -151,21 +143,22 @@ class AlterRanking(NamedTuple):
     start: np.ndarray
 
 
-def alter_ranking(graph: LinkGraph) -> AlterRanking:
-    """Rank each ego's alters by call count, then total duration (both
-    descending), then alter id, with one sort over both ends of every link."""
-    link = np.tile(np.arange(len(graph)), 2)
-    ego = np.concatenate([graph.first, graph.second])
-    alter = np.concatenate([graph.second, graph.first])
+def alter_ranking(graph: LinkGraph, links: np.ndarray | None = None) -> AlterRanking:
+    """Rank each ego's alters among ``links`` by call count, then total duration
+    (both descending), then alter id, with one sort over both ends of every link."""
+    links = np.arange(len(graph)) if links is None else links
+    link = np.tile(links, 2)
+    ego = np.concatenate([graph.first[links], graph.second[links]])
+    alter = np.concatenate([graph.second[links], graph.first[links]])
     order = np.lexsort((graph.lex_rank[alter], -graph.duration[link], -graph.calls[link], ego))
     start = np.zeros(len(graph.users) + 1, dtype=np.int64)
     np.cumsum(np.bincount(ego, minlength=len(graph.users)), out=start[1:])
     return AlterRanking(alter[order], link[order], start)
 
 
-def mutual_top_rank_pairs(graph: LinkGraph) -> list[PairKey]:
-    """Pairs where each user is the other's rank-1 alter, sorted by key."""
-    ranking = alter_ranking(graph)
+def mutual_top_rank_pairs(graph: LinkGraph, links: np.ndarray | None = None) -> list[PairKey]:
+    """Pairs where each user is the other's rank-1 alter among ``links``, sorted by key."""
+    ranking = alter_ranking(graph, links)
     egos = np.flatnonzero(np.diff(ranking.start))
     top = np.full(len(graph.users), -1, dtype=np.int64)
     top[egos] = ranking.alter[ranking.start[egos]]
@@ -191,12 +184,18 @@ def _shared_alters(
     return np.bincount(key[1:][key[1:] == key[:-1]] // n_users, minlength=n_pairs)
 
 
-def common_contacts(graph: LinkGraph, pairs: Sequence[PairKey]) -> np.ndarray:
-    """(top-5 common alters, all common alters) of each pair, excluding the
-    pair itself, as an (n, 2) int array; every pair must be a link."""
+def common_contacts(
+    graph: LinkGraph, pairs: Sequence[PairKey], links: np.ndarray | None = None
+) -> np.ndarray:
+    """(top-5 common alters, all common alters) of each pair among ``links``,
+    excluding the pair itself, as an (n, 2) int array; every pair must be one
+    of ``links``."""
     rows = graph.index(pairs)
+    if links is not None and not np.isin(rows, links).all():
+        first, second = pairs[int(np.argmin(np.isin(rows, links)))]
+        raise DatasetError(f"pair ({first}, {second}) is not one of the ranked links")
     a, b = graph.first[rows], graph.second[rows]
-    ranking = alter_ranking(graph)
+    ranking = alter_ranking(graph, links)
     degree = np.diff(ranking.start)
     top = _shared_alters(ranking, a, b, np.minimum(degree, TOP_ALTERS))
     return np.stack([top, _shared_alters(ranking, a, b, degree)], axis=1)

@@ -36,7 +36,7 @@ from .ingest import (
     ObservationWindow,
     SubscriberRecord,
 )
-from .manifest import MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT_OF_HOUR
+from .manifest import MAX_UTC_OFFSET, MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT_OF_HOUR
 from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
 from .relations import PairKey
 
@@ -107,6 +107,12 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.n_pairs <= 0:
             raise ConfigError("n_pairs must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be non-negative")
+        if not -MAX_UTC_OFFSET <= self.utc_offset <= MAX_UTC_OFFSET:
+            raise ConfigError(
+                f"utc_offset {self.utc_offset} must lie in {-MAX_UTC_OFFSET}..{MAX_UTC_OFFSET}"
+            )
         if not self.archetypes:
             raise ConfigError("at least one archetype is required")
         total = sum(a.prevalence for a in self.archetypes)
@@ -446,8 +452,8 @@ def verify_planted(
 ) -> PlantedReport:
     """Run pair extraction and report the planted-pair recovery fraction."""
     graph = build_links(columns, window)
-    filtered = apply_regularity_filter(graph, window, min_months)
-    recovered = set(mutual_top_rank_pairs(filtered))
+    kept = apply_regularity_filter(graph, window, min_months)
+    recovered = set(mutual_top_rank_pairs(graph, kept))
     planted = {PairKey.of(p.first, p.second) for p in truth}
     missing = sorted(planted - recovered)
     n_recovered = len(planted & recovered)

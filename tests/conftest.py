@@ -85,10 +85,11 @@ def read_truth_csv(path: str) -> list[PlantedPair]:
     return out
 
 
-def ranked_alters(graph: LinkGraph) -> dict[str, list[tuple[str, int]]]:
-    """Each ego's (alter id, calls) list in rank order, read from ``alter_ranking``;
-    the shape of ``tests/oracles.rank_alters_brute``."""
-    ranking = alter_ranking(graph)
+def ranked_alters(graph: LinkGraph, links=None) -> dict[str, list[tuple[str, int]]]:
+    """Each ego's (alter id, calls) list in rank order over the graph's rows
+    ``links``, read from ``alter_ranking``; the shape of
+    ``tests/oracles.rank_alters_brute``."""
+    ranking = alter_ranking(graph, links)
     out = {}
     for code, user in enumerate(graph.users):
         block = slice(ranking.start[code], ranking.start[code + 1])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from linkcdr.cli import main
-from linkcdr.io_utils import read_pairs_csv, sha256_file, write_features_csv
+from linkcdr.io_utils import read_pairs_csv, sha256_file, write_features_csv, write_pairs_csv
 from linkcdr.manifest import FEATURE_NAMES, N_FEATURES
 from linkcdr.relations import PairKey
 
@@ -254,6 +254,35 @@ class TestExitCodes:
             f"fatal: {predictions}: bad predictions row on line 2: prediction 'yes'"
         )
 
+    @pytest.mark.parametrize(
+        "name", ["events", "subscribers", "pairs", "features", "predictions"]
+    )
+    def test_bad_header_names_its_file(self, pipeline_dirs, tmp_path, capsys, name):
+        gen, pairs, feats = pipeline_dirs["gen"], pipeline_dirs["pairs"], pipeline_dirs["feats"]
+        files = {
+            "events": gen / "events.csv",
+            "subscribers": gen / "subscribers.csv",
+            "pairs": pairs / "pairs.csv",
+            "features": feats / "features.csv",
+        }
+        bad = files[name] = tmp_path / f"{name}.csv"
+        bad.write_text("bad\nx,y\n")
+        argv = {
+            "events": ["pairs", "--events", files["events"]],
+            "subscribers": [
+                "ingest", "--events", files["events"], "--subscribers", files["subscribers"],
+            ],
+            "pairs": ["features", "--events", files["events"], "--pairs", files["pairs"]],
+            "features": ["pca", "--features", files["features"]],
+            "predictions": [
+                "evaluate", "--predictions", bad, "--pairs", files["pairs"], "--task", "ogp",
+            ],
+        }[name]
+        out = tmp_path / "o"
+        assert main([*map(str, argv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"fatal: {bad}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("stage", ["pca", "train", "bayes-bounds"])
     def test_non_finite_feature_value_is_fatal(self, pipeline_dirs, tmp_path, capsys, stage, value):
@@ -289,9 +318,16 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "g" / "events.csv").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
     @pytest.mark.parametrize(
-        "key", ["pair_activity_sigma", "duration_jitter_sigma", "background.rate_multiplier"]
+        "key, value",
+        [
+            (key, value)
+            for key in (
+                "pair_activity_sigma", "duration_jitter_sigma", "background.rate_multiplier"
+            )
+            for value in ("nan", "inf", "-0.5")
+        ]
+        + [("seed", "-1"), ("utc_offset", "90000"), ("utc_offset", "-50401")],
     )
     def test_generate_config_with_bad_scale_exits_two(self, tmp_path, capsys, key, value):
         config_path = tmp_path / "gen.cfg"
@@ -404,6 +440,39 @@ class TestFlagRanges:
         ])
         assert code == 2
         assert f"--seeds {seeds} must be a positive odd count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["generate", "train", "bayes-bounds", "experiment"])
+    def test_negative_seed(self, pipeline_dirs, tmp_path, capsys, stage):
+        argv = {
+            "generate": ["generate", "--n-pairs", "20"],
+            "train": ["train", *self.labeled(pipeline_dirs), "--task", "ogp", "--n-train", "80"],
+            "bayes-bounds": ["bayes-bounds", *self.labeled(pipeline_dirs), "--task", "ogp"],
+            "experiment": [
+                "experiment", "age-restricted", *self.labeled(pipeline_dirs), "--bracket", "M",
+            ],
+        }[stage]
+        n_test = [] if stage == "generate" else ["--n-test", "60"]
+        out = tmp_path / "o"
+        assert main([*argv, *n_test, "--seed", "-1", "--out", str(out)]) == 2
+        flag = "seed" if stage == "generate" else "--seed"  # generate checks its config
+        assert capsys.readouterr().err == f"error: {flag} -1 must be non-negative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("offset", ["90000", "-50401", "10000000000000000000"])
+    @pytest.mark.parametrize("stage", ["generate", "features"])
+    def test_utc_offset(self, pipeline_dirs, tmp_path, capsys, stage, offset):
+        argv = {
+            "generate": ["generate", "--n-pairs", "20"],
+            "features": [
+                "features", "--events", str(pipeline_dirs["gen"] / "events.csv"),
+                "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"),
+            ],
+        }[stage]
+        out = tmp_path / "o"
+        assert main([*argv, "--utc-offset", offset, "--out", str(out)]) == 2
+        flag = "utc_offset" if stage == "generate" else "--utc-offset"
+        assert capsys.readouterr().err == f"error: {flag} {offset} must lie in -50400..50400\n"
+        assert not out.exists()
 
 
 # a reversed window and an empty one
@@ -630,24 +699,47 @@ class TestPcaStage:
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path):
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["pca"], ("scree.csv", "loadings.csv", "factors.json", "scaler.json")),
+        # n_train < 175 features: the l2 fits' QR and solves run in BLAS
+        (
+            ["train", "--task", "ogp", "--model", "logreg", "--n-train", "100",
+             "--n-test", "50", "--seeds", "1"],
+            ("model.json", "predictions.csv", "report.json", "scaler.json"),
+        ),
+    ],
+    ids=["pca", "train"],
+)
+def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path, argv, outputs):
     """A stage pins one BLAS thread unless told otherwise, so its output
     matches a run with the thread variables set to 1."""
-    features = tmp_path / "features.csv"
+    features, pairs_csv = tmp_path / "features.csv", tmp_path / "pairs.csv"
     rng = np.random.default_rng(5)
     pairs = [PairKey(f"a{i:03d}", f"b{i:03d}") for i in range(300)]
     write_features_csv(str(features), pairs, rng.standard_normal((300, N_FEATURES)))
+    codes = rng.choice(["-Y peers", "+Y peers"], size=len(pairs))  # random OGP labels
+    write_pairs_csv(
+        str(pairs_csv),
+        [
+            {"first": p.first, "second": p.second, "calls_total": 1, "texts_total": 0,
+             "duration_total": 60, "months_active": 5, "label_code": code, "younger_age": 25}
+            for p, code in zip(pairs, codes)
+        ],
+    )
+    labels = ["--pairs", str(pairs_csv)] if argv[0] == "train" else []
     unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     runs = {"unset": unset, "one": {**unset, **dict.fromkeys(BLAS_THREADS, "1")}}
     for name, env in runs.items():
         subprocess.run(
-            [sys.executable, "-m", "linkcdr.cli", "pca", "--features", str(features),
+            [sys.executable, "-m", "linkcdr.cli", *argv, "--features", str(features), *labels,
              "--out", str(tmp_path / name)],
             env={**env, "PYTHONPATH": path},
             check=True,
         )
-    for name in ("scree.csv", "loadings.csv", "factors.json", "scaler.json"):
+    for name in outputs:
         assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 

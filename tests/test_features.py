@@ -588,16 +588,17 @@ class TestGraphIndex:
         s3 = [ev("p2", "s3", default_window.start + 1000), ev("s3", "p2", epoch("2007-04-02"))]
         cols = columns(events + side + q + s3)
         graph = build_links(cols, default_window)
-        once = apply_regularity_filter(graph, default_window, 2)
-        twice = apply_regularity_filter(once, default_window, 3)
-        pairs = mutual_top_rank_pairs(twice)
+        kept = {m: apply_regularity_filter(graph, default_window, m) for m in (2, 3)}
+        pairs = mutual_top_rank_pairs(graph, kept[3])
         assert pairs == [P12, PairKey.of("q1", "q2")]
-        assert (len(graph), len(once), len(twice)) == (6, 3, 2)
+        assert (len(graph), len(kept[2]), len(kept[3])) == (6, 3, 2)
         full = compute_feature_matrix(cols, pairs, graph, default_window)
-        for view in (once, twice):
-            matrix = compute_feature_matrix(cols, pairs, view, default_window)
+        for links in kept.values():
+            matrix = compute_feature_matrix(cols, pairs, graph, default_window, 0, links)
             np.testing.assert_array_equal(matrix[:, :EVENT_COLUMNS], full[:, :EVENT_COLUMNS])
-            np.testing.assert_array_equal(matrix[:, EVENT_COLUMNS:], common_contacts(view, pairs))
+            np.testing.assert_array_equal(
+                matrix[:, EVENT_COLUMNS:], common_contacts(graph, pairs, links)
+            )
 
     def test_columns_of_another_length_raise(self, default_window):
         events, side = build_pair_fixture(default_window)

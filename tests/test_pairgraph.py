@@ -183,9 +183,10 @@ class TestRegularityFilter:
         rng = np.random.default_rng(3)
         events = random_events(rng, 10, 600, default_window)
         graph = build_links(columns(events), default_window)
+        keys = graph.keys()
         previous = None
         for months in range(8):
-            kept = set(apply_regularity_filter(graph, default_window, months).keys())
+            kept = {keys[i] for i in apply_regularity_filter(graph, default_window, months)}
             if previous is not None:
                 assert kept <= previous
             previous = kept
@@ -253,6 +254,15 @@ class TestCommonContacts:
         with pytest.raises(DatasetError, match="unknown pair"):
             common_contacts(graph, [PairKey.of("a", "b"), PairKey.of("a", "z")])
 
+    def test_pair_outside_the_ranked_links_errors(self, default_window):
+        events = [ev("a", "b", default_window.month_starts[m] + 5) for m in range(5)]
+        events.append(ev("a", "c", default_window.start + 9))
+        graph = build_links(columns(events), default_window)
+        kept = apply_regularity_filter(graph, default_window, 5)
+        assert common_contacts(graph, [PairKey.of("a", "b")], kept).tolist() == [[0, 0]]
+        with pytest.raises(DatasetError, match=r"pair \(a, c\) is not one of the ranked links"):
+            common_contacts(graph, [PairKey.of("a", "c")], kept)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_eight_node_fixture_matches_brute_intersection(self, default_window, seed):
         rng = np.random.default_rng(40 + seed)
@@ -305,25 +315,29 @@ class TestGraphDifferential:
         events, min_months = case
         graph = build_links(columns(events), GRAPH_WINDOW)
         recount = recount_links(events, GRAPH_WINDOW)
+        all_keys = graph.keys()
+        row = {key: i for i, key in enumerate(all_keys)}
+        assert graph.event_link.min(initial=0) >= 0
+        assert graph.event_link.tolist() == [
+            row[PairKey.of(e.caller_id, e.callee_id)] for e in events
+        ]
         for months in (0, min_months):
-            view = apply_regularity_filter(graph, GRAPH_WINDOW, months)
+            kept = apply_regularity_filter(graph, GRAPH_WINDOW, months)
+            np.testing.assert_array_equal(kept, np.flatnonzero(graph.active_months >= months))
+            assert kept.dtype == np.int64 and (np.diff(kept) > 0).all()
             oracle = {
                 key: rec
                 for key, rec in recount.items()
                 if sum(c > 0 for c in rec["months"]) >= months
             }
             egos = {user for key in oracle for user in key}
-            assert ranked_alters(view) == {u: rank_alters_brute(oracle, u) for u in egos}
-            got = [(k.first, k.second) for k in mutual_top_rank_pairs(view)]
+            assert ranked_alters(graph, kept) == {u: rank_alters_brute(oracle, u) for u in egos}
+            got = [(k.first, k.second) for k in mutual_top_rank_pairs(graph, kept)]
             assert got == mutual_pairs_brute(oracle)
-            keys = view.keys()
+            keys = [all_keys[i] for i in kept]
             assert sorted(keys) == sorted(PairKey(*key) for key in oracle)
-            row = {key: i for i, key in enumerate(keys)}
-            assert view.event_link.tolist() == [
-                row.get(PairKey.of(e.caller_id, e.callee_id), -1) for e in events
-            ]
             query = keys[::-1] + keys[:2]
-            assert common_contacts(view, query).tolist() == [
+            assert common_contacts(graph, query, kept).tolist() == [
                 list(common_contacts_brute(oracle, k.first, k.second)) for k in query
             ]
 
