@@ -19,8 +19,9 @@ from dataclasses import replace
 
 # One BLAS thread unless the caller chose otherwise, set before numpy loads:
 # the summation order of a threaded BLAS, and so the bytes of every
-# artifact, would depend on the thread count.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# artifact, would depend on the thread count. manifest.json records them.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREADS:
     os.environ.setdefault(_name, "1")
 
 import numpy as np
@@ -147,7 +148,7 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
     dataset = generate(config)
     stage.outputs += write_dataset(dataset, stage.out).values()
     if args.verify:
-        report = verify_planted(dataset.columns, dataset.truth, config.window, args.min_months)
+        report = verify_planted(dataset.columns, dataset.truth, args.min_months)
         write_json(stage.path("verify.json"), report.to_dict())
         if not report.ok:
             print(
@@ -159,10 +160,9 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace, stage: Stage) -> int:
-    window = _window_from_args(args)
-    columns, event_diags = _parse_file(parse_events, args.events, window)
+    columns, event_diags = _parse_file(parse_events, args.events, _window_from_args(args))
     subscribers, sub_diags = _parse_file(parse_subscribers, args.subscribers)
-    report = validate_dataset(columns, subscribers, window)
+    report = validate_dataset(columns, subscribers)
     write_json(stage.path("validation.json"), report.to_dict())
     _write_diagnostics(stage.path("diagnostics.jsonl"), event_diags + sub_diags)
     return 0 if report.ok else 2
@@ -175,8 +175,8 @@ def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
     subscribers, _ = (
         _parse_file(parse_subscribers, args.subscribers) if args.subscribers else ({}, [])
     )
-    graph = build_links(columns, window)
-    pairs = mutual_top_rank_pairs(graph, apply_regularity_filter(graph, window, args.min_months))
+    graph = build_links(columns)
+    pairs = mutual_top_rank_pairs(graph, apply_regularity_filter(graph, args.min_months))
     labels = label_pairs(pairs, subscribers)
 
     active = graph.active_months
@@ -208,13 +208,11 @@ def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
     columns, _ = _parse_file(parse_events, args.events, window)
     pair_rows = read_pairs_csv(args.pairs)
     pairs = [PairKey(row["first"], row["second"]) for row in pair_rows]
-    graph = build_links(columns, window)
+    graph = build_links(columns)
     contact_links = (
-        apply_regularity_filter(graph, window, args.min_months)
-        if args.common_contacts_filtered
-        else None
+        apply_regularity_filter(graph, args.min_months) if args.common_contacts_filtered else None
     )
-    matrix = compute_feature_matrix(columns, pairs, graph, window, args.utc_offset, contact_links)
+    matrix = compute_feature_matrix(graph, pairs, args.utc_offset, contact_links)
     write_features_csv(stage.path("features.csv"), pairs, matrix)
     return 0
 
@@ -694,13 +692,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _runtime() -> dict:
+    """The numeric runtime a stage ran on: numpy's version, its BLAS, and
+    the BLAS thread variables as the stage saw them after the pin."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        **{name: os.environ.get(name) for name in BLAS_THREADS},
+    }
+
+
 def run_stage(args: argparse.Namespace) -> int:
     """Run one parsed subcommand and write its ``manifest.json``.
 
     Inputs are hashed and held to their sibling manifests before the stage
     runs; the manifest records them by flag (``--reports`` files by file
-    name), every other flag under ``config``, and the seeds and files the
-    stage named."""
+    name), every other flag under ``config``, the numeric runtime, and the
+    seeds and files the stage named."""
     flags = vars(args)
     inputs = {flag: flags[flag] for flag in INPUT_FLAGS if flags.get(flag)}
     for path in flags.get("reports", ()):
@@ -711,6 +720,7 @@ def run_stage(args: argparse.Namespace) -> int:
         subcommand=args.command,
         inputs=inputs,
         config={key: value for key, value in flags.items() if key not in NOT_CONFIG},
+        runtime=_runtime(),
     )
     record.check_inputs()
     stage = Stage(args.out)

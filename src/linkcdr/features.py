@@ -2,8 +2,9 @@
 fractions, active days, reciprocity, inter-event gaps, and the 175-value
 vector.
 
-``compute_feature_matrix`` is the one entry point. It takes each pair's
-events from the link graph's ``event_link`` and builds each feature group
+``compute_feature_matrix`` is the one entry point. It reads the events and
+their observation window from the link graph's columns, takes each pair's
+events through the graph's ``event_link``, and builds each feature group
 for all rows with whole-array operations; one pair's vector is the one-row call.
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
@@ -225,25 +226,21 @@ def _interevent(
 
 
 def compute_feature_matrix(
-    cols: EventColumns,
-    pairs: Sequence[PairKey],
     graph: LinkGraph,
-    window: ObservationWindow,
+    pairs: Sequence[PairKey],
     utc_offset: int = 0,
     contact_links: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feature matrix (len(pairs) x 175) in the order of ``pairs``.
 
-    ``graph`` is ``build_links(cols, window)`` and holds every pair; the common
-    contacts count over its rows ``contact_links`` (default: every link).
+    ``graph`` holds every pair; the events and the window are its columns'.
+    The common contacts count over its rows ``contact_links`` (default:
+    every link).
     """
-    if len(graph.event_link) != len(cols):
-        raise DatasetError(
-            f"the link graph indexes {len(graph.event_link)} events, the columns {len(cols)}"
-        )
     if not pairs:
         return np.zeros((0, manifest.N_FEATURES))
     common = common_contacts(graph, pairs, contact_links).astype(np.float64)
+    window = graph.columns.window
     grid = WeekGrid.from_window(window, utc_offset)
     links, inverse = np.unique(graph.index(pairs), return_inverse=True)
     n = len(links)
@@ -252,7 +249,7 @@ def compute_feature_matrix(
     row = lookup[graph.event_link]
     idx = np.flatnonzero(row >= 0)
     row = row[idx]  # frees the full-length rows before the selection
-    ev = _Events.select(cols, idx, row, utc_offset)
+    ev = _Events.select(graph.columns, idx, row, utc_offset)
     del lookup, idx, row  # free the selection's temporaries; ev.row keeps the rows
     blocks = np.concatenate(
         [

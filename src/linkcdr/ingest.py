@@ -12,7 +12,9 @@ The on-disk formats are plain CSV:
 Parsing is total: every input row is either accepted or reported as a
 line-level diagnostic; only an unreadable stream or a wrong header is fatal.
 Accepted event rows go straight into ``EventColumns`` (user ids interned in
-order of first appearance); ``CdrEvent`` is the one-event record form, and
+order of first appearance), which also hold the ``ObservationWindow`` the
+rows were read against, so no later layer takes the window again;
+``CdrEvent`` is the one-event record form, and
 ``EventColumns.from_events``/``to_events`` convert a record list both ways.
 
 ``parse_events`` reads the stream in blocks of whole lines. Its block path
@@ -24,7 +26,6 @@ diagnostic text; it reads every other non-blank line, one at a time.
 
 from __future__ import annotations
 
-import calendar
 import io
 from array import array
 from dataclasses import asdict, dataclass, field
@@ -86,20 +87,8 @@ class ParseDiagnostic:
 
 def _month_start_epochs(start: int, end: int) -> tuple[int, ...]:
     """Epoch seconds of the first day of every UTC month intersecting [start, end)."""
-    first = datetime.fromtimestamp(start, tz=timezone.utc)
-    year, month = first.year, first.month
-    starts: list[int] = []
-    while True:
-        epoch = calendar.timegm((year, month, 1, 0, 0, 0))
-        if epoch >= end:
-            break
-        if not starts and epoch > start:
-            raise AssertionError("month grid must begin at or before the window start")
-        starts.append(epoch)
-        month += 1
-        if month == 13:
-            year, month = year + 1, 1
-    return tuple(starts)
+    first, last = np.array([start, end - 1], dtype="datetime64[s]").astype("datetime64[M]")
+    return tuple(np.arange(first, last + 1).astype("datetime64[s]").astype(np.int64).tolist())
 
 
 def epoch_seconds(text: str, source: str = "time") -> int:
@@ -186,13 +175,14 @@ class ObservationWindow:
 
 
 class EventColumns:
-    """Columnar view of an event list for array-based pipelines.
+    """One event set in columns, with the observation window it was read
+    against (``window``), which every later layer reads from here.
 
     User identifiers are interned into ``users`` and referenced by integer
     code; unknown durations are stored as -1.
     """
 
-    __slots__ = ("caller", "callee", "timestamp", "is_call", "duration", "users")
+    __slots__ = ("caller", "callee", "timestamp", "is_call", "duration", "users", "window")
 
     def __init__(
         self,
@@ -202,6 +192,7 @@ class EventColumns:
         is_call: np.ndarray,
         duration: np.ndarray,
         users: list[str],
+        window: ObservationWindow,
     ) -> None:
         self.caller = caller
         self.callee = callee
@@ -209,14 +200,15 @@ class EventColumns:
         self.is_call = is_call
         self.duration = duration
         self.users = users
+        self.window = window
 
     def __len__(self) -> int:
         return len(self.timestamp)
 
     @classmethod
-    def from_events(cls, events: Iterable[CdrEvent]) -> "EventColumns":
-        """Columns of an event list; user ids are interned in order of first
-        appearance."""
+    def from_events(cls, events: Iterable[CdrEvent], window: ObservationWindow) -> "EventColumns":
+        """Columns of an event list over ``window``; user ids are interned in
+        order of first appearance."""
         index: dict[str, int] = {}
         code = index.setdefault
         rows = [
@@ -225,7 +217,7 @@ class EventColumns:
             for ev in events
         ]
         caller, callee, ts, is_call, dur = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
-        return cls(caller, callee, ts, is_call.astype(bool), dur, list(index))
+        return cls(caller, callee, ts, is_call.astype(bool), dur, list(index), window)
 
     def to_events(self) -> list[CdrEvent]:
         out = []
@@ -252,7 +244,7 @@ def _decode_lines(stream: BinaryIO) -> Iterable[str]:
 def parse_events(
     stream: BinaryIO, window: ObservationWindow
 ) -> tuple[EventColumns, list[ParseDiagnostic]]:
-    """Parse an events CSV stream into validated event columns.
+    """Parse an events CSV stream into validated event columns over ``window``.
 
     Malformed rows are skipped and reported with their line number; file
     order is preserved for accepted rows, and user ids are interned in order
@@ -297,7 +289,7 @@ def parse_events(
         raise ParseError("events stream is empty (missing header)")
     caller, callee, ts, is_call, dur = (np.frombuffer(c, dtype=c.typecode) for c in columns)
     users = list(interner.index)
-    return EventColumns(caller, callee, ts, is_call.view(bool), dur, users), diagnostics
+    return EventColumns(caller, callee, ts, is_call.view(bool), dur, users, window), diagnostics
 
 
 _BLOCK_BYTES = 1 << 18
@@ -552,11 +544,9 @@ class ValidationReport:
 
 
 def validate_dataset(
-    cols: EventColumns,
-    subscribers: Mapping[str, SubscriberRecord],
-    window: ObservationWindow,
+    cols: EventColumns, subscribers: Mapping[str, SubscriberRecord]
 ) -> ValidationReport:
-    """Cross-check parsed inputs and summarize coverage.
+    """Cross-check parsed inputs and summarize coverage over the columns' window.
 
     Raises on an empty event set; a month with zero events is flagged as a
     warning (suspicious input) and marks the report not-ok.
@@ -564,6 +554,7 @@ def validate_dataset(
     if len(cols) == 0:
         raise DatasetError("no events in dataset")
 
+    window = cols.window
     per_month = np.bincount(window.month_index(cols.timestamp), minlength=window.n_months)
     seen = np.zeros(len(cols.users), dtype=bool)
     seen[cols.caller] = True

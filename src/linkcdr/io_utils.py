@@ -75,6 +75,7 @@ class RunManifest:
     seeds: list[int] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
     input_sha256: dict[str, str] = field(default_factory=dict)  # label -> digest
+    runtime: dict[str, Any] = field(default_factory=dict)
 
     def check_inputs(self) -> None:
         """Hash each input once and hold it to the manifest beside it: a
@@ -101,6 +102,7 @@ class RunManifest:
                 for label, path in self.inputs.items()
             },
             "config": _sanitize(self.config),
+            "runtime": self.runtime,
             "seeds": self.seeds,
             "outputs": {
                 os.path.basename(path): {"path": path, "sha256": sha256_file(path)}

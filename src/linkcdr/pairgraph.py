@@ -2,17 +2,18 @@
 pair extraction and common contacts.
 
 A *link* is the undirected aggregate of all events between one unordered
-user pair. ``LinkGraph`` holds one array entry per link over the user codes
-of the ``EventColumns`` it was built from, and the one index from events to
-links (``event_link``); user ids appear only at its edges (``keys()`` and
-``index(pairs)``). A subset of the links, such as those the regularity
-filter keeps, is an array of link rows (``links``), never a second graph.
-Alters of an ego are ranked over such rows (default: every link) by total
-call count, with a deterministic tie-break (higher total duration, then
-smaller alter id), in one sort over all egos (``alter_ranking``). A *mutual
-top-rank pair* is a pair where each user is the other's rank-1 alter after
-the regularity filter; ``common_contacts`` counts the shared top-5 and all
-shared alters of a list of pairs in one batched call.
+user pair. ``LinkGraph`` holds the ``EventColumns`` it was built from, and
+so their window, one array entry per link over their user codes, and the
+one index from events to links (``event_link``); user ids appear only at
+its edges (``keys()`` and ``index(pairs)``). A subset of the links, such as
+those the regularity filter keeps, is an array of link rows (``links``),
+never a second graph. Alters of an ego are ranked over such rows (default:
+every link) by total call count, with a deterministic tie-break (higher
+total duration, then smaller alter id), in one sort over all egos
+(``alter_ranking``). A *mutual top-rank pair* is a pair where each user is
+the other's rank-1 alter after the regularity filter; ``common_contacts``
+counts the shared top-5 and all shared alters of a list of pairs in one
+batched call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DatasetError
-from .ingest import EventColumns, ObservationWindow
+from .ingest import EventColumns
 from .relations import PairKey
 
 TOP_ALTERS = 5  # depth of the top-alter lists behind the top-5 common contacts
@@ -31,17 +32,18 @@ TOP_ALTERS = 5  # depth of the top-alter lists behind the top-5 common contacts
 
 @dataclass(frozen=True, eq=False)
 class LinkGraph:
-    """Per-link counter arrays over the user codes of the source columns.
+    """Per-link counter arrays over the user codes of ``columns``, the event
+    set the graph was built from.
 
     ``first``/``second`` hold each link's user codes, smaller id first, and
     rows are sorted by ``first * len(users) + second``. Directional counters
     count from the first user (from-second = total - from-first); durations
     sum known call durations; ``months`` counts calls per calendar month of
-    the window. ``lex_rank`` is each user code's position in id order.
-    ``event_link`` is each source event's link row (int32).
+    the columns' window. ``lex_rank`` is each user code's position in id
+    order. ``event_link`` is each event's link row (int32).
     """
 
-    users: list[str]
+    columns: EventColumns
     user_index: dict[str, int]
     lex_rank: np.ndarray
     event_link: np.ndarray
@@ -57,6 +59,10 @@ class LinkGraph:
 
     def __len__(self) -> int:
         return len(self.first)
+
+    @property
+    def users(self) -> list[str]:
+        return self.columns.users
 
     @property
     def active_months(self) -> np.ndarray:
@@ -83,7 +89,7 @@ class LinkGraph:
         return rows
 
 
-def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
+def build_links(cols: EventColumns) -> LinkGraph:
     """Fold the event columns into per-link counter arrays."""
     if (cols.caller == cols.callee).any():
         raise DatasetError("self-loop event: caller and callee are the same user")
@@ -95,7 +101,7 @@ def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
     first = np.where(caller_first, cols.caller, cols.callee)
     second = np.where(caller_first, cols.callee, cols.caller)
     unique_ids, group = np.unique(first * n_users + second, return_inverse=True)
-    n_links, n_months = len(unique_ids), window.n_months
+    n_links, n_months = len(unique_ids), cols.window.n_months
 
     is_call = cols.is_call
     is_text = ~is_call
@@ -105,9 +111,9 @@ def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
         w = None if weights is None else weights[mask]
         return np.bincount(group[mask], weights=w, minlength=n_links).astype(np.int64)
 
-    month_cell = group[is_call] * n_months + window.month_index(cols.timestamp[is_call])
+    month_cell = group[is_call] * n_months + cols.window.month_index(cols.timestamp[is_call])
     return LinkGraph(
-        cols.users,
+        cols,
         {user: code for code, user in enumerate(cols.users)},
         lex_rank,
         group.astype(np.int32),  # a link row is below the event count
@@ -122,14 +128,13 @@ def build_links(cols: EventColumns, window: ObservationWindow) -> LinkGraph:
     )
 
 
-def apply_regularity_filter(
-    graph: LinkGraph, window: ObservationWindow, min_months: int = 5
-) -> np.ndarray:
+def apply_regularity_filter(graph: LinkGraph, min_months: int = 5) -> np.ndarray:
     """Ascending int64 rows of the links with at least one call in
     ``min_months`` distinct months; text-only activity never counts."""
-    if not 0 <= min_months <= window.n_months:
+    n_months = graph.columns.window.n_months
+    if not 0 <= min_months <= n_months:
         raise ConfigError(
-            f"min_months {min_months} must lie in 0..{window.n_months}, the months in the window"
+            f"min_months {min_months} must lie in 0..{n_months}, the months in the window"
         )
     return np.flatnonzero(graph.active_months >= min_months).astype(np.int64, copy=False)
 

@@ -221,17 +221,26 @@ PRESETS = {
 }
 
 
+# The --config keys that override a preset's scalar knobs, with their types;
+# a ``background.`` key overrides a field of the preset's BackgroundConfig.
+OVERRIDES = {
+    "utc_offset": int,
+    "pair_activity_sigma": float,
+    "duration_jitter_sigma": float,
+    "background.side_links": int,
+    "background.rate_multiplier": float,
+    "background.pool_size": int,
+    "background.unknown_duration_fraction": float,
+}
+
+
 def load_generator_config(path: str) -> GeneratorConfig:
     """Build a GeneratorConfig from a flat key-value text file.
 
     Lines are ``key = value``; ``#`` starts a comment. ``preset``,
-    ``n_pairs``, and ``seed`` are required; the remaining keys override the
-    preset's scalar knobs:
-
-        preset, n_pairs, seed, window_start, window_end, utc_offset,
-        pair_activity_sigma, duration_jitter_sigma, background.side_links,
-        background.rate_multiplier, background.pool_size,
-        background.unknown_duration_fraction
+    ``n_pairs``, and ``seed`` are required; ``window_start`` and
+    ``window_end`` set the window, and the keys of ``OVERRIDES`` override
+    the preset's scalar knobs.
     """
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
@@ -244,12 +253,7 @@ def load_generator_config(path: str) -> GeneratorConfig:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
 
-    known = {
-        "preset", "n_pairs", "seed", "window_start", "window_end", "utc_offset",
-        "pair_activity_sigma", "duration_jitter_sigma", "background.side_links",
-        "background.rate_multiplier", "background.pool_size",
-        "background.unknown_duration_fraction",
-    }
+    known = {"preset", "n_pairs", "seed", "window_start", "window_end", *OVERRIDES}
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
@@ -276,24 +280,11 @@ def load_generator_config(path: str) -> GeneratorConfig:
 
     config = builder(number("n_pairs"), number("seed"), window)
 
-    scalar = {}
-    for key, cast in (
-        ("utc_offset", int),
-        ("pair_activity_sigma", float),
-        ("duration_jitter_sigma", float),
-    ):
+    scalar, background_overrides = {}, {}
+    for key, cast in OVERRIDES.items():
         if key in values:
-            scalar[key] = number(key, cast)
-    background_overrides = {}
-    for key, cast in (
-        ("side_links", int),
-        ("rate_multiplier", float),
-        ("pool_size", int),
-        ("unknown_duration_fraction", float),
-    ):
-        full = f"background.{key}"
-        if full in values:
-            background_overrides[key] = number(full, cast)
+            owner, _, name = key.rpartition(".")
+            (background_overrides if owner else scalar)[name] = number(key, cast)
     if background_overrides:
         scalar["background"] = replace(config.background, **background_overrides)
     if scalar:

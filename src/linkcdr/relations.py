@@ -9,8 +9,6 @@ peers, the gender composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DatasetError
@@ -45,17 +43,6 @@ BRACKETS: tuple[tuple[str, int, int], ...] = (
 )
 
 
-class AgeDiffCategory(str, Enum):
-    PEER = "peer"
-    PARENT_CHILD = "parent_child"
-    GRANDPARENT_CHILD = "grandparent_child"
-
-
-class GenderComposition(str, Enum):
-    SAME = "same"
-    OPPOSITE = "opposite"
-
-
 def age_bracket(age: int) -> str:
     for code, lo, hi in BRACKETS:
         if lo <= age <= hi:
@@ -63,13 +50,11 @@ def age_bracket(age: int) -> str:
     raise DatasetError(f"age {age} outside 0-120")
 
 
-@dataclass(frozen=True)
-class RelationshipLabel:
-    age_diff_category: AgeDiffCategory
-    gender_composition: GenderComposition
-    younger_age: int
-    younger_bracket: str
+class RelationshipLabel(NamedTuple):
+    """A pair's display code and the younger user's age."""
+
     code: str
+    younger_age: int
 
 
 def label_relationship(
@@ -84,25 +69,16 @@ def label_relationship(
     if rec_a is None or rec_b is None:
         raise DatasetError("unlabeled pair: subscriber metadata missing")
     gap = abs(rec_a.age - rec_b.age)
-    if gap < PEER_GAP_YEARS:
-        category = AgeDiffCategory.PEER
-    elif gap < GRANDPARENT_GAP_YEARS:
-        category = AgeDiffCategory.PARENT_CHILD
-    else:
-        category = AgeDiffCategory.GRANDPARENT_CHILD
-    composition = (
-        GenderComposition.SAME if rec_a.gender is rec_b.gender else GenderComposition.OPPOSITE
-    )
     younger = min(rec_a.age, rec_b.age)
     bracket = age_bracket(younger)
-    if category is AgeDiffCategory.PEER:
-        sign = "-" if composition is GenderComposition.OPPOSITE else "+"
+    if gap < PEER_GAP_YEARS:
+        sign = "+" if rec_a.gender is rec_b.gender else "-"
         code = f"{sign}{bracket} peers"
-    elif category is AgeDiffCategory.PARENT_CHILD:
+    elif gap < GRANDPARENT_GAP_YEARS:
         code = f"{bracket} child"
     else:
         code = f"{bracket} grandchild"
-    return RelationshipLabel(category, composition, younger, bracket, code)
+    return RelationshipLabel(code, younger)
 
 
 def is_opposite_gender_peer_code(code: str) -> bool:

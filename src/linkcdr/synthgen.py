@@ -311,7 +311,8 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
 
     order = np.lexsort((callee, caller, ts))
     columns = EventColumns(
-        caller[order], callee[order], ts[order], is_call[order], duration[order], users
+        caller[order], callee[order], ts[order], is_call[order], duration[order], users,
+        config.window,
     )
 
     gender_of = (Gender.MALE, Gender.FEMALE)
@@ -445,14 +446,11 @@ class PlantedReport:
 
 
 def verify_planted(
-    columns: EventColumns,
-    truth: Sequence[PlantedPair],
-    window: ObservationWindow,
-    min_months: int = 5,
+    columns: EventColumns, truth: Sequence[PlantedPair], min_months: int = 5
 ) -> PlantedReport:
     """Run pair extraction and report the planted-pair recovery fraction."""
-    graph = build_links(columns, window)
-    kept = apply_regularity_filter(graph, window, min_months)
+    graph = build_links(columns)
+    kept = apply_regularity_filter(graph, min_months)
     recovered = set(mutual_top_rank_pairs(graph, kept))
     planted = {PairKey.of(p.first, p.second) for p in truth}
     missing = sorted(planted - recovered)

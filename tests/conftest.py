@@ -58,9 +58,10 @@ def ev(
     return CdrEvent(caller, callee, ts, EventKind(kind), duration)
 
 
-def columns(events: list[CdrEvent]) -> EventColumns:
-    """The columnar form that ``build_links`` and ``validate_dataset`` take."""
-    return EventColumns.from_events(events)
+def columns(events: list[CdrEvent], window: ObservationWindow | None = None) -> EventColumns:
+    """The columnar form that ``build_links`` and ``validate_dataset`` take,
+    over ``window`` (default: ``ObservationWindow.default()``)."""
+    return EventColumns.from_events(events, window or ObservationWindow.default())
 
 
 def format_event_row(event: CdrEvent) -> str:

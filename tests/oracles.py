@@ -84,6 +84,19 @@ def parse_events_reference(
     return events, rejected
 
 
+def month_starts_reference(start: int, end: int) -> list[int]:
+    """Epoch seconds of the first instant of every UTC calendar month that
+    [start, end) touches, walking one month at a time from start's month."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    first = epoch + timedelta(seconds=start)
+    month = datetime(first.year, first.month, 1, tzinfo=timezone.utc)
+    starts = []
+    while (seconds := (month - epoch) // timedelta(seconds=1)) < end:
+        starts.append(seconds)
+        month = month.replace(year=month.year + month.month // 12, month=month.month % 12 + 1)
+    return starts
+
+
 # --- synthgen ------------------------------------------------------------
 
 

@@ -79,9 +79,9 @@ class SyntheticRun:
 def build_run(n_pairs: int, seed: int, n_test: int, split_seed: int) -> SyntheticRun:
     config = table3_like(n_pairs, seed=seed)
     dataset = generate(config)
-    graph = build_links(dataset.columns, config.window)
+    graph = build_links(dataset.columns)
     pairs = [PairKey.of(p.first, p.second) for p in dataset.truth]
-    matrix = compute_feature_matrix(dataset.columns, pairs, graph, config.window)
+    matrix = compute_feature_matrix(graph, pairs)
     codes = [p.code for p in dataset.truth]
     labels = np.asarray([1 if is_opposite_gender_peer_code(c) else 0 for c in codes])
     younger = np.asarray([min(p.age_first, p.age_second) for p in dataset.truth])
@@ -120,8 +120,8 @@ def test_criterion_1_feature_cardinality(default_window):
             kind = "text" if rng.random() < 0.4 else "call"
             events.append(ev("p1", "p2", ts, kind, int(rng.integers(1, 600))))
         cols = columns(events)
-        graph = build_links(cols, default_window)
-        (vector,) = compute_feature_matrix(cols, [PairKey.of("p1", "p2")], graph, default_window)
+        graph = build_links(cols)
+        (vector,) = compute_feature_matrix(graph, [PairKey.of("p1", "p2")])
         assert vector.shape == (175,)
         assert np.isfinite(vector).all()
         counts = [126, 18, 12, 3, 14, 2]
@@ -144,7 +144,7 @@ def test_criterion_2_graph_layer_oracle_equivalence(default_window):
                 ts = int(rng.integers(default_window.start, default_window.end))
                 kind = "text" if rng.random() < 0.25 else "call"
                 events.append(ev(users[a], users[b], ts, kind, int(rng.integers(0, 900))))
-            graph = build_links(columns(events), default_window)
+            graph = build_links(columns(events))
             oracle = recount_links(events, default_window)
 
             got_pairs = [(k.first, k.second) for k in mutual_top_rank_pairs(graph)]
@@ -195,9 +195,9 @@ def test_criterion_5_pca_rotation_and_planted_factors():
     with Timer() as timer:
         config = planted_factors(2000, seed=42)
         dataset = generate(config)
-        graph = build_links(dataset.columns, config.window)
+        graph = build_links(dataset.columns)
         pairs = [PairKey.of(p.first, p.second) for p in dataset.truth]
-        matrix = compute_feature_matrix(dataset.columns, pairs, graph, config.window)
+        matrix = compute_feature_matrix(graph, pairs)
         z = apply_scaler(matrix, fit_scaler(matrix))
         result = pca(z)
 

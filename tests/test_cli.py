@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkcdr.cli import main
+from linkcdr.cli import BLAS_THREADS, main
 from linkcdr.io_utils import read_pairs_csv, sha256_file, write_features_csv, write_pairs_csv
 from linkcdr.manifest import FEATURE_NAMES, N_FEATURES
 from linkcdr.relations import PairKey
@@ -696,9 +696,6 @@ class TestPcaStage:
         assert loadings_rows[0].startswith("feature,factor_1")
 
 
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @pytest.mark.parametrize(
     "argv, outputs",
     [
@@ -741,6 +738,10 @@ def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path, argv, o
         )
     for name in outputs:
         assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    for name in runs:
+        runtime = json.loads((tmp_path / name / "manifest.json").read_text())["runtime"]
+        assert runtime["numpy"] == np.__version__
+        assert all(runtime[variable] == "1" for variable in BLAS_THREADS)
 
 
 class TestExperimentStage:

@@ -161,10 +161,10 @@ class TestWeekGrid:
 
     @pytest.mark.parametrize("window", NO_WEEK_WINDOWS)
     def test_feature_matrix_needs_a_full_week(self, window):
-        cols = columns([ev("a", "b", window.start + 3600), ev("b", "a", window.end - 1)])
-        graph = build_links(cols, window)
+        cols = columns([ev("a", "b", window.start + 3600), ev("b", "a", window.end - 1)], window)
+        graph = build_links(cols)
         with pytest.raises(DatasetError, match="no full Monday-aligned week"):
-            compute_feature_matrix(cols, sorted(graph.keys()), graph, window)
+            compute_feature_matrix(graph, sorted(graph.keys()))
 
 
 class TestWeeklySeries:
@@ -273,29 +273,29 @@ def weekday_calls(daytime: int, evening: int, late_night: int) -> list:
 
 
 class TestFractionFeatures:
-    def test_hand_arithmetic_with_late_night_log(self, default_window):
+    def test_hand_arithmetic_with_late_night_log(self):
         cols = columns(weekday_calls(10, 5, 5))
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert vec[feature_index("frac_weekday_calls_daytime")] == pytest.approx(0.5)
         assert vec[feature_index("frac_weekday_calls_evening")] == pytest.approx(0.25)
         assert vec[feature_index("frac_weekday_calls_late_night")] == pytest.approx(
             math.log1p(0.25)
         )
 
-    def test_all_daytime_texts(self, default_window):
+    def test_all_daytime_texts(self):
         cols = columns([ev("a", "b", JAN1_2007 + k * WEEK + 9 * 3600, "text") for k in range(8)])
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         fracs = [vec[feature_index(f"frac_weekday_texts_{dp}")] for dp in DAYPARTS]
         assert fracs == [1.0, 0.0, 0.0]
 
-    def test_zero_weekpart_yields_zeros(self, default_window):
+    def test_zero_weekpart_yields_zeros(self):
         events = weekday_calls(4, 4, 4)
         events += [ev("b", "a", e.timestamp + 60, "text") for e in events]
         cols = columns(events)
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         weekend = [feature_index(f"frac_weekend_{q}_{dp}") for q in QUANTITIES for dp in DAYPARTS]
         assert (vec[weekend] == 0).all()
 
@@ -307,8 +307,8 @@ class TestFractionFeatures:
             kind = "text" if rng.random() < 0.5 else "call"
             events.append(ev("a", "b", ts, kind, int(rng.integers(1, 900))))
         cols = columns(events)
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         for wp in WEEKPARTS:
             for qty in QUANTITIES:
                 chunk = np.asarray([vec[feature_index(f"frac_{wp}_{qty}_{dp}")] for dp in DAYPARTS])
@@ -318,23 +318,23 @@ class TestFractionFeatures:
 
 
 class TestActiveDays:
-    def test_same_day_dedup(self, default_window):
+    def test_same_day_dedup(self):
         cols = columns(
             [
                 ev("a", "b", epoch("2007-01-08 08:00:00")),
                 ev("a", "b", epoch("2007-01-08 09:00:00")),
             ]
         )
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         out = vec[ACTIVE_DAYS]
         assert out[0] == pytest.approx(math.log1p(1))
         assert out[1:].sum() == 0
 
-    def test_no_texts_all_zero(self, default_window):
+    def test_no_texts_all_zero(self):
         cols = columns([ev("a", "b", epoch("2007-01-08 08:00:00"))])
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert (vec[ACTIVE_DAYS][6:] == 0).all()
 
     def test_month_fixture_matches_brute_count(self):
@@ -344,8 +344,7 @@ class TestActiveDays:
         for _ in range(300):
             ts = int(rng.integers(window.start, window.end))
             events.append(ev("a", "b", ts, "text" if rng.random() < 0.5 else "call"))
-        cols = columns(events)
-        out = compute_feature_matrix(cols, [AB], build_links(cols, window), window)[0][ACTIVE_DAYS]
+        out = compute_feature_matrix(build_links(columns(events, window)), [AB])[0][ACTIVE_DAYS]
         brute: dict[tuple[str, int], set] = {}
         for e in events:
             brute.setdefault((e.kind.value, oracle_segment(e.timestamp)), set()).add(
@@ -369,21 +368,21 @@ def directed_calls(n_ab: int, n_ba: int, start: int) -> list:
 class TestReciprocity:
     def test_balanced_is_zero(self, default_window):
         cols = columns(directed_calls(7, 7, default_window.start))
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert vec[feature_index("reciprocity_calls")] == 0
         assert vec[feature_index("reciprocity_duration")] == 0
 
     def test_one_sided_is_one(self, default_window):
         cols = columns(directed_calls(10, 0, default_window.start))
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert vec[feature_index("reciprocity_calls")] == 1
 
     def test_three_to_one(self, default_window):
         cols = columns(directed_calls(3, 1, default_window.start))
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert vec[feature_index("reciprocity_calls")] == 0.5
 
     def test_range_and_symmetry(self, default_window):
@@ -401,10 +400,8 @@ class TestReciprocity:
         ]
         pairs = [PairKey.of(f"u{i}", f"v{i}") for i in range(200)]
         cols, reversed_cols = columns(events), columns(reversed_events)
-        r = compute_feature_matrix(cols, pairs, build_links(cols, default_window), default_window)
-        r_reversed = compute_feature_matrix(
-            reversed_cols, pairs, build_links(reversed_cols, default_window), default_window
-        )
+        r = compute_feature_matrix(build_links(cols), pairs)
+        r_reversed = compute_feature_matrix(build_links(reversed_cols), pairs)
         assert ((r[:, RECIPROCITY] >= 0) & (r[:, RECIPROCITY] <= 1)).all()
         np.testing.assert_array_equal(r[:, RECIPROCITY], r_reversed[:, RECIPROCITY])
 
@@ -415,8 +412,8 @@ INTEREVENT_CALLS = [feature_index(f"interevent_calls_{stat}") for stat in STATS]
 class TestIntereventStats:
     def test_hand_arithmetic(self, default_window):
         cols = columns([ev("a", "b", default_window.start + t) for t in (0, 60, 180, 300)])
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert vec[feature_index("interevent_calls_mean")] == pytest.approx(math.log1p(100))
         assert vec[feature_index("interevent_calls_median")] == pytest.approx(math.log1p(120))
         assert vec[feature_index("interevent_calls_min")] == pytest.approx(math.log1p(60))
@@ -424,24 +421,24 @@ class TestIntereventStats:
 
     def test_single_event_sentinel(self, default_window):
         cols = columns([ev("a", "b", default_window.start + 5)])
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         out = vec[INTEREVENT_CALLS]
         np.testing.assert_allclose(out[:5], math.log1p(default_window.n_seconds))
         assert out[5] == 0 and out[6] == 0
 
     def test_constant_gaps_zero_std(self, default_window):
         cols = columns([ev("a", "b", default_window.start + t) for t in (0, 50, 100, 150)])
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [AB], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [AB])
         assert vec[feature_index("interevent_calls_std")] == 0  # log1p(0)
 
     def test_unsorted_input_is_sorted(self, default_window):
         vectors = []
         for offsets in ((300, 0, 180, 60), (0, 60, 180, 300)):
             cols = columns([ev("a", "b", default_window.start + t) for t in offsets])
-            graph = build_links(cols, default_window)
-            vectors.append(compute_feature_matrix(cols, [AB], graph, default_window)[0])
+            graph = build_links(cols)
+            vectors.append(compute_feature_matrix(graph, [AB])[0])
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_time_span_too_long_for_sort_keys(self):
@@ -487,15 +484,15 @@ class TestAssembleFeatureVector:
         }
         events, side = build_pair_fixture(default_window)
         cols = columns(events + side)
-        graph = build_links(cols, default_window)
-        matrix = compute_feature_matrix(cols, [P12], graph, default_window)
+        graph = build_links(cols)
+        matrix = compute_feature_matrix(graph, [P12])
         assert matrix.shape == (1, 175)
         assert np.isfinite(matrix).all()
 
     def test_zero_texts_take_degenerate_values(self, default_window):
         cols = columns([ev("p1", "p2", default_window.start + i * 9999) for i in range(40)])
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [P12], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [P12])
         assert vec[feature_index("interevent_texts_mean")] == pytest.approx(
             math.log1p(default_window.n_seconds)
         )
@@ -505,20 +502,18 @@ class TestAssembleFeatureVector:
     def test_permutation_invariance(self, default_window):
         events, side = build_pair_fixture(default_window)
         cols = columns(events + side)
-        graph = build_links(cols, default_window)
-        base = compute_feature_matrix(cols, [P12], graph, default_window)
+        graph = build_links(cols)
+        base = compute_feature_matrix(graph, [P12])
         rng = np.random.default_rng(0)
         shuffled = columns([(events + side)[i] for i in rng.permutation(len(events + side))])
-        graph = build_links(shuffled, default_window)
-        np.testing.assert_array_equal(
-            base, compute_feature_matrix(shuffled, [P12], graph, default_window)
-        )
+        graph = build_links(shuffled)
+        np.testing.assert_array_equal(base, compute_feature_matrix(graph, [P12]))
 
     def test_matches_independent_oracle(self, default_window):
         events, side = build_pair_fixture(default_window)
         cols = columns(events + side)
-        graph = build_links(cols, default_window)
-        (vec,) = compute_feature_matrix(cols, [P12], graph, default_window)
+        graph = build_links(cols)
+        (vec,) = compute_feature_matrix(graph, [P12])
         (common,) = common_contacts(graph, [P12])
         want = feature_vector_oracle(events, default_window, 0, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
@@ -526,9 +521,9 @@ class TestAssembleFeatureVector:
     def test_oracle_agreement_with_utc_offset(self, default_window):
         events, side = build_pair_fixture(default_window, seed=77)
         cols = columns(events + side)
-        graph = build_links(cols, default_window)
+        graph = build_links(cols)
         offset = 2 * 3600
-        (vec,) = compute_feature_matrix(cols, [P12], graph, default_window, utc_offset=offset)
+        (vec,) = compute_feature_matrix(graph, [P12], utc_offset=offset)
         (common,) = common_contacts(graph, [P12])
         want = feature_vector_oracle(events, default_window, offset, common)
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
@@ -545,9 +540,9 @@ class TestAssembleFeatureVector:
 
         cols, diags = parse_events(io.BytesIO("\n".join(rows).encode()), default_window)
         assert diags == []
-        graph = build_links(cols, default_window)
+        graph = build_links(cols)
         (pair,) = graph.keys()
-        (vec,) = compute_feature_matrix(cols, [pair], graph, default_window)
+        (vec,) = compute_feature_matrix(graph, [pair])
         # splice in the fixture's common-contact counts
         vec[-2] = payload["common_top5"]
         vec[-1] = payload["common_all"]
@@ -565,16 +560,14 @@ class TestComputeFeatureMatrix:
             ts = int(rng.integers(default_window.start, default_window.end))
             events.append(ev(users[a], users[b], ts, "text" if rng.random() < 0.3 else "call"))
         cols = columns(events)
-        graph = build_links(cols, default_window)
+        graph = build_links(cols)
         pairs = sorted(graph.keys())[:6]
         pairs.append(pairs[2])  # a repeated pair gets its own identical row
-        matrix = compute_feature_matrix(cols, pairs, graph, default_window)
+        matrix = compute_feature_matrix(graph, pairs)
         np.testing.assert_array_equal(matrix[:, EVENT_COLUMNS:], common_contacts(graph, pairs))
         for i, pair in enumerate(pairs):
             own = columns([e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair])
-            (one_pair,) = compute_feature_matrix(
-                own, [pair], build_links(own, default_window), default_window
-            )
+            (one_pair,) = compute_feature_matrix(build_links(own), [pair])
             np.testing.assert_array_equal(matrix[i, :EVENT_COLUMNS], one_pair[:EVENT_COLUMNS])
 
 
@@ -587,24 +580,18 @@ class TestGraphIndex:
         # calls in two months: kept at min_months 2, dropped at 3
         s3 = [ev("p2", "s3", default_window.start + 1000), ev("s3", "p2", epoch("2007-04-02"))]
         cols = columns(events + side + q + s3)
-        graph = build_links(cols, default_window)
-        kept = {m: apply_regularity_filter(graph, default_window, m) for m in (2, 3)}
+        graph = build_links(cols)
+        kept = {m: apply_regularity_filter(graph, m) for m in (2, 3)}
         pairs = mutual_top_rank_pairs(graph, kept[3])
         assert pairs == [P12, PairKey.of("q1", "q2")]
         assert (len(graph), len(kept[2]), len(kept[3])) == (6, 3, 2)
-        full = compute_feature_matrix(cols, pairs, graph, default_window)
+        full = compute_feature_matrix(graph, pairs)
         for links in kept.values():
-            matrix = compute_feature_matrix(cols, pairs, graph, default_window, 0, links)
+            matrix = compute_feature_matrix(graph, pairs, 0, links)
             np.testing.assert_array_equal(matrix[:, :EVENT_COLUMNS], full[:, :EVENT_COLUMNS])
             np.testing.assert_array_equal(
                 matrix[:, EVENT_COLUMNS:], common_contacts(graph, pairs, links)
             )
-
-    def test_columns_of_another_length_raise(self, default_window):
-        events, side = build_pair_fixture(default_window)
-        graph = build_links(columns(events + side), default_window)
-        with pytest.raises(DatasetError, match="indexes 123 events, the columns 120"):
-            compute_feature_matrix(columns(events), [P12], graph, default_window)
 
 
 # A month-aligned window that ends mid-week, and one that starts on a
@@ -651,19 +638,15 @@ class TestKernelDifferential:
     @given(multi_pair_events())
     def test_rows_match_oracle_and_one_pair_assembly(self, case):
         window, offset, events = case
-        cols = columns(events)
-        graph = build_links(cols, window)
+        graph = build_links(columns(events, window))
         pairs = sorted(graph.keys())
-        matrix = compute_feature_matrix(cols, pairs, graph, window, utc_offset=offset)
+        matrix = compute_feature_matrix(graph, pairs, utc_offset=offset)
         assert matrix.shape == (len(pairs), N_FEATURES)
         for row, pair, common in zip(matrix, pairs, common_contacts(graph, pairs)):
             own = [e for e in events if PairKey.of(e.caller_id, e.callee_id) == pair]
             want = feature_vector_oracle(own, window, offset, common)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
-            own_cols = columns(own)
-            (one_pair,) = compute_feature_matrix(
-                own_cols, [pair], build_links(own_cols, window), window, offset
-            )
+            (one_pair,) = compute_feature_matrix(build_links(columns(own, window)), [pair], offset)
             np.testing.assert_array_equal(row[:EVENT_COLUMNS], one_pair[:EVENT_COLUMNS])
 
 

@@ -27,7 +27,7 @@ from linkcdr.ingest import (
     parse_subscribers,
     validate_dataset,
 )
-from oracles import parse_events_reference
+from oracles import month_starts_reference, parse_events_reference
 
 
 def events_stream(rows: list[str]) -> io.BytesIO:
@@ -70,12 +70,31 @@ class TestObservationWindow:
         with pytest.raises(DatasetError):
             ObservationWindow(100, 100)
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            ("2007-03-15T12:00:00", "2007-06-10"),  # starts mid-month
+            ("2007-02-01", "2007-05-01"),  # starts and ends at a month start
+            ("2007-04-30T23:59:59", "2007-05-01"),  # one second
+            ("2006-11-20", "2007-02-03"),  # crosses a year
+            ("1969-12-31T23:00:00", "1970-02-01"),  # starts before 1970
+            ("1965-03-10", "1966-01-01T00:00:01"),  # ends one second into a month
+        ],
+    )
+    def test_month_grid_matches_a_month_walk(self, start, end):
+        window = ObservationWindow.from_dates(start, end)
+        assert list(window.month_starts) == month_starts_reference(window.start, window.end)
+
     def test_month_grid_is_always_derived(self):
         with pytest.raises(TypeError):
             ObservationWindow(JAN1_2007, JAN1_2007 + 86400, (JAN1_2007,))
 
 
 class TestParseEvents:
+    def test_columns_carry_the_window(self, two_month_window):
+        cols, _ = parse_events(events_stream(["a,b,1170324000,call,5"]), two_month_window)
+        assert cols.window is two_month_window
+
     def test_call_row_maps_fields(self, default_window):
         cols, diags = parse_events(
             events_stream(["a,b,1170324000,call,65"]), default_window
@@ -229,7 +248,7 @@ def _assert_matches_reference(data: bytes, stream=None) -> None:
     want_events, want_diags = parse_events_reference(data, _WINDOW)
     assert [(d.line, d.reason) for d in diags] == want_diags
     assert cols.to_events() == want_events
-    want = EventColumns.from_events(want_events)
+    want = EventColumns.from_events(want_events, _WINDOW)
     assert cols.users == want.users
     for name in ("caller", "callee", "timestamp", "is_call", "duration"):
         got, expected = getattr(cols, name), getattr(want, name)
@@ -352,13 +371,13 @@ class TestParseSubscribers:
 
 
 class TestValidateDataset:
-    def test_empty_events_fatal(self, default_window):
+    def test_empty_events_fatal(self):
         with pytest.raises(DatasetError):
-            validate_dataset(columns([]), {}, default_window)
+            validate_dataset(columns([]), {})
 
     def test_zero_month_flagged(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 10) for m in range(6)]
-        report = validate_dataset(columns(events), {}, default_window)
+        report = validate_dataset(columns(events), {})
         assert not report.ok
         assert len(report.warnings) == 1 and "month 6" in report.warnings[0]
 
@@ -381,7 +400,7 @@ class TestValidateDataset:
         ]
         events += [ev("a", "b", t0 + 100 + i, "text") for i in range(8)]
         assert len(events) == 20
-        report = validate_dataset(columns(events), subs, default_window)
+        report = validate_dataset(columns(events), subs)
         assert report.n_events == 20
         assert report.n_calls == 12
         assert report.n_texts == 8
@@ -401,7 +420,8 @@ class TestEventColumns:
             ev("a", "c", default_window.start + 9, "text"),
             ev("c", "b", default_window.start + 12, "call", None),
         ]
-        cols = EventColumns.from_events(events)
+        cols = EventColumns.from_events(events, default_window)
+        assert cols.window is default_window
         assert cols.to_events() == events
         assert len(cols) == 3
 

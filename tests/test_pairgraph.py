@@ -18,8 +18,6 @@ from linkcdr.pairgraph import (
     mutual_top_rank_pairs,
 )
 from linkcdr.relations import (
-    AgeDiffCategory,
-    GenderComposition,
     PairKey,
     is_opposite_gender_peer_code,
     label_relationship,
@@ -56,7 +54,7 @@ class TestBuildLinks:
         t = default_window.start
         events = [ev("a", "b", t + i, "call", 10) for i in range(3)]
         events += [ev("b", "a", t + 10 + i, "call", 20) for i in range(2)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         link = counters(graph, "a", "b")
         assert link["calls"] == 5
         assert link["calls_from_first"] == 3
@@ -65,13 +63,13 @@ class TestBuildLinks:
         assert link["duration_from_first"] == 30
 
     def test_single_text(self, default_window):
-        graph = build_links(columns([ev("a", "b", default_window.start, "text")]), default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start, "text")]))
         link = counters(graph, "a", "b")
         assert link["calls"] == 0
         assert link["texts"] == 1
 
     def test_absent_pair_has_no_entry(self, default_window):
-        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]))
         assert graph.keys() == [PairKey("a", "b")]
         for a, b in (("c", "d"), ("a", "c"), ("c", "b")):
             with pytest.raises(DatasetError, match="unknown pair"):
@@ -80,7 +78,7 @@ class TestBuildLinks:
     def test_index_maps_pairs_to_rows(self, default_window):
         t = default_window.start
         events = [ev("z", "a", t), ev("b", "a", t + 1), ev("a", "c", t + 2)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         keys = graph.keys()
         assert sorted(keys) == [PairKey("a", "b"), PairKey("a", "c"), PairKey("a", "z")]
         query = keys[::-1] + keys[:1]
@@ -90,7 +88,7 @@ class TestBuildLinks:
     def test_event_link_is_each_events_link_row(self, default_window):
         t = default_window.start
         events = [ev("z", "a", t), ev("b", "a", t + 1), ev("a", "c", t + 2), ev("a", "z", t + 3)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         assert graph.event_link.dtype == np.int32
         keys = graph.keys()
         assert [keys[i] for i in graph.event_link] == [
@@ -100,10 +98,16 @@ class TestBuildLinks:
     def test_self_loop_event_rejected(self, default_window):
         t = default_window.start
         with pytest.raises(DatasetError, match="self-loop"):
-            build_links(columns([ev("a", "b", t), ev("a", "a", t + 1)]), default_window)
+            build_links(columns([ev("a", "b", t), ev("a", "a", t + 1)]))
 
-    def test_empty_input(self, default_window):
-        graph = build_links(columns([]), default_window)
+    def test_graph_holds_its_columns(self, default_window):
+        cols = columns([ev("a", "b", default_window.start)])
+        graph = build_links(cols)
+        assert graph.columns is cols
+        assert graph.users is cols.users
+
+    def test_empty_input(self):
+        graph = build_links(columns([]))
         assert len(graph) == 0
         assert graph.keys() == []
         assert mutual_top_rank_pairs(graph) == []
@@ -114,7 +118,7 @@ class TestBuildLinks:
         rng = np.random.default_rng(seed)
         events = random_events(rng, 12, 1000, default_window)
         oracle = recount_links(events, default_window)
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         keys = [PairKey(*key) for key in oracle]
         assert sorted(graph.keys()) == sorted(keys)
         rows = graph.index(keys)
@@ -133,24 +137,24 @@ class TestRankAlters:
         t = default_window.start
         events = [ev("e", "x", t + i) for i in range(10)]
         events += [ev("e", "y", t + 100 + i) for i in range(3)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         assert [alter for alter, _ in ranked_alters(graph)["e"]] == ["x", "y"]
 
     def test_duration_breaks_count_ties(self, default_window):
         t = default_window.start
         events = [ev("e", "x", t + i, "call", 120) for i in range(5)]
         events += [ev("e", "y", t + 100 + i, "call", 20) for i in range(5)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         assert [alter for alter, _ in ranked_alters(graph)["e"]] == ["x", "y"]
 
     def test_ego_without_links(self, default_window):
-        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]))
         assert "zzz" not in ranked_alters(graph)
 
     def test_matches_brute_sort_on_fixture(self, default_window):
         rng = np.random.default_rng(7)
         events = random_events(rng, 4, 120, default_window)
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         oracle = recount_links(events, default_window)
         ranked = ranked_alters(graph)
         for user in "u00 u01 u02 u03".split():
@@ -160,33 +164,39 @@ class TestRankAlters:
 class TestRegularityFilter:
     def test_five_active_months_kept(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 5) for m in range(5)]
-        graph = build_links(columns(events), default_window)
-        assert len(apply_regularity_filter(graph, default_window, 5)) == 1
+        graph = build_links(columns(events))
+        assert len(apply_regularity_filter(graph, 5)) == 1
 
     def test_texts_do_not_count(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 5) for m in range(4)]
         events += [ev("a", "b", default_window.month_starts[m] + 9, "text") for m in range(7)]
-        graph = build_links(columns(events), default_window)
-        assert len(apply_regularity_filter(graph, default_window, 5)) == 0
+        graph = build_links(columns(events))
+        assert len(apply_regularity_filter(graph, 5)) == 0
 
     def test_min_months_zero_keeps_all(self, default_window):
         events = [ev("a", "b", default_window.start), ev("c", "d", default_window.start + 1)]
-        graph = build_links(columns(events), default_window)
-        assert len(apply_regularity_filter(graph, default_window, 0)) == 2
+        graph = build_links(columns(events))
+        assert len(apply_regularity_filter(graph, 0)) == 2
 
     def test_min_months_above_window_fatal(self, default_window):
-        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]))
         with pytest.raises(ConfigError):
-            apply_regularity_filter(graph, default_window, 8)
+            apply_regularity_filter(graph, 8)
+
+    def test_bound_is_the_graphs_own_window(self, two_month_window):
+        graph = build_links(columns([ev("a", "b", two_month_window.start)], two_month_window))
+        with pytest.raises(ConfigError, match=r"must lie in 0\.\.2, the months in the window"):
+            apply_regularity_filter(graph, 3)
+        assert apply_regularity_filter(graph, 2).tolist() == []
 
     def test_raising_min_months_never_adds_pairs(self, default_window):
         rng = np.random.default_rng(3)
         events = random_events(rng, 10, 600, default_window)
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         keys = graph.keys()
         previous = None
         for months in range(8):
-            kept = {keys[i] for i in apply_regularity_filter(graph, default_window, months)}
+            kept = {keys[i] for i in apply_regularity_filter(graph, months)}
             if previous is not None:
                 assert kept <= previous
             previous = kept
@@ -194,14 +204,14 @@ class TestRegularityFilter:
 
 class TestMutualTopRank:
     def test_single_link_is_mutual(self, default_window):
-        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]))
         assert mutual_top_rank_pairs(graph) == [PairKey("a", "b")]
 
     def test_star_keeps_only_strongest_leaf(self, default_window):
         t = default_window.start
         events = [ev("c", "l1", t + i) for i in range(10)]
         events += [ev("c", "l2", t + 50 + i) for i in range(5)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         assert mutual_top_rank_pairs(graph) == [PairKey("c", "l1")]
 
     def test_triangle_matches_exhaustive_oracle(self, default_window):
@@ -209,7 +219,7 @@ class TestMutualTopRank:
         events = []
         for i, (x, y) in enumerate([("a", "b"), ("b", "c"), ("c", "a")]):
             events += [ev(x, y, t + 100 * i + j) for j in range(5)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         oracle = recount_links(events, default_window)
         got = [(k.first, k.second) for k in mutual_top_rank_pairs(graph)]
         assert got == mutual_pairs_brute(oracle)
@@ -218,7 +228,7 @@ class TestMutualTopRank:
     def test_random_graphs_match_oracle(self, default_window, seed):
         rng = np.random.default_rng(100 + seed)
         events = random_events(rng, 20, 800, default_window)
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         pairs = mutual_top_rank_pairs(graph)
         assert [(k.first, k.second) for k in pairs] == mutual_pairs_brute(
             recount_links(events, default_window)
@@ -237,7 +247,7 @@ class TestCommonContacts:
     def test_disjoint_neighborhoods(self, default_window):
         t = default_window.start
         events = [ev("a", "b", t), ev("a", "x", t + 1), ev("b", "y", t + 2)]
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         assert common_contacts(graph, [PairKey.of("a", "b")]).tolist() == [[0, 0]]
 
     def test_fully_shared_top5(self, default_window):
@@ -246,19 +256,19 @@ class TestCommonContacts:
         for i, n in enumerate(("n1", "n2", "n3")):
             events.append(ev("a", n, t + 10 + i))
             events.append(ev("b", n, t + 20 + i))
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         assert common_contacts(graph, [PairKey.of("a", "b")]).tolist() == [[3, 3]]
 
     def test_unknown_pair_errors(self, default_window):
-        graph = build_links(columns([ev("a", "b", default_window.start)]), default_window)
+        graph = build_links(columns([ev("a", "b", default_window.start)]))
         with pytest.raises(DatasetError, match="unknown pair"):
             common_contacts(graph, [PairKey.of("a", "b"), PairKey.of("a", "z")])
 
     def test_pair_outside_the_ranked_links_errors(self, default_window):
         events = [ev("a", "b", default_window.month_starts[m] + 5) for m in range(5)]
         events.append(ev("a", "c", default_window.start + 9))
-        graph = build_links(columns(events), default_window)
-        kept = apply_regularity_filter(graph, default_window, 5)
+        graph = build_links(columns(events))
+        kept = apply_regularity_filter(graph, 5)
         assert common_contacts(graph, [PairKey.of("a", "b")], kept).tolist() == [[0, 0]]
         with pytest.raises(DatasetError, match=r"pair \(a, c\) is not one of the ranked links"):
             common_contacts(graph, [PairKey.of("a", "c")], kept)
@@ -267,7 +277,7 @@ class TestCommonContacts:
     def test_eight_node_fixture_matches_brute_intersection(self, default_window, seed):
         rng = np.random.default_rng(40 + seed)
         events = random_events(rng, 8, 300, default_window)
-        graph = build_links(columns(events), default_window)
+        graph = build_links(columns(events))
         oracle = recount_links(events, default_window)
         keys = graph.keys()
         assert common_contacts(graph, keys).tolist() == [
@@ -313,7 +323,7 @@ class TestGraphDifferential:
     @given(tied_multigraphs())
     def test_ranking_mutual_and_common_match_brute(self, case):
         events, min_months = case
-        graph = build_links(columns(events), GRAPH_WINDOW)
+        graph = build_links(columns(events, GRAPH_WINDOW))
         recount = recount_links(events, GRAPH_WINDOW)
         all_keys = graph.keys()
         row = {key: i for i, key in enumerate(all_keys)}
@@ -322,7 +332,7 @@ class TestGraphDifferential:
             row[PairKey.of(e.caller_id, e.callee_id)] for e in events
         ]
         for months in (0, min_months):
-            kept = apply_regularity_filter(graph, GRAPH_WINDOW, months)
+            kept = apply_regularity_filter(graph, months)
             np.testing.assert_array_equal(kept, np.flatnonzero(graph.active_months >= months))
             assert kept.dtype == np.int64 and (np.diff(kept) > 0).all()
             oracle = {
@@ -349,20 +359,14 @@ def rec(age: int, gender: Gender, uid: str = "u") -> SubscriberRecord:
 class TestLabelRelationship:
     def test_young_opposite_gender_peers(self):
         label = label_relationship(rec(25, Gender.FEMALE, "a"), rec(27, Gender.MALE, "b"))
-        assert label.age_diff_category is AgeDiffCategory.PEER
-        assert label.gender_composition is GenderComposition.OPPOSITE
-        assert label.code == "-Y peers"
-        assert label.younger_age == 25
+        assert label == ("-Y peers", 25)
 
     def test_parent_child_uses_child_bracket(self):
         label = label_relationship(rec(30, Gender.FEMALE, "a"), rec(55, Gender.FEMALE, "b"))
-        assert label.age_diff_category is AgeDiffCategory.PARENT_CHILD
-        assert label.younger_bracket == "M"
-        assert label.code == "M child"
+        assert label == ("M child", 30)
 
     def test_forty_year_gap_is_grandparent(self):
         label = label_relationship(rec(20, Gender.MALE, "a"), rec(85, Gender.FEMALE, "b"))
-        assert label.age_diff_category is AgeDiffCategory.GRANDPARENT_CHILD
         assert label.code == "Y grandchild"
 
     def test_same_gender_peer_sign(self):
@@ -380,7 +384,7 @@ class TestLabelRelationship:
     )
     def test_bracket_boundaries(self, age, bracket):
         label = label_relationship(rec(age, Gender.FEMALE, "a"), rec(age, Gender.MALE, "b"))
-        assert label.younger_bracket == bracket
+        assert label.code == f"-{bracket} peers"
 
     def test_code_helpers(self):
         assert is_opposite_gender_peer_code("-Y peers")

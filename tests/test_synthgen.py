@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from conftest import planted_factor_membership, read_truth_csv
 from linkcdr.errors import ConfigError
 from linkcdr.features import WeekGrid, _local_parts
-from linkcdr.ingest import EVENTS_HEADER, EventColumns, parse_events, validate_dataset
+from linkcdr.ingest import (
+    EVENTS_HEADER,
+    EventColumns,
+    ObservationWindow,
+    parse_events,
+    validate_dataset,
+)
 from linkcdr.manifest import SEGMENT_OF_HOUR
 from linkcdr.presets import PRESETS, planted_factors, table3_like
 from linkcdr.synthgen import (
@@ -88,9 +94,13 @@ class TestGenerate:
             cols, diagnostics = parse_events(handle, config.window)
         assert diagnostics == []
         assert len(cols) == len(dataset.columns)
-        report = validate_dataset(cols, dataset.subscribers, config.window)
+        report = validate_dataset(cols, dataset.subscribers)
         assert report.ok
         assert report.n_unknown_duration_calls > 0  # background calls arrive unknown
+
+    def test_columns_carry_the_config_window(self):
+        config = small_config(window=ObservationWindow.from_dates("2007-02-01", "2007-05-01"))
+        assert generate(config).columns.window is config.window
 
     def test_text_events_have_zero_duration(self):
         dataset = generate(small_config())
@@ -309,7 +319,7 @@ def _event_columns(draw) -> EventColumns:
 
     return EventColumns(
         column(codes, np.int64), column(codes, np.int64), column(ts, np.int64),
-        column(st.booleans(), bool), column(dur, np.int64), users,
+        column(st.booleans(), bool), column(dur, np.int64), users, ObservationWindow.default(),
     )
 
 
@@ -345,14 +355,14 @@ class TestVerifyPlanted:
             background=BackgroundConfig(side_links=0, rate_multiplier=0.0)
         )
         dataset = generate(config)
-        report = verify_planted(dataset.columns, dataset.truth, config.window)
+        report = verify_planted(dataset.columns, dataset.truth)
         assert report.recovered_fraction == 1.0
         assert report.ok
 
     def test_default_preset_recovery(self):
         config = table3_like(400, seed=2)
         dataset = generate(config)
-        report = verify_planted(dataset.columns, dataset.truth, config.window)
+        report = verify_planted(dataset.columns, dataset.truth)
         assert report.recovered_fraction >= 0.99
         assert report.ok
 
@@ -362,7 +372,7 @@ class TestVerifyPlanted:
             background=BackgroundConfig(side_links=3, rate_multiplier=10.0),
         )
         dataset = generate(config)
-        report = verify_planted(dataset.columns, dataset.truth, config.window)
+        report = verify_planted(dataset.columns, dataset.truth)
         assert report.recovered_fraction < 0.99
         assert not report.ok
         assert report.missing
