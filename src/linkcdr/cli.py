@@ -12,10 +12,12 @@ usage, 1 fatal error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 # One BLAS thread unless the caller chose otherwise, set before numpy loads:
 # the summation order of a threaded BLAS, and so the bytes of every
@@ -27,17 +29,7 @@ for _name in BLAS_THREADS:
 import numpy as np
 
 from . import __version__, manifest
-from .bayes import bayes_bounds, one_nn_error, one_nn_error_loo
-from .decompose import assign_factors, loadings, pca, scree_data, varimax
 from .errors import ConfigError, DatasetError, LinkCdrError, ParseError
-from .features import compute_feature_matrix
-from .ingest import (
-    ObservationWindow,
-    parse_events,
-    parse_subscribers,
-    validate_dataset,
-    window_from_texts,
-)
 from .io_utils import (
     RunManifest,
     read_features_csv,
@@ -49,25 +41,48 @@ from .io_utils import (
     write_pairs_csv,
     write_predictions_csv,
 )
-from .learn.evaluation import evaluate
-from .learn.linear import TrainedModel, select_features, train_linear_svm, train_logreg
-from .learn.pipeline import (
-    C_GRID,
-    K_GRID,
-    LabeledDataset,
-    TrainConfig,
-    age_restricted_experiment,
-    balanced_sample,
-    peer_bracket_rows,
-    seed_ensemble,
-)
-from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
-from .presets import PRESETS, load_generator_config
 from .relations import PairKey, is_opposite_gender_peer_code, label_pairs
 from .scaling import apply_scaler, fit_scaler
-from .synthgen import generate, verify_planted, write_dataset
+
+if TYPE_CHECKING:
+    from .ingest import ObservationWindow
+    from .learn.linear import TrainedModel
+    from .learn.pipeline import LabeledDataset
+
+
+def _on_call(module: str, name: str):
+    """``name`` of ``linkcdr.<module>``, imported at its first call.
+
+    A stage loads only the layers it runs. The stand-in is a module
+    attribute that the runners call by its bare name, so a caller may
+    still replace it here (the benchmark's tracer, the tests)."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    return call
+
+
+parse_events = _on_call("ingest", "parse_events")
+parse_subscribers = _on_call("ingest", "parse_subscribers")
+validate_dataset = _on_call("ingest", "validate_dataset")
+build_links = _on_call("pairgraph", "build_links")
+apply_regularity_filter = _on_call("pairgraph", "apply_regularity_filter")
+mutual_top_rank_pairs = _on_call("pairgraph", "mutual_top_rank_pairs")
+compute_feature_matrix = _on_call("features", "compute_feature_matrix")
+generate = _on_call("synthgen", "generate")
+write_dataset = _on_call("synthgen", "write_dataset")
+verify_planted = _on_call("synthgen", "verify_planted")
+pca = _on_call("decompose", "pca")
+varimax = _on_call("decompose", "varimax")
+seed_ensemble = _on_call("learn.pipeline", "seed_ensemble")
+evaluate = _on_call("learn.evaluation", "evaluate")
+one_nn_error = _on_call("bayes", "one_nn_error")
+one_nn_error_loo = _on_call("bayes", "one_nn_error_loo")
 
 AGE_TASK_CUTOFF = 35
+# presets.PRESETS in sorted order, spelled out so the parser loads no generator
+PRESET_NAMES = ("planted-factors", "table3-like")
 # Flags naming a file a stage reads; manifest.json records each under
 # ``inputs`` and every other flag but these under ``config``.
 INPUT_FLAGS = ("config", "events", "subscribers", "features", "pairs", "predictions")
@@ -94,6 +109,8 @@ class Stage:
 
 
 def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
+    from .ingest import ObservationWindow, window_from_texts
+
     window = window_from_texts(
         args.window_start, args.window_end, "--window-start", "--window-end"
     )
@@ -133,6 +150,8 @@ def _write_diagnostics(path: str, diagnostics) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
+    from .presets import PRESETS, load_generator_config
+
     if args.config:
         config = load_generator_config(args.config)
     else:
@@ -232,6 +251,8 @@ def _finite_features(path: str) -> tuple[list[PairKey], np.ndarray]:
 
 
 def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
+    from .decompose import assign_factors, loadings, scree_data
+
     if not 2 <= args.n_comp <= manifest.N_FEATURES:  # varimax rotates two or more factors
         raise ConfigError(f"--n-comp {args.n_comp} must lie in 2..{manifest.N_FEATURES}")
     if not 0.0 <= args.cutoff <= 1.0:  # |loading| of standardized data is at most 1
@@ -324,14 +345,13 @@ def _standardized_split(
     n_test: int,
     seed: int,
 ):
+    from .learn.pipeline import LabeledDataset
+
     pool_idx, test_idx = _split_pool_test(len(y), n_test, seed)
     scaler = fit_scaler(x[pool_idx])
     z = apply_scaler(x, scaler)
     full = LabeledDataset(z, y, list(groups), list(row_ids))
     return full.subset(pool_idx), full.subset(test_idx), scaler
-
-
-_SELECTOR_TRAINERS = {"lr-l1": train_logreg, "lsvm-l1": train_linear_svm}
 
 
 def _fit_record(model: TrainedModel) -> dict:
@@ -353,6 +373,9 @@ def _ensemble_seeds(args: argparse.Namespace) -> list[int]:
 
 
 def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
+    from .learn.linear import select_features, train_linear_svm, train_logreg
+    from .learn.pipeline import C_GRID, K_GRID, LabeledDataset, balanced_sample
+
     seeds = stage.seeds = _ensemble_seeds(args)
     if not 0 < args.select_c < math.inf:  # NaN fails every comparison
         raise ConfigError(f"--select-c {args.select_c} must be positive and finite")
@@ -361,7 +384,7 @@ def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
 
     selected = selector_fit = None
     if args.feature_select != "none":
-        trainer = _SELECTOR_TRAINERS[args.feature_select]
+        trainer = {"lr-l1": train_logreg, "lsvm-l1": train_linear_svm}[args.feature_select]
         sample = balanced_sample(pool, args.n_train, args.seed)
         selector = trainer(sample.x, sample.y, penalty="l1", c=args.select_c)
         selector_fit = _fit_record(selector)
@@ -441,6 +464,8 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> int:
 
 
 def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
+    from .bayes import bayes_bounds
+
     _check_seed(args.seed)
     stage.seeds = [args.seed]
     if args.loo:
@@ -479,6 +504,8 @@ def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace, stage: Stage) -> int:
+    from .learn.pipeline import TrainConfig, age_restricted_experiment, peer_bracket_rows
+
     stage.seeds = _ensemble_seeds(args)
     seeds = tuple(stage.seeds)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, "ogp")
@@ -594,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic CDR dataset")
-    p.add_argument("--preset", default="table3-like", choices=sorted(PRESETS))
+    p.add_argument("--preset", default="table3-like", choices=PRESET_NAMES)
     p.add_argument("--config", help="flat key-value config file (overrides the flags)")
     p.add_argument("--n-pairs", type=int)
     p.add_argument("--seed", type=int, default=0)

@@ -193,10 +193,6 @@ GROUP_SIZES = {
 assert N_FEATURES == sum(GROUP_SIZES.values()) == 175
 
 
-def feature_index(name: str) -> int:
-    return FEATURE_NAMES.index(name)
-
-
 def manifest_hash() -> str:
     """Stable digest of the ordered feature names, embedded in artifacts."""
     return hashlib.sha256("\n".join(FEATURE_NAMES).encode()).hexdigest()

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linkcdr.cli import BLAS_THREADS, main
+from linkcdr.cli import BLAS_THREADS, PRESET_NAMES, main
 from linkcdr.io_utils import read_pairs_csv, sha256_file, write_features_csv, write_pairs_csv
 from linkcdr.manifest import FEATURE_NAMES, N_FEATURES
 from linkcdr.relations import PairKey
@@ -711,7 +712,9 @@ class TestPcaStage:
 )
 def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path, argv, outputs):
     """A stage pins one BLAS thread unless told otherwise, so its output
-    matches a run with the thread variables set to 1."""
+    matches a run with the thread variables set to 1. The two runs also
+    differ in PYTHONHASHSEED, so neither output may depend on the order of
+    a set or dict of strings, which one process cannot vary."""
     features, pairs_csv = tmp_path / "features.csv", tmp_path / "pairs.csv"
     rng = np.random.default_rng(5)
     pairs = [PairKey(f"a{i:03d}", f"b{i:03d}") for i in range(300)]
@@ -728,7 +731,10 @@ def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path, argv, o
     labels = ["--pairs", str(pairs_csv)] if argv[0] == "train" else []
     unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    runs = {"unset": unset, "one": {**unset, **dict.fromkeys(BLAS_THREADS, "1")}}
+    runs = {
+        "unset": {**unset, "PYTHONHASHSEED": "1"},
+        "one": {**unset, **dict.fromkeys(BLAS_THREADS, "1"), "PYTHONHASHSEED": "2"},
+    }
     for name, env in runs.items():
         subprocess.run(
             [sys.executable, "-m", "linkcdr.cli", *argv, "--features", str(features), *labels,
@@ -906,6 +912,7 @@ def stage_argv(name: str, dirs: dict, train) -> list[str]:
         "evaluate": ["evaluate", "--predictions", str(train / "predictions.csv"),
                      "--pairs", str(pairs / "pairs.csv"), "--task", "ogp"],
         "bayes-bounds": ["bayes-bounds", *labeled, "--task", "ogp", "--n-test", "60"],
+        "bayes-bounds --loo": ["bayes-bounds", *labeled, "--task", "ogp", "--loo"],
         "experiment": ["experiment", "age-restricted", *labeled, "--bracket", "M",
                        "--n-test", "150", "--seed", "3", "--seeds", "1"],
         "report": ["report", "--reports", str(train / "report.json")],
@@ -1004,3 +1011,88 @@ def test_benchmark_tracer_finds_every_layer():
         env=env, capture_output=True, text=True, check=True,
     )
     assert "not found" not in done.stderr
+
+
+def test_preset_choices_are_the_sorted_presets():
+    from linkcdr.presets import PRESETS
+
+    assert PRESET_NAMES == tuple(sorted(PRESETS))
+
+
+def stage_env() -> dict:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# Runs one stage's main in a fresh process; its last stdout line is the exit
+# status and the linkcdr modules loaded by the end.
+LOADED_MODULES = (
+    "import json, sys\n"
+    "from linkcdr.cli import main\n"
+    "try:\n"
+    "    status = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    status = exc.code\n"
+    "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('linkcdr'))]))\n"
+)
+EXTRACTION = ("linkcdr.ingest", "linkcdr.pairgraph", "linkcdr.features", "linkcdr.synthgen",
+              "linkcdr.presets")
+MODELLING = ("linkcdr.learn", "linkcdr.decompose", "linkcdr.bayes", "linkcdr.synthgen",
+             "linkcdr.presets")
+
+
+@pytest.mark.parametrize(
+    "name, unloaded",
+    [
+        *[(name, EXTRACTION) for name in ("pca", "train", "evaluate", "bayes-bounds", "report")],
+        ("--help", EXTRACTION),
+        *[(name, MODELLING) for name in ("ingest", "pairs", "features")],
+    ],
+)
+def test_stage_loads_only_the_layers_it_runs(pipeline_dirs, train_dir, tmp_path, name, unloaded):
+    """A stage imports a layer's module when it first calls into it, so a
+    modelling stage never loads the parser, graph or generator, and an
+    extraction stage never loads a solver (``linkcdr.learn`` covers its
+    submodules too)."""
+    argv = ["--help"] if name == "--help" else [
+        *stage_argv(name, pipeline_dirs, train_dir), "--out", str(tmp_path / "out")
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        env=stage_env(), capture_output=True, text=True, check=True,
+    )
+    status, modules = json.loads(done.stdout.splitlines()[-1])
+    assert status == 0
+    assert [m for m in modules if m.startswith(unloaded)] == []
+
+
+# Each layer a stage reaches through one of linkcdr.cli's deferred names.
+TRACED_LAYERS = {
+    "generate": ("synthgen.generate", "synthgen.write_dataset", "synthgen.verify_planted"),
+    "ingest": ("ingest.parse_events", "ingest.parse_subscribers", "ingest.validate_dataset"),
+    "pairs": ("ingest.parse_events", "ingest.parse_subscribers", "pairgraph.build_links",
+              "pairgraph.regularity_filter", "pairgraph.mutual_top_rank"),
+    "features": ("ingest.parse_events", "pairgraph.build_links", "features.matrix"),
+    "pca": ("decompose.pca", "decompose.varimax"),
+    "train": ("pipeline.seed_ensemble", "evaluation.evaluate"),
+    "bayes-bounds": ("bayes.one_nn",),
+    "bayes-bounds --loo": ("bayes.one_nn",),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACED_LAYERS))
+def test_benchmark_tracer_sees_every_deferred_layer(pipeline_dirs, train_dir, tmp_path, name):
+    """perfbench/traced_stage.py wraps the names on linkcdr.cli; a stage
+    that called past them (a plain local import) would leave the wrapper
+    unrun and its layer at 0, though the name still resolves."""
+    argv = stage_argv(name, pipeline_dirs, train_dir)
+    spans = tmp_path / "spans.json"
+    tracer = Path(__file__).parent.parent / "perfbench" / "traced_stage.py"
+    subprocess.run(
+        [sys.executable, str(tracer), str(spans), name,
+         repr(time.clock_gettime(time.CLOCK_MONOTONIC)), "--",
+         *argv, "--out", str(tmp_path / "out")],
+        env=stage_env(), capture_output=True, check=True,
+    )
+    layers = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert set(TRACED_LAYERS[name]) <= layers

@@ -31,7 +31,6 @@ from linkcdr.manifest import (
     QUANTITIES,
     STATS,
     WEEKPARTS,
-    feature_index,
 )
 from linkcdr.pairgraph import (
     apply_regularity_filter,
@@ -44,6 +43,12 @@ from linkcdr.scaling import apply_scaler, fit_scaler
 from oracles import _daypart, _local, _weekpart, feature_vector_oracle, moment_stats
 
 AB = PairKey.of("a", "b")
+
+
+def feature_index(name: str) -> int:
+    return FEATURE_NAMES.index(name)
+
+
 # _local_parts' segment index of each weekpart_daypart name
 SEGMENT = {
     f"{wp}_{dp}": 3 * i + j for i, wp in enumerate(WEEKPARTS) for j, dp in enumerate(DAYPARTS)
