@@ -90,7 +90,11 @@ class LinkGraph:
 
 
 def build_links(cols: EventColumns) -> LinkGraph:
-    """Fold the event columns into per-link counter arrays."""
+    """Fold the event columns into per-link counter arrays: one bincount
+    over ``row * 4 + 2 * is_call + caller_first`` counts calls and texts from
+    each end, one sums known call durations over ``row * 2 + caller_first``,
+    and one counts calls per (row, month). Each full-length temporary is
+    freed once its counts are taken."""
     if (cols.caller == cols.callee).any():
         raise DatasetError("self-loop event: caller and callee are the same user")
     n_users = len(cols.users)
@@ -100,31 +104,39 @@ def build_links(cols: EventColumns) -> LinkGraph:
     caller_first = lex_rank[cols.caller] < lex_rank[cols.callee]
     first = np.where(caller_first, cols.caller, cols.callee)
     second = np.where(caller_first, cols.callee, cols.caller)
-    unique_ids, group = np.unique(first * n_users + second, return_inverse=True)
+    key = first * n_users + second
+    del first, second
+    unique_ids, group = np.unique(key, return_inverse=True)
+    del key
     n_links, n_months = len(unique_ids), cols.window.n_months
 
     is_call = cols.is_call
-    is_text = ~is_call
-    dur = np.where(is_call & (cols.duration >= 0), cols.duration, 0)
-
-    def count(mask: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        w = None if weights is None else weights[mask]
-        return np.bincount(group[mask], weights=w, minlength=n_links).astype(np.int64)
-
+    counts = np.bincount(group * 4 + 2 * is_call + caller_first, minlength=4 * n_links)
+    texts_from_second, texts_from_first, calls_from_second, calls_from_first = counts.reshape(
+        n_links, 4
+    ).T
+    known = is_call & (cols.duration >= 0)
+    sums = np.bincount(
+        group[known] * 2 + caller_first[known], weights=cols.duration[known], minlength=2 * n_links
+    )
+    del caller_first, known
+    duration_from_second, duration_from_first = sums.astype(np.int64).reshape(n_links, 2).T
     month_cell = group[is_call] * n_months + cols.window.month_index(cols.timestamp[is_call])
+    months = np.bincount(month_cell, minlength=n_links * n_months).reshape(n_links, n_months)
+    del month_cell
     return LinkGraph(
         cols,
         {user: code for code, user in enumerate(cols.users)},
         lex_rank,
         group.astype(np.int32),  # a link row is below the event count
         *np.divmod(unique_ids, max(n_users, 1)),
-        calls=count(is_call),
-        texts=count(is_text),
-        duration=count(is_call, dur),
-        calls_from_first=count(is_call & caller_first),
-        texts_from_first=count(is_text & caller_first),
-        duration_from_first=count(is_call & caller_first, dur),
-        months=np.bincount(month_cell, minlength=n_links * n_months).reshape(n_links, n_months),
+        calls=calls_from_first + calls_from_second,
+        texts=texts_from_first + texts_from_second,
+        duration=duration_from_first + duration_from_second,
+        calls_from_first=calls_from_first,
+        texts_from_first=texts_from_first,
+        duration_from_first=duration_from_first,
+        months=months,
     )
 
 

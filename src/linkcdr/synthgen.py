@@ -16,6 +16,10 @@ Poisson counts per segment. Events outside the window are dropped. Call
 durations are lognormal, the initiator follows the link's direction skew,
 and calls the pool side starts may carry an unknown duration. Output is
 fully deterministic given the configuration.
+
+Events are stored in (time, caller, callee) order; events equal in all
+three keep their draw order, whatever the platform's quicksort does with
+ties (``_event_order``).
 """
 
 from __future__ import annotations
@@ -148,6 +152,13 @@ class GeneratorConfig:
         ):
             if not 0.0 <= scale < math.inf:  # NaN fails every comparison
                 raise ConfigError(f"{key} {scale} must be finite and nonnegative")
+        # generate packs (time - window start, caller) into one int64 sort key
+        n_users = 2 * self.n_pairs + background.pool_for(self.n_pairs)
+        if self.window.n_seconds * n_users >= 2**63:
+            raise ConfigError(
+                f"window of {self.window.n_seconds} s times {n_users} users reaches 2**63: "
+                "too large for the int64 (time, caller) sort key"
+            )
         # multipliers near or above 1 are allowed here; whether planted pairs
         # stay mutual top-rank is checked post-hoc by verify_planted
 
@@ -210,6 +221,21 @@ def _distinct_draws(rng: np.random.Generator, rows: int, k: int, population: int
         taken = (chosen[:, :step] == t[:, None]).any(axis=1)
         chosen[:, step] = np.where(taken, j, t)
     return chosen
+
+
+def _event_order(key: np.ndarray, callee: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of events by (``key``, ``callee``), and ``key`` in it:
+    one quicksort of ``key``, then one lexsort of only the positions whose
+    sorted key equals a neighbour's, by (key, callee, draw index). Tie runs
+    are contiguous, so this is the stable sort's order whatever order the
+    quicksort left each run in."""
+    order = np.argsort(key)
+    key = key[order]
+    same = key[1:] == key[:-1]
+    at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    draw = order[at]
+    order[at] = draw[np.lexsort((draw, callee[draw], key[at]))]
+    return order, key
 
 
 def generate(config: GeneratorConfig) -> SyntheticDataset:
@@ -309,10 +335,15 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     callee = np.where(a_initiates, link_b[link], link_a[link])
     del link, a_initiates, calls, from_b, unknown
 
-    order = np.lexsort((callee, caller, ts))
+    n_users = len(users)
+    key = (ts - config.window.start) * n_users + caller
+    del ts, caller
+    order, key = _event_order(key, callee)
+    ts, caller = np.divmod(key, n_users)
+    del key
+    ts += config.window.start
     columns = EventColumns(
-        caller[order], callee[order], ts[order], is_call[order], duration[order], users,
-        config.window,
+        caller, callee[order], ts, is_call[order], duration[order], users, config.window
     )
 
     gender_of = (Gender.MALE, Gender.FEMALE)

@@ -565,6 +565,20 @@ class TestWindowFlags:
         )
         assert not out.exists()
 
+    def test_window_too_long_for_the_sort_key_exits_two_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # 2**29 pairs with their default pool of 2**25 make 2**30 + 2**25 users
+        argv = ["generate", "--n-pairs", str(2**29), "--window-start", "0",
+                "--window-end", str(2**33)]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: window of {2**33} s times {2**30 + 2**25} users reaches 2**63: "
+            "too large for the int64 (time, caller) sort key\n"
+        )
+        assert not out.exists()
+
     def test_generate_then_ingest_across_1970(self, tmp_path):
         window = ["--window-start", "1969-09-01", "--window-end", "1970-03-01"]
         gen = tmp_path / "gen"

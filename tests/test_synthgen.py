@@ -27,6 +27,7 @@ from linkcdr.synthgen import (
     BackgroundConfig,
     GeneratorConfig,
     _distinct_draws,
+    _event_order,
     _write_event_rows,
     generate,
     verify_planted,
@@ -222,6 +223,25 @@ class TestGenerate:
             generate(small_config(archetypes=(small_archetype(prevalence=0.5),)))
 
 
+class TestSortKeyBound:
+    # 2**30 users: 2 * (2**29 - 16) planted and a pool of 32
+    N_PAIRS, POOL = 2**29 - 16, 32
+
+    def config(self, n_seconds: int) -> GeneratorConfig:
+        return small_config(
+            n_pairs=self.N_PAIRS,
+            window=ObservationWindow(0, n_seconds),
+            background=BackgroundConfig(pool_size=self.POOL),
+        )
+
+    def test_key_that_fits_passes(self):
+        self.config(2**33 - 1).validate()
+
+    def test_key_that_reaches_two_to_the_63_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"8589934592 s times 1073741824 users"):
+            self.config(2**33).validate()
+
+
 class TestBackgroundValidation:
     @pytest.mark.parametrize(
         "background, match",
@@ -291,6 +311,86 @@ class TestSlotMapping:
         local = [_local(3600 * hour, 0) for hour in local_hours.tolist()]
         reached = {24 * dt.weekday() + dt.hour for dt in local}
         assert reached == {h for h, s in enumerate(SEGMENT_OF_HOUR) if s == segment}
+
+
+@st.composite
+def _dense_ties(draw):
+    """(ts, caller, callee, is_call, duration, start, n_users) of events over
+    at most 3 users and 3 seconds, where events repeat a few (ts, caller,
+    callee) triples and differ only in kind or duration."""
+    n_users = draw(st.integers(2, 3))
+    start = draw(st.integers(-(10**9), 10**9))
+    triple = st.tuples(
+        st.integers(start, start + 2), st.integers(0, n_users - 1), st.integers(1, n_users - 1)
+    )
+    triples = draw(st.lists(triple, min_size=1, max_size=6))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, len(triples) - 1), st.booleans(), st.integers(-1, 3)),
+        max_size=40,
+    ))
+    ts, caller, step = (np.array([triples[i][k] for i, _, _ in rows], dtype=np.int64)
+                        for k in range(3))
+    is_call = np.array([c for _, c, _ in rows], dtype=bool)
+    duration = np.array([d for _, _, d in rows], dtype=np.int64)
+    return ts, caller, (caller + step) % n_users, is_call, duration, start, n_users
+
+
+def _reverse_tie_runs(order: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, int]:
+    """``order`` with each run of equal ``key[order]`` reversed, and the
+    number of runs longer than one."""
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    ends = np.r_[starts[1:], len(key)]
+    run = np.repeat(np.arange(len(starts)), ends - starts)
+    at = starts[run] + ends[run] - 1 - np.arange(len(key))
+    return order[at], int((ends - starts > 1).sum())
+
+
+class TestEventOrder:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_dense_ties())
+    def test_matches_stable_lexsort(self, case):
+        ts, caller, callee, is_call, duration, start, n_users = case
+        order, key = _event_order((ts - start) * n_users + caller, callee)
+        want = np.lexsort((callee, caller, ts))
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(is_call[order], is_call[want])
+        np.testing.assert_array_equal(duration[order], duration[want])
+        sorted_ts, sorted_caller = np.divmod(key, n_users)
+        np.testing.assert_array_equal(sorted_ts + start, ts[want])
+        np.testing.assert_array_equal(sorted_caller, caller[want])
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_generated_columns_are_in_stable_order(self, seed):
+        cols = generate(small_config(n_pairs=300, seed=seed, utc_offset=19800)).columns
+        order = np.lexsort((cols.callee, cols.caller, cols.timestamp))
+        np.testing.assert_array_equal(order, np.arange(len(cols)))
+
+    def test_tie_order_of_the_quicksort_does_not_matter(self, monkeypatch):
+        # two busy links over one week: many events share a second and a caller
+        config = small_config(
+            n_pairs=2,
+            window=ObservationWindow.from_dates("2007-01-01", "2007-01-08"),
+            archetypes=(small_archetype(call_rates=(900.0,) * 6, text_rates=(900.0,) * 6),),
+            background=BackgroundConfig(side_links=0),
+        )
+        plain = generate(config).columns
+        runs = []
+        quicksort = np.argsort
+
+        def reversed_ties(a, *args, **kwargs):
+            order = quicksort(a, *args, **kwargs)
+            if args or kwargs:  # only the default kind is a quicksort
+                return order
+            order, n_runs = _reverse_tie_runs(order, a)
+            runs.append(n_runs)
+            return order
+
+        monkeypatch.setattr(np, "argsort", reversed_ties)
+        shuffled = generate(config).columns
+        assert len(runs) == 1 and runs[0] >= 10
+        for name in ("caller", "callee", "timestamp", "is_call", "duration"):
+            np.testing.assert_array_equal(getattr(shuffled, name), getattr(plain, name))
 
 
 # at most 4 UTF-8 bytes a character, so at most 64 bytes an id
