@@ -28,7 +28,6 @@ def one_nn_error(
     train_y: np.ndarray,
     test_x: np.ndarray,
     test_y: np.ndarray,
-    chunk_size: int = 1024,
 ) -> float:
     """Fraction of test rows whose nearest training row has another label."""
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -39,17 +38,17 @@ def one_nn_error(
         raise DatasetError("train and test sets must be nonempty")
     if train_x.shape[1] != test_x.shape[1]:
         raise DatasetError("feature dimension mismatch between train and test")
-    nearest_y = train_y[nearest(train_x, test_x, 1, chunk_size=chunk_size)[:, 0]]
+    nearest_y = train_y[nearest(train_x, test_x, 1)[:, 0]]
     return int(np.sum(nearest_y != test_y)) / test_x.shape[0]
 
 
-def one_nn_error_loo(x: np.ndarray, y: np.ndarray, chunk_size: int = 1024) -> float:
+def one_nn_error_loo(x: np.ndarray, y: np.ndarray) -> float:
     """Leave-one-out variant: each row's nearest neighbor among the others."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] < 2:
         raise DatasetError("leave-one-out needs at least 2 rows")
-    nearest_y = y[nearest(x, x, 1, exclude_self=True, chunk_size=chunk_size)[:, 0]]
+    nearest_y = y[nearest(x, x, 1, exclude_self=True)[:, 0]]
     return int(np.sum(nearest_y != y)) / x.shape[0]
 
 

@@ -2,11 +2,11 @@
 
 Each subcommand wraps one pipeline stage. ``main`` runs every stage the
 same way: it hashes the inputs and holds each to the ``manifest.json``
-beside it, runs the stage, which names each file it writes through a
-``Stage``, and writes the stage's own ``manifest.json`` recording input and
-output hashes, the flags as given, and seeds, so identical invocations are
-byte-reproducible. Exit codes: 0 success, 2 validation failure or bad
-usage, 1 fatal error.
+beside it, runs the stage, which names each file it writes and sets its
+seeds on the stage's ``RunManifest``, and writes that record as the stage's
+own ``manifest.json`` with input and output hashes, the flags as given, and
+seeds, so identical invocations are byte-reproducible. Exit codes: 0
+success, 2 validation failure or bad usage, 1 fatal error.
 """
 
 from __future__ import annotations
@@ -89,25 +89,6 @@ INPUT_FLAGS = ("config", "events", "subscribers", "features", "pairs", "predicti
 NOT_CONFIG = {"out", "handler", "command", "reports", *INPUT_FLAGS}
 
 
-class Stage:
-    """The files one subcommand run writes into ``--out``, and its seeds.
-
-    The out dir is made when the first file is named, so a run that fails a
-    flag check writes nothing."""
-
-    def __init__(self, out: str) -> None:
-        self.out = out
-        self.outputs: list[str] = []
-        self.seeds: list[int] = []
-
-    def path(self, name: str) -> str:
-        """The path of output ``name``, recorded for the manifest."""
-        os.makedirs(self.out, exist_ok=True)
-        path = os.path.join(self.out, name)
-        self.outputs.append(path)
-        return path
-
-
 def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
     from .ingest import ObservationWindow, window_from_texts
 
@@ -149,7 +130,7 @@ def _write_diagnostics(path: str, diagnostics) -> None:
             out.write(diag.to_json_line() + "\n")
 
 
-def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_generate(args: argparse.Namespace, record: RunManifest) -> int:
     from .presets import PRESETS, load_generator_config
 
     if args.config:
@@ -163,12 +144,12 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
             config = replace(config, utc_offset=args.utc_offset)
     if args.verify:
         _check_min_months(args.min_months, config.window)
-    stage.seeds = [config.seed]
+    record.seeds = [config.seed]
     dataset = generate(config)
-    stage.outputs += write_dataset(dataset, stage.out).values()
+    record.outputs += write_dataset(dataset, record.out).values()
     if args.verify:
         report = verify_planted(dataset.columns, dataset.truth, args.min_months)
-        write_json(stage.path("verify.json"), report.to_dict())
+        write_json(record.path("verify.json"), report.to_dict())
         if not report.ok:
             print(
                 f"planted-pair recovery {report.recovered_fraction:.4f} below 0.99",
@@ -178,16 +159,16 @@ def cmd_generate(args: argparse.Namespace, stage: Stage) -> int:
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_ingest(args: argparse.Namespace, record: RunManifest) -> int:
     columns, event_diags = _parse_file(parse_events, args.events, _window_from_args(args))
     subscribers, sub_diags = _parse_file(parse_subscribers, args.subscribers)
     report = validate_dataset(columns, subscribers)
-    write_json(stage.path("validation.json"), report.to_dict())
-    _write_diagnostics(stage.path("diagnostics.jsonl"), event_diags + sub_diags)
+    write_json(record.path("validation.json"), report.to_dict())
+    _write_diagnostics(record.path("diagnostics.jsonl"), event_diags + sub_diags)
     return 0 if report.ok else 2
 
 
-def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_pairs(args: argparse.Namespace, record: RunManifest) -> int:
     window = _window_from_args(args)
     _check_min_months(args.min_months, window)
     columns, event_diags = _parse_file(parse_events, args.events, window)
@@ -214,12 +195,12 @@ def cmd_pairs(args: argparse.Namespace, stage: Stage) -> int:
                 "younger_age": label.younger_age if label else "",
             }
         )
-    write_pairs_csv(stage.path("pairs.csv"), rows)
-    _write_diagnostics(stage.path("diagnostics.jsonl"), event_diags)
+    write_pairs_csv(record.path("pairs.csv"), rows)
+    _write_diagnostics(record.path("diagnostics.jsonl"), event_diags)
     return 0
 
 
-def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_features(args: argparse.Namespace, record: RunManifest) -> int:
     window = _window_from_args(args)
     _check_utc_offset(args.utc_offset)
     if args.common_contacts_filtered:
@@ -232,7 +213,7 @@ def cmd_features(args: argparse.Namespace, stage: Stage) -> int:
         apply_regularity_filter(graph, args.min_months) if args.common_contacts_filtered else None
     )
     matrix = compute_feature_matrix(graph, pairs, args.utc_offset, contact_links)
-    write_features_csv(stage.path("features.csv"), pairs, matrix)
+    write_features_csv(record.path("features.csv"), pairs, matrix)
     return 0
 
 
@@ -250,7 +231,7 @@ def _finite_features(path: str) -> tuple[list[PairKey], np.ndarray]:
     return pairs, matrix
 
 
-def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_pca(args: argparse.Namespace, record: RunManifest) -> int:
     from .decompose import assign_factors, loadings, scree_data
 
     if not 2 <= args.n_comp <= manifest.N_FEATURES:  # varimax rotates two or more factors
@@ -262,21 +243,21 @@ def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
     standardized = apply_scaler(matrix, scaler)
     result = pca(standardized)
 
-    with open(stage.path("scree.csv"), "w", encoding="utf-8", newline="\n") as handle:
+    with open(record.path("scree.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("component,ratio,cumulative\n")
         for idx, ratio, cumulative in scree_data(result):
             handle.write(f"{idx},{ratio!r},{cumulative!r}\n")
 
     load = loadings(result, args.n_comp)
     rotated = varimax(load, kaiser_normalize=not args.no_kaiser)
-    with open(stage.path("loadings.csv"), "w", encoding="utf-8", newline="\n") as handle:
+    with open(record.path("loadings.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("feature," + ",".join(f"factor_{j + 1}" for j in range(args.n_comp)) + "\n")
         for name, row in zip(manifest.FEATURE_NAMES, rotated.loadings):
             handle.write(name + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
 
     assignment = assign_factors(rotated.loadings, manifest.FEATURE_NAMES, args.cutoff)
     write_json(
-        stage.path("factors.json"),
+        record.path("factors.json"),
         {
             "n_comp": args.n_comp,
             "kaiser_normalize": not args.no_kaiser,
@@ -284,7 +265,7 @@ def cmd_pca(args: argparse.Namespace, stage: Stage) -> int:
             **assignment.to_dict(),
         },
     )
-    write_json(stage.path("scaler.json"), scaler.to_dict())
+    write_json(record.path("scaler.json"), scaler.to_dict())
     return 0
 
 
@@ -372,11 +353,11 @@ def _ensemble_seeds(args: argparse.Namespace) -> list[int]:
     return [args.seed + i for i in range(args.seeds)]
 
 
-def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_train(args: argparse.Namespace, record: RunManifest) -> int:
     from .learn.linear import select_features, train_linear_svm, train_logreg
     from .learn.pipeline import C_GRID, K_GRID, LabeledDataset, balanced_sample
 
-    seeds = stage.seeds = _ensemble_seeds(args)
+    seeds = record.seeds = _ensemble_seeds(args)
     if not 0 < args.select_c < math.inf:  # NaN fails every comparison
         raise ConfigError(f"--select-c {args.select_c} must be positive and finite")
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, args.task)
@@ -403,7 +384,7 @@ def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
     lead = result.models[0]
     per_seed_fit = None if args.model == "knn" else [_fit_record(m) for m in result.models]
     write_json(
-        stage.path("model.json"),
+        record.path("model.json"),
         {
             "kind": args.model,
             "task": args.task,
@@ -422,12 +403,12 @@ def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
             "manifest_hash": manifest.manifest_hash(),
         },
     )
-    write_json(stage.path("scaler.json"), scaler.to_dict())
+    write_json(record.path("scaler.json"), scaler.to_dict())
     write_predictions_csv(
-        stage.path("predictions.csv"), test.row_ids, result.predictions, result.probabilities
+        record.path("predictions.csv"), test.row_ids, result.predictions, result.probabilities
     )
     write_json(
-        stage.path("report.json"),
+        record.path("report.json"),
         {
             "task": args.task,
             "model": args.model,
@@ -442,7 +423,7 @@ def cmd_train(args: argparse.Namespace, stage: Stage) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_evaluate(args: argparse.Namespace, record: RunManifest) -> int:
     row_ids, predictions, probabilities = read_predictions_csv(args.predictions)
     labels = _task_labels(args.pairs, args.task)
     missing = [rid for rid in row_ids if rid not in labels]
@@ -452,7 +433,7 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> int:
     groups = [labels[rid][1] for rid in row_ids]
     report = evaluate(predictions, y, groups, probabilities)
     write_json(
-        stage.path("report.json"),
+        record.path("report.json"),
         {
             "task": args.task,
             "source": os.path.basename(args.predictions),
@@ -463,11 +444,11 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> int:
     return 0
 
 
-def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_bayes_bounds(args: argparse.Namespace, record: RunManifest) -> int:
     from .bayes import bayes_bounds
 
     _check_seed(args.seed)
-    stage.seeds = [args.seed]
+    record.seeds = [args.seed]
     if args.loo:
         for flag, value in (("--n-train", args.n_train), ("--n-test", args.n_test)):
             if value is not None:
@@ -490,7 +471,7 @@ def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
         n_train, n_test = len(pool_idx), len(test_idx)
     bounds = bayes_bounds(e_nn)
     write_json(
-        stage.path("bounds.json"),
+        record.path("bounds.json"),
         {
             **bounds.to_dict(),
             "task": args.task,
@@ -503,23 +484,23 @@ def cmd_bayes_bounds(args: argparse.Namespace, stage: Stage) -> int:
     return 0
 
 
-def cmd_experiment(args: argparse.Namespace, stage: Stage) -> int:
-    from .learn.pipeline import TrainConfig, age_restricted_experiment, peer_bracket_rows
+def cmd_experiment(args: argparse.Namespace, record: RunManifest) -> int:
+    from .learn.pipeline import C_GRID, age_restricted_experiment, peer_bracket_rows
 
-    stage.seeds = _ensemble_seeds(args)
-    seeds = tuple(stage.seeds)
+    seeds = record.seeds = _ensemble_seeds(args)
     x, y, groups, row_ids = _labeled_matrix(args.features, args.pairs, "ogp")
     pool, test, _ = _standardized_split(x, y, groups, row_ids, args.n_test, args.seed)
-    config = TrainConfig(kind=args.model, seeds=seeds, n_train=args.n_train)
 
     test_rows = peer_bracket_rows(test, args.bracket)
     if test_rows.size == 0:
         raise ConfigError(f"no peer test pairs in bracket {args.bracket!r}")
     # the restricted run checks the bracket's class sizes before any training
-    restricted_report = age_restricted_experiment(pool, test, args.bracket, config)
+    restricted_report = age_restricted_experiment(
+        pool, test, args.bracket, args.model, seeds, args.n_train
+    )
 
     # reference run: train on everything, evaluate on the restricted slice
-    full_run = seed_ensemble(pool, test.x, config.kind, config.grid, seeds, n_train=args.n_train)
+    full_run = seed_ensemble(pool, test.x, args.model, C_GRID, seeds, n_train=args.n_train)
     restricted_test = test.subset(test_rows)
     full_report = evaluate(
         full_run.predictions[test_rows],
@@ -531,11 +512,11 @@ def cmd_experiment(args: argparse.Namespace, stage: Stage) -> int:
     gap_full = full_report.tpr - full_report.tnr
     gap_restricted = restricted_report.tpr - restricted_report.tnr
     write_json(
-        stage.path("age_report.json"),
+        record.path("age_report.json"),
         {
             "bracket": args.bracket,
             "model": args.model,
-            "seeds": stage.seeds,
+            "seeds": seeds,
             "full_training": full_report.to_dict(),
             "restricted_training": restricted_report.to_dict(),
             "ogp_sgp_gap_full": gap_full,
@@ -586,7 +567,7 @@ def _summarize_report(
     lines.append("")
 
 
-def cmd_report(args: argparse.Namespace, stage: Stage) -> int:
+def cmd_report(args: argparse.Namespace, record: RunManifest) -> int:
     lines: list[str] = []
     histogram_rows: list[str] = []
     for path in args.reports:
@@ -597,9 +578,9 @@ def cmd_report(args: argparse.Namespace, stage: Stage) -> int:
             raise ParseError(f"{path}: report lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:  # not JSON, or a value of the wrong type
             raise ParseError(f"{path} is not a report: {exc}") from None
-    with open(stage.path("summary.txt"), "w", encoding="utf-8", newline="\n") as handle:
+    with open(record.path("summary.txt"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines))
-    with open(stage.path("histograms.csv"), "w", encoding="utf-8", newline="\n") as handle:
+    with open(record.path("histograms.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("report,group,bin_lo,bin_hi,rel_freq\n")
         handle.write("\n".join(histogram_rows))
         if histogram_rows:
@@ -745,15 +726,14 @@ def run_stage(args: argparse.Namespace) -> int:
         inputs[name] = path
     record = RunManifest(
         subcommand=args.command,
+        out=args.out,
         inputs=inputs,
         config={key: value for key, value in flags.items() if key not in NOT_CONFIG},
         runtime=_runtime(),
     )
     record.check_inputs()
-    stage = Stage(args.out)
-    status = args.handler(args, stage)
-    record.seeds, record.outputs = stage.seeds, stage.outputs
-    record.write(stage.out)
+    status = args.handler(args, record)
+    record.write()
     return status
 
 

@@ -67,9 +67,11 @@ def _recorded_sha256(path: str) -> tuple[str, str | None]:
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every stage's outputs."""
+    """Reproducibility record written next to every stage's outputs: the
+    stage names each file it writes into ``out`` through ``path``."""
 
     subcommand: str
+    out: str
     inputs: dict[str, str] = field(default_factory=dict)  # label -> path
     config: dict[str, Any] = field(default_factory=dict)
     seeds: list[int] = field(default_factory=list)
@@ -91,9 +93,18 @@ class RunManifest:
                 )
             self.input_sha256[label] = digest
 
-    def write(self, out_dir: str) -> str:
-        """Write ``manifest.json`` into ``out_dir``; inputs carry the
-        digests ``check_inputs`` took."""
+    def path(self, name: str) -> str:
+        """The path of output ``name`` in ``out``, recorded among the outputs.
+        ``out`` is made when the first file is named, so a run that fails a
+        flag check writes nothing."""
+        os.makedirs(self.out, exist_ok=True)
+        path = os.path.join(self.out, name)
+        self.outputs.append(path)
+        return path
+
+    def write(self) -> str:
+        """Write ``manifest.json`` into ``out``; inputs carry the digests
+        ``check_inputs`` took."""
         payload = {
             "subcommand": self.subcommand,
             "toolkit_version": __version__,
@@ -101,7 +112,7 @@ class RunManifest:
                 label: {"path": path, "sha256": self.input_sha256[label]}
                 for label, path in self.inputs.items()
             },
-            "config": _sanitize(self.config),
+            "config": self.config,
             "runtime": self.runtime,
             "seeds": self.seeds,
             "outputs": {
@@ -109,7 +120,7 @@ class RunManifest:
                 for path in self.outputs
             },
         }
-        path = os.path.join(out_dir, "manifest.json")
+        path = os.path.join(self.out, "manifest.json")
         write_json(path, payload)
         return path
 

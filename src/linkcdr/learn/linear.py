@@ -43,6 +43,7 @@ KIND_KNN = "knn"
 # Added to the diagonal of the l1 model Hessian, singular when n < d + 1 or few
 # hinge samples are active; any H >= mI keeps proximal Newton's fixed point.
 L1_DAMPING = 1e-10
+SELECT_THRESHOLD = 1e-5  # smallest |weight| of a feature that l1 selection keeps
 
 
 @dataclass
@@ -321,10 +322,10 @@ def train_linear_svm(
     return train_path(x, y, KIND_LSVM, [c], penalty, max_iter, tol)[0]
 
 
-def select_features(model: TrainedModel, threshold: float = 1e-5) -> np.ndarray:
-    """Indices of weights with magnitude >= threshold, ascending."""
+def select_features(model: TrainedModel) -> np.ndarray:
+    """Indices of weights with magnitude >= SELECT_THRESHOLD, ascending."""
     if model.kind == KIND_KNN or model.weights is None:
         raise DatasetError("not a linear model")
     if model.penalty != "l1":
         raise DatasetError("feature selection requires an l1-penalized model")
-    return np.flatnonzero(np.abs(model.weights) >= threshold)
+    return np.flatnonzero(np.abs(model.weights) >= SELECT_THRESHOLD)

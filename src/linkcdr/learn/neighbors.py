@@ -35,7 +35,7 @@ def nearest(
 
 
 def knn_predict_grid(
-    train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray, ks: list[int], chunk_size: int = 1024
+    train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray, ks: list[int]
 ) -> list[np.ndarray]:
     """Majority vote among the k nearest training rows per query, for each k
     in ``ks``, from one neighbour ordering; an even vote goes to label 0."""
@@ -47,13 +47,13 @@ def knn_predict_grid(
         raise DatasetError(f"k {min(ks)} out of range 1..{train_x.shape[0]}")
     if queries.shape[1] != train_x.shape[1]:
         raise DatasetError("query dimension does not match training set")
-    neighbours = nearest(train_x, queries, max(ks), chunk_size=chunk_size)
+    neighbours = nearest(train_x, queries, max(ks))
     votes = np.cumsum(np.asarray(train_y, dtype=np.int64)[neighbours], axis=1)
     return [(2 * votes[:, k - 1] > k).astype(np.int64) for k in ks]
 
 
 def knn_predict(
-    train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray, k: int, chunk_size: int = 1024
+    train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray, k: int
 ) -> np.ndarray:
     """Majority vote among the k nearest training rows per query."""
-    return knn_predict_grid(train_x, train_y, queries, [k], chunk_size)[0]
+    return knn_predict_grid(train_x, train_y, queries, [k])[0]

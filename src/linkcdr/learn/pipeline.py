@@ -20,6 +20,7 @@ from .neighbors import knn_predict_grid
 C_GRID: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 K_GRID: tuple[int, ...] = (1, 3, 5, 11, 21, 51)
 N_FOLDS = 5  # cross-validation folds
+MIN_CLASS_ROWS = 50  # smaller-class rows a bracket needs for the restricted experiment
 
 
 @dataclass
@@ -187,17 +188,6 @@ def seed_ensemble(
     )
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Shared settings for pipeline-level experiments."""
-
-    kind: str = KIND_LSVM
-    grid: tuple[float, ...] = C_GRID
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    n_train: int | None = None
-    min_class_rows: int = 50
-
-
 def peer_bracket_rows(dataset: LabeledDataset, bracket: str) -> np.ndarray:
     """Rows of ``dataset`` that are peers whose younger user is in ``bracket``."""
     return np.asarray(
@@ -210,9 +200,12 @@ def age_restricted_experiment(
     pool: LabeledDataset,
     test: LabeledDataset,
     bracket: str,
-    config: TrainConfig = TrainConfig(),
+    kind: str,
+    seeds: Sequence[int],
+    n_train: int | None = None,
 ) -> EvalReport:
-    """Train and evaluate only on peers whose younger user is in ``bracket``.
+    """Train (``seed_ensemble`` over ``C_GRID``) and evaluate only on peers
+    whose younger user is in ``bracket``.
 
     With opposite-gender-peer labels the report's TPR is the accuracy among
     opposite-gender peers and the TNR the accuracy among same-gender peers.
@@ -224,17 +217,10 @@ def age_restricted_experiment(
     sub_pool = pool.subset(pool_idx)
     sub_test = test.subset(test_idx)
     counts = np.bincount(sub_pool.y, minlength=2)
-    if counts.min() < config.min_class_rows:
+    if counts.min() < MIN_CLASS_ROWS:
         raise DatasetError(
             f"bracket {bracket!r} has only {int(counts.min())} pairs in its smaller class, "
-            f"need {config.min_class_rows}"
+            f"need {MIN_CLASS_ROWS}"
         )
-    result = seed_ensemble(
-        sub_pool,
-        sub_test.x,
-        config.kind,
-        config.grid,
-        config.seeds,
-        n_train=config.n_train,
-    )
+    result = seed_ensemble(sub_pool, sub_test.x, kind, C_GRID, seeds, n_train=n_train)
     return evaluate(result.predictions, sub_test.y, sub_test.groups, result.probabilities)

@@ -92,9 +92,10 @@ class LinkGraph:
 def build_links(cols: EventColumns) -> LinkGraph:
     """Fold the event columns into per-link counter arrays: one bincount
     over ``row * 4 + 2 * is_call + caller_first`` counts calls and texts from
-    each end, one sums known call durations over ``row * 2 + caller_first``,
-    and one counts calls per (row, month). Each full-length temporary is
-    freed once its counts are taken."""
+    each end, known call durations are summed exactly in int64 over
+    ``row * 2 + caller_first``, and one bincount counts calls per (row,
+    month). Each full-length temporary is freed once its counts are taken.
+    A link whose durations sum past int64 raises DatasetError."""
     if (cols.caller == cols.callee).any():
         raise DatasetError("self-loop event: caller and callee are the same user")
     n_users = len(cols.users)
@@ -116,11 +117,23 @@ def build_links(cols: EventColumns) -> LinkGraph:
         n_links, 4
     ).T
     known = is_call & (cols.duration >= 0)
-    sums = np.bincount(
-        group[known] * 2 + caller_first[known], weights=cols.duration[known], minlength=2 * n_links
-    )
+    cell, duration = group[known] * 2 + caller_first[known], cols.duration[known]
     del caller_first, known
-    duration_from_second, duration_from_first = sums.astype(np.int64).reshape(n_links, 2).T
+    # The high and low 32 bits of the durations are summed apart, so neither
+    # sum can wrap (a link has fewer than 2**31 events).
+    high, low = np.zeros((2, 2 * n_links), dtype=np.int64)
+    np.add.at(high, cell, duration >> 32)
+    duration &= 0xFFFFFFFF
+    np.add.at(low, cell, duration)
+    del cell, duration
+    high, low = high.reshape(n_links, 2), low.reshape(n_links, 2)
+    past_int64 = high.sum(axis=1) + (low.sum(axis=1) >> 32) >= 1 << 31
+    if past_int64.any():
+        first, second = divmod(int(unique_ids[np.argmax(past_int64)]), n_users)
+        raise DatasetError(
+            f"call durations of link ({cols.users[first]}, {cols.users[second]}) sum past int64"
+        )
+    duration_from_second, duration_from_first = ((high << 32) + low).T
     month_cell = group[is_call] * n_months + cols.window.month_index(cols.timestamp[is_call])
     months = np.bincount(month_cell, minlength=n_links * n_months).reshape(n_links, n_months)
     del month_cell

@@ -4,7 +4,6 @@ learned on training rows, and their application to any rows."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +26,9 @@ class ScalerParams:
         }
 
 
-def fit_scaler(matrix: np.ndarray, names: Sequence[str] | None = None) -> ScalerParams:
-    """Learn per-column mean/std; rejects constant columns by name."""
+def fit_scaler(matrix: np.ndarray) -> ScalerParams:
+    """Learn per-column mean/std; rejects constant columns, named from the
+    feature manifest for a full feature matrix and by index otherwise."""
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DatasetError("scaler fit needs a 2-D matrix with at least 2 rows")
@@ -37,9 +37,8 @@ def fit_scaler(matrix: np.ndarray, names: Sequence[str] | None = None) -> Scaler
     floor = 1e-12 * np.maximum(1.0, np.abs(mean))
     constant = np.flatnonzero(std <= floor)
     if constant.size:
-        if names is None and x.shape[1] == manifest.N_FEATURES:
-            names = manifest.FEATURE_NAMES
-        labels = [names[i] if names is not None else str(i) for i in constant[:8]]
+        named = x.shape[1] == manifest.N_FEATURES
+        labels = [manifest.FEATURE_NAMES[i] if named else str(i) for i in constant[:8]]
         raise DatasetError(f"constant feature column(s) at fit time: {', '.join(labels)}")
     return ScalerParams(mean, std)
 

@@ -27,7 +27,6 @@ from linkcdr.learn.linear import (
 from linkcdr.learn.pipeline import (
     C_GRID,
     LabeledDataset,
-    TrainConfig,
     age_restricted_experiment,
     balanced_sample,
     cross_validate,
@@ -289,7 +288,7 @@ def test_criterion_6_optimizer_checks(default_run):
 
         # l1 selection then refit: >=30% zeroed without losing >2 accuracy points
         selector = train_logreg(sample.x, sample.y, penalty="l1", c=30.0, max_iter=2000)
-        kept = select_features(selector, threshold=1e-5)
+        kept = select_features(selector)
         zeroed_fraction = 1.0 - kept.size / 175
         assert zeroed_fraction >= 0.30
 
@@ -377,8 +376,7 @@ def test_criterion_9_end_to_end_classification(big_run):
             assert sum(bins) == pytest.approx(1.0)
 
         # age-restricted contrast on the oldest peer bracket
-        config = TrainConfig(kind="lsvm", grid=C_GRID, seeds=(0, 1, 2, 3, 4))
-        restricted_report = age_restricted_experiment(pool, test, "O", config)
+        restricted_report = age_restricted_experiment(pool, test, "O", "lsvm", (0, 1, 2, 3, 4))
         bracket_mask = np.asarray(
             [code in ("-O peers", "+O peers") for code in test.groups], dtype=bool
         )

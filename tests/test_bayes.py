@@ -44,7 +44,7 @@ class TestOneNnError:
         train_y = (rng.random(100) < 0.5).astype(int)
         test_x = rng.standard_normal((100, 4))
         test_y = (rng.random(100) < 0.5).astype(int)
-        got = one_nn_error(train_x, train_y, test_x, test_y, chunk_size=13)
+        got = one_nn_error(train_x, train_y, test_x, test_y)
         assert got == brute_one_nn(train_x, train_y, test_x, test_y)
 
     def test_invariant_under_orthogonal_transform(self):

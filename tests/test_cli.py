@@ -76,6 +76,26 @@ class TestPairsStage:
         rows = read_pairs_csv(str(pipeline_dirs["pairs"] / "pairs.csv"))
         assert all(row["label_code"] for row in rows)
 
+    @staticmethod
+    def run_on_calls(tmp_path, durations) -> int:
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "caller_id,callee_id,timestamp,kind,duration\n"
+            + "".join(f"a,b,{1167609700 + i},call,{d}\n" for i, d in enumerate(durations))
+        )
+        return main(["pairs", "--events", str(events), "--min-months", "0",
+                     "--out", str(tmp_path / "p")])
+
+    def test_duration_total_is_the_exact_sum(self, tmp_path):
+        assert self.run_on_calls(tmp_path, [2**53, 1]) == 0
+        (row,) = read_pairs_csv(str(tmp_path / "p" / "pairs.csv"))
+        assert row["duration_total"] == 2**53 + 1
+
+    def test_duration_total_past_int64_is_fatal(self, tmp_path, capsys):
+        assert self.run_on_calls(tmp_path, [9 * 10**17] * 11) == 1
+        assert "fatal: call durations of link (a, b) sum past int64" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "pairs.csv").exists()
+
 
 class TestManifestChaining:
     def test_stage_inputs_hash_match_previous_outputs(self, pipeline_dirs):
@@ -791,6 +811,13 @@ class TestExperimentStage:
         text = (summary / "summary.txt").read_text()
         assert "restricted OGP/SGP" in text
 
+    def test_age_report_is_byte_deterministic(self, pipeline_dirs, train_dir, tmp_path):
+        argv = stage_argv("experiment", pipeline_dirs, train_dir)
+        for run in ("a", "b"):
+            assert main([*argv, "--out", str(tmp_path / run)]) == 0
+        report = "age_report.json"
+        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+
     def test_absent_bracket_exits_two(self, pipeline_dirs, tmp_path):
         code = main([
             "experiment", "age-restricted",
@@ -923,6 +950,9 @@ def stage_argv(name: str, dirs: dict, train) -> list[str]:
         "pca": ["pca", "--features", str(feats / "features.csv"), "--n-comp", "3"],
         "train": ["train", *labeled, "--task", "age35", "--model", "knn",
                   "--n-train", "80", "--n-test", "60", "--seeds", "1"],
+        **{f"train --model {kind}": ["train", *labeled, "--task", "age35", "--model", kind,
+                                     "--n-train", "80", "--n-test", "60", "--seeds", "1"]
+           for kind in ("lsvm", "logreg")},
         "evaluate": ["evaluate", "--predictions", str(train / "predictions.csv"),
                      "--pairs", str(pairs / "pairs.csv"), "--task", "ogp"],
         "bayes-bounds": ["bayes-bounds", *labeled, "--task", "ogp", "--n-test", "60"],
@@ -1089,6 +1119,9 @@ TRACED_LAYERS = {
     "features": ("ingest.parse_events", "pairgraph.build_links", "features.matrix"),
     "pca": ("decompose.pca", "decompose.varimax"),
     "train": ("pipeline.seed_ensemble", "evaluation.evaluate"),
+    **{f"train --model {kind}": (f"linear.{kind}.fit", "pipeline.cross_validate",
+                                 "calibration.platt_fit", "pipeline.seed_ensemble")
+       for kind in ("lsvm", "logreg")},
     "bayes-bounds": ("bayes.one_nn",),
     "bayes-bounds --loo": ("bayes.one_nn",),
 }

@@ -675,8 +675,8 @@ class TestScaler:
     def test_constant_column_named(self):
         x = np.ones((10, 2))
         x[:, 0] = np.arange(10)
-        with pytest.raises(DatasetError, match="col_b"):
-            fit_scaler(x, names=["col_a", "col_b"])
+        with pytest.raises(DatasetError, match="at fit time: 1$"):
+            fit_scaler(x)
 
     def test_constant_manifest_column_named(self):
         rng = np.random.default_rng(15)

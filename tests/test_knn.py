@@ -83,10 +83,9 @@ class TestKnnPredict:
     def test_chunking_does_not_change_results(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((50, 3))
-        y = (rng.random(50) < 0.5).astype(int)
         queries = rng.standard_normal((70, 3))
-        a = knn_predict(x, y, queries, k=5, chunk_size=7)
-        b = knn_predict(x, y, queries, k=5, chunk_size=1024)
+        a = nearest(x, queries, 5, chunk_size=7)
+        b = nearest(x, queries, 5, chunk_size=1024)
         np.testing.assert_array_equal(a, b)
 
 
@@ -152,7 +151,7 @@ class TestKnnPredictGrid:
         y = (rng.random(60) < 0.5).astype(int)
         queries = rng.integers(-2, 3, size=(45, 3)).astype(float)
         ks = [1, 2, 3, 5, 11, 21, 51, 60]
-        for k, pred in zip(ks, knn_predict_grid(x, y, queries, ks, chunk_size=7)):
+        for k, pred in zip(ks, knn_predict_grid(x, y, queries, ks)):
             np.testing.assert_array_equal(pred, brute_force_knn(x, y, queries, k))
             np.testing.assert_array_equal(pred, knn_predict(x, y, queries, k))
 

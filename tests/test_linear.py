@@ -369,11 +369,6 @@ class TestSelectFeatures:
         model = train_logreg(x, y, penalty="l1", c=1e-9)
         assert select_features(model).size == 0
 
-    def test_threshold_zero_keeps_everything(self):
-        x, y = blobs(seed=13, d=5)
-        model = train_logreg(x, y, penalty="l1", c=1.0)
-        np.testing.assert_array_equal(select_features(model, threshold=0.0), np.arange(5))
-
     def test_knn_rejected(self):
         with pytest.raises(DatasetError, match="not a linear model"):
             select_features(TrainedModel(kind="knn", k=3))

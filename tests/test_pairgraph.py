@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,30 @@ class TestBuildLinks:
         graph = build_links(cols)
         assert graph.columns is cols
         assert graph.users is cols.users
+
+    def test_durations_sum_exactly_past_float_precision(self, default_window):
+        t = default_window.start
+        graph = build_links(
+            columns([ev("a", "b", t, "call", 2**53), ev("b", "a", t + 1, "call", 1)])
+        )
+        link = counters(graph, "a", "b")
+        assert link["duration"] == 2**53 + 1
+        assert link["duration_from_first"] == 2**53
+
+    def test_duration_total_at_int64_max_is_kept(self, default_window):
+        t = default_window.start
+        graph = build_links(
+            columns([ev("a", "b", t, "call", 2**62), ev("b", "a", t + 1, "call", 2**62 - 1)])
+        )
+        assert counters(graph, "a", "b")["duration"] == np.iinfo(np.int64).max
+
+    def test_duration_total_past_int64_rejected(self, default_window):
+        t = default_window.start
+        cols = columns([ev("a", "b", t + i, "call", 9 * 10**17) for i in range(11)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way to the error
+            with pytest.raises(DatasetError, match=r"link \(a, b\) sum past int64"):
+                build_links(cols)
 
     def test_empty_input(self):
         graph = build_links(columns([]))

@@ -13,7 +13,6 @@ from linkcdr.learn.pipeline import (
     C_GRID,
     K_GRID,
     LabeledDataset,
-    TrainConfig,
     age_restricted_experiment,
     balanced_sample,
     cross_validate,
@@ -223,23 +222,21 @@ def bracketed_dataset(seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
 class TestAgeRestrictedExperiment:
     def test_restricted_rows_all_match_bracket(self):
         pool, test = bracketed_dataset()
-        config = TrainConfig(kind="logreg", grid=(1.0,), seeds=(0, 1, 2), n_train=100)
-        report = age_restricted_experiment(pool, test, "O", config)
+        report = age_restricted_experiment(pool, test, "O", "logreg", (0, 1, 2), n_train=100)
         assert set(report.per_group) <= {"-O peers", "+O peers"}
 
     def test_restricted_training_recovers_bracket_signal(self):
         pool, test = bracketed_dataset()
-        config = TrainConfig(kind="logreg", grid=(1.0,), seeds=(0, 1, 2), n_train=100)
-        report = age_restricted_experiment(pool, test, "O", config)
+        report = age_restricted_experiment(pool, test, "O", "logreg", (0, 1, 2), n_train=100)
         assert report.accuracy > 0.7  # the O-only signal is learnable
 
     def test_absent_bracket_errors(self):
         pool, test = bracketed_dataset()
         with pytest.raises(DatasetError):
-            age_restricted_experiment(pool, test, "L", TrainConfig(grid=(1.0,)))
+            age_restricted_experiment(pool, test, "L", "lsvm", (0, 1, 2, 3, 4))
 
-    def test_small_class_errors(self):
+    def test_small_class_errors(self, monkeypatch):
         pool, test = bracketed_dataset()
-        config = TrainConfig(kind="logreg", grid=(1.0,), min_class_rows=10_000)
+        monkeypatch.setattr(pipeline, "MIN_CLASS_ROWS", 10_000)
         with pytest.raises(DatasetError, match="smaller class"):
-            age_restricted_experiment(pool, test, "O", config)
+            age_restricted_experiment(pool, test, "O", "logreg", (0, 1, 2, 3, 4))
