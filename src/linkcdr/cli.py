@@ -310,10 +310,13 @@ def _labeled_matrix(
 
 
 def _split_pool_test(
-    n: int, n_test: int, seed: int
+    n: int, n_test: int, seed: int, default: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(pool, test) rows of a seeded permutation; ``default`` says that
+    ``--n-test`` was not given and ``n_test`` is its default."""
     if not 0 < n_test < n:
-        raise ConfigError(f"n_test {n_test} must lie in 1..{n - 1}")
+        given = " (the default)" if default else ""
+        raise ConfigError(f"--n-test {n_test}{given} must lie in 1..{n - 1}")
     perm = np.random.default_rng(seed).permutation(n)
     return perm[n_test:], perm[:n_test]
 
@@ -459,7 +462,7 @@ def cmd_bayes_bounds(args: argparse.Namespace, record: RunManifest) -> int:
         n_train = n_test = len(y)
     else:
         n_test = 1000 if args.n_test is None else args.n_test
-        pool_idx, test_idx = _split_pool_test(len(y), n_test, args.seed)
+        pool_idx, test_idx = _split_pool_test(len(y), n_test, args.seed, args.n_test is None)
         if args.n_train is not None:
             if not 2 <= args.n_train <= len(pool_idx):
                 raise ConfigError(f"--n-train {args.n_train} must lie in 2..{len(pool_idx)}")

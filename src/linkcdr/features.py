@@ -65,16 +65,24 @@ class WeekGrid:
 
 
 def _column_stats(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """(7, ...) population statistics of ``x`` along ``axis``."""
+    """(7, ...) population statistics of ``x`` along ``axis``.
+
+    Third and fourth moments are products of the squared deviations, since
+    numpy computes only ``**2`` without ``pow``. The order statistics come
+    from one sort; the median is the mean of its two middle entries,
+    ``np.median``'s arithmetic.
+    """
     mean = x.mean(axis=axis, keepdims=True)
     centered = x - mean
-    std = np.sqrt(np.mean(centered**2, axis=axis, keepdims=True))
+    sq = centered * centered
+    std = np.sqrt(sq.mean(axis=axis))
     safe = np.where(std > 0, std, 1.0)
-    skew = np.where(std > 0, np.mean(centered**3, axis=axis, keepdims=True) / safe**3, 0.0)
-    kurt = np.where(std > 0, np.mean(centered**4, axis=axis, keepdims=True) / safe**4 - 3.0, 0.0)
-    median = np.median(x, axis=axis, keepdims=True)
-    lo, hi = x.min(axis=axis, keepdims=True), x.max(axis=axis, keepdims=True)
-    return np.stack([s.squeeze(axis) for s in (mean, median, std, lo, hi, skew, kurt)])
+    skew = np.where(std > 0, (sq * centered).mean(axis=axis) / safe**3, 0.0)
+    kurt = np.where(std > 0, (sq * sq).mean(axis=axis) / safe**4 - 3.0, 0.0)
+    k = x.shape[axis]
+    ranks = [0, (k - 1) // 2, k // 2, k - 1]
+    lo, below, above, hi = np.moveaxis(np.sort(x, axis=axis).take(ranks, axis=axis), axis, 0)
+    return np.stack([mean.squeeze(axis), (below + above) / 2, std, lo, hi, skew, kurt])
 
 
 def _signed_log1p(x: np.ndarray) -> np.ndarray:
@@ -209,10 +217,11 @@ def _interevent(
 
     mean = np.add.reduceat(gaps, start) / count
     centered = gaps - np.repeat(mean, count)
-    std = np.sqrt(np.add.reduceat(centered**2, start) / count)
+    sq = centered * centered
+    std = np.sqrt(np.add.reduceat(sq, start) / count)
     safe = np.where(std > 0, std, 1.0)
-    skew = np.where(std > 0, np.add.reduceat(centered**3, start) / count / safe**3, 0.0)
-    kurt = np.where(std > 0, np.add.reduceat(centered**4, start) / count / safe**4 - 3.0, 0.0)
+    skew = np.where(std > 0, np.add.reduceat(sq * centered, start) / count / safe**3, 0.0)
+    kurt = np.where(std > 0, np.add.reduceat(sq * sq, start) / count / safe**4 - 3.0, 0.0)
 
     mid = start + count // 2
     median = np.where(count % 2, ordered[mid], (ordered[mid - 1] + ordered[mid]) / 2)

@@ -257,10 +257,9 @@ def train_path(
     y01 = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y01.shape[0]:
         raise DatasetError("feature matrix and labels are misaligned")
-    classes = np.unique(y01)
-    if classes.size < 2:
+    if y01.size == 0 or (y01 == y01[0]).all():
         raise DatasetError("single-class training set")
-    if not set(classes.tolist()) <= {0, 1}:
+    if not ((y01 == 0) | (y01 == 1)).all():
         raise DatasetError("labels must be binary 0/1")
     if not all(0 < c < math.inf for c in cs):  # NaN fails every comparison
         raise DatasetError("C must be positive and finite")

@@ -38,7 +38,7 @@ class LabeledDataset:
         n = self.x.shape[0]
         if not (len(self.y) == len(self.groups) == len(self.row_ids) == n):
             raise DatasetError("dataset fields have mismatched lengths")
-        if self.y.size and not set(np.unique(self.y).tolist()) <= {0, 1}:
+        if not ((self.y == 0) | (self.y == 1)).all():
             raise DatasetError("labels must be binary 0/1")
 
     @property
@@ -74,10 +74,11 @@ def balanced_sample(dataset: LabeledDataset, n_train: int, seed: int) -> Labeled
 
 
 def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
-    """Deterministic per-class round-robin fold assignment."""
+    """Deterministic per-class round-robin fold assignment over the
+    non-negative integer labels ``y``, classes in ascending order."""
     rng = np.random.default_rng(seed)
     folds = np.empty(len(y), dtype=np.int64)
-    for cls in np.unique(y):
+    for cls in np.flatnonzero(np.bincount(y)):
         idx = np.flatnonzero(y == cls)
         shuffled = rng.permutation(idx)
         folds[shuffled] = np.arange(len(shuffled)) % n_folds

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -444,6 +445,28 @@ class TestFlagRanges:
         assert code == 2
         assert f"--cutoff {float(cutoff)} must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("n_test", ["0", "100000"])
+    @pytest.mark.parametrize(
+        "stage",
+        [["train", "--task", "ogp", "--n-train", "80"], ["bayes-bounds", "--task", "ogp"]],
+        ids=["train", "bayes-bounds"],
+    )
+    def test_n_test(self, pipeline_dirs, tmp_path, capsys, stage, n_test):
+        out = tmp_path / "o"
+        code = main([*stage, *self.labeled(pipeline_dirs), "--n-test", n_test, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: --n-test {n_test} must lie in 1..")
+        assert not out.exists()
+
+    def test_bayes_bounds_default_n_test_is_named(self, pipeline_dirs, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["bayes-bounds", *self.labeled(pipeline_dirs), "--task", "ogp",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: --n-test 1000 \(the default\) must lie in 1\.\.\d+\n", err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-1", "2"])
     @pytest.mark.parametrize(
@@ -1077,12 +1100,13 @@ LOADED_MODULES = (
     "    status = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    status = exc.code\n"
-    "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('linkcdr'))]))\n"
+    "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('linkcdr')),\n"
+    "                  'numpy.ma' in sys.modules]))\n"
 )
+SOLVERS = ("linkcdr.learn", "linkcdr.decompose", "linkcdr.bayes")
 EXTRACTION = ("linkcdr.ingest", "linkcdr.pairgraph", "linkcdr.features", "linkcdr.synthgen",
               "linkcdr.presets")
-MODELLING = ("linkcdr.learn", "linkcdr.decompose", "linkcdr.bayes", "linkcdr.synthgen",
-             "linkcdr.presets")
+MODELLING = (*SOLVERS, "linkcdr.synthgen", "linkcdr.presets")
 
 
 @pytest.mark.parametrize(
@@ -1091,13 +1115,15 @@ MODELLING = ("linkcdr.learn", "linkcdr.decompose", "linkcdr.bayes", "linkcdr.syn
         *[(name, EXTRACTION) for name in ("pca", "train", "evaluate", "bayes-bounds", "report")],
         ("--help", EXTRACTION),
         *[(name, MODELLING) for name in ("ingest", "pairs", "features")],
+        ("generate", SOLVERS),
     ],
 )
 def test_stage_loads_only_the_layers_it_runs(pipeline_dirs, train_dir, tmp_path, name, unloaded):
     """A stage imports a layer's module when it first calls into it, so a
     modelling stage never loads the parser, graph or generator, and an
     extraction stage never loads a solver (``linkcdr.learn`` covers its
-    submodules too)."""
+    submodules too). No stage loads ``numpy.ma``, which ``np.median`` and a
+    plain ``np.unique`` import under numpy 2.3 and later."""
     argv = ["--help"] if name == "--help" else [
         *stage_argv(name, pipeline_dirs, train_dir), "--out", str(tmp_path / "out")
     ]
@@ -1105,9 +1131,10 @@ def test_stage_loads_only_the_layers_it_runs(pipeline_dirs, train_dir, tmp_path,
         [sys.executable, "-c", LOADED_MODULES, *argv],
         env=stage_env(), capture_output=True, text=True, check=True,
     )
-    status, modules = json.loads(done.stdout.splitlines()[-1])
+    status, modules, masked = json.loads(done.stdout.splitlines()[-1])
     assert status == 0
     assert [m for m in modules if m.startswith(unloaded)] == []
+    assert not masked
 
 
 # Each layer a stage reaches through one of linkcdr.cli's deferred names.

@@ -16,6 +16,7 @@ from conftest import DAY, JAN1_2007, WEEK, columns, dist_stats, epoch, ev
 from linkcdr.errors import DatasetError
 from linkcdr.features import (
     WeekGrid,
+    _column_stats,
     _Events,
     _interevent,
     _local_parts,
@@ -40,7 +41,14 @@ from linkcdr.pairgraph import (
 )
 from linkcdr.relations import PairKey
 from linkcdr.scaling import apply_scaler, fit_scaler
-from oracles import _daypart, _local, _weekpart, feature_vector_oracle, moment_stats
+from oracles import (
+    _daypart,
+    _local,
+    _signed_log1p,
+    _weekpart,
+    feature_vector_oracle,
+    moment_stats,
+)
 
 AB = PairKey.of("a", "b")
 
@@ -269,6 +277,30 @@ class TestDistStats:
             want = np.asarray(moment_stats(x))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("weeks", [1, 2, 29, 30])
+    def test_median_is_np_median_bitwise(self, weeks):
+        rng = np.random.default_rng(weeks)
+        counts = np.floor(rng.pareto(1.0, size=(40, weeks, 18)) * 10)  # many ties
+        spread = rng.uniform(-50, 50, size=(40, weeks, 18))
+        for x in (counts, spread):
+            got = np.ascontiguousarray(_column_stats(x, axis=1)[1])
+            assert got.tobytes() == np.median(x, axis=1).tobytes()
+
+    def test_heavy_tailed_weeks_match_moment_oracle(self):
+        rng = np.random.default_rng(5)
+        # weekly durations in seconds: Pareto tails up to 1e7, a lone busy
+        # week in an idle stretch, and constant series
+        weeks = np.minimum(np.floor(rng.pareto(0.7, size=(48, 30, 18)) * 100), 1e7)
+        weeks[:8] = 0.0
+        weeks[:8, 17] = 1e7
+        weeks[8:16] = rng.integers(0, 10**7, size=(8, 1, 18))
+        stats = _column_stats(weeks, axis=1)
+        for row in range(weeks.shape[0]):
+            for col in range(weeks.shape[2]):
+                want = moment_stats(weeks[row, :, col])
+                np.testing.assert_allclose(stats[:, row, col], want, rtol=1e-12, atol=1e-12)
+        assert (stats[5:, 8:16] == 0).all()  # constant: no skewness or kurtosis
+
 
 def weekday_calls(daytime: int, evening: int, late_night: int) -> list:
     """Calls from a to b on Mondays of the default window, one per week, at
@@ -445,6 +477,25 @@ class TestIntereventStats:
             graph = build_links(cols)
             vectors.append(compute_feature_matrix(graph, [AB])[0])
         np.testing.assert_array_equal(vectors[0], vectors[1])
+
+    def test_heavy_tailed_gaps_match_moment_oracle(self):
+        window_seconds = 26 * WEEK
+        rng = np.random.default_rng(6)
+        gaps = []
+        for count in rng.integers(1, 80, size=60):
+            # log-uniform gaps from 1 s to the window length
+            gaps.append(np.round(np.exp(rng.uniform(0, math.log(window_seconds), count))))
+        for g in range(6):  # constant gaps, one gap, and the longest gap
+            gaps[g] = np.full(g + 1, [1, 60, 3600, 86400, 999_983, window_seconds][g])
+        group = np.repeat(np.arange(len(gaps)), [len(g) + 1 for g in gaps])
+        ts = np.concatenate([np.cumsum([0, *g]) for g in gaps]).astype(np.int64)
+        order = rng.permutation(ts.size)  # the stage sorts each group's times
+        out = _interevent(group[order], ts[order], len(gaps), window_seconds)
+        for g, series in enumerate(gaps):
+            raw = moment_stats(series)
+            want = [math.log1p(v) for v in raw[:5]] + [_signed_log1p(v) for v in raw[5:]]
+            np.testing.assert_allclose(out[g], want, rtol=1e-12, atol=1e-12)
+        assert (out[:6, 5:] == 0).all()  # constant gaps: no skewness or kurtosis
 
     def test_time_span_too_long_for_sort_keys(self):
         # the guard lives in the gap stage; no window holds such a span
