@@ -41,7 +41,7 @@ from .io_utils import (
     write_pairs_csv,
     write_predictions_csv,
 )
-from .relations import PairKey, is_opposite_gender_peer_code, label_pairs
+from .relations import BRACKETS, PairKey, is_opposite_gender_peer_code, label_pairs
 from .scaling import apply_scaler, fit_scaler
 
 if TYPE_CHECKING:
@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("age-restricted",))
     p.add_argument("--features", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--bracket", required=True, choices=("<18", "Y", "M", "L", "O", "80+"))
+    p.add_argument("--bracket", required=True, choices=[code for code, _, _ in BRACKETS])
     p.add_argument("--model", choices=("logreg", "lsvm"), default="lsvm")
     p.add_argument("--n-train", type=int)
     p.add_argument("--n-test", type=int, required=True)

@@ -237,7 +237,7 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
         header = handle.readline().rstrip("\r\n")
         if header != PREDICTIONS_HEADER:
             raise ParseError(f"{path}: predictions header mismatch: got {header!r}")
-        ids: list[str] = []
+        line_of: dict[str, int] = {}  # row id -> its line, in file order
         preds: list[int] = []
         probs: list[float] = []
         any_prob: bool | None = None  # whether the first row has a probability
@@ -247,6 +247,8 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
                 continue
             try:
                 row_id, pred, prob = line.rsplit(",", 2)
+                if row_id in line_of:
+                    raise ValueError(f"row id {row_id!r} repeats line {line_of[row_id]}")
                 if pred not in ("0", "1"):
                     raise ValueError(f"prediction {pred!r} is not 0 or 1")
                 if any_prob is None:
@@ -263,6 +265,7 @@ def read_predictions_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray |
                         raise ValueError(f"probability {prob!r} is not between 0 and 1")
             except ValueError as exc:  # a wrong field count or a bad value
                 raise ParseError(f"{path}: bad predictions row on line {line_no}: {exc}") from None
-            ids.append(row_id)
+            line_of[row_id] = line_no
             preds.append(int(pred))
-    return ids, np.asarray(preds, dtype=np.int64), (np.asarray(probs) if any_prob else None)
+    probabilities = np.asarray(probs) if any_prob else None
+    return list(line_of), np.asarray(preds, dtype=np.int64), probabilities

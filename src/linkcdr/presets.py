@@ -33,9 +33,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=5.1,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(18, 28),
-        age_gap_range=(0, 19),
-        gender_rule="opposite",
     ),
     ArchetypeConfig(
         code="+Y peers",
@@ -45,9 +42,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.3,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(18, 28),
-        age_gap_range=(0, 19),
-        gender_rule="same",
     ),
     ArchetypeConfig(
         code="-M peers",
@@ -57,9 +51,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.9,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(29, 45),
-        age_gap_range=(0, 19),
-        gender_rule="opposite",
     ),
     ArchetypeConfig(
         code="+M peers",
@@ -69,9 +60,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.2,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(29, 45),
-        age_gap_range=(0, 19),
-        gender_rule="same",
     ),
     ArchetypeConfig(
         code="-L peers",
@@ -81,9 +69,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.7,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(46, 55),
-        age_gap_range=(0, 19),
-        gender_rule="opposite",
     ),
     ArchetypeConfig(
         code="+L peers",
@@ -93,9 +78,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.1,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(46, 55),
-        age_gap_range=(0, 19),
-        gender_rule="same",
     ),
     ArchetypeConfig(
         code="-O peers",
@@ -105,9 +87,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.8,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(56, 79),
-        age_gap_range=(0, 19),
-        gender_rule="opposite",
     ),
     ArchetypeConfig(
         code="+O peers",
@@ -117,9 +96,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.0,
         duration_log_std=0.9,
         direction_skew=0.5,
-        younger_age_range=(56, 79),
-        age_gap_range=(0, 19),
-        gender_rule="same",
     ),
     ArchetypeConfig(
         code="Y child",
@@ -129,9 +105,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=3.9,
         duration_log_std=0.8,
         direction_skew=0.65,
-        younger_age_range=(18, 28),
-        age_gap_range=(20, 39),
-        gender_rule="random",
     ),
     ArchetypeConfig(
         code="M child",
@@ -141,9 +114,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.15,
         duration_log_std=0.8,
         direction_skew=0.65,
-        younger_age_range=(29, 45),
-        age_gap_range=(20, 39),
-        gender_rule="random",
     ),
     ArchetypeConfig(
         code="L child",
@@ -153,9 +123,6 @@ _TABLE3_ARCHETYPES: tuple[ArchetypeConfig, ...] = (
         duration_log_mean=4.25,
         duration_log_std=0.8,
         direction_skew=0.65,
-        younger_age_range=(46, 55),
-        age_gap_range=(20, 39),
-        gender_rule="random",
     ),
 )
 
@@ -199,9 +166,6 @@ def planted_factors(
         duration_log_mean=4.6,
         duration_log_std=0.7,
         direction_skew=0.5,
-        younger_age_range=(29, 45),
-        age_gap_range=(0, 19),
-        gender_rule="opposite",
     )
     return GeneratorConfig(
         n_pairs=n_pairs,

@@ -4,7 +4,8 @@
 comes from the two subscribers' ages and genders: the age gap makes it a
 peer, parent-child or grandparent-child pair, and its display code (such as
 ``-Y peers`` or ``M child``) carries the younger user's age bracket and, for
-peers, the gender composition.
+peers, the gender composition. ``demographic_law`` reads a peer or child
+code back into the ages and genders that carry it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,34 @@ def peer_bracket_of_code(code: str) -> str | None:
     if not code.endswith(" peers"):
         return None
     return code[1 : -len(" peers")]
+
+
+class DemographicLaw(NamedTuple):
+    """Inclusive ranges of the younger user's age and the pair's age gap, and
+    the gender rule: "opposite", "same" or "random"."""
+
+    younger_ages: tuple[int, int]
+    age_gap: tuple[int, int]
+    genders: str
+
+
+def demographic_law(code: str) -> DemographicLaw | None:
+    """Ages and genders of the pairs labelled with the peer or child ``code``;
+    None for any other code (a grandchild gap has no upper bound)."""
+    bracket = peer_bracket_of_code(code)
+    if bracket is not None:
+        gap = (0, PEER_GAP_YEARS - 1)
+        genders = {"-": "opposite", "+": "same"}.get(code[:1])
+    elif code.endswith(" child"):
+        bracket = code[: -len(" child")]
+        gap = (PEER_GAP_YEARS, GRANDPARENT_GAP_YEARS - 1)
+        genders = "random"
+    else:
+        return None
+    ages = {b: (lo, hi) for b, lo, hi in BRACKETS}.get(bracket)
+    if ages is None or genders is None:
+        return None
+    return DemographicLaw(ages, gap, genders)
 
 
 def label_pairs(

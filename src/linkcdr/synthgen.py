@@ -5,7 +5,9 @@ each of the six time segments, scaled by a per-pair activity multiplier and
 any configured factor-group multipliers. Each planted user also gets a few
 low-rate side links into a shared background pool of non-subscribers so
 ranking, top-5 overlap, and unknown-duration handling have something to
-work against.
+work against. A pair's ages and genders are drawn from its archetype's
+relationship code (``relations.demographic_law``), so ``label_relationship``
+of its two subscribers gives that code back.
 
 All links are drawn at once from one ``default_rng([seed, 1])`` stream: a
 (links x 2 channels x 6 segments) rate array gives each cell a Poisson
@@ -42,7 +44,7 @@ from .ingest import (
 )
 from .manifest import MAX_UTC_OFFSET, MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT_OF_HOUR
 from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
-from .relations import PairKey
+from .relations import PairKey, demographic_law
 
 # Every hour of the week from Monday 00:00, grouped by segment and in time
 # order within each; the number of hours of each segment; and where each
@@ -56,10 +58,12 @@ _SEGMENT_FIRST = np.cumsum(_SEGMENT_HOURS) - _SEGMENT_HOURS
 class ArchetypeConfig:
     """Behavioural profile of one planted relationship type.
 
-    Rates are expected events per week for each of the six segments, weekday
-    then weekend, each as daytime, evening, late night (the segment index of
-    ``manifest.SEGMENT_OF_HOUR``); ``direction_skew`` is the probability that
-    the canonical-first user initiates an event.
+    ``code``, a peer or child code, fixes the ages and genders of its pairs
+    (``relations.demographic_law``). Rates are expected events per week for
+    each of the six segments, weekday then weekend, each as daytime,
+    evening, late night (the segment index of ``manifest.SEGMENT_OF_HOUR``);
+    ``direction_skew`` is the probability that the canonical-first user
+    initiates an event.
     """
 
     code: str
@@ -69,9 +73,6 @@ class ArchetypeConfig:
     duration_log_mean: float
     duration_log_std: float
     direction_skew: float
-    younger_age_range: tuple[int, int]
-    age_gap_range: tuple[int, int]
-    gender_rule: str  # "opposite" | "same" | "random"
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,13 @@ class GeneratorConfig:
                 raise ConfigError(f"{arch.code}: negative rate")
             if not 0.0 <= arch.direction_skew <= 1.0:
                 raise ConfigError(f"{arch.code}: direction skew outside [0, 1]")
-            if arch.younger_age_range[1] + arch.age_gap_range[1] > 120:
+            law = demographic_law(arch.code)
+            if law is None:
+                raise ConfigError(
+                    f"{arch.code!r}: not a peer or child code, so it has no age and gender law"
+                )
+            if law.younger_ages[1] + law.age_gap[1] > 120:
                 raise ConfigError(f"{arch.code}: ages can exceed 120")
-            if arch.gender_rule not in ("opposite", "same", "random"):
-                raise ConfigError(f"{arch.code}: unknown gender rule {arch.gender_rule!r}")
         background = self.background
         if background.side_links < 0:
             raise ConfigError(f"background side_links {background.side_links} is negative")
@@ -253,20 +257,17 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     def per_pair(values: Sequence) -> np.ndarray:
         return np.asarray(values)[arch]
 
-    # demographics: ages, who is younger, and two gender coins per pair
-    younger = rng.integers(
-        per_pair([a.younger_age_range[0] for a in archetypes]),
-        per_pair([a.younger_age_range[1] for a in archetypes]) + 1,
-    )
-    older = younger + rng.integers(
-        per_pair([a.age_gap_range[0] for a in archetypes]),
-        per_pair([a.age_gap_range[1] for a in archetypes]) + 1,
-    )
+    # demographics by each code's law: ages, who is younger, two gender coins
+    laws = [demographic_law(a.code) for a in archetypes]
+    ages = per_pair([law.younger_ages for law in laws])
+    gaps = per_pair([law.age_gap for law in laws])
+    younger = rng.integers(ages[:, 0], ages[:, 1] + 1)
+    older = younger + rng.integers(gaps[:, 0], gaps[:, 1] + 1)
     first_is_younger = rng.random(n) < 0.5
     age_first = np.where(first_is_younger, younger, older)
     age_second = np.where(first_is_younger, older, younger)
     female = rng.random((n, 2)) < 0.5
-    rule = per_pair([a.gender_rule for a in archetypes])
+    rule = per_pair([law.genders for law in laws])
     female[:, 1] = np.where(
         rule == "opposite", ~female[:, 0], np.where(rule == "same", female[:, 0], female[:, 1])
     )

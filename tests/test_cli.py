@@ -276,6 +276,23 @@ class TestExitCodes:
             f"fatal: {predictions}: bad predictions row on line 2: prediction 'yes'"
         )
 
+    def test_repeated_prediction_row_is_fatal(self, pipeline_dirs, train_dir, tmp_path, capsys):
+        lines = (train_dir / "predictions.csv").read_text().splitlines(keepends=True)
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("".join(lines + lines[1:2]))
+        code = main([
+            "evaluate", "--predictions", str(predictions),
+            "--pairs", str(pipeline_dirs["pairs"] / "pairs.csv"), "--task", "ogp",
+            "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        row_id = lines[1].split(",")[0]
+        assert capsys.readouterr().err.startswith(
+            f"fatal: {predictions}: bad predictions row on line {len(lines) + 1}: "
+            f"row id {row_id!r} repeats line 2"
+        )
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize(
         "name", ["events", "subscribers", "pairs", "features", "predictions"]
     )

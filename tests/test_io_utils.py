@@ -158,6 +158,13 @@ class TestReadPredictions:
         with pytest.raises(ParseError, match=f"^{path}: bad predictions row on line 3: {detail}"):
             read_predictions_csv(str(path))
 
+    def test_repeated_row_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(str(path), ["a|b", "c|d", "a|b"], np.asarray([0, 1, 0]), None)
+        match = f"^{path}: bad predictions row on line 4: row id 'a\\|b' repeats line 2$"
+        with pytest.raises(ParseError, match=match):
+            read_predictions_csv(str(path))
+
     def test_probability_after_rows_without_one(self, tmp_path):
         path = tmp_path / "predictions.csv"
         write_predictions_csv(str(path), ["a|b", "c|d"], np.asarray([0, 1]), None)

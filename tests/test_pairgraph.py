@@ -20,7 +20,9 @@ from linkcdr.pairgraph import (
     mutual_top_rank_pairs,
 )
 from linkcdr.relations import (
+    BRACKETS,
     PairKey,
+    demographic_law,
     is_opposite_gender_peer_code,
     label_relationship,
     peer_bracket_of_code,
@@ -419,3 +421,31 @@ class TestLabelRelationship:
         assert peer_bracket_of_code("-O peers") == "O"
         assert peer_bracket_of_code("+80+ peers") == "80+"
         assert peer_bracket_of_code("M child") is None
+
+    @pytest.mark.parametrize("bracket", [code for code, _, _ in BRACKETS])
+    @pytest.mark.parametrize("form", ["-{} peers", "+{} peers", "{} child"])
+    def test_demographic_law_inverts_the_label(self, bracket, form):
+        code = form.format(bracket)
+        law = demographic_law(code)
+        f, m = Gender.FEMALE, Gender.MALE
+        genders = {"opposite": [(f, m), (m, f)], "same": [(f, f), (m, m)]}.get(
+            law.genders, [(f, f), (f, m), (m, f), (m, m)]
+        )
+        corners = [(y, g) for y in law.younger_ages for g in law.age_gap if y + g <= 120]
+        assert corners
+        for younger, gap in corners:
+            for g1, g2 in genders:
+                label = label_relationship(rec(younger + gap, g1, "a"), rec(younger, g2, "b"))
+                assert label == (code, younger)
+        # a year outside either gap bound is another category
+        younger = law.younger_ages[0]
+        for gap in (law.age_gap[0] - 1, law.age_gap[1] + 1):
+            if gap >= 0:
+                other = label_relationship(rec(younger, f, "a"), rec(younger + gap, m, "b"))
+                assert other.code != code
+
+    @pytest.mark.parametrize(
+        "code", ["Y grandchild", "Y peers", "*Y peers", "-X peers", "X child", " child", "a", ""]
+    )
+    def test_no_law_outside_peer_and_child_codes(self, code):
+        assert demographic_law(code) is None

@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its bracket list is
+the one ``relations`` labels by."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 from linkcdr.cli import main
+from linkcdr.relations import BRACKETS
 
 README = Path(__file__).parent.parent / "README.md"
 EVENTS_PATH = '"run/gen/events.csv"'
@@ -28,3 +30,12 @@ def test_library_example_runs(tmp_path):
     exec(code.replace(EVENTS_PATH, repr(str(gen / "events.csv"))), namespace)
     assert namespace["matrix"].shape == (len(namespace["pairs"]), 175)
     assert namespace["row"].shape == (175,)
+
+
+def test_bracket_list_matches_relations():
+    section = README.read_text(encoding="utf-8").split("\n### Classification tasks\n", 1)[1]
+    match = re.search(r"younger user's age\s+bracket \((.*?)\):", section, re.DOTALL)
+    assert match, "no bracket list under Classification tasks"
+    listed = re.findall(r"`([^`]+)` (\d+)–(\d+)", " ".join(match.group(1).split()))
+    assert [(code, int(lo), int(hi)) for code, lo, hi in listed] == list(BRACKETS)
+    assert match.group(1).count("`") == 2 * len(BRACKETS)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from linkcdr.ingest import (
 )
 from linkcdr.manifest import SEGMENT_OF_HOUR
 from linkcdr.presets import PRESETS, planted_factors, table3_like
+from linkcdr.relations import label_relationship
 from linkcdr.synthgen import (
     ArchetypeConfig,
     BackgroundConfig,
@@ -45,9 +47,6 @@ def small_archetype(**overrides) -> ArchetypeConfig:
         duration_log_mean=4.5,
         duration_log_std=0.8,
         direction_skew=0.5,
-        younger_age_range=(29, 45),
-        age_gap_range=(0, 19),
-        gender_rule="opposite",
     )
     base.update(overrides)
     return ArchetypeConfig(**base)
@@ -200,20 +199,20 @@ class TestGenerate:
 
     def test_prevalence_allocation_exact(self):
         archetypes = (
-            small_archetype(code="a", prevalence=0.61),
-            small_archetype(code="b", prevalence=0.29),
-            small_archetype(code="c", prevalence=0.10),
+            small_archetype(code="-M peers", prevalence=0.61),
+            small_archetype(code="+M peers", prevalence=0.29),
+            small_archetype(code="M child", prevalence=0.10),
         )
         dataset = generate(small_config(n_pairs=2000, archetypes=archetypes))
         codes = [p.code for p in dataset.truth]
-        for code, want in (("a", 0.61), ("b", 0.29), ("c", 0.10)):
+        for code, want in (("-M peers", 0.61), ("+M peers", 0.29), ("M child", 0.10)):
             share = codes.count(code) / 2000
             assert abs(share - want) <= 0.02
 
     def test_infeasible_prevalence_rounding(self):
         archetypes = (
-            small_archetype(code="a", prevalence=0.999),
-            small_archetype(code="b", prevalence=0.001),
+            small_archetype(code="-M peers", prevalence=0.999),
+            small_archetype(code="+M peers", prevalence=0.001),
         )
         with pytest.raises(ConfigError, match="rounding"):
             generate(small_config(n_pairs=3, archetypes=archetypes))
@@ -221,6 +220,32 @@ class TestGenerate:
     def test_prevalences_must_sum_to_one(self):
         with pytest.raises(ConfigError, match="sum"):
             generate(small_config(archetypes=(small_archetype(prevalence=0.5),)))
+
+
+class TestArchetypeCodes:
+    @pytest.mark.parametrize(
+        "code, match",
+        [
+            ("a", "not a peer or child code"),
+            ("Y grandchild", "not a peer or child code"),
+            ("-80+ peers", "ages can exceed 120"),
+        ],
+    )
+    def test_code_without_a_plantable_law(self, code, match):
+        with pytest.raises(ConfigError, match=f"^'?{re.escape(code)}'?: {match}"):
+            small_config(archetypes=(small_archetype(code=code),)).validate()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_planted_pairs_label_as_their_code(self, preset, seed):
+        dataset = generate(PRESETS[preset](1500, seed))
+        subscribers = dataset.subscribers
+        mismatched = [
+            p.code
+            for p in dataset.truth
+            if label_relationship(subscribers[p.first], subscribers[p.second]).code != p.code
+        ]
+        assert len(dataset.truth) == 1500 and mismatched == []
 
 
 class TestSortKeyBound:
