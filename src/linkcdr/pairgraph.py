@@ -28,6 +28,7 @@ from .ingest import EventColumns
 from .relations import PairKey
 
 TOP_ALTERS = 5  # depth of the top-alter lists behind the top-5 common contacts
+LINK_BLOCK = 1 << 16  # events per block of build_links' fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,59 +91,83 @@ class LinkGraph:
 
 
 def build_links(cols: EventColumns) -> LinkGraph:
-    """Fold the event columns into per-link counter arrays: one bincount
-    over ``row * 4 + 2 * is_call + caller_first`` counts calls and texts from
-    each end, known call durations are summed exactly in int64 over
-    ``row * 2 + caller_first``, and one bincount counts calls per (row,
-    month). Each full-length temporary is freed once its counts are taken.
-    A link whose durations sum past int64 raises DatasetError."""
-    if (cols.caller == cols.callee).any():
-        raise DatasetError("self-loop event: caller and callee are the same user")
-    n_users = len(cols.users)
+    """Fold the event columns into per-link counter arrays in blocks of
+    ``LINK_BLOCK`` events, in two passes.
+
+    The first pass keys each event by its link (``first * n_users +
+    second``), takes each block's distinct keys with ``np.unique`` and keeps
+    its inverse in ``event_link``; one sort of all blocks' distinct keys
+    then gives the link rows. The second pass maps each block's distinct
+    keys to their rows by ``searchsorted``, remaps the block's
+    ``event_link`` through them and adds the block's counts: a bincount
+    over ``local * 4 + 2 * is_call + caller_first`` counts calls and texts
+    from each end, known call durations are summed exactly in int64 over
+    ``row * 2 + caller_first``, and a bincount counts calls per (local
+    link, month). So besides the graph it returns, the fold holds only the
+    blocks' distinct keys and one block's temporaries. A link whose
+    durations sum past int64 raises DatasetError."""
+    n_users, n_events = len(cols.users), len(cols)
     # canonical order is lexicographic on user ids, not on intern codes
     lex_rank = np.empty(n_users, dtype=np.int64)
     lex_rank[np.argsort(np.asarray(cols.users, dtype=object))] = np.arange(n_users)
-    caller_first = lex_rank[cols.caller] < lex_rank[cols.callee]
-    first = np.where(caller_first, cols.caller, cols.callee)
-    second = np.where(caller_first, cols.callee, cols.caller)
-    key = first * n_users + second
-    del first, second
-    unique_ids, group = np.unique(key, return_inverse=True)
-    del key
-    n_links, n_months = len(unique_ids), cols.window.n_months
+    # no events make one empty block
+    blocks = [slice(lo, lo + LINK_BLOCK) for lo in range(0, max(n_events, 1), LINK_BLOCK)]
+    event_link = np.empty(n_events, dtype=np.int32)  # a link row is below the event count
+    block_keys = []
+    for block in blocks:
+        caller, callee = cols.caller[block], cols.callee[block]
+        if (caller == callee).any():
+            raise DatasetError("self-loop event: caller and callee are the same user")
+        caller_first = lex_rank[caller] < lex_rank[callee]
+        key = np.where(caller_first, caller, callee)
+        key *= n_users
+        key += np.where(caller_first, callee, caller)
+        keys, event_link[block] = np.unique(key, return_inverse=True)
+        block_keys.append(keys)
+    # a sort and a mask: np.unique without an inverse hashes, several times slower
+    link_keys = np.concatenate(block_keys)
+    link_keys.sort()
+    new_key = np.ones(len(link_keys), dtype=bool)
+    np.not_equal(link_keys[1:], link_keys[:-1], out=new_key[1:])
+    link_keys = link_keys[new_key]
+    n_links, n_months = len(link_keys), cols.window.n_months
 
-    is_call = cols.is_call
-    counts = np.bincount(group * 4 + 2 * is_call + caller_first, minlength=4 * n_links)
-    texts_from_second, texts_from_first, calls_from_second, calls_from_first = counts.reshape(
-        n_links, 4
-    ).T
-    known = is_call & (cols.duration >= 0)
-    cell, duration = group[known] * 2 + caller_first[known], cols.duration[known]
-    del caller_first, known
+    counts = np.zeros((n_links, 4), dtype=np.int64)
     # The high and low 32 bits of the durations are summed apart, so neither
     # sum can wrap (a link has fewer than 2**31 events).
     high, low = np.zeros((2, 2 * n_links), dtype=np.int64)
-    np.add.at(high, cell, duration >> 32)
-    duration &= 0xFFFFFFFF
-    np.add.at(low, cell, duration)
-    del cell, duration
+    months = np.zeros((n_links, n_months), dtype=np.int64)
+    for block, keys in zip(blocks, block_keys):
+        rows = np.searchsorted(link_keys, keys)
+        local = event_link[block].astype(np.int64)
+        caller_first = lex_rank[cols.caller[block]] < lex_rank[cols.callee[block]]
+        is_call = cols.is_call[block]
+        cell = local * 4 + 2 * is_call + caller_first
+        counts[rows] += np.bincount(cell, minlength=4 * len(keys)).reshape(-1, 4)
+        duration = cols.duration[block]
+        known = is_call & (duration >= 0)
+        cell, duration = rows[local[known]] * 2 + caller_first[known], duration[known]
+        np.add.at(high, cell, duration >> 32)
+        duration &= 0xFFFFFFFF
+        np.add.at(low, cell, duration)
+        cell = local[is_call] * n_months + cols.window.month_index(cols.timestamp[block][is_call])
+        months[rows] += np.bincount(cell, minlength=len(keys) * n_months).reshape(-1, n_months)
+        event_link[block] = rows[local]
     high, low = high.reshape(n_links, 2), low.reshape(n_links, 2)
     past_int64 = high.sum(axis=1) + (low.sum(axis=1) >> 32) >= 1 << 31
     if past_int64.any():
-        first, second = divmod(int(unique_ids[np.argmax(past_int64)]), n_users)
+        first, second = divmod(int(link_keys[np.argmax(past_int64)]), n_users)
         raise DatasetError(
             f"call durations of link ({cols.users[first]}, {cols.users[second]}) sum past int64"
         )
     duration_from_second, duration_from_first = ((high << 32) + low).T
-    month_cell = group[is_call] * n_months + cols.window.month_index(cols.timestamp[is_call])
-    months = np.bincount(month_cell, minlength=n_links * n_months).reshape(n_links, n_months)
-    del month_cell
+    texts_from_second, texts_from_first, calls_from_second, calls_from_first = counts.T
     return LinkGraph(
         cols,
         {user: code for code, user in enumerate(cols.users)},
         lex_rank,
-        group.astype(np.int32),  # a link row is below the event count
-        *np.divmod(unique_ids, max(n_users, 1)),
+        event_link,
+        *np.divmod(link_keys, max(n_users, 1)),
         calls=calls_from_first + calls_from_second,
         texts=texts_from_first + texts_from_second,
         duration=duration_from_first + duration_from_second,

@@ -46,12 +46,12 @@ from .manifest import MAX_UTC_OFFSET, MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT
 from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
 from .relations import PairKey, demographic_law
 
-# Every hour of the week from Monday 00:00, grouped by segment and in time
-# order within each; the number of hours of each segment; and where each
-# segment's hours start in that grouping.
-_HOURS_BY_SEGMENT = np.argsort(SEGMENT_OF_HOUR, kind="stable")
-_SEGMENT_HOURS = np.bincount(SEGMENT_OF_HOUR)
-_SEGMENT_FIRST = np.cumsum(_SEGMENT_HOURS) - _SEGMENT_HOURS
+# The start (in seconds from Monday 00:00) of every hour of the week,
+# grouped by segment and in time order within each; the seconds of each
+# segment; and where each segment's seconds start in that grouping.
+_HOUR_START = 3600 * np.argsort(SEGMENT_OF_HOUR, kind="stable")
+_SEGMENT_SECONDS = 3600 * np.bincount(SEGMENT_OF_HOUR)
+_SEGMENT_FIRST_SECOND = np.cumsum(_SEGMENT_SECONDS) - _SEGMENT_SECONDS
 
 
 @dataclass(frozen=True)
@@ -228,13 +228,14 @@ def _distinct_draws(rng: np.random.Generator, rows: int, k: int, population: int
 
 
 def _event_order(key: np.ndarray, callee: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable order of events by (``key``, ``callee``), and ``key`` in it:
-    one quicksort of ``key``, then one lexsort of only the positions whose
-    sorted key equals a neighbour's, by (key, callee, draw index). Tie runs
-    are contiguous, so this is the stable sort's order whatever order the
-    quicksort left each run in."""
+    """The stable order of events by (``key``, ``callee``), and ``key`` in it,
+    sorted in place: one quicksort of ``key``, then one lexsort of only the
+    positions whose sorted key equals a neighbour's, by (key, callee, draw
+    index). Tie runs are contiguous, so this is the stable sort's order
+    whatever order the quicksort left each run in. Sorting ``key`` in place
+    holds no second key and is no slower than gathering ``key[order]``."""
     order = np.argsort(key)
-    key = key[order]
+    key.sort()
     same = key[1:] == key[:-1]
     at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
     draw = order[at]
@@ -243,7 +244,14 @@ def _event_order(key: np.ndarray, callee: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def generate(config: GeneratorConfig) -> SyntheticDataset:
-    """Build the full synthetic dataset for a validated configuration."""
+    """Build the full synthetic dataset for a validated configuration.
+
+    Once the events are drawn, each event-length array is updated in place
+    where it can be and deleted as soon as it is used, and the columns are
+    put in order one at a time, so generation holds at most about five
+    event-length int64 arrays at once; the columns it returns are four.
+    The draws themselves, their arguments and their order fix the output,
+    so none of that bookkeeping moves a byte."""
     config.validate()
     n = config.n_pairs
     archetypes = config.archetypes
@@ -309,43 +317,69 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     week_starts = _week_starts(config.window, config.utc_offset)
     n_weeks = week_starts.size
     cell = np.repeat(np.arange(rates.size), rng.poisson(rates.ravel() * n_weeks))
-    seg = cell % 6
-    seg_seconds = 3600 * _SEGMENT_HOURS[seg]
-    week, position = np.divmod(rng.integers(0, seg_seconds * n_weeks), seg_seconds)
-    position += 3600 * _SEGMENT_FIRST[seg]  # a second of _HOURS_BY_SEGMENT's hours
-    hour, second = np.divmod(position, 3600)
-    ts = week_starts[week] + 3600 * _HOURS_BY_SEGMENT[hour] + second - config.utc_offset
-    del seg, seg_seconds, week, position, hour, second
+    draw = rng.integers(0, _SEGMENT_SECONDS[cell % 6] * n_weeks)
+    seg_seconds = _SEGMENT_SECONDS[cell % 6]
+    week = draw // seg_seconds
+    draw %= seg_seconds
+    del seg_seconds
+    draw += _SEGMENT_FIRST_SECOND[cell % 6]  # a second of _HOUR_START's hours
+    ts = week_starts[week]
+    del week
+    hour = draw // 3600
+    draw %= 3600
+    ts += _HOUR_START[hour]
+    del hour
+    ts += draw
+    del draw
+    ts -= config.utc_offset
     inside = (ts >= config.window.start) & (ts < config.window.end)
-    ts, cell = ts[inside], cell[inside]
+    ts = ts[inside]
+    cell = cell[inside]
+    del inside
     link = cell // 12
-    is_call = cell % 12 < 6
-    del cell, inside
+    cell %= 12
+    is_call = cell < 6
+    del cell
 
     # direction, then durations and unknown flags for calls
     a_initiates = rng.random(ts.size) < skew[link]
-    calls = np.flatnonzero(is_call)
+    call_link = link[is_call]
+    mu_calls, sigma_calls = mu[call_link], sigma[call_link]
+    del call_link
+    call_duration = rng.lognormal(mu_calls, sigma_calls)
+    del mu_calls, sigma_calls
+    np.rint(call_duration, out=call_duration)
     duration = np.zeros(ts.size, dtype=np.int64)
-    duration[calls] = np.maximum(
-        1, np.rint(rng.lognormal(mu[link[calls]], sigma[link[calls]]))
-    ).astype(np.int64)
-    from_b = calls[~a_initiates[calls]]
-    unknown = from_b[rng.random(from_b.size) < unknown_fraction[link[from_b]]]
-    duration[unknown] = -1
-    caller = np.where(a_initiates, link_a[link], link_b[link])
-    callee = np.where(a_initiates, link_b[link], link_a[link])
-    del link, a_initiates, calls, from_b, unknown
+    duration[is_call] = np.maximum(call_duration, 1, out=call_duration)
+    del call_duration
+    from_b = np.flatnonzero(is_call & ~a_initiates)
+    duration[from_b[rng.random(from_b.size) < unknown_fraction[link[from_b]]]] = -1
+    del from_b
+    caller, callee = link_a[link], link_b[link]
+    del link
+    swap = ~a_initiates
+    del a_initiates
+    caller[swap], callee[swap] = callee[swap], caller[swap]
+    del swap
 
+    # (time, caller, callee) order: each column is permuted in turn and the
+    # unordered one freed before the next
     n_users = len(users)
-    key = (ts - config.window.start) * n_users + caller
+    key = ts  # packed in place as (time - window start) * n_users + caller
+    key -= config.window.start
+    key *= n_users
+    key += caller
     del ts, caller
     order, key = _event_order(key, callee)
-    ts, caller = np.divmod(key, n_users)
-    del key
+    callee = callee[order]
+    is_call = is_call[order]
+    duration = duration[order]
+    del order
+    ts = key // n_users
     ts += config.window.start
-    columns = EventColumns(
-        caller, callee[order], ts, is_call[order], duration[order], users, config.window
-    )
+    caller = np.remainder(key, n_users, out=key)
+    del key
+    columns = EventColumns(caller, callee, ts, is_call, duration, users, config.window)
 
     gender_of = (Gender.MALE, Gender.FEMALE)
     subscribers: dict[str, SubscriberRecord] = {}
@@ -384,7 +418,7 @@ def _digits(out: np.ndarray, keep: np.ndarray, mag: np.ndarray) -> None:
     keep[:, -1] = True
 
 
-def _write_event_rows(out: BinaryIO, cols: EventColumns, block_rows: int = 65536) -> None:
+def _write_event_rows(out: BinaryIO, cols: EventColumns, block_rows: int = 16384) -> None:
     """Write the events.csv data lines of ``cols`` as UTF-8 bytes,
     ``block_rows`` rows at a time, with no Python object per row.
 

@@ -667,12 +667,9 @@ class TestSplitHelpers:
         assert len(pool) == 70 and len(test) == 30
         assert sorted(np.concatenate([pool, test]).tolist()) == list(range(100))
 
-    def test_train_predictions_never_cover_pool_rows(self, pipeline_dirs):
-        import json
-
-        train = pipeline_dirs["root"] / "train"
-        predictions = (train / "predictions.csv").read_text().splitlines()[1:]
-        report = json.loads((train / "report.json").read_text())
+    def test_train_predictions_never_cover_pool_rows(self, train_dir):
+        predictions = (train_dir / "predictions.csv").read_text().splitlines()[1:]
+        report = json.loads((train_dir / "report.json").read_text())
         assert len(predictions) == report["n_test"]
         row_ids = {line.rsplit(",", 2)[0] for line in predictions}
         assert len(row_ids) == len(predictions)  # unique test rows only

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import columns, ev, ranked_alters
 from linkcdr.errors import ConfigError, DatasetError
-from linkcdr.ingest import Gender, ObservationWindow, SubscriberRecord
+from linkcdr import pairgraph
+from linkcdr.ingest import EventColumns, Gender, ObservationWindow, SubscriberRecord
 from linkcdr.pairgraph import (
+    LinkGraph,
     apply_regularity_filter,
     build_links,
     common_contacts,
@@ -158,6 +162,120 @@ class TestBuildLinks:
             assert graph.texts_from_first[row] == rec["texts_from_first"]
             assert graph.duration_from_first[row] == rec["duration_from_first"]
             assert graph.months[row].tolist() == rec["months"]
+
+
+def fold_cases(window: ObservationWindow) -> dict[str, list]:
+    """Event lists for the blocked fold, each under a few link blocks."""
+    t, months = window.start, window.month_starts
+    links = [("a", "b"), ("c", "a"), ("b", "c")]
+    straddling = []
+    for i in range(23):  # three interleaved links, so each spans several blocks
+        x, y = links[i % 3] if i % 2 else links[i % 3][::-1]
+        kind = "text" if i % 4 == 3 else "call"
+        duration = None if i % 5 == 4 else 7 * i
+        straddling.append(ev(x, y, months[i % len(months)] + i, kind, duration))
+    past_2_53 = [ev("a", "b", t, "call", 2**53)]
+    past_2_53 += [ev("c", "d", t + 1 + i, "text") for i in range(8)]
+    past_2_53.append(ev("b", "a", t + 20, "call", 3))
+    return {
+        "empty": [],
+        "one event": [ev("b", "a", t + 5, "call", 30)],
+        "straddling links": straddling,
+        "past 2**53 across blocks": past_2_53,
+        "random": random_events(np.random.default_rng(11), 9, 300, window),
+    }
+
+
+BLOCK_SIZES = [1, 7, 10**6]  # an event per block, a few, and one block for all
+
+
+class TestBlockedFold:
+    @staticmethod
+    def fold(monkeypatch, cols, block: int) -> LinkGraph:
+        monkeypatch.setattr(pairgraph, "LINK_BLOCK", block)
+        return build_links(cols)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("case", list(fold_cases(ObservationWindow.default())))
+    def test_every_array_matches_one_block_and_the_oracle(
+        self, monkeypatch, default_window, case, block
+    ):
+        events = fold_cases(default_window)[case]
+        cols = columns(events)
+        graph = self.fold(monkeypatch, cols, block)
+        whole = self.fold(monkeypatch, cols, len(events) + 1)
+        assert graph.event_link.dtype == np.int32
+        for field in fields(LinkGraph):
+            got, want = getattr(graph, field.name), getattr(whole, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, field.name
+                np.testing.assert_array_equal(got, want, err_msg=field.name)
+            else:
+                assert got == want, field.name
+
+        oracle = recount_links(events, default_window)
+        keys = graph.keys()
+        assert sorted(keys) == sorted(PairKey(*key) for key in oracle)
+        for row, key in enumerate(keys):
+            rec = oracle[(key.first, key.second)]
+            assert graph.calls[row] == rec["calls_total"]
+            assert graph.texts[row] == rec["texts_total"]
+            assert graph.duration[row] == rec["duration_total"]
+            assert graph.calls_from_first[row] == rec["calls_from_first"]
+            assert graph.texts_from_first[row] == rec["texts_from_first"]
+            assert graph.duration_from_first[row] == rec["duration_from_first"]
+            assert graph.months[row].tolist() == rec["months"]
+        assert [keys[i] for i in graph.event_link] == [
+            PairKey.of(e.caller_id, e.callee_id) for e in events
+        ]
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_total_past_int64_only_after_the_blocks_are_summed(
+        self, monkeypatch, default_window, block
+    ):
+        t = default_window.start
+        events = [ev("a", "b", t, "call", 2**63 - 1)]
+        events += [ev("c", "d", t + 1 + i, "text") for i in range(8)]
+        events.append(ev("b", "a", t + 20, "call", 1))  # 2**63 only by the low words' carry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match=r"link \(a, b\) sum past int64"):
+                self.fold(monkeypatch, columns(events), block)
+
+    def test_temporaries_do_not_grow_with_the_input(self, monkeypatch, default_window):
+        """build_links' traced peak above what it returns, at 4 and at 16
+        blocks of 4096 events over one set of 30 links: the fold holds one
+        block's temporaries and each block's distinct keys (at most 30), so
+        the 16-block overhead may exceed the 4-block one by at most a
+        quarter. One full-length int64 temporary would add 8 bytes an event,
+        at 16 blocks more than twice the 4-block overhead."""
+        monkeypatch.setattr(pairgraph, "LINK_BLOCK", 4096)
+        rng = np.random.default_rng(5)
+        users = [f"u{i:02d}" for i in range(20)]
+        pairs = np.array([(a, b) for a in range(20) for b in range(a + 1, 20)])
+        pairs = pairs[rng.choice(len(pairs), 30, replace=False)]
+        build_links(columns([ev("a", "b", default_window.start)]))  # warm caches
+
+        def overhead(n_events: int) -> int:
+            link = rng.integers(0, 30, n_events)
+            swap = rng.random(n_events) < 0.5
+            caller = np.where(swap, pairs[link, 1], pairs[link, 0])
+            callee = np.where(swap, pairs[link, 0], pairs[link, 1])
+            ts = np.sort(rng.integers(default_window.start, default_window.end, n_events))
+            is_call = rng.random(n_events) < 0.6
+            duration = np.where(is_call, rng.integers(-1, 600, n_events), 0)
+            cols = EventColumns(caller, callee, ts, is_call, duration, users, default_window)
+            tracemalloc.start()
+            try:
+                graph = build_links(cols)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(graph) == 30
+            return peak - kept
+
+        small, large = overhead(4 * 4096), overhead(16 * 4096)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestRankAlters:
