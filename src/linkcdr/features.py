@@ -5,7 +5,8 @@ vector.
 ``compute_feature_matrix`` is the one entry point. It reads the events and
 their observation window from the link graph's columns, takes each pair's
 events through the graph's ``event_link``, and builds each feature group
-for all rows with whole-array operations; one pair's vector is the one-row call.
+with whole-array operations over blocks of ``ROW_BLOCK`` output rows, so
+it holds one block's temporaries; one pair's vector is the one-row call.
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
 UTC offset to the event timestamps (single-country data, no DST model); an
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .pairgraph import LinkGraph, common_contacts
 from .relations import PairKey
 
 _SEGMENT_OF_HOUR = np.array(SEGMENT_OF_HOUR, dtype=np.int8)
+ROW_BLOCK = 1024  # output rows per block of the feature kernel
+_EVENT_CHUNK_BITS = 16
+_EVENT_CHUNK = 1 << _EVENT_CHUNK_BITS  # events per chunk of the sort that groups them by row
 
 
 def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,10 +179,15 @@ def _active_days(ev: _Events, n_rows: int) -> np.ndarray:
 def _reciprocity(graph: LinkGraph, links: np.ndarray) -> np.ndarray:
     """(rows, 3) |out - in| / (out + in) of the calls, durations and texts on
     the graph's rows ``links``; 0 without traffic."""
-    total = np.stack([graph.calls, graph.duration, graph.texts], axis=1)[links]
+    total = np.stack([graph.calls[links], graph.duration[links], graph.texts[links]], axis=1)
     from_first = np.stack(
-        [graph.calls_from_first, graph.duration_from_first, graph.texts_from_first], axis=1
-    )[links]
+        [
+            graph.calls_from_first[links],
+            graph.duration_from_first[links],
+            graph.texts_from_first[links],
+        ],
+        axis=1,
+    )
     gap = np.abs(total - 2 * from_first).astype(np.float64)
     return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0)
 
@@ -234,6 +243,53 @@ def _interevent(
 # --- the kernel ---------------------------------------------------------------
 
 
+def _grouped_by_row(row: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Positions (int32) of the events that have a row (``row >= 0``),
+    grouped by row in ascending order and ascending within a row; row r has
+    ``count[r]`` events. A stable counting sort that places ``_EVENT_CHUNK``
+    events at a time, so besides its output it holds one chunk's temporaries."""
+    fill = np.cumsum(count) - count  # the next free slot of each row
+    out = np.empty(int(count.sum()), dtype=np.int32)
+    for lo in range(0, len(row), _EVENT_CHUNK):
+        chunk = row[lo : lo + _EVENT_CHUNK]
+        # (row, position) keys are distinct, so one plain sort is stable
+        key = np.flatnonzero(chunk >= 0)
+        key += chunk[key].astype(np.int64) << _EVENT_CHUNK_BITS
+        key.sort()
+        r = key >> _EVENT_CHUNK_BITS
+        head = np.flatnonzero(np.diff(r, prepend=-1))  # where each row's run starts
+        size = np.diff(head, append=len(r))
+        r = r[head]
+        at = np.repeat(fill[r] - head, size)  # a run's i-th event goes to its row's slot + i
+        at += np.arange(len(key))
+        key &= _EVENT_CHUNK - 1
+        key += lo
+        out[at] = key
+        fill[r] += size
+    return out
+
+
+def _row_blocks(
+    graph: LinkGraph, links: np.ndarray, utc_offset: int
+) -> Iterator[tuple[int, int, _Events]]:
+    """``(lo, hi, events)`` for each block of ``ROW_BLOCK`` output rows, the
+    graph's rows ``links``: the block's events, in file order within each
+    row, with each one's row less ``lo``. The events are first grouped by
+    row (``_grouped_by_row``), so each block's events are one run of them."""
+    lookup = np.full(len(graph), -1, dtype=np.int32)
+    lookup[links] = np.arange(len(links))
+    row = lookup[graph.event_link]
+    del lookup
+    count = graph.calls[links] + graph.texts[links]  # each row's events
+    grouped = _grouped_by_row(row, count)
+    del row
+    start = np.concatenate(([0], np.cumsum(count)))
+    for lo in range(0, len(links), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(links))
+        idx, row = grouped[start[lo] : start[hi]], np.repeat(np.arange(hi - lo), count[lo:hi])
+        yield lo, hi, _Events.select(graph.columns, idx, row, utc_offset)
+
+
 def compute_feature_matrix(
     graph: LinkGraph,
     pairs: Sequence[PairKey],
@@ -244,30 +300,32 @@ def compute_feature_matrix(
 
     ``graph`` holds every pair; the events and the window are its columns'.
     The common contacts count over its rows ``contact_links`` (default:
-    every link).
+    every link). The pairs' distinct links are computed in blocks of
+    ``ROW_BLOCK`` (``_row_blocks``), each written straight to the rows of
+    its pairs. Every feature adds, sorts and counts each link's events in
+    file order whatever the blocks, so the block size moves no byte.
     """
     if not pairs:
         return np.zeros((0, manifest.N_FEATURES))
-    common = common_contacts(graph, pairs, contact_links).astype(np.float64)
+    out = np.empty((len(pairs), manifest.N_FEATURES))
+    out[:, -2:] = common_contacts(graph, pairs, contact_links)
     window = graph.columns.window
     grid = WeekGrid.from_window(window, utc_offset)
     links, inverse = np.unique(graph.index(pairs), return_inverse=True)
-    n = len(links)
-    lookup = np.full(len(graph), -1)
-    lookup[links] = np.arange(n)
-    row = lookup[graph.event_link]
-    idx = np.flatnonzero(row >= 0)
-    row = row[idx]  # frees the full-length rows before the selection
-    ev = _Events.select(graph.columns, idx, row, utc_offset)
-    del lookup, idx, row  # free the selection's temporaries; ev.row keeps the rows
-    blocks = np.concatenate(
-        [
-            _weekly_stats(_weekly_tensor(ev, n, grid)),
-            _fractions(_quantity_sums(ev.row, ev.seg, ev.is_call, ev.known_dur, n, 6)),
-            _active_days(ev, n),
-            _reciprocity(graph, links),
-            _interevent(2 * ev.row + ~ev.is_call, ev.ts, 2 * n, window.n_seconds).reshape(n, 14),
-        ],
-        axis=1,
-    )
-    return np.concatenate([blocks[inverse], common], axis=1)
+    by_link = np.argsort(inverse, kind="stable")
+    for lo, hi, ev in _row_blocks(graph, links, utc_offset):
+        n = hi - lo
+        gaps = _interevent(2 * ev.row + ~ev.is_call, ev.ts, 2 * n, window.n_seconds)
+        values = np.concatenate(
+            [
+                _weekly_stats(_weekly_tensor(ev, n, grid)),
+                _fractions(_quantity_sums(ev.row, ev.seg, ev.is_call, ev.known_dur, n, 6)),
+                _active_days(ev, n),
+                _reciprocity(graph, links[lo:hi]),
+                gaps.reshape(n, 14),
+            ],
+            axis=1,
+        )
+        at = by_link[slice(*np.searchsorted(inverse, (lo, hi), sorter=by_link))]
+        out[at, :-2] = values[inverse[at] - lo]
+    return out

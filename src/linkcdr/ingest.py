@@ -12,8 +12,9 @@ The on-disk formats are plain CSV:
 Parsing is total: every input row is either accepted or reported as a
 line-level diagnostic; only an unreadable stream or a wrong header is fatal.
 Accepted event rows go straight into ``EventColumns`` (user ids interned in
-order of first appearance), which also hold the ``ObservationWindow`` the
-rows were read against, so no later layer takes the window again;
+order of first appearance, as int32 codes, so at most ``MAX_USERS`` ids),
+which also hold the ``ObservationWindow`` the rows were read against, so no
+later layer takes the window again;
 ``CdrEvent`` is the one-event record form, and
 ``EventColumns.from_events``/``to_events`` convert a record list both ways.
 
@@ -39,6 +40,8 @@ from .errors import ConfigError, DatasetError, ParseError
 
 EVENTS_HEADER = "caller_id,callee_id,timestamp,kind,duration"
 SUBSCRIBERS_HEADER = "user_id,age,gender,postcode"
+MAX_USERS = 2**31 - 1  # user codes are int32; a product of two codes widens to int64
+MAX_EVENTS = 2**31 - 1  # event positions and link rows are int32
 
 
 class EventKind(str, Enum):
@@ -179,7 +182,8 @@ class EventColumns:
     against (``window``), which every later layer reads from here.
 
     User identifiers are interned into ``users`` and referenced by integer
-    code; unknown durations are stored as -1.
+    code (int32 wherever columns are built, so at most ``MAX_USERS`` users);
+    unknown durations are stored as -1.
     """
 
     __slots__ = ("caller", "callee", "timestamp", "is_call", "duration", "users", "window")
@@ -216,7 +220,9 @@ class EventColumns:
              ev.kind is EventKind.CALL, -1 if ev.duration is None else ev.duration)
             for ev in events
         ]
+        _check_user_count(len(index))
         caller, callee, ts, is_call, dur = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+        caller, callee = caller.astype(np.int32), callee.astype(np.int32)
         return cls(caller, callee, ts, is_call.astype(bool), dur, list(index), window)
 
     def to_events(self) -> list[CdrEvent]:
@@ -235,6 +241,13 @@ class EventColumns:
         return out
 
 
+def _check_user_count(n_users: int) -> None:
+    if n_users > MAX_USERS:
+        raise DatasetError(
+            f"{n_users} distinct user ids: int32 user codes hold at most {MAX_USERS}"
+        )
+
+
 def _decode_lines(stream: BinaryIO) -> Iterable[str]:
     text = io.TextIOWrapper(stream, encoding="utf-8", errors="replace", newline="")
     for line in text:
@@ -248,10 +261,12 @@ def parse_events(
 
     Malformed rows are skipped and reported with their line number; file
     order is preserved for accepted rows, and user ids are interned in order
-    of first appearance.
+    of first appearance. The columns hold 25 bytes per accepted row: int32
+    caller and callee codes, int64 timestamp and duration, and a bool kind.
+    More than ``MAX_USERS`` distinct ids raise DatasetError.
     """
     interner = _Interner()
-    columns = (array("q"), array("q"), array("q"), array("B"), array("q"))
+    columns = (array(_CODE), array(_CODE), array("q"), array("B"), array("q"))
     diagnostics: list[ParseDiagnostic] = []
     header = None
     first_line = 2
@@ -279,6 +294,7 @@ def parse_events(
                 other_values.append(got[2:])
         other_lines = np.array(other_lines, dtype=np.int64)
         codes = interner.intern(words, lines, other_lines, names)
+        _check_user_count(len(interner.index))
         other = np.array(other_values, dtype=np.int64).reshape(-1, 3).T
         rows = np.concatenate((codes, np.concatenate((values, other), axis=1)))
         order = np.argsort(np.concatenate((lines, other_lines)), kind="stable")
@@ -292,6 +308,9 @@ def parse_events(
     return EventColumns(caller, callee, ts, is_call.view(bool), dur, users, window), diagnostics
 
 
+_CODE = "i"  # the array typecode of the user code columns
+if array(_CODE).itemsize != 4:
+    raise ImportError(f"array typecode {_CODE!r} is not 4 bytes on this platform")
 _BLOCK_BYTES = 1 << 18
 _PAD = bytes(64)  # lets a word be read at every byte of a block
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # first n bytes

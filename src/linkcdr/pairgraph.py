@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DatasetError
-from .ingest import EventColumns
+from .ingest import MAX_EVENTS, EventColumns
 from .relations import PairKey
 
 TOP_ALTERS = 5  # depth of the top-alter lists behind the top-5 common contacts
@@ -80,7 +80,8 @@ class LinkGraph:
         get, n = self.user_index.get, len(self.users)
         codes = np.array([(get(a, -1), get(b, -1)) for a, b in pairs], dtype=np.int64)
         codes = codes.reshape(-1, 2)
-        wanted, ids = codes[:, 0] * n + codes[:, 1], self.first * n + self.second
+        wanted, ids = codes[:, 0] * n + codes[:, 1], self.first * n
+        ids += self.second  # in place: one int64 per link
         rows = np.searchsorted(ids, wanted)
         found = (codes >= 0).all(axis=1) & (rows < len(ids))
         found[found] = ids[rows[found]] == wanted[found]
@@ -105,8 +106,11 @@ def build_links(cols: EventColumns) -> LinkGraph:
     ``row * 2 + caller_first``, and a bincount counts calls per (local
     link, month). So besides the graph it returns, the fold holds only the
     blocks' distinct keys and one block's temporaries. A link whose
-    durations sum past int64 raises DatasetError."""
+    durations sum past int64 raises DatasetError, and so do more than
+    ``MAX_EVENTS`` events, since link rows and event positions are int32."""
     n_users, n_events = len(cols.users), len(cols)
+    if n_events > MAX_EVENTS:
+        raise DatasetError(f"{n_events} events: int32 event positions hold at most {MAX_EVENTS}")
     # canonical order is lexicographic on user ids, not on intern codes
     lex_rank = np.empty(n_users, dtype=np.int64)
     lex_rank[np.argsort(np.asarray(cols.users, dtype=object))] = np.arange(n_users)
@@ -119,7 +123,7 @@ def build_links(cols: EventColumns) -> LinkGraph:
         if (caller == callee).any():
             raise DatasetError("self-loop event: caller and callee are the same user")
         caller_first = lex_rank[caller] < lex_rank[callee]
-        key = np.where(caller_first, caller, callee)
+        key = np.where(caller_first, caller, callee).astype(np.int64)  # codes may be int32
         key *= n_users
         key += np.where(caller_first, callee, caller)
         keys, event_link[block] = np.unique(key, return_inverse=True)

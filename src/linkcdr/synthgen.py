@@ -36,6 +36,8 @@ import numpy as np
 from .errors import ConfigError
 from .ingest import (
     EVENTS_HEADER,
+    MAX_EVENTS,
+    MAX_USERS,
     SUBSCRIBERS_HEADER,
     EventColumns,
     Gender,
@@ -49,9 +51,9 @@ from .relations import PairKey, demographic_law
 # The start (in seconds from Monday 00:00) of every hour of the week,
 # grouped by segment and in time order within each; the seconds of each
 # segment; and where each segment's seconds start in that grouping.
-_HOUR_START = 3600 * np.argsort(SEGMENT_OF_HOUR, kind="stable")
+_HOUR_START = (3600 * np.argsort(SEGMENT_OF_HOUR, kind="stable")).astype(np.int32)
 _SEGMENT_SECONDS = 3600 * np.bincount(SEGMENT_OF_HOUR)
-_SEGMENT_FIRST_SECOND = np.cumsum(_SEGMENT_SECONDS) - _SEGMENT_SECONDS
+_SEGMENT_FIRST_SECOND = (np.cumsum(_SEGMENT_SECONDS) - _SEGMENT_SECONDS).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,10 @@ class GeneratorConfig:
         ):
             if not 0.0 <= scale < math.inf:  # NaN fails every comparison
                 raise ConfigError(f"{key} {scale} must be finite and nonnegative")
-        # generate packs (time - window start, caller) into one int64 sort key
         n_users = 2 * self.n_pairs + background.pool_for(self.n_pairs)
+        if n_users > MAX_USERS:
+            raise ConfigError(f"{n_users} users: int32 user codes hold at most {MAX_USERS}")
+        # generate packs (time - window start, caller) into one int64 sort key
         if self.window.n_seconds * n_users >= 2**63:
             raise ConfigError(
                 f"window of {self.window.n_seconds} s times {n_users} users reaches 2**63: "
@@ -247,9 +251,11 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     """Build the full synthetic dataset for a validated configuration.
 
     Once the events are drawn, each event-length array is updated in place
-    where it can be and deleted as soon as it is used, and the columns are
-    put in order one at a time, so generation holds at most about five
-    event-length int64 arrays at once; the columns it returns are four.
+    where it can be and deleted as soon as it is used, user codes, link
+    indices and the sort order are int32, and the columns are put in order
+    one at a time. So generation holds at most about 36 bytes per event (at
+    the permutation: the int64 sort key, two copies of the durations, the
+    callee, the kinds and the order), and the columns it returns hold 25.
     The draws themselves, their arguments and their order fix the output,
     so none of that bookkeeping moves a byte."""
     config.validate()
@@ -298,10 +304,14 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     side_pair = side_user // 2
     log_mean = per_pair([a.duration_log_mean for a in archetypes])
     log_std = per_pair([a.duration_log_std for a in archetypes])
-    link_a = np.concatenate([2 * np.arange(n), side_user])
+    if n * (1 + 2 * k) > MAX_USERS:
+        raise ConfigError(
+            f"{n * (1 + 2 * k)} links: an event's int32 link index holds at most {MAX_USERS}"
+        )
+    link_a = np.concatenate([2 * np.arange(n), side_user]).astype(np.int32)
     link_b = np.concatenate(
         [2 * np.arange(n) + 1, 2 * n + _distinct_draws(rng, 2 * n, k, pool_size).ravel()]
-    )
+    ).astype(np.int32)
     skew = np.concatenate(
         [per_pair([a.direction_skew for a in archetypes]), np.full(side_user.size, 0.5)]
     )
@@ -317,15 +327,21 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     week_starts = _week_starts(config.window, config.utc_offset)
     n_weeks = week_starts.size
     cell = np.repeat(np.arange(rates.size), rng.poisson(rates.ravel() * n_weeks))
-    draw = rng.integers(0, _SEGMENT_SECONDS[cell % 6] * n_weeks)
-    seg_seconds = _SEGMENT_SECONDS[cell % 6]
+    # each event's link and its cell of the link (calls' segments, then texts')
+    link = np.floor_divide(cell, 12, out=np.empty(cell.size, np.int32), casting="unsafe")
+    kind = np.remainder(cell, 12, out=np.empty(cell.size, np.int8), casting="unsafe")
+    del cell
+    seg = kind % 6
+    draw = rng.integers(0, (_SEGMENT_SECONDS * n_weeks)[seg])
+    seg_seconds = _SEGMENT_SECONDS[seg]
     week = draw // seg_seconds
     draw %= seg_seconds
     del seg_seconds
-    draw += _SEGMENT_FIRST_SECOND[cell % 6]  # a second of _HOUR_START's hours
+    draw += _SEGMENT_FIRST_SECOND[seg]  # a second of _HOUR_START's hours
+    del seg
     ts = week_starts[week]
     del week
-    hour = draw // 3600
+    hour = np.floor_divide(draw, 3600, out=np.empty(draw.size, np.int16), casting="unsafe")
     draw %= 3600
     ts += _HOUR_START[hour]
     del hour
@@ -333,13 +349,12 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     del draw
     ts -= config.utc_offset
     inside = (ts >= config.window.start) & (ts < config.window.end)
-    ts = ts[inside]
-    cell = cell[inside]
+    ts, link, kind = ts[inside], link[inside], kind[inside]
     del inside
-    link = cell // 12
-    cell %= 12
-    is_call = cell < 6
-    del cell
+    if ts.size > MAX_EVENTS:
+        raise ConfigError(f"{ts.size} events: int32 event positions hold at most {MAX_EVENTS}")
+    is_call = kind < 6
+    del kind
 
     # direction, then durations and unknown flags for calls
     a_initiates = rng.random(ts.size) < skew[link]
@@ -371,13 +386,14 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     key += caller
     del ts, caller
     order, key = _event_order(key, callee)
+    order = order.astype(np.int32)  # 4 bytes less per event while the columns are permuted
     callee = callee[order]
     is_call = is_call[order]
     duration = duration[order]
     del order
     ts = key // n_users
     ts += config.window.start
-    caller = np.remainder(key, n_users, out=key)
+    caller = np.remainder(key, n_users, out=key).astype(np.int32)
     del key
     columns = EventColumns(caller, callee, ts, is_call, duration, users, config.window)
 

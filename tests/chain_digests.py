@@ -2,11 +2,19 @@
 ``tests/data/chain_digests.json``.
 
 The chain is ``generate --verify`` of 300 ``table3-like`` pairs at a fixed
-seed, then ``pairs`` on its output. Its files hold only integers and ids,
-so their bytes must not move on any numpy, BLAS or platform; the tier-1
-test ``test_chain_digests.py`` reruns the chain and compares. A change that
-means to move these bytes regenerates the file and names every moved file
-in CHANGES.md:
+seed, then ``pairs`` on its output. A copy of its ``events.csv`` with one
+malformed line per ``ingest._row`` rejection reason (``MALFORMED``) then
+goes through ``ingest`` and ``pairs``, so the pinned diagnostics are not
+empty. Every pinned file holds only integers, ids and fixed text, so its
+bytes must not move on any numpy, BLAS or platform; the tier-1 test
+``test_chain_digests.py`` reruns the chain and compares.
+
+    PYTHONPATH=src python tests/chain_digests.py --check
+
+reruns the chain, prints each moved file with its expected and actual
+sha256 and exits 1 if any moved; it rewrites nothing. A change that means
+to move these bytes pastes that list into CHANGES.md and rewrites the
+digests with
 
     PYTHONPATH=src python tests/chain_digests.py
 """
@@ -24,26 +32,85 @@ from linkcdr.io_utils import sha256_file
 DIGESTS = Path(__file__).parent / "data" / "chain_digests.json"
 N_PAIRS, SEED = 300, 5
 
+# One line per rejection reason of ``ingest._row``, in its order, and last a
+# line it accepts that the parser's block path does not (a non-ASCII id and
+# a signed duration). ``inject`` puts the k-th (from 0) before the source's
+# data row (k + 1) * MALFORMED_STRIDE (from 0), so they fall in different
+# parse blocks.
+MALFORMED = (
+    "m1,m2,1167609600,call",  # expected 5 fields, got 4
+    ",m2,1167609600,call,60",  # empty user id
+    "m1,m1,1167609600,call,60",  # self-loop
+    "m1,m2,soon,call,60",  # bad timestamp
+    "m1,m2,1,call,60",  # timestamp outside window
+    "m1,m2,1167609600,fax,0",  # unknown kind
+    "m1,m2,1167609600,text,",  # text with unknown duration
+    "m1,m2,1167609600,call,1.5",  # bad duration
+    "m1,m2,1167609600,call,-60",  # negative duration
+    "m1,m2,1167609600,text,5",  # text with nonzero duration
+    "mü,m2,1167609600,call,+60",  # accepted by the line path only
+)
+MALFORMED_STRIDE = 9001
+
+
+def inject(source: Path, target: Path) -> None:
+    """Copy an events file, inserting the ``MALFORMED`` lines."""
+    header, *rows = source.read_text(encoding="utf-8").splitlines()
+    for k in reversed(range(len(MALFORMED))):
+        rows.insert(min((k + 1) * MALFORMED_STRIDE, len(rows)), MALFORMED[k])
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
 
 def run_chain(root: Path) -> dict[str, str]:
     """Run the chain under ``root``; the sha256 of each pinned file, keyed
     by stage directory and file name."""
     gen, pairs = root / "generate", root / "pairs"
+    malformed = root / "malformed" / "events.csv"
+    subscribers = str(gen / "subscribers.csv")
     assert main([
         "generate", "--preset", "table3-like", "--n-pairs", str(N_PAIRS),
         "--seed", str(SEED), "--verify", "--out", str(gen),
     ]) == 0
     assert main([
         "pairs", "--events", str(gen / "events.csv"),
-        "--subscribers", str(gen / "subscribers.csv"), "--out", str(pairs),
+        "--subscribers", subscribers, "--out", str(pairs),
+    ]) == 0
+    inject(gen / "events.csv", malformed)
+    ingest, pairs_malformed = root / "ingest-malformed", root / "pairs-malformed"
+    assert main([
+        "ingest", "--events", str(malformed), "--subscribers", subscribers,
+        "--out", str(ingest),
+    ]) == 0
+    assert main([
+        "pairs", "--events", str(malformed), "--subscribers", subscribers,
+        "--out", str(pairs_malformed),
     ]) == 0
     files = [gen / name for name in ("events.csv", "subscribers.csv", "truth.csv")]
     files += [pairs / name for name in ("pairs.csv", "diagnostics.jsonl")]
+    files += [ingest / name for name in ("validation.json", "diagnostics.jsonl")]
+    files += [pairs_malformed / name for name in ("pairs.csv", "diagnostics.jsonl")]
     return {f"{path.parent.name}/{path.name}": sha256_file(str(path)) for path in files}
+
+
+def moved_files(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """One line per pinned file whose digest differs, is new or is gone:
+    its name, expected sha256 and actual sha256 (``-`` where there is none)."""
+    return [
+        f"{name}  expected {expected.get(name, '-')}  actual {actual.get(name, '-')}"
+        for name in sorted(set(expected) | set(actual))
+        if expected.get(name) != actual.get(name)
+    ]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_chain(Path(tmp))
+    if sys.argv[1:] == ["--check"]:
+        moved = moved_files(json.loads(DIGESTS.read_text()), digests)
+        print("\n".join(moved) if moved else f"all {len(digests)} files match {DIGESTS.name}")
+        sys.exit(1 if moved else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: chain_digests.py [--check]")
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)

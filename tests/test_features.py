@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DAY, JAN1_2007, WEEK, columns, dist_stats, epoch, ev
+from linkcdr import features
 from linkcdr.errors import DatasetError
 from linkcdr.features import (
     WeekGrid,
@@ -648,6 +650,101 @@ class TestGraphIndex:
             np.testing.assert_array_equal(
                 matrix[:, EVENT_COLUMNS:], common_contacts(graph, pairs, links)
             )
+
+
+def many_pair_events(window: ObservationWindow, n_pairs: int, seed: int, most: int) -> list:
+    """Events of ``n_pairs`` pairs, 1 to ``most`` each, mixed calls (some of
+    unknown duration) and texts, plus a few links between pairs so common
+    contacts count; sorted by time, so the pairs interleave in the file."""
+    rng = np.random.default_rng(seed)
+    events = []
+    for i in range(n_pairs):
+        for _ in range(int(rng.integers(1, most + 1))):
+            caller, callee = (f"a{i}", f"b{i}") if rng.random() < 0.5 else (f"b{i}", f"a{i}")
+            kind = "text" if rng.random() < 0.4 else "call"
+            duration = None if rng.random() < 0.1 else int(rng.integers(0, 900))
+            ts = int(rng.integers(window.start, window.end))
+            events.append(ev(caller, callee, ts, kind, duration))
+    for i in range(0, n_pairs - 1, 3):
+        events.append(ev(f"a{i}", f"a{i + 1}", window.start + i))
+    return sorted(events, key=lambda e: e.timestamp)
+
+
+class TestRowBlocks:
+    """The kernel over blocks of ``features.ROW_BLOCK`` output rows."""
+
+    @pytest.mark.parametrize("offset", [0, 19800])
+    def test_block_size_moves_no_bit(self, monkeypatch, default_window, offset):
+        graph = build_links(columns(many_pair_events(default_window, 30, 31, 40)))
+        rng = np.random.default_rng(32)
+        keys = graph.keys()
+        pairs = [keys[i] for i in rng.permutation(len(keys))] + keys[:3]  # shuffled, repeats
+        n_rows = len(keys)
+        monkeypatch.setattr(features, "ROW_BLOCK", n_rows)
+        whole = compute_feature_matrix(graph, pairs, offset)
+        for block in (1, 7, n_rows - 1, n_rows + 5):
+            monkeypatch.setattr(features, "ROW_BLOCK", block)
+            got = compute_feature_matrix(graph, pairs, offset)
+            assert got.tobytes() == whole.tobytes(), block
+        for i, pair in enumerate(pairs[:5]):
+            (one_pair,) = compute_feature_matrix(graph, [pair], offset)
+            assert one_pair.tobytes() == whole[i].tobytes()
+
+    def test_temporaries_do_not_grow_with_the_rows(self, monkeypatch, default_window):
+        """The kernel's traced peak above its output at 4 and at 16 blocks of
+        16 rows: it holds one block's temporaries, its per-row indices and 4
+        bytes per event for each of the row lookup and the grouped positions,
+        so the 16-block overhead may exceed the 4-block one by at most a
+        quarter. Computing every row at once makes it about 4 times larger."""
+        monkeypatch.setattr(features, "ROW_BLOCK", 16)
+
+        def overhead(n_blocks: int) -> int:
+            graph = build_links(columns(many_pair_events(default_window, 16 * n_blocks, 33, 16)))
+            pairs = [PairKey.of(f"a{i}", f"b{i}") for i in range(16 * n_blocks)]
+            compute_feature_matrix(graph, pairs[:20])  # warm caches
+            tracemalloc.start()
+            try:
+                matrix = compute_feature_matrix(graph, pairs)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert matrix.shape == (len(pairs), N_FEATURES)
+            return peak - kept
+
+        small, large = overhead(4), overhead(16)
+        assert large <= 1.25 * small, (small, large)
+
+    def test_temporaries_do_not_grow_with_the_links(self, monkeypatch, default_window):
+        """The kernel's traced peak above its output for 64 pairs in blocks
+        of one row, in a graph with 8,192 and with 16,384 more links of one
+        event each. Common contacts, which count over the links, are left
+        out. Each further link may add at most 12 bytes. It reads 8.2:
+        ``LinkGraph.index`` holds one int64 per link, and the row lookup and
+        each event's row are int32. Stacking the graph's reciprocity
+        counters in each block before taking its rows reads 24."""
+        monkeypatch.setattr(features, "ROW_BLOCK", 1)
+        monkeypatch.setattr(
+            features, "common_contacts", lambda graph, pairs, links: np.zeros((len(pairs), 2))
+        )
+        pairs = [PairKey.of(f"a{i}", f"b{i}") for i in range(64)]
+        planted = many_pair_events(default_window, 64, 34, 16)
+
+        def overhead(n_extra: int) -> int:
+            extra = [ev(f"c{i}", f"d{i}", default_window.start + i) for i in range(n_extra)]
+            graph = build_links(columns(sorted(planted + extra, key=lambda e: e.timestamp)))
+            compute_feature_matrix(graph, pairs[:20])  # warm caches
+            tracemalloc.start()
+            try:
+                matrix = compute_feature_matrix(graph, pairs)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert matrix.shape == (len(pairs), N_FEATURES)
+            return peak - kept
+
+        n = 8192
+        small, large = overhead(n), overhead(2 * n)
+        assert large - small <= 12 * n, (small, large)
 
 
 # A month-aligned window that ends mid-week, and one that starts on a

@@ -426,6 +426,38 @@ class TestEventColumns:
         assert len(cols) == 3
 
 
+class TestUserCodeBound:
+    """User codes are int32, so more than ``ingest.MAX_USERS`` distinct ids
+    raise DatasetError; the bound is patched, so nothing large is allocated."""
+
+    # four users; the last row is read by the line path (non-ASCII id, signed duration)
+    ROWS = ["a,b,1170324000,call,5", "b,c,1170324001,text,0", "c,d\u00e9,1170324002,call,+7"]
+
+    def test_codes_are_int32(self, default_window):
+        cols, diags = parse_events(events_stream(self.ROWS), default_window)
+        assert diags == [] and cols.users == ["a", "b", "c", "d\u00e9"]
+        built = EventColumns.from_events(cols.to_events(), default_window)
+        for codes in (cols.caller, cols.callee, built.caller, built.callee):
+            assert codes.dtype == np.int32
+        np.testing.assert_array_equal(built.callee, cols.callee)
+
+    def test_parse_events_past_the_bound(self, monkeypatch, default_window):
+        monkeypatch.setattr(ingest, "MAX_USERS", 4)
+        cols, _ = parse_events(events_stream(self.ROWS), default_window)
+        assert len(cols.users) == 4
+        monkeypatch.setattr(ingest, "MAX_USERS", 3)
+        with pytest.raises(DatasetError, match="4 distinct user ids: int32 user codes hold at most 3"):
+            parse_events(events_stream(self.ROWS), default_window)
+
+    def test_from_events_past_the_bound(self, monkeypatch, default_window):
+        events = [ev("a", "b", default_window.start), ev("c", "d", default_window.start + 1)]
+        monkeypatch.setattr(ingest, "MAX_USERS", 4)
+        assert len(EventColumns.from_events(events, default_window).users) == 4
+        monkeypatch.setattr(ingest, "MAX_USERS", 3)
+        with pytest.raises(DatasetError, match="4 distinct user ids"):
+            EventColumns.from_events(events, default_window)
+
+
 class TestDiagnosticShape:
     def test_json_line_fields(self, default_window):
         import json

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -12,10 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, ev, ranked_alters
+from conftest import columns, ev, format_event_row, ranked_alters
 from linkcdr.errors import ConfigError, DatasetError
 from linkcdr import pairgraph
-from linkcdr.ingest import EventColumns, Gender, ObservationWindow, SubscriberRecord
+from linkcdr.ingest import (
+    EVENTS_HEADER,
+    EventColumns,
+    Gender,
+    ObservationWindow,
+    SubscriberRecord,
+    parse_events,
+)
 from linkcdr.pairgraph import (
     LinkGraph,
     apply_regularity_filter,
@@ -276,6 +284,71 @@ class TestBlockedFold:
 
         small, large = overhead(4 * 4096), overhead(16 * 4096)
         assert large <= 1.25 * small, (small, large)
+
+    def test_events_past_the_bound(self, monkeypatch, default_window):
+        """Link rows and event positions are int32, so more than
+        ``MAX_EVENTS`` events raise; the bound is patched."""
+        cols = columns([ev("a", "b", default_window.start + i) for i in range(5)])
+        monkeypatch.setattr(pairgraph, "MAX_EVENTS", 5)
+        assert len(build_links(cols)) == 1
+        monkeypatch.setattr(pairgraph, "MAX_EVENTS", 4)
+        with pytest.raises(DatasetError, match="5 events: int32 event positions hold at most 4"):
+            build_links(cols)
+
+
+class TestWideCodes:
+    """Columns of more than 46,341 users, so the product of two int32 codes in
+    ``first * n_users + second`` passes 2**31 and must widen to int64 first.
+    25,000 one-call filler links intern 50,000 users; the events of a random
+    12-user graph come last, so both of their codes pass 50,000."""
+
+    @staticmethod
+    def events(window: ObservationWindow) -> tuple[list, list]:
+        filler = [ev(f"p{i:05d}", f"q{i:05d}", window.start + i) for i in range(25_000)]
+        return filler, random_events(np.random.default_rng(8), 12, 400, window)
+
+    def test_graph_layer_matches_the_oracles(self, default_window):
+        filler, wide = self.events(default_window)
+        cols = columns(filler + wide)
+        assert cols.caller.dtype == np.int32 and len(cols.users) == 50_012
+        graph = build_links(cols)
+        oracle = recount_links(filler + wide, default_window)
+        keys = graph.keys()
+        assert sorted(keys) == sorted(PairKey(*key) for key in oracle)
+        np.testing.assert_array_equal(graph.index(keys), np.arange(len(keys)))
+        assert graph.first.min() >= 0 and graph.second.max() < len(cols.users)
+        for row, key in enumerate(keys):
+            rec = oracle[(key.first, key.second)]
+            assert graph.calls[row] == rec["calls_total"]
+            assert graph.texts[row] == rec["texts_total"]
+            assert graph.duration[row] == rec["duration_total"]
+            assert graph.calls_from_first[row] == rec["calls_from_first"]
+            assert graph.months[row].tolist() == rec["months"]
+        assert [keys[i] for i in graph.event_link[-len(wide):]] == [
+            PairKey.of(e.caller_id, e.callee_id) for e in wide
+        ]
+        # the filler is its own component: every filler link is a mutual pair
+        small = recount_links(wide, default_window)
+        assert [(k.first, k.second) for k in mutual_top_rank_pairs(graph)] == sorted(
+            [(f"p{i:05d}", f"q{i:05d}") for i in range(25_000)] + mutual_pairs_brute(small)
+        )
+        query = sorted(PairKey(*key) for key in small)
+        assert common_contacts(graph, query).tolist() == [
+            list(common_contacts_brute(small, k.first, k.second)) for k in query
+        ]
+
+    def test_parsed_file_gives_the_same_graph(self, default_window):
+        filler, wide = self.events(default_window)
+        text = "\n".join([EVENTS_HEADER, *map(format_event_row, filler + wide)]) + "\n"
+        cols, diags = parse_events(io.BytesIO(text.encode()), default_window)
+        assert diags == [] and cols.caller.dtype == cols.callee.dtype == np.int32
+        want = columns(filler + wide)
+        assert cols.users == want.users
+        for name in ("caller", "callee", "timestamp", "is_call", "duration"):
+            np.testing.assert_array_equal(getattr(cols, name), getattr(want, name))
+        got, built = build_links(cols), build_links(want)
+        for field in ("event_link", "first", "second", "calls", "duration", "months"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(built, field))
 
 
 class TestRankAlters:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import planted_factor_membership, read_truth_csv
+from linkcdr import synthgen
 from linkcdr.errors import ConfigError
 from linkcdr.features import WeekGrid, _local_parts
 from linkcdr.ingest import (
@@ -265,6 +267,56 @@ class TestSortKeyBound:
     def test_key_that_reaches_two_to_the_63_is_rejected(self):
         with pytest.raises(ConfigError, match=r"8589934592 s times 1073741824 users"):
             self.config(2**33).validate()
+
+
+class TestCodeBound:
+    """User codes, an event's link index and the event positions are int32;
+    the bounds are patched, so nothing large is allocated. 400 pairs with
+    two side links per user make 832 users (a pool of 32) and 2,000 links."""
+
+    def test_codes_and_columns_are_int32(self):
+        cols = generate(small_config()).columns
+        assert cols.caller.dtype == cols.callee.dtype == np.int32
+
+    def test_users_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "MAX_USERS", 832)
+        small_config(n_pairs=400).validate()
+        monkeypatch.setattr(synthgen, "MAX_USERS", 831)
+        with pytest.raises(ConfigError, match="832 users: int32 user codes hold at most 831"):
+            small_config(n_pairs=400).validate()
+
+    def test_links_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "MAX_USERS", 2000)
+        generate(small_config(n_pairs=400))
+        monkeypatch.setattr(synthgen, "MAX_USERS", 1999)
+        with pytest.raises(ConfigError, match="2000 links: an event's int32 link index"):
+            generate(small_config(n_pairs=400))
+
+    def test_events_past_the_bound(self, monkeypatch):
+        n_events = len(generate(small_config()).columns)
+        monkeypatch.setattr(synthgen, "MAX_EVENTS", n_events)
+        generate(small_config())
+        monkeypatch.setattr(synthgen, "MAX_EVENTS", n_events - 1)
+        with pytest.raises(ConfigError, match=f"{n_events} events: int32 event positions"):
+            generate(small_config())
+
+
+class TestGenerateMemory:
+    def test_traced_peak_per_event(self):
+        """``generate``'s tracemalloc peak per event it returns, at 200
+        ``table3-like`` pairs (100,550 events). It reads 36.0 bytes, set by
+        the column permutation: the int64 sort key and durations (two
+        copies), the int32 callee and order, and the kinds. The bound of 41
+        leaves about 14% headroom; int64 caller and callee gathers read 44.1."""
+        config = PRESETS["table3-like"](200, 3, ObservationWindow.default())
+        generate(config)  # warm caches
+        tracemalloc.start()
+        try:
+            events = len(generate(config).columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 41 * events, peak / events
 
 
 class TestBackgroundValidation:
