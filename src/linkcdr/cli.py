@@ -41,7 +41,7 @@ from .io_utils import (
     write_pairs_csv,
     write_predictions_csv,
 )
-from .relations import BRACKETS, PairKey, is_opposite_gender_peer_code, label_pairs
+from .relations import BRACKETS, TASKS, PairKey, label_pairs, task_label
 from .scaling import apply_scaler, fit_scaler
 
 if TYPE_CHECKING:
@@ -80,7 +80,6 @@ evaluate = _on_call("learn.evaluation", "evaluate")
 one_nn_error = _on_call("bayes", "one_nn_error")
 one_nn_error_loo = _on_call("bayes", "one_nn_error_loo")
 
-AGE_TASK_CUTOFF = 35
 # presets.PRESETS in sorted order, spelled out so the parser loads no generator
 PRESET_NAMES = ("planted-factors", "table3-like")
 # Flags naming a file a stage reads; manifest.json records each under
@@ -269,26 +268,12 @@ def cmd_pca(args: argparse.Namespace, record: RunManifest) -> int:
     return 0
 
 
-def _task_label(row: dict, task: str) -> int | None:
-    code = row["label_code"]
-    if not code:
-        return None
-    if task == "ogp":
-        return 1 if is_opposite_gender_peer_code(code) else 0
-    if task == "age35":
-        younger = row["younger_age"]
-        if younger is None:
-            return None
-        return 1 if younger < AGE_TASK_CUTOFF else 0
-    raise ConfigError(f"unknown task {task!r}")
-
-
 def _task_labels(pairs_path: str, task: str) -> dict[str, tuple[int, str]]:
     """Row id ``first|second`` -> (label, relationship code) of each pair in
     ``pairs_path`` that has a ``task`` label, in file order."""
     labels = {}
     for row in read_pairs_csv(pairs_path):
-        label = _task_label(row, task)
+        label = task_label(row["label_code"], row["younger_age"], task)
         if label is not None:
             labels[f"{row['first']}|{row['second']}"] = (label, row["label_code"])
     return labels
@@ -651,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train and evaluate a classifier")
     p.add_argument("--features", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--task", choices=("ogp", "age35"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--model", choices=("logreg", "lsvm", "knn"), default="lsvm")
     p.add_argument("--feature-select", choices=("none", "lr-l1", "lsvm-l1"), default="none")
     p.add_argument(
@@ -669,13 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score an external predictions file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--task", choices=("ogp", "age35"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("bayes-bounds", help="bound the Bayes error from the 1-NN error")
     p.add_argument("--features", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--task", choices=("ogp", "age35"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--n-train", type=int)
     p.add_argument("--n-test", type=int, help="test rows (default 1000; not with --loo)")
     p.add_argument("--seed", type=int, default=0)

@@ -7,6 +7,8 @@ their observation window from the link graph's columns, takes each pair's
 events through the graph's ``event_link``, and builds each feature group
 with whole-array operations over blocks of ``ROW_BLOCK`` output rows, so
 it holds one block's temporaries; one pair's vector is the one-row call.
+The stages return raw values, and each block then applies the transform
+that ``manifest.FEATURE_SPECS`` names for each column (``_transform``).
 
 All day/hour decisions use local wall-clock time obtained by adding a fixed
 UTC offset to the event timestamps (single-country data, no DST model); an
@@ -17,7 +19,6 @@ window; weeks without activity contribute explicit zeros.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -63,34 +64,50 @@ class WeekGrid:
         return cls(int(first_monday), int(n_weeks))
 
     def week_index(self, day: np.ndarray) -> np.ndarray:
-        """Full-week index per event day, -1 outside the grid."""
+        """Full-week index per event day, ``n_weeks`` outside the grid."""
         idx = (day - self.first_monday_day) // 7
-        return np.where((idx >= 0) & (idx < self.n_weeks), idx, -1)
+        return np.where((idx >= 0) & (idx < self.n_weeks), idx, self.n_weeks)
 
 
-def _column_stats(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """(7, ...) population statistics of ``x`` along ``axis``.
+def _group_stats(
+    values: np.ndarray, start: np.ndarray, count: np.ndarray | int
+) -> np.ndarray:
+    """(runs, 7) population statistics (``manifest.STATS``) of the runs of
+    ``values`` that begin at ``start`` and hold ``count`` values each (one
+    count for runs of equal length). The runs are non-empty, each sorted,
+    and tile ``values`` in order.
 
-    Third and fourth moments are products of the squared deviations, since
-    numpy computes only ``**2`` without ``pow``. The order statistics come
-    from one sort; the median is the mean of its two middle entries,
-    ``np.median``'s arithmetic.
+    Moments are segmented sums; third and fourth moments are products of
+    the squared deviations, since numpy computes only ``**2`` without
+    ``pow``. The order statistics are read at the run offsets; the median
+    is the mean of the two middle entries, ``np.median``'s arithmetic.
     """
-    mean = x.mean(axis=axis, keepdims=True)
-    centered = x - mean
+    mean = np.add.reduceat(values, start) / count
+    centered = values - np.repeat(mean, count)
     sq = centered * centered
-    std = np.sqrt(sq.mean(axis=axis))
+    std = np.sqrt(np.add.reduceat(sq, start) / count)
     safe = np.where(std > 0, std, 1.0)
-    skew = np.where(std > 0, (sq * centered).mean(axis=axis) / safe**3, 0.0)
-    kurt = np.where(std > 0, (sq * sq).mean(axis=axis) / safe**4 - 3.0, 0.0)
-    k = x.shape[axis]
-    ranks = [0, (k - 1) // 2, k // 2, k - 1]
-    lo, below, above, hi = np.moveaxis(np.sort(x, axis=axis).take(ranks, axis=axis), axis, 0)
-    return np.stack([mean.squeeze(axis), (below + above) / 2, std, lo, hi, skew, kurt])
+    skew = np.where(std > 0, np.add.reduceat(sq * centered, start) / count / safe**3, 0.0)
+    kurt = np.where(std > 0, np.add.reduceat(sq * sq, start) / count / safe**4 - 3.0, 0.0)
+    median = (values[start + (count - 1) // 2] + values[start + count // 2]) / 2
+    lo, hi = values[start], values[start + count - 1]
+    return np.stack([mean, median, std, lo, hi, skew, kurt], axis=1)
 
 
-def _signed_log1p(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.log1p(np.abs(x))
+# The columns each transform of ``manifest.FEATURE_SPECS`` applies to; the
+# stages return raw values and ``_transform`` applies these once per block.
+_LOG1P, _SIGNED_LOG1P = (
+    np.flatnonzero([spec.transform == name for spec in manifest.FEATURE_SPECS])
+    for name in (manifest.TRANSFORM_LOG1P, manifest.TRANSFORM_SIGNED_LOG1P)
+)
+
+
+def _transform(raw: np.ndarray) -> None:
+    """Apply in place, to each column of the raw feature rows ``raw``, the
+    transform its ``manifest.FEATURE_SPECS`` entry names."""
+    raw[:, _LOG1P] = np.log1p(raw[:, _LOG1P])
+    signed = raw[:, _SIGNED_LOG1P]
+    raw[:, _SIGNED_LOG1P] = np.sign(signed) * np.log1p(np.abs(signed))
 
 
 # --- stage functions: each builds one feature group for every row -----------
@@ -114,45 +131,27 @@ class _Events(NamedTuple):
         return cls(row, ts, cols.is_call[idx], known_dur, day, seg)
 
 
-def _quantity_sums(
-    group: np.ndarray,
-    cell: np.ndarray,
-    is_call: np.ndarray,
-    known_dur: np.ndarray,
-    n_groups: int,
-    n_cells: int,
-) -> np.ndarray:
-    """(n_groups, 3, n_cells) call counts, call durations and text counts,
-    from one bincount over (group, quantity, cell)."""
-    width = 3 * n_cells
-    base = group * width + cell
-    keys = np.concatenate([base + np.where(is_call, 0, 2 * n_cells), base[is_call] + n_cells])
-    weights = np.concatenate([np.ones(base.size), known_dur[is_call]])
-    sums = np.bincount(keys, weights, minlength=n_groups * width)
-    return sums.reshape(n_groups, 3, n_cells)
-
-
 def _weekly_tensor(ev: _Events, n_rows: int, grid: WeekGrid) -> np.ndarray:
-    """(rows, weeks, 18) weekly calls, durations and texts per segment."""
-    week = grid.week_index(ev.day)
-    inside = week >= 0
-    sums = _quantity_sums(
-        ev.row[inside] * grid.n_weeks + week[inside],
-        ev.seg[inside],
-        ev.is_call[inside],
-        ev.known_dur[inside],
-        n_rows * grid.n_weeks,
-        6,
-    )
-    return sums.reshape(n_rows, grid.n_weeks, 18)
+    """(rows, weeks + 1, 18) weekly calls, call durations and texts per
+    segment, from one bincount over (row, week, quantity, segment); the
+    last week slot holds the events outside every full week."""
+    slots = grid.n_weeks + 1
+    base = (ev.row * slots + grid.week_index(ev.day)) * 18 + ev.seg
+    keys = np.concatenate([base + np.where(ev.is_call, 0, 12), base[ev.is_call] + 6])
+    weights = np.concatenate([np.ones(base.size), ev.known_dur[ev.is_call]])
+    sums = np.bincount(keys, weights, minlength=n_rows * slots * 18)
+    return sums.reshape(n_rows, slots, 18)
 
 
-def _weekly_stats(tensor: np.ndarray) -> np.ndarray:
-    """(rows, 126): 7 statistics over the weeks per (quantity, segment)
-    column, the five scale statistics log1p-transformed."""
-    block = _column_stats(tensor, axis=1).transpose(1, 2, 0).copy()
-    block[..., :5] = np.log1p(block[..., :5])
-    return block.reshape(len(tensor), 126)
+def _weekly_stats(weeks: np.ndarray) -> np.ndarray:
+    """(rows, 126): the 7 statistics over the weeks of each of the 18
+    columns of a (rows, weeks, 18) tensor, each column's weeks one sorted
+    run of ``_group_stats``."""
+    n_rows, n_weeks, n_cols = weeks.shape
+    runs = weeks.transpose(0, 2, 1).copy().reshape(n_rows * n_cols, n_weeks)
+    runs.sort(axis=1)
+    start = np.arange(0, runs.size, n_weeks)
+    return _group_stats(runs.ravel(), start, n_weeks).reshape(n_rows, n_cols * 7)
 
 
 def _fractions(totals: np.ndarray) -> np.ndarray:
@@ -160,20 +159,18 @@ def _fractions(totals: np.ndarray) -> np.ndarray:
     blocks = totals.reshape(-1, 3, 2, 3).transpose(0, 2, 1, 3)  # row, weekpart, qty, daypart
     weekpart_total = blocks.sum(axis=-1, keepdims=True)
     frac = np.divide(blocks, weekpart_total, out=np.zeros_like(blocks), where=weekpart_total > 0)
-    # late-night calls and duration carry footnote log1p
-    frac[:, :, :2, 2] = np.log1p(frac[:, :, :2, 2])
     return frac.reshape(len(totals), 18)
 
 
 def _active_days(ev: _Events, n_rows: int) -> np.ndarray:
-    """(rows, 12) log1p counts of distinct local days with a call, then a
-    text, per segment: the distinct (row, kind, segment, day) keys of one sort."""
+    """(rows, 12) counts of distinct local days with a call, then a text,
+    per segment: the distinct (row, kind, segment, day) keys of one sort."""
     slot = ev.row * 12 + np.where(ev.is_call, 0, 6) + ev.seg
     day = ev.day - ev.day.min() if ev.day.size else ev.day
     span = int(day.max(initial=0)) + 1
     keys = np.sort(slot * span + day)
     active_slots = keys[np.diff(keys, prepend=-1) != 0] // span
-    return np.log1p(np.bincount(active_slots, minlength=n_rows * 12).reshape(n_rows, 12))
+    return np.bincount(active_slots, minlength=n_rows * 12).reshape(n_rows, 12)
 
 
 def _reciprocity(graph: LinkGraph, links: np.ndarray) -> np.ndarray:
@@ -195,16 +192,15 @@ def _reciprocity(graph: LinkGraph, links: np.ndarray) -> np.ndarray:
 def _interevent(
     group: np.ndarray, ts: np.ndarray, n_groups: int, window_seconds: int
 ) -> np.ndarray:
-    """(n_groups, 7) transformed gap statistics of each group's event times.
+    """(n_groups, 7) gap statistics of each group's event times.
 
-    One sort of (group, ts) keys yields every group's gaps contiguously;
-    moments are segmented sums and the order statistics come from one sort
-    of (group, gap) keys. Groups with fewer than two events take the
-    sentinel log1p(window length) for the scale statistics and 0 for
-    skewness and kurtosis.
+    One sort of (group, ts) keys yields every group's gaps contiguously,
+    and one sort of (group, gap) keys gives ``_group_stats`` each group's
+    gaps as a sorted run. Groups with fewer than two events take the
+    window length for the scale statistics and 0 for skewness and kurtosis.
     """
     out = np.zeros((n_groups, 7))
-    out[:, :5] = math.log1p(window_seconds)
+    out[:, :5] = window_seconds
     if ts.size < 2:
         return out
     t0 = int(ts.min())
@@ -214,29 +210,11 @@ def _interevent(
     group, ts = np.divmod(np.sort(group * span + (ts - t0)), span)
     same = group[1:] == group[:-1]
     gap_group = group[1:][same]
-    if gap_group.size == 0:
-        return out
-    gaps = np.diff(ts)[same]
+    gaps = np.sort(gap_group * span + np.diff(ts)[same]) % span
     count = np.bincount(gap_group, minlength=n_groups)
     owners = np.flatnonzero(count)
     count = count[owners]
-    start = np.cumsum(count) - count
-    ordered = (np.sort(gap_group * span + gaps) % span).astype(np.float64)
-    gaps = gaps.astype(np.float64)
-
-    mean = np.add.reduceat(gaps, start) / count
-    centered = gaps - np.repeat(mean, count)
-    sq = centered * centered
-    std = np.sqrt(np.add.reduceat(sq, start) / count)
-    safe = np.where(std > 0, std, 1.0)
-    skew = np.where(std > 0, np.add.reduceat(sq * centered, start) / count / safe**3, 0.0)
-    kurt = np.where(std > 0, np.add.reduceat(sq * sq, start) / count / safe**4 - 3.0, 0.0)
-
-    mid = start + count // 2
-    median = np.where(count % 2, ordered[mid], (ordered[mid - 1] + ordered[mid]) / 2)
-    lo, hi = ordered[start], ordered[start + count - 1]
-    out[owners, :5] = np.log1p(np.stack([mean, median, std, lo, hi], axis=1))
-    out[owners, 5:] = _signed_log1p(np.stack([skew, kurt], axis=1))
+    out[owners] = _group_stats(gaps.astype(np.float64), np.cumsum(count) - count, count)
     return out
 
 
@@ -316,16 +294,18 @@ def compute_feature_matrix(
     for lo, hi, ev in _row_blocks(graph, links, utc_offset):
         n = hi - lo
         gaps = _interevent(2 * ev.row + ~ev.is_call, ev.ts, 2 * n, window.n_seconds)
+        tally = _weekly_tensor(ev, n, grid)
         values = np.concatenate(
             [
-                _weekly_stats(_weekly_tensor(ev, n, grid)),
-                _fractions(_quantity_sums(ev.row, ev.seg, ev.is_call, ev.known_dur, n, 6)),
+                _weekly_stats(tally[:, :-1]),
+                _fractions(tally.sum(axis=1)),
                 _active_days(ev, n),
                 _reciprocity(graph, links[lo:hi]),
                 gaps.reshape(n, 14),
             ],
             axis=1,
         )
+        _transform(values)
         at = by_link[slice(*np.searchsorted(inverse, (lo, hi), sorter=by_link))]
         out[at, :-2] = values[inverse[at] - lo]
     return out

@@ -5,14 +5,15 @@ comes from the two subscribers' ages and genders: the age gap makes it a
 peer, parent-child or grandparent-child pair, and its display code (such as
 ``-Y peers`` or ``M child``) carries the younger user's age bracket and, for
 peers, the gender composition. ``demographic_law`` reads a peer or child
-code back into the ages and genders that carry it.
+code back into the ages and genders that carry it, and ``task_label`` reads
+a labelled pair's class on one of the binary ``TASKS``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 
 if TYPE_CHECKING:
     from .ingest import SubscriberRecord
@@ -84,6 +85,27 @@ def label_relationship(
 
 def is_opposite_gender_peer_code(code: str) -> bool:
     return code.startswith("-") and code.endswith(" peers")
+
+
+# The binary tasks: "ogp" tells opposite-gender peers from every other
+# relationship, "age35" a younger user under AGE_TASK_CUTOFF from the rest.
+TASKS = ("ogp", "age35")
+AGE_TASK_CUTOFF = 35
+
+
+def task_label(code: str, younger_age: int | None, task: str) -> int | None:
+    """The 0/1 class on ``task`` of a pair with relationship ``code`` and
+    younger user's age ``younger_age``; None for an unlabelled pair (empty
+    code) and, on "age35", for a pair without an age."""
+    if not code:
+        return None
+    if task == "ogp":
+        return 1 if is_opposite_gender_peer_code(code) else 0
+    if task == "age35":
+        if younger_age is None:
+            return None
+        return 1 if younger_age < AGE_TASK_CUTOFF else 0
+    raise ConfigError(f"unknown task {task!r}")
 
 
 def peer_bracket_of_code(code: str) -> str | None:

@@ -1,20 +1,25 @@
-"""The sha256 of each integer-only file of a small seeded chain, pinned in
+"""The sha256 of each pinned file of a small seeded chain, pinned in
 ``tests/data/chain_digests.json``.
 
 The chain is ``generate --verify`` of 300 ``table3-like`` pairs at a fixed
-seed, then ``pairs`` on its output. A copy of its ``events.csv`` with one
-malformed line per ``ingest._row`` rejection reason (``MALFORMED``) then
-goes through ``ingest`` and ``pairs``, so the pinned diagnostics are not
-empty. Every pinned file holds only integers, ids and fixed text, so its
-bytes must not move on any numpy, BLAS or platform; the tier-1 test
-``test_chain_digests.py`` reruns the chain and compares.
+seed, then ``pairs`` and ``features`` on its output. A copy of its
+``events.csv`` with one malformed line per ``ingest._row`` rejection reason
+(``MALFORMED``) then goes through ``ingest`` and ``pairs``, so the pinned
+diagnostics are not empty. The integer-only files hold only integers, ids
+and fixed text, so their bytes must not move on any numpy, BLAS or
+platform. The last bits of a float-bearing file (``FLOAT_FILES``) may
+follow the numeric runtime (``runtime``), so the digests record the
+runtime they were made under, and ``tests/data/chain_floats.json.xz``
+keeps those files' text: under another runtime a float file counts as
+moved only if a parsed value differs by more than ``TOLERANCE``. The
+tier-1 test ``test_chain_digests.py`` reruns the chain and compares.
 
     PYTHONPATH=src python tests/chain_digests.py --check
 
 reruns the chain, prints each moved file with its expected and actual
 sha256 and exits 1 if any moved; it rewrites nothing. A change that means
 to move these bytes pastes that list into CHANGES.md and rewrites the
-digests with
+digests and float texts with
 
     PYTHONPATH=src python tests/chain_digests.py
 """
@@ -22,15 +27,21 @@ digests with
 from __future__ import annotations
 
 import json
+import lzma
 import sys
 import tempfile
 from pathlib import Path
 
-from linkcdr.cli import main
+import numpy as np
+
+from linkcdr.cli import _runtime, main
 from linkcdr.io_utils import sha256_file
 
 DIGESTS = Path(__file__).parent / "data" / "chain_digests.json"
+FLOATS = Path(__file__).parent / "data" / "chain_floats.json.xz"
 N_PAIRS, SEED = 300, 5
+FLOAT_FILES = ("features/features.csv",)
+TOLERANCE = 1e-12  # the golden fixture's, absolute and relative
 
 # One line per rejection reason of ``ingest._row``, in its order, and last a
 # line it accepts that the parser's block path does not (a non-ASCII id and
@@ -62,10 +73,19 @@ def inject(source: Path, target: Path) -> None:
     target.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
+def runtime() -> dict:
+    """What a float file's last bits may follow: numpy's version, its BLAS,
+    and the SIMD extensions numpy dispatches to on this machine (its
+    ``log1p`` on AVX-512 differs from the C library's in the last bit)."""
+    numeric = _runtime()
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return {"numpy": numeric["numpy"], "blas": numeric["blas"], "simd": simd}
+
+
 def run_chain(root: Path) -> dict[str, str]:
     """Run the chain under ``root``; the sha256 of each pinned file, keyed
     by stage directory and file name."""
-    gen, pairs = root / "generate", root / "pairs"
+    gen, pairs, features = root / "generate", root / "pairs", root / "features"
     malformed = root / "malformed" / "events.csv"
     subscribers = str(gen / "subscribers.csv")
     assert main([
@@ -75,6 +95,10 @@ def run_chain(root: Path) -> dict[str, str]:
     assert main([
         "pairs", "--events", str(gen / "events.csv"),
         "--subscribers", subscribers, "--out", str(pairs),
+    ]) == 0
+    assert main([
+        "features", "--events", str(gen / "events.csv"),
+        "--pairs", str(pairs / "pairs.csv"), "--out", str(features),
     ]) == 0
     inject(gen / "events.csv", malformed)
     ingest, pairs_malformed = root / "ingest-malformed", root / "pairs-malformed"
@@ -90,6 +114,7 @@ def run_chain(root: Path) -> dict[str, str]:
     files += [pairs / name for name in ("pairs.csv", "diagnostics.jsonl")]
     files += [ingest / name for name in ("validation.json", "diagnostics.jsonl")]
     files += [pairs_malformed / name for name in ("pairs.csv", "diagnostics.jsonl")]
+    files += [root / name for name in FLOAT_FILES]
     return {f"{path.parent.name}/{path.name}": sha256_file(str(path)) for path in files}
 
 
@@ -103,14 +128,56 @@ def moved_files(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     ]
 
 
+def same_values(recorded: str, actual: str) -> bool:
+    """Whether two CSV texts hold the same fields, numbers within ``TOLERANCE``."""
+    rows = [text.splitlines() for text in (recorded, actual)]
+    if len(rows[0]) != len(rows[1]):
+        return False
+    for want_line, got_line in zip(*rows):
+        want_fields, got_fields = want_line.split(","), got_line.split(",")
+        if len(want_fields) != len(got_fields):
+            return False
+        for want, got in zip(want_fields, got_fields):
+            if want != got:
+                try:
+                    want_value, got_value = float(want), float(got)
+                except ValueError:
+                    return False
+                if not abs(got_value - want_value) <= TOLERANCE * (1 + abs(want_value)):
+                    return False
+    return True
+
+
+def moved_chain_files(root: Path, digests: dict[str, str]) -> list[str]:
+    """``moved_files`` of the chain run under ``root`` against the committed
+    digests. Under another runtime than the recorded one, a float file whose
+    values all lie within ``TOLERANCE`` of the recorded text has not moved,
+    and a last line names both runtimes."""
+    recorded = json.loads(DIGESTS.read_text())
+    expected, here = dict(recorded["sha256"]), runtime()
+    if recorded["runtime"] == here:
+        return moved_files(expected, digests)
+    texts = json.loads(lzma.decompress(FLOATS.read_bytes()))
+    for name in set(FLOAT_FILES) & set(digests):
+        if same_values(texts[name], (root / name).read_text(encoding="utf-8")):
+            expected[name] = digests[name]
+    moved = moved_files(expected, digests)
+    note = f"float files compared by value: recorded under {recorded['runtime']}, run under {here}"
+    return moved + [note] if moved else moved
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = run_chain(Path(tmp))
-    if sys.argv[1:] == ["--check"]:
-        moved = moved_files(json.loads(DIGESTS.read_text()), digests)
-        print("\n".join(moved) if moved else f"all {len(digests)} files match {DIGESTS.name}")
-        sys.exit(1 if moved else 0)
-    if sys.argv[1:]:
-        sys.exit("usage: chain_digests.py [--check]")
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}", file=sys.stderr)
+        root = Path(tmp)
+        digests = run_chain(root)
+        if sys.argv[1:] == ["--check"]:
+            moved = moved_chain_files(root, digests)
+            print("\n".join(moved) if moved else f"all {len(digests)} files match {DIGESTS.name}")
+            sys.exit(1 if moved else 0)
+        if sys.argv[1:]:
+            sys.exit("usage: chain_digests.py [--check]")
+        texts = {name: (root / name).read_text(encoding="utf-8") for name in FLOAT_FILES}
+    record = {"runtime": runtime(), "sha256": digests}
+    DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    FLOATS.write_bytes(lzma.compress(json.dumps(texts, sort_keys=True).encode(), preset=9))
+    print(f"wrote {DIGESTS} and {FLOATS}", file=sys.stderr)

@@ -13,7 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from linkcdr.errors import ParseError
-from linkcdr.features import _column_stats
+from linkcdr.features import _group_stats
 from linkcdr.ingest import CdrEvent, EventColumns, EventKind, Gender, ObservationWindow
 from linkcdr.manifest import FEATURE_NAMES
 from linkcdr.pairgraph import LinkGraph, alter_ranking
@@ -35,10 +35,11 @@ class DistStats(NamedTuple):
 
 
 def dist_stats(values) -> DistStats:
-    """The feature kernel's population statistics (``_column_stats``) of one
+    """The feature kernel's population statistics (``_group_stats``) of one
     1-D series; excess kurtosis, and 0 skewness and kurtosis at std 0."""
-    stats = _column_stats(np.asarray(values, dtype=np.float64)[:, None])
-    return DistStats(*(float(v) for v in stats[:, 0]))
+    run = np.sort(np.asarray(values, dtype=np.float64))
+    (stats,) = _group_stats(run, np.zeros(1, dtype=np.int64), run.size)
+    return DistStats(*(float(v) for v in stats))
 
 
 def epoch(text: str) -> int:

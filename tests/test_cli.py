@@ -14,9 +14,17 @@ import numpy as np
 import pytest
 
 from linkcdr.cli import BLAS_THREADS, PRESET_NAMES, main
-from linkcdr.io_utils import read_pairs_csv, sha256_file, write_features_csv, write_pairs_csv
+from linkcdr.decompose import loadings, pca, varimax
+from linkcdr.io_utils import (
+    read_features_csv,
+    read_pairs_csv,
+    sha256_file,
+    write_features_csv,
+    write_pairs_csv,
+)
 from linkcdr.manifest import FEATURE_NAMES, N_FEATURES
 from linkcdr.relations import PairKey
+from linkcdr.scaling import apply_scaler, fit_scaler
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -766,6 +774,19 @@ class TestPcaStage:
         loadings_rows = (out / "loadings.csv").read_text().splitlines()
         assert len(loadings_rows) == 176
         assert loadings_rows[0].startswith("feature,factor_1")
+
+    def test_no_kaiser_rotates_without_row_normalization(self, pipeline_dirs, tmp_path):
+        features, out = str(pipeline_dirs["feats"] / "features.csv"), tmp_path / "p"
+        assert main(["pca", "--features", features, "--no-kaiser", "--out", str(out)]) == 0
+        factors = json.loads((out / "factors.json").read_text())
+        assert factors["kaiser_normalize"] is False
+        _, matrix = read_features_csv(features)
+        load = loadings(pca(apply_scaler(matrix, fit_scaler(matrix))), factors["n_comp"])
+        want = varimax(load, kaiser_normalize=False).loadings
+        rows = (out / "loadings.csv").read_text().splitlines()[1:]
+        got = np.asarray([[float(v) for v in row.split(",")[1:]] for row in rows])
+        np.testing.assert_array_equal(got, want)
+        assert not np.allclose(want, varimax(load).loadings)  # the flag changes the rotation
 
 
 @pytest.mark.parametrize(

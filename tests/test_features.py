@@ -18,10 +18,12 @@ from linkcdr import features
 from linkcdr.errors import DatasetError
 from linkcdr.features import (
     WeekGrid,
-    _column_stats,
     _Events,
+    _group_stats,
     _interevent,
     _local_parts,
+    _transform,
+    _weekly_stats,
     _weekly_tensor,
     compute_feature_matrix,
 )
@@ -29,10 +31,14 @@ from linkcdr.ingest import ObservationWindow
 from linkcdr.manifest import (
     DAYPARTS,
     FEATURE_NAMES,
+    FEATURE_SPECS,
     GROUP_SIZES,
     N_FEATURES,
     QUANTITIES,
     STATS,
+    TRANSFORM_LOG1P,
+    TRANSFORM_NONE,
+    TRANSFORM_SIGNED_LOG1P,
     WEEKPARTS,
 )
 from linkcdr.pairgraph import (
@@ -140,7 +146,7 @@ class TestSegmentOf:
         assert seg.tolist() == [oracle_segment(int(t)) for t in ts]
         cols = columns([ev("a", "b", int(t)) for t in ts])
         events = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
-        weekly = _weekly_tensor(events, 1, WeekGrid.from_window(default_window))[0]
+        weekly = _weekly_tensor(events, 1, WeekGrid.from_window(default_window))[0, :-1]
         # summing all call cells over full weeks never exceeds the total
         assert weekly[:, :6].sum() <= 500
 
@@ -183,8 +189,9 @@ class TestWeekGrid:
 
 
 class TestWeeklySeries:
-    """The kernel's (weeks, 18) weekly tensor of one pair: calls, call
-    durations, then texts, each over the six segments."""
+    """The kernel's (weeks + 1, 18) weekly tensor of one pair: calls, call
+    durations, then texts, each over the six segments; the last week slot
+    holds the events outside every full week."""
 
     def test_constant_cell(self, default_window):
         events = []
@@ -195,7 +202,7 @@ class TestWeeklySeries:
         cols = columns(events)
         one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
         calls, _, texts = np.split(
-            _weekly_tensor(one_row, 1, WeekGrid.from_window(default_window))[0], 3, axis=1
+            _weekly_tensor(one_row, 1, WeekGrid.from_window(default_window))[0, :-1], 3, axis=1
         )
         assert (calls[:, 0] == 2).all()
         cells = np.ones((30, 6), dtype=bool)
@@ -216,7 +223,45 @@ class TestWeeklySeries:
         cols = columns([ev("a", "b", epoch("2007-01-03 10:00:00"))])
         one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
         weekly = _weekly_tensor(one_row, 1, WeekGrid.from_window(window))[0]
-        assert weekly.sum() == 0
+        assert weekly[:-1].sum() == 0
+        assert weekly[-1].tolist() == [1, 0, 0, 0, 0, 0, 60] + [0] * 11
+
+    def test_extra_slot_holds_exactly_the_events_outside_full_weeks(self):
+        # Wednesday to Thursday: partial weeks at both ends of four full ones
+        window = ObservationWindow.from_dates("2007-01-03", "2007-02-08")
+        grid = WeekGrid.from_window(window)
+        assert grid.n_weeks == 4
+        rng = np.random.default_rng(8)
+        events, rows, outside = [], [], np.zeros((3, 18))
+        for _ in range(600):
+            ts = int(rng.integers(window.start, window.end))
+            kind = "text" if rng.random() < 0.4 else "call"
+            row = int(rng.integers(3))
+            events.append(ev("a", "b", ts, kind, int(rng.integers(1, 900))))
+            rows.append(row)
+            widx = (ts // DAY - grid.first_monday_day) // 7
+            if not 0 <= widx < grid.n_weeks:
+                seg = oracle_segment(ts)
+                if kind == "call":
+                    outside[row, seg] += 1
+                    outside[row, 6 + seg] += events[-1].duration
+                else:
+                    outside[row, 12 + seg] += 1
+        cols = columns(events, window)
+        three_rows = _Events.select(cols, slice(None), np.asarray(rows), 0)
+        tally = _weekly_tensor(three_rows, 3, grid)
+        assert tally.shape == (3, grid.n_weeks + 1, 18)
+        assert outside.sum() > 0
+        np.testing.assert_array_equal(tally[:, -1], outside)
+        # every event lands in one slot: the slots sum to the row totals
+        totals = np.zeros((3, 18))
+        for e, row in zip(events, rows):
+            seg = oracle_segment(e.timestamp)
+            if e.kind.value == "call":
+                totals[row, [seg, 6 + seg]] += [1, e.duration]
+            else:
+                totals[row, 12 + seg] += 1
+        np.testing.assert_array_equal(tally.sum(axis=1), totals)
 
     def test_fifty_event_brute_recount(self, default_window):
         rng = np.random.default_rng(11)
@@ -228,7 +273,7 @@ class TestWeeklySeries:
         grid = WeekGrid.from_window(default_window)
         cols = columns(events)
         one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
-        calls, durations, texts = np.split(_weekly_tensor(one_row, 1, grid)[0], 3, axis=1)
+        calls, durations, texts = np.split(_weekly_tensor(one_row, 1, grid)[0, :-1], 3, axis=1)
         counts = np.zeros((grid.n_weeks, 6))
         text_counts = np.zeros((grid.n_weeks, 6))
         durs = np.zeros((grid.n_weeks, 6))
@@ -248,6 +293,12 @@ class TestWeeklySeries:
         assert (calls == counts).all()
         assert (texts == text_counts).all()
         assert (durations == durs).all()
+
+
+def column_stats(weeks: np.ndarray) -> np.ndarray:
+    """(rows, 18, 7) statistics of each column of a (rows, weeks, 18) array
+    over its weeks: ``_group_stats`` of the kernel's sorted weekly runs."""
+    return _weekly_stats(weeks).reshape(len(weeks), 18, 7)
 
 
 class TestDistStats:
@@ -279,14 +330,36 @@ class TestDistStats:
             want = np.asarray(moment_stats(x))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        runs=st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 2**40), min_size=1, max_size=2),
+                st.lists(st.integers(0, 3), min_size=1, max_size=12),  # ties
+                st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_group_stats_match_moment_oracle(self, runs):
+        count = np.asarray([len(run) for run in runs])
+        values = np.concatenate([np.sort(np.asarray(run, dtype=np.float64)) for run in runs])
+        got = _group_stats(values, np.cumsum(count) - count, count)
+        want = [moment_stats(run) for run in runs]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("weeks", [1, 2, 29, 30])
     def test_median_is_np_median_bitwise(self, weeks):
         rng = np.random.default_rng(weeks)
         counts = np.floor(rng.pareto(1.0, size=(40, weeks, 18)) * 10)  # many ties
         spread = rng.uniform(-50, 50, size=(40, weeks, 18))
         for x in (counts, spread):
-            got = np.ascontiguousarray(_column_stats(x, axis=1)[1])
+            before = x.copy()
+            got = np.ascontiguousarray(column_stats(x)[..., 1])
             assert got.tobytes() == np.median(x, axis=1).tobytes()
+            column_stats(x[:1])  # one row's runs can be a view of the tensor
+            assert x.tobytes() == before.tobytes()
 
     def test_heavy_tailed_weeks_match_moment_oracle(self):
         rng = np.random.default_rng(5)
@@ -296,12 +369,12 @@ class TestDistStats:
         weeks[:8] = 0.0
         weeks[:8, 17] = 1e7
         weeks[8:16] = rng.integers(0, 10**7, size=(8, 1, 18))
-        stats = _column_stats(weeks, axis=1)
+        stats = column_stats(weeks)
         for row in range(weeks.shape[0]):
             for col in range(weeks.shape[2]):
                 want = moment_stats(weeks[row, :, col])
-                np.testing.assert_allclose(stats[:, row, col], want, rtol=1e-12, atol=1e-12)
-        assert (stats[5:, 8:16] == 0).all()  # constant: no skewness or kurtosis
+                np.testing.assert_allclose(stats[row, col], want, rtol=1e-12, atol=1e-12)
+        assert (stats[8:16, :, 5:] == 0).all()  # constant: no skewness or kurtosis
 
 
 def weekday_calls(daytime: int, evening: int, late_night: int) -> list:
@@ -494,9 +567,7 @@ class TestIntereventStats:
         order = rng.permutation(ts.size)  # the stage sorts each group's times
         out = _interevent(group[order], ts[order], len(gaps), window_seconds)
         for g, series in enumerate(gaps):
-            raw = moment_stats(series)
-            want = [math.log1p(v) for v in raw[:5]] + [_signed_log1p(v) for v in raw[5:]]
-            np.testing.assert_allclose(out[g], want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out[g], moment_stats(series), rtol=1e-12, atol=1e-12)
         assert (out[:6, 5:] == 0).all()  # constant gaps: no skewness or kurtosis
 
     def test_time_span_too_long_for_sort_keys(self):
@@ -606,6 +677,29 @@ class TestAssembleFeatureVector:
         vec[-1] = payload["common_all"]
         want = np.asarray([float(v) for v in payload["values"]])
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=1e-12)
+
+
+class TestTransform:
+    def test_each_raw_column_takes_its_manifest_transform(self):
+        by_name = {
+            TRANSFORM_NONE: float,
+            TRANSFORM_LOG1P: math.log1p,
+            TRANSFORM_SIGNED_LOG1P: _signed_log1p,
+        }
+        specs = FEATURE_SPECS[:EVENT_COLUMNS]
+        assert {spec.transform for spec in FEATURE_SPECS} == set(by_name)
+        rng = np.random.default_rng(14)
+        raw = rng.exponential(1.0, size=(6, EVENT_COLUMNS)) * 10.0 ** rng.integers(-3, 8, size=(6, 1))
+        signed = [spec.transform == TRANSFORM_SIGNED_LOG1P for spec in specs]
+        raw[::2, signed] *= -1  # only signed columns take negative values
+        raw[-1] = 0.0
+        got = raw.copy()
+        _transform(got)
+        for col, spec in enumerate(specs):
+            want = [by_name[spec.transform](v) for v in raw[:, col]]
+            np.testing.assert_allclose(got[:, col], want, rtol=1e-14, atol=0, err_msg=spec.name)
+            if spec.transform == TRANSFORM_NONE:
+                assert got[:, col].tobytes() == raw[:, col].tobytes()
 
 
 class TestComputeFeatureMatrix:
@@ -864,7 +958,7 @@ class TestSegmentPartitionInvariant:
         cols = columns(events)
         one_row = _Events.select(cols, slice(None), np.zeros(len(cols), dtype=np.int64), 0)
         calls, durations, texts = np.split(
-            _weekly_tensor(one_row, 1, WeekGrid.from_window(window))[0], 3, axis=1
+            _weekly_tensor(one_row, 1, WeekGrid.from_window(window))[0, :-1], 3, axis=1
         )
         assert calls.sum() == n_calls
         assert texts.sum() == n_texts

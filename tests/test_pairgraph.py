@@ -38,6 +38,7 @@ from linkcdr.relations import (
     is_opposite_gender_peer_code,
     label_relationship,
     peer_bracket_of_code,
+    task_label,
 )
 from oracles import common_contacts_brute, mutual_pairs_brute, rank_alters_brute, recount_links
 
@@ -612,6 +613,14 @@ class TestLabelRelationship:
         assert peer_bracket_of_code("-O peers") == "O"
         assert peer_bracket_of_code("+80+ peers") == "80+"
         assert peer_bracket_of_code("M child") is None
+
+    def test_task_labels(self):
+        codes = ("-Y peers", "+Y peers", "M child")
+        assert [task_label(code, 30, "ogp") for code in codes] == [1, 0, 0]
+        assert [task_label("M child", age, "age35") for age in (34, 35, None)] == [1, 0, None]
+        assert task_label("", 20, "ogp") is None and task_label("", 20, "age35") is None
+        with pytest.raises(ConfigError, match="unknown task 'age40'"):
+            task_label("-Y peers", 20, "age40")
 
     @pytest.mark.parametrize("bracket", [code for code, _, _ in BRACKETS])
     @pytest.mark.parametrize("form", ["-{} peers", "+{} peers", "{} child"])

@@ -153,7 +153,7 @@ class TestGenerate:
         widx = grid.week_index(day)
         on_channel = cols.is_call if channel == "calls" else ~cols.is_call
         assert on_channel.all()
-        in_full_weeks = (widx >= 0) & on_channel
+        in_full_weeks = (widx < grid.n_weeks) & on_channel
         n_cells = 60 * grid.n_weeks
         mean_count = in_full_weeks.sum() / n_cells
         tolerance = 3 * np.sqrt(rate / n_cells)
