@@ -689,12 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _runtime() -> dict:
-    """The numeric runtime a stage ran on: numpy's version, its BLAS, and
-    the BLAS thread variables as the stage saw them after the pin."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """The numeric runtime a stage ran on: numpy's version, its BLAS, the
+    SIMD extensions numpy dispatches to (float results such as ``log1p``
+    follow them in the last bit), and the BLAS thread variables as the stage
+    saw them after the pin."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": {"name": blas["name"], "version": blas["version"]},
+        "simd": config["SIMD Extensions"]["found"],
         **{name: os.environ.get(name) for name in BLAS_THREADS},
     }
 

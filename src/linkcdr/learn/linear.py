@@ -10,11 +10,17 @@ an unpenalized bias. Labels are {0, 1} at the interface and mapped to
 [w, b] from zero weights (so training is deterministic and takes no seed)
 with Armijo backtracking on the full objective, using the exact logistic
 Hessian (Lin, Weng & Keerthi 2008) or the generalized squared-hinge one,
-curvature 2 where margin < 1 and 0 elsewhere (Keerthi & DeCoste 2005). An
-l2 step is one linear solve; an l1 step minimizes the model plus penalty
-exactly by feature-sign search: proximal Newton (Lee, Sun & Saunders 2014).
-An l2 fit with fewer rows than features runs in the span of the rows, which
-holds every iterate from w = 0, so its steps are n + 1 dimensional.
+curvature 2 where margin < 1 and 0 elsewhere (Keerthi & DeCoste 2005). The
+rows [x, 1] are signed by their labels once per path, so one product with
+[w, b] gives the margins, and every trial point of a step costs one margin
+product, from which its loss, gradient and curvature all follow. The
+Hessian is formed from the rows with curvature alone, as s.T @ s: the
+active rows for the squared hinge, the rows scaled by the square root of
+their curvature for the logistic loss. An l2 step is one linear solve; an
+l1 step minimizes the model plus penalty exactly by feature-sign search:
+proximal Newton (Lee, Sun & Saunders 2014). An l2 fit with fewer rows than
+features runs in the span of the rows, which holds every iterate from
+w = 0, so its steps are n + 1 dimensional.
 
 ``train_path`` fits one model per C of a grid, in order: the first from
 zero, each later one from the previous solution (a pathwise warm start;
@@ -182,61 +188,87 @@ def _feature_sign(hess: np.ndarray, grad: np.ndarray, theta: np.ndarray, lam: fl
         sign[j] = -np.sign(slope[j])
 
 
+def _hessian(
+    kind: str, signed: np.ndarray, margins: np.ndarray, diagonal: np.ndarray
+) -> np.ndarray:
+    """The Newton Hessian in [w, b] at ``margins``: the loss Hessian from the
+    rows with curvature, as s.T @ s (numpy forms one triangle, by BLAS syrk),
+    plus ``diagonal``. The rows ``signed`` are [x, 1] times the label, a sign
+    that the products cancel."""
+    n = signed.shape[0]
+    if kind == KIND_LSVM:  # curvature 2 on the active rows, 0 elsewhere
+        s = signed[margins < 1.0]
+        hess = s.T @ s
+        hess *= 2.0 / n
+    else:
+        s = signed * np.sqrt(_curvature(kind, margins) / n)[:, None]
+        hess = s.T @ s
+    hess.flat[:: hess.shape[0] + 1] += diagonal  # the diagonal, in place
+    if hess[-1, -1] == 0.0:
+        # No sample has curvature (an empty active set, or every sigmoid
+        # saturated): the loss is flat in b, its gradient entry is 0, and
+        # a unit pivot keeps the solve defined and leaves b in place.
+        hess[-1, -1] = 1.0
+    return hess
+
+
 def _fit_newton(
-    x: np.ndarray,
-    y01: np.ndarray,
+    signed: np.ndarray,
     kind: str,
     penalty: str,
     c: float,
     max_iter: int,
     tol: float,
-    w: np.ndarray,
-    b: float,
-) -> tuple[np.ndarray, float, int, float, float]:
-    """(w, b, steps, KKT residual, objective) of the fit started at (w, b);
-    the residual is the norm of the minimum-norm subgradient, which for l2 is
-    the gradient norm."""
-    n, d = x.shape
-    y = 2.0 * y01 - 1.0
+    theta: np.ndarray,
+) -> tuple[np.ndarray, int, float, float]:
+    """(theta, steps, KKT residual, objective) of the fit started at
+    theta = [w, b], on the rows ``signed`` = [x, 1] * y, whose product with
+    theta is the margins; the residual is the norm of the minimum-norm
+    subgradient, which for l2 is the gradient norm."""
+    n, d = signed.shape[0], signed.shape[1] - 1
     l1, lam = penalty == "l1", 1.0 / c
-    xa = np.column_stack([x, np.ones(n)])
     diagonal = np.append(np.full(d, L1_DAMPING if l1 else lam), 0.0)  # bias unpenalized
-    value = objective_value(w, b, x, y01, kind, penalty, c)
+
+    def terms(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(margins, dloss/dmargin, objective) at theta, from one margin product."""
+        margins = signed @ theta
+        loss, dloss = _loss_terms(kind, margins)
+        w = theta[:-1]
+        reg = float(np.abs(w).sum()) / c if l1 else 0.5 * float(w @ w) / c
+        return margins, dloss, float(loss.mean()) + reg
+
+    margins, dloss, value = terms(theta)
     iterations = 0
     while True:
-        grad = np.append(*smooth_gradient(w, b, x, y01, kind, penalty, c))
-        residual = grad
+        w, grad = theta[:-1], signed.T @ (dloss / n)
         if l1:  # less the l1 subgradient nearest to the gradient
             nearest = np.where(w != 0, -lam * np.sign(w), np.clip(grad[:-1], -lam, lam))
             residual = grad - np.append(nearest, 0.0)
+        else:
+            grad[:-1] += w / c
+            residual = grad
         residual_norm = math.sqrt(float(residual @ residual))
         if residual_norm < tol or iterations == max_iter:
             break
-        hess = (xa.T * (_curvature(kind, y * (x @ w + b)) / n)) @ xa
-        hess.flat[:: d + 2] += diagonal  # the diagonal, in place
-        if hess[-1, -1] == 0.0:
-            # No sample has curvature (an empty active set, or every sigmoid
-            # saturated): the loss is flat in b, its gradient entry is 0, and
-            # a unit pivot keeps the solve defined and leaves b in place.
-            hess[-1, -1] = 1.0
+        hess = _hessian(kind, signed, margins, diagonal)
         if l1:
-            step = _feature_sign(hess, grad, np.append(w, b), lam)
+            step = _feature_sign(hess, grad, theta, lam)
             l1_change = lam * float(np.abs(w + step[:-1]).sum() - np.abs(w).sum())
         else:
             step, l1_change = np.linalg.solve(hess, -grad), 0.0
         decrease = float(grad @ step) + l1_change
         t = 1.0
         for _ in range(60):
-            w_trial, b_trial = w + t * step[:-1], b + t * float(step[-1])
-            trial_value = objective_value(w_trial, b_trial, x, y01, kind, penalty, c)
+            trial = theta + t * step
+            trial_margins, trial_dloss, trial_value = terms(trial)
             if trial_value <= value + 1e-4 * t * decrease:
                 break
             t *= 0.5
         else:
             break  # no step decreases the objective measurably: stop unconverged
-        w, b, value = w_trial, b_trial, trial_value
+        theta, margins, dloss, value = trial, trial_margins, trial_dloss, trial_value
         iterations += 1
-    return w, b, iterations, residual_norm, value
+    return theta, iterations, residual_norm, value
 
 
 def train_path(
@@ -267,11 +299,12 @@ def train_path(
     if penalty != "l1" and x.shape[0] < x.shape[1]:  # solve for w = basis @ z
         basis = np.linalg.qr(x.T)[0]
         reduced = x @ basis
-    z, b = np.zeros(reduced.shape[1]), 0.0
+    signed = np.column_stack([reduced, np.ones(len(y01))]) * (2.0 * y01 - 1.0)[:, None]
+    theta = np.zeros(signed.shape[1])
     models = []
     for c in cs:
-        z, b, iterations, grad_map, value = _fit_newton(
-            reduced, y01, kind, penalty, c, max_iter, tol, z, b
+        theta, iterations, grad_map, value = _fit_newton(
+            signed, kind, penalty, c, max_iter, tol, theta
         )
         converged = grad_map < tol
         if not converged:
@@ -285,8 +318,8 @@ def train_path(
                 kind=kind,
                 penalty=penalty,
                 c=c,
-                weights=z if basis is None else basis @ z,
-                bias=b,
+                weights=theta[:-1] if basis is None else basis @ theta[:-1],
+                bias=float(theta[-1]),
                 n_iterations=iterations,
                 grad_map_norm=grad_map,
                 converged=converged,

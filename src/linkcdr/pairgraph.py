@@ -91,6 +91,16 @@ class LinkGraph:
         return rows
 
 
+def _add_rows(totals: np.ndarray, cell: np.ndarray, rows: np.ndarray) -> None:
+    """Add the counts of ``cell`` = column * len(rows) + local link to
+    ``totals`` (one row per column, one entry per link) at the links
+    ``rows``, which are distinct: one 1-D fancy add per column, which numpy
+    runs about twice as fast as one 2-D fancy add over all the columns."""
+    parts = np.bincount(cell, minlength=len(totals) * len(rows)).reshape(len(totals), -1)
+    for total, part in zip(totals, parts):
+        total[rows] += part
+
+
 def build_links(cols: EventColumns) -> LinkGraph:
     """Fold the event columns into per-link counter arrays in blocks of
     ``LINK_BLOCK`` events, in two passes.
@@ -101,10 +111,10 @@ def build_links(cols: EventColumns) -> LinkGraph:
     then gives the link rows. The second pass maps each block's distinct
     keys to their rows by ``searchsorted``, remaps the block's
     ``event_link`` through them and adds the block's counts: a bincount
-    over ``local * 4 + 2 * is_call + caller_first`` counts calls and texts
+    over (``2 * is_call + caller_first``, local link) counts calls and texts
     from each end, known call durations are summed exactly in int64 over
-    ``row * 2 + caller_first``, and a bincount counts calls per (local
-    link, month). So besides the graph it returns, the fold holds only the
+    ``row * 2 + caller_first``, and a bincount counts calls per (month,
+    local link). So besides the graph it returns, the fold holds only the
     blocks' distinct keys and one block's temporaries. A link whose
     durations sum past int64 raises DatasetError, and so do more than
     ``MAX_EVENTS`` events, since link rows and event positions are int32."""
@@ -136,26 +146,26 @@ def build_links(cols: EventColumns) -> LinkGraph:
     link_keys = link_keys[new_key]
     n_links, n_months = len(link_keys), cols.window.n_months
 
-    counts = np.zeros((n_links, 4), dtype=np.int64)
+    counts = np.zeros((4, n_links), dtype=np.int64)
     # The high and low 32 bits of the durations are summed apart, so neither
     # sum can wrap (a link has fewer than 2**31 events).
     high, low = np.zeros((2, 2 * n_links), dtype=np.int64)
-    months = np.zeros((n_links, n_months), dtype=np.int64)
+    months = np.zeros((n_months, n_links), dtype=np.int64)
     for block, keys in zip(blocks, block_keys):
         rows = np.searchsorted(link_keys, keys)
         local = event_link[block].astype(np.int64)
         caller_first = lex_rank[cols.caller[block]] < lex_rank[cols.callee[block]]
         is_call = cols.is_call[block]
-        cell = local * 4 + 2 * is_call + caller_first
-        counts[rows] += np.bincount(cell, minlength=4 * len(keys)).reshape(-1, 4)
+        cell = (2 * is_call + caller_first) * len(keys) + local
+        _add_rows(counts, cell, rows)
         duration = cols.duration[block]
         known = is_call & (duration >= 0)
         cell, duration = rows[local[known]] * 2 + caller_first[known], duration[known]
         np.add.at(high, cell, duration >> 32)
         duration &= 0xFFFFFFFF
         np.add.at(low, cell, duration)
-        cell = local[is_call] * n_months + cols.window.month_index(cols.timestamp[block][is_call])
-        months[rows] += np.bincount(cell, minlength=len(keys) * n_months).reshape(-1, n_months)
+        cell = local[is_call] + len(keys) * cols.window.month_index(cols.timestamp[block][is_call])
+        _add_rows(months, cell, rows)
         event_link[block] = rows[local]
     high, low = high.reshape(n_links, 2), low.reshape(n_links, 2)
     past_int64 = high.sum(axis=1) + (low.sum(axis=1) >> 32) >= 1 << 31
@@ -165,7 +175,7 @@ def build_links(cols: EventColumns) -> LinkGraph:
             f"call durations of link ({cols.users[first]}, {cols.users[second]}) sum past int64"
         )
     duration_from_second, duration_from_first = ((high << 32) + low).T
-    texts_from_second, texts_from_first, calls_from_second, calls_from_first = counts.T
+    texts_from_second, texts_from_first, calls_from_second, calls_from_first = counts
     return LinkGraph(
         cols,
         {user: code for code, user in enumerate(cols.users)},
@@ -178,7 +188,7 @@ def build_links(cols: EventColumns) -> LinkGraph:
         calls_from_first=calls_from_first,
         texts_from_first=texts_from_first,
         duration_from_first=duration_from_first,
-        months=months,
+        months=months.T,
     )
 
 

@@ -32,8 +32,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from linkcdr.cli import _runtime, main
 from linkcdr.io_utils import sha256_file
 
@@ -78,8 +76,7 @@ def runtime() -> dict:
     and the SIMD extensions numpy dispatches to on this machine (its
     ``log1p`` on AVX-512 differs from the C library's in the last bit)."""
     numeric = _runtime()
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    return {"numpy": numeric["numpy"], "blas": numeric["blas"], "simd": simd}
+    return {key: numeric[key] for key in ("numpy", "blas", "simd")}
 
 
 def run_chain(root: Path) -> dict[str, str]:

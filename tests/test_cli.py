@@ -839,6 +839,7 @@ def test_pca_bytes_do_not_depend_on_the_inherited_blas_threads(tmp_path, argv, o
     for name in runs:
         runtime = json.loads((tmp_path / name / "manifest.json").read_text())["runtime"]
         assert runtime["numpy"] == np.__version__
+        assert runtime["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
         assert all(runtime[variable] == "1" for variable in BLAS_THREADS)
 
 

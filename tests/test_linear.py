@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from linkcdr.errors import DatasetError
 from linkcdr.learn.linear import (
+    L1_DAMPING,
     TrainedModel,
+    _curvature,
+    _hessian,
     objective_value,
     select_features,
     smooth_gradient,
@@ -197,6 +200,55 @@ class TestNewtonDifferential:
                     assert value == pytest.approx(ref_value, rel=1e-9)
                     compared += 1
         assert compared >= 3
+
+
+@st.composite
+def hessian_cases(draw):
+    """Rows, labels, margins and a penalty diagonal for one Newton Hessian:
+    n < d or n > d, and margins that make some rows active (margin < 1) or
+    curved, none of them, or all of them; a logistic margin past about 745
+    in size has a curvature that underflows to 0."""
+    kind = draw(st.sampled_from(sorted(TRAINERS)))
+    case = draw(st.sampled_from(["mixed", "none", "all"]))
+    n, d = draw(st.sampled_from([(1, 6), (12, 40), (40, 12), (80, 81), (200, 5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+    y = 2.0 * rng.integers(0, 2, n) - 1.0
+    margins = rng.uniform(-3.0, 3.0, n)
+    if case == "mixed":
+        margins[: n // 3] = 1.0  # the hinge's boundary is not active
+        margins[-1] = 0.0
+    elif kind == "lsvm":
+        margins = 1.0 + np.abs(margins) if case == "none" else 1.0 - np.abs(margins) - 1e-9
+    elif case == "none":
+        margins = np.sign(margins) * rng.uniform(800.0, 5000.0, n)
+    lam = draw(st.sampled_from([L1_DAMPING, *(1.0 / c for c in C_GRID)]))
+    return kind, case, x, y, margins, np.append(np.full(d, lam), 0.0)
+
+
+class TestHessianDifferential:
+    """The solver forms its Hessian from the rows with curvature alone, as a
+    product of one matrix with its own transpose; it must match the dense
+    formula over every row."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(hessian_cases())
+    def test_matches_dense_formula(self, problem):
+        kind, case, x, y, margins, diagonal = problem
+        n = x.shape[0]
+        xa = np.column_stack([x, np.ones(n)])
+        curvature = _curvature(kind, margins)
+        dense = (xa.T * (curvature / n)) @ xa + np.diag(diagonal)
+        if dense[-1, -1] == 0.0:
+            dense[-1, -1] = 1.0
+        hess = _hessian(kind, xa * y[:, None], margins, diagonal)
+        np.testing.assert_array_equal(hess, hess.T)
+        if case == "none":  # only the diagonal and the bias's unit pivot remain
+            assert not curvature.any()
+            np.testing.assert_array_equal(hess, np.diag(np.append(diagonal[:-1], 1.0)))
+        else:
+            assert curvature.any()
+        np.testing.assert_allclose(hess, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 @st.composite
