@@ -41,8 +41,9 @@ def _local_parts(ts: np.ndarray, utc_offset: int) -> tuple[np.ndarray, np.ndarra
     """(local day number, int8 segment index) for an epoch array; the
     segment is ``manifest.SEGMENT_OF_HOUR`` at the local hour of the week."""
     lt = ts + utc_offset
-    hour_of_week = (lt - MONDAY_EPOCH_DAY * SECONDS_PER_DAY) % (7 * SECONDS_PER_DAY) // 3600
-    return lt // SECONDS_PER_DAY, _SEGMENT_OF_HOUR[hour_of_week]
+    hours = (lt - MONDAY_EPOCH_DAY * SECONDS_PER_DAY) // 3600  # since a Monday 00:00
+    hours -= hours // 168 * 168  # the hour of the week
+    return lt // SECONDS_PER_DAY, _SEGMENT_OF_HOUR[hours]
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,13 @@ def _interevent(
     span = int(ts.max()) - t0 + 1
     if n_groups * span >= 2**63:
         raise DatasetError("event times span too long to sort with their pair index")
-    group, ts = np.divmod(np.sort(group * span + (ts - t0)), span)
+    key = np.sort(group * span + (ts - t0))
+    group = key // span
+    ts = key - group * span
     same = group[1:] == group[:-1]
     gap_group = group[1:][same]
-    gaps = np.sort(gap_group * span + np.diff(ts)[same]) % span
+    # gap_group is ascending, so the sorted keys keep its group at each place
+    gaps = np.sort(gap_group * span + np.diff(ts)[same]) - gap_group * span
     count = np.bincount(gap_group, minlength=n_groups)
     owners = np.flatnonzero(count)
     count = count[owners]

@@ -441,7 +441,7 @@ class _Interner:
         new_names = [w.tobytes().rstrip(b"\0").decode("ascii") for w in words[new]]
         # a plain id's slot is 2 * line, one more for a callee; a stable sort
         # keeps the caller of another row before its callee
-        slots = np.concatenate((2 * lines[new // 2] + new % 2, np.repeat(2 * other_lines, 2)))
+        slots = np.concatenate((2 * lines[new // 2] + (new & 1), np.repeat(2 * other_lines, 2)))
         every = new_names + names
         code = self.index.setdefault
         for k in np.argsort(slots, kind="stable").tolist():

@@ -97,57 +97,6 @@ def _loss_terms(kind: str, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     raise DatasetError(f"unknown linear kind {kind!r}")
 
 
-def objective_value(
-    weights: np.ndarray,
-    bias: float,
-    x: np.ndarray,
-    y01: np.ndarray,
-    kind: str,
-    penalty: str,
-    c: float,
-) -> float:
-    """The exact objective the trainers minimize (mean loss + penalty)."""
-    y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-    margins = y * (x @ weights + bias)
-    loss = float(_loss_terms(kind, margins)[0].mean())
-    if penalty == "l2":
-        reg = 0.5 * float(weights @ weights) / c
-    elif penalty == "l1":
-        reg = float(np.abs(weights).sum()) / c
-    else:
-        raise DatasetError(f"unknown penalty {penalty!r}")
-    return loss + reg
-
-
-def smooth_gradient(
-    weights: np.ndarray,
-    bias: float,
-    x: np.ndarray,
-    y01: np.ndarray,
-    kind: str,
-    penalty: str,
-    c: float,
-) -> tuple[np.ndarray, float]:
-    """Gradient of the smooth part (mean loss, plus the l2 term if any)."""
-    y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-    margins = y * (x @ weights + bias)
-    dmargin = _loss_terms(kind, margins)[1] * y / x.shape[0]
-    gw = x.T @ dmargin
-    gb = float(dmargin.sum())
-    if penalty == "l2":
-        gw = gw + weights / c
-    return gw, gb
-
-
-def _curvature(kind: str, margins: np.ndarray) -> np.ndarray:
-    """d2loss/dmargin2; for the squared hinge the generalized one, 2 on the
-    active set margin < 1 and 0 elsewhere."""
-    if kind == KIND_LOGREG:
-        # sigmoid(m) * sigmoid(-m), computed stably
-        return np.exp(-np.logaddexp(0.0, margins) - np.logaddexp(0.0, -margins))
-    return np.where(margins < 1.0, 2.0, 0.0)
-
-
 def _feature_sign(hess: np.ndarray, grad: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
     """Feature-sign search (Lee, Battle, Raina & Ng 2007), from d = 0, for the step
     d minimizing grad.d + d.hess.d / 2 + lam * ||w + d_w||_1 at theta = [w, b]."""
@@ -200,8 +149,9 @@ def _hessian(
         s = signed[margins < 1.0]
         hess = s.T @ s
         hess *= 2.0 / n
-    else:
-        s = signed * np.sqrt(_curvature(kind, margins) / n)[:, None]
+    else:  # the logistic curvature sigmoid(m) * sigmoid(-m), computed stably
+        curvature = np.exp(-np.logaddexp(0.0, margins) - np.logaddexp(0.0, -margins))
+        s = signed * np.sqrt(curvature / n)[:, None]
         hess = s.T @ s
     hess.flat[:: hess.shape[0] + 1] += diagonal  # the diagonal, in place
     if hess[-1, -1] == 0.0:

@@ -24,7 +24,7 @@ def nearest(
             np.fill_diagonal(dists[:, lo:], np.inf)
         # keep every row tied at the m-th distance, then sort what is kept; min spares a copy
         cut = dists.min(axis=1) if m == 1 else np.partition(dists, m - 1, axis=1)[:, m - 1]
-        kept, cols = np.divmod(np.flatnonzero(dists <= cut[:, None]), train_x.shape[0])
+        kept, cols = np.nonzero(dists <= cut[:, None])
         counts = np.bincount(kept, minlength=len(block))
         if (counts < m).any():
             raise DatasetError("non-finite distance: neighbour order undefined")

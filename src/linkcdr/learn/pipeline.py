@@ -81,7 +81,7 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     for cls in np.flatnonzero(np.bincount(y)):
         idx = np.flatnonzero(y == cls)
         shuffled = rng.permutation(idx)
-        folds[shuffled] = np.arange(len(shuffled)) % n_folds
+        folds[shuffled] = np.resize(np.arange(n_folds), len(shuffled))
     return folds
 
 

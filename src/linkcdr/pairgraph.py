@@ -175,13 +175,15 @@ def build_links(cols: EventColumns) -> LinkGraph:
             f"call durations of link ({cols.users[first]}, {cols.users[second]}) sum past int64"
         )
     duration_from_second, duration_from_first = ((high << 32) + low).T
+    first = link_keys // n_users
     texts_from_second, texts_from_first, calls_from_second, calls_from_first = counts
     return LinkGraph(
         cols,
         {user: code for code, user in enumerate(cols.users)},
         lex_rank,
         event_link,
-        *np.divmod(link_keys, max(n_users, 1)),
+        first,
+        link_keys - first * n_users,
         calls=calls_from_first + calls_from_second,
         texts=texts_from_first + texts_from_second,
         duration=duration_from_first + duration_from_second,
@@ -249,7 +251,8 @@ def _shared_alters(
     offset = np.arange(len(slot)) - (np.cumsum(take) - take)[slot]
     alter = ranking.alter[ranking.start[ego][slot] + offset]
     # an alter is listed at most once per ego, so a key seen twice is shared
-    key = np.sort(slot % n_pairs * n_users + alter)
+    pair = slot - slot // n_pairs * n_pairs
+    key = np.sort(pair * n_users + alter)
     return np.bincount(key[1:][key[1:] == key[:-1]] // n_users, minlength=n_pairs)
 
 
@@ -258,13 +261,22 @@ def common_contacts(
 ) -> np.ndarray:
     """(top-5 common alters, all common alters) of each pair among ``links``,
     excluding the pair itself, as an (n, 2) int array; every pair must be one
-    of ``links``."""
+    of ``links``. Only a link that touches a pair's user can rank that user's
+    alters, so only those links are ranked."""
     rows = graph.index(pairs)
-    if links is not None and not np.isin(rows, links).all():
-        first, second = pairs[int(np.argmin(np.isin(rows, links)))]
-        raise DatasetError(f"pair ({first}, {second}) is not one of the ranked links")
+    if links is None:
+        ranked = np.ones(len(graph), dtype=bool)
+    else:
+        ranked = np.zeros(len(graph), dtype=bool)
+        ranked[links] = True
+        if not ranked[rows].all():
+            first, second = pairs[int(np.argmin(ranked[rows]))]
+            raise DatasetError(f"pair ({first}, {second}) is not one of the ranked links")
     a, b = graph.first[rows], graph.second[rows]
-    ranking = alter_ranking(graph, links)
+    pair_user = np.zeros(len(graph.users), dtype=bool)
+    pair_user[a] = pair_user[b] = True
+    ranked &= pair_user[graph.first] | pair_user[graph.second]
+    ranking = alter_ranking(graph, np.flatnonzero(ranked))
     degree = np.diff(ranking.start)
     top = _shared_alters(ranking, a, b, np.minimum(degree, TOP_ALTERS))
     return np.stack([top, _shared_alters(ranking, a, b, degree)], axis=1)

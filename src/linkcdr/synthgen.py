@@ -48,10 +48,11 @@ from .manifest import MAX_UTC_OFFSET, MONDAY_EPOCH_DAY, SECONDS_PER_DAY, SEGMENT
 from .pairgraph import apply_regularity_filter, build_links, mutual_top_rank_pairs
 from .relations import PairKey, demographic_law
 
-# The start (in seconds from Monday 00:00) of every hour of the week,
-# grouped by segment and in time order within each; the seconds of each
-# segment; and where each segment's seconds start in that grouping.
-_HOUR_START = (3600 * np.argsort(SEGMENT_OF_HOUR, kind="stable")).astype(np.int32)
+# Every hour of the week, grouped by segment and in time order within each,
+# as the shift from its start in that grouping to its start in seconds from
+# Monday 00:00; the seconds of each segment; and where each segment's seconds
+# start in that grouping.
+_HOUR_SHIFT = 3600 * (np.argsort(SEGMENT_OF_HOUR, kind="stable") - np.arange(168)).astype(np.int32)
 _SEGMENT_SECONDS = 3600 * np.bincount(SEGMENT_OF_HOUR)
 _SEGMENT_FIRST_SECOND = (np.cumsum(_SEGMENT_SECONDS) - _SEGMENT_SECONDS).astype(np.int32)
 
@@ -321,31 +322,36 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
         [np.zeros(n), np.full(side_user.size, background.unknown_duration_fraction)]
     )
     rates = np.concatenate([pair_rates, pair_rates[side_pair] * background.rate_multiplier])
+    del pair_rates
 
     # events: a Poisson total per (link, channel, segment) cell over all
     # weeks, then a uniform week and a uniform second of the segment each
     week_starts = _week_starts(config.window, config.utc_offset)
     n_weeks = week_starts.size
-    cell = np.repeat(np.arange(rates.size), rng.poisson(rates.ravel() * n_weeks))
+    total = rng.poisson(rates.ravel() * n_weeks).reshape(-1, 12)
+    del rates
     # each event's link and its cell of the link (calls' segments, then texts')
-    link = np.floor_divide(cell, 12, out=np.empty(cell.size, np.int32), casting="unsafe")
-    kind = np.remainder(cell, 12, out=np.empty(cell.size, np.int8), casting="unsafe")
-    del cell
-    seg = kind % 6
+    link = np.repeat(np.arange(len(total), dtype=np.int32), total.sum(axis=1))
+    kind = np.repeat(np.tile(np.arange(12, dtype=np.int8), len(total)), total.ravel())
+    del total
+    # Every remainder is x - (x // d) * d, formed in place: numpy's integer
+    # remainder divides one element at a time, while its floor division by
+    # a scalar multiplies and shifts.
+    seg = kind // 6
+    seg *= 6
+    np.subtract(kind, seg, out=seg)
     draw = rng.integers(0, (_SEGMENT_SECONDS * n_weeks)[seg])
     seg_seconds = _SEGMENT_SECONDS[seg]
     week = draw // seg_seconds
-    draw %= seg_seconds
+    draw -= np.multiply(week, seg_seconds, out=seg_seconds)
     del seg_seconds
-    draw += _SEGMENT_FIRST_SECOND[seg]  # a second of _HOUR_START's hours
+    draw += _SEGMENT_FIRST_SECOND[seg]  # a second of _HOUR_SHIFT's hours
     del seg
     ts = week_starts[week]
     del week
-    hour = np.floor_divide(draw, 3600, out=np.empty(draw.size, np.int16), casting="unsafe")
-    draw %= 3600
-    ts += _HOUR_START[hour]
-    del hour
     ts += draw
+    np.floor_divide(draw, 3600, out=draw)
+    ts += _HOUR_SHIFT[draw]
     del draw
     ts -= config.utc_offset
     inside = (ts >= config.window.start) & (ts < config.window.end)
@@ -370,12 +376,13 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     from_b = np.flatnonzero(is_call & ~a_initiates)
     duration[from_b[rng.random(from_b.size) < unknown_fraction[link[from_b]]]] = -1
     del from_b
-    caller, callee = link_a[link], link_b[link]
+    end_a, callee = link_a[link], link_b[link]
     del link
-    swap = ~a_initiates
+    caller = np.where(a_initiates, end_a, callee)
     del a_initiates
-    caller[swap], callee[swap] = callee[swap], caller[swap]
-    del swap
+    callee ^= end_a  # end_a ^ end_b ^ caller, the end that does not call
+    callee ^= caller
+    del end_a
 
     # (time, caller, callee) order: each column is permuted in turn and the
     # unordered one freed before the next
@@ -392,8 +399,11 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     duration = duration[order]
     del order
     ts = key // n_users
+    ts *= n_users
+    key -= ts  # the caller
+    ts //= n_users
     ts += config.window.start
-    caller = np.remainder(key, n_users, out=key).astype(np.int32)
+    caller = key.astype(np.int32)
     del key
     columns = EventColumns(caller, callee, ts, is_call, duration, users, config.window)
 
@@ -417,7 +427,7 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
 TRUTH_HEADER = "first,second,archetype_code,age_first,gender_first,age_second,gender_second"
 
 
-_KIND_BYTES = np.frombuffer(b"text,call,", dtype=np.uint8).reshape(2, 5)  # by is_call
+_TEXT_WORD, _CALL_WORD = np.frombuffer(b"textcall", dtype=np.uint32)
 
 
 def _digits(out: np.ndarray, keep: np.ndarray, mag: np.ndarray) -> None:
@@ -425,12 +435,16 @@ def _digits(out: np.ndarray, keep: np.ndarray, mag: np.ndarray) -> None:
     (rows, width) byte slots ``out`` and mark the significant ones in
     ``keep``: a place is kept while the value left to write is nonzero, and
     the last place always, so 0 is written as ``0``."""
-    if int(mag.max()) < 1 << 32:  # 32-bit division is several times faster
-        mag = mag.astype(np.uint32)
+    # 32-bit division is several times faster; ``left`` is always a copy
+    left = mag.astype(np.uint32 if int(mag.max()) < 1 << 32 else np.uint64)
+    quot, tens = np.empty_like(left), np.empty_like(left)
     for place in range(out.shape[1] - 1, -1, -1):
-        np.not_equal(mag, 0, out=keep[:, place])
-        mag, digit = np.divmod(mag, 10)
-        np.add(digit, 48, out=out[:, place], casting="unsafe")
+        np.not_equal(left, 0, out=keep[:, place])
+        np.floor_divide(left, 10, out=quot)
+        np.multiply(quot, 10, out=tens)
+        np.subtract(left, tens, out=tens)  # the digit
+        np.add(tens, 48, out=out[:, place], casting="unsafe")
+        left, quot = quot, left
     keep[:, -1] = True
 
 
@@ -439,20 +453,26 @@ def _write_event_rows(out: BinaryIO, cols: EventColumns, block_rows: int = 16384
     ``block_rows`` rows at a time, with no Python object per row.
 
     Each block is one uint8 matrix with a fixed slot per byte a row can
-    have: the caller id (``width`` bytes), ``,``, the callee id, ``,``, a
-    sign slot, the timestamp digits, ``,``, ``call,`` or ``text,``, the
-    duration digits and ``\\n``. A bool matrix of the same shape marks the
-    bytes that are written: id bytes below the id's length, the sign only
+    have, each row a whole number of 8-byte words: the caller id and its
+    comma (``width`` bytes, whole words), the callee id and its comma,
+    unused bytes that put the kind on a 4-byte boundary, a sign slot, the
+    timestamp digits, ``,``, ``call`` or ``text`` (one 4-byte word),
+    ``,``, the duration digits, ``\\n`` and unused bytes to the end of the
+    word. A bool matrix of the same shape marks the bytes that are
+    written: id bytes below the id's length and its comma, the sign only
     for a negative timestamp, each number's significant digits, and no
-    duration digits for an unknown (negative) duration. ``mat[keep]`` read
-    in row order is the block's text. The ids and their byte masks are
-    packed once per file as zero-padded uint64 words and gathered by code."""
+    duration digits for an unknown (negative) duration. ``mat[keep]``
+    read in row order is the block's text. Each block starts from one row
+    of the fixed bytes. The ids with their commas and their byte masks are
+    packed once per file as zero-padded uint64 words and copied by code a
+    word at a time."""
     if not len(cols):
         return
-    encoded = [u.encode("utf-8") for u in cols.users]
-    width = 8 * max(1, (max(map(len, encoded)) + 7) // 8)
+    encoded = [u.encode("utf-8") + b"," for u in cols.users]
+    width = 8 * ((max(map(len, encoded)) + 7) // 8)
+    words = width // 8
     id_bytes = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in encoded), dtype=np.uint64)
-    id_bytes = id_bytes.reshape(len(encoded), width // 8)
+    id_bytes = id_bytes.reshape(len(encoded), words)
     id_len = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     id_mask = (np.arange(width) < id_len[:, None]).view(np.uint64)
     for lo in range(0, len(cols), block_rows):
@@ -462,23 +482,28 @@ def _write_event_rows(out: BinaryIO, cols: EventColumns, block_rows: int = 16384
         ts_mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to 2**63
         dur_mag = np.maximum(dur, 0).astype(np.uint64)
         tw, dw = len(str(int(ts_mag.max()))), len(str(int(dur_mag.max())))
-        t0 = 2 * width + 3  # first timestamp digit
-        k0 = t0 + tw + 1  # kind field
+        t0 = 2 * width + 1 + (-(tw + 2)) % 4  # first timestamp digit
+        k0 = t0 + tw + 1  # kind word
         d0 = k0 + 5  # first duration digit
-        mat = np.empty((len(ts), d0 + dw + 1), dtype=np.uint8)
-        keep = np.ones(mat.shape, dtype=bool)
-        mat[:, :width] = id_bytes[caller].view(np.uint8)
-        keep[:, :width] = id_mask[caller].view(bool)
-        mat[:, width + 1 : 2 * width + 1] = id_bytes[callee].view(np.uint8)
-        keep[:, width + 1 : 2 * width + 1] = id_mask[callee].view(bool)
-        mat[:, [width, 2 * width + 1, t0 + tw]] = ord(",")
-        mat[:, t0 - 1] = ord("-")
+        end = d0 + dw + 1
+        fixed = np.zeros(8 * ((end + 7) // 8), dtype=np.uint8)
+        fixed[[t0 - 1, t0 + tw, k0 + 4, end - 1]] = np.frombuffer(b"-,,\n", dtype=np.uint8)
+        written = np.zeros(fixed.size, dtype=bool)
+        written[t0 - 1 : end] = True
+        mat = np.empty((len(ts), fixed.size), dtype=np.uint8)
+        keep = np.empty(mat.shape, dtype=bool)
+        mat[:] = fixed
+        keep[:] = written
+        mat_words, keep_words = mat.view(np.uint64), keep.view(np.uint64)
+        mat_words[:, :words] = id_bytes[caller]
+        keep_words[:, :words] = id_mask[caller]
+        mat_words[:, words : 2 * words] = id_bytes[callee]
+        keep_words[:, words : 2 * words] = id_mask[callee]
         keep[:, t0 - 1] = ts < 0
         _digits(mat[:, t0 : t0 + tw], keep[:, t0 : t0 + tw], ts_mag)
-        mat[:, k0:d0] = _KIND_BYTES[cols.is_call[block].view(np.uint8)]
-        _digits(mat[:, d0:-1], keep[:, d0:-1], dur_mag)
-        keep[:, d0:-1] &= (dur >= 0)[:, None]
-        mat[:, -1] = ord("\n")
+        mat.view(np.uint32)[:, k0 // 4] = np.where(cols.is_call[block], _CALL_WORD, _TEXT_WORD)
+        _digits(mat[:, d0 : end - 1], keep[:, d0 : end - 1], dur_mag)
+        keep[dur < 0, d0 : end - 1] = False
         out.write(mat[keep])
 
 

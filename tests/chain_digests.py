@@ -2,17 +2,20 @@
 ``tests/data/chain_digests.json``.
 
 The chain is ``generate --verify`` of 300 ``table3-like`` pairs at a fixed
-seed, then ``pairs`` and ``features`` on its output. A copy of its
-``events.csv`` with one malformed line per ``ingest._row`` rejection reason
-(``MALFORMED``) then goes through ``ingest`` and ``pairs``, so the pinned
-diagnostics are not empty. The integer-only files hold only integers, ids
-and fixed text, so their bytes must not move on any numpy, BLAS or
-platform. The last bits of a float-bearing file (``FLOAT_FILES``) may
-follow the numeric runtime (``runtime``), so the digests record the
-runtime they were made under, and ``tests/data/chain_floats.json.xz``
-keeps those files' text: under another runtime a float file counts as
-moved only if a parsed value differs by more than ``TOLERANCE``. The
-tier-1 test ``test_chain_digests.py`` reruns the chain and compares.
+seed, then ``pairs`` and ``features`` on its output, ``pca`` on those
+features and ``train`` of each model kind on them (one seed). A copy of
+the first ``events.csv`` with one malformed line per ``ingest._row``
+rejection reason (``MALFORMED``) then goes through ``ingest`` and
+``pairs``, so the pinned diagnostics are not empty. A second, smaller
+``generate --verify`` pins a nonzero ``--utc-offset``. The integer-only
+files hold only integers, ids and fixed text, so their bytes must not
+move on any numpy, BLAS or platform. The last bits of a float-bearing
+file (``FLOAT_FILES``) may follow the numeric runtime (``runtime``), so
+the digests record the runtime they were made under, and
+``tests/data/chain_floats.json.xz`` keeps those files' text: under another
+runtime a float file counts as moved only if a parsed value differs by
+more than ``TOLERANCE``. The tier-1 test ``test_chain_digests.py`` reruns
+the chain and compares.
 
     PYTHONPATH=src python tests/chain_digests.py --check
 
@@ -28,17 +31,28 @@ from __future__ import annotations
 
 import json
 import lzma
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from linkcdr.cli import _runtime, main
+import linkcdr
+from linkcdr.cli import BLAS_THREADS, _runtime, main
 from linkcdr.io_utils import sha256_file
 
 DIGESTS = Path(__file__).parent / "data" / "chain_digests.json"
 FLOATS = Path(__file__).parent / "data" / "chain_floats.json.xz"
 N_PAIRS, SEED = 300, 5
-FLOAT_FILES = ("features/features.csv",)
+# the second generator configuration: pairs, seed and --utc-offset
+OFFSET_N_PAIRS, OFFSET_SEED, UTC_OFFSET = 100, 6, 19800
+MODELS = ("lsvm", "logreg", "knn")
+FLOAT_FILES = (
+    "features/features.csv",
+    "pca/scree.csv",
+    "pca/loadings.csv",
+    *(f"train_{model}/predictions.csv" for model in MODELS),
+)
 TOLERANCE = 1e-12  # the golden fixture's, absolute and relative
 
 # One line per rejection reason of ``ingest._row``, in its order, and last a
@@ -79,15 +93,32 @@ def runtime() -> dict:
     return {key: numeric[key] for key in ("numpy", "blas", "simd")}
 
 
+def run_pinned(argv: list[str]) -> None:
+    """Run a stage whose floats follow the BLAS thread count (``pca``,
+    ``train``) in a child process, which pins one BLAS thread as the CLI
+    does when no thread variable is set. In this process numpy may have
+    loaded before ``linkcdr.cli`` could pin it."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    src = str(Path(linkcdr.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "linkcdr.cli", *argv], env=env, check=True)
+
+
 def run_chain(root: Path) -> dict[str, str]:
     """Run the chain under ``root``; the sha256 of each pinned file, keyed
     by stage directory and file name."""
     gen, pairs, features = root / "generate", root / "pairs", root / "features"
+    offset = root / f"generate-{UTC_OFFSET}"
     malformed = root / "malformed" / "events.csv"
     subscribers = str(gen / "subscribers.csv")
     assert main([
         "generate", "--preset", "table3-like", "--n-pairs", str(N_PAIRS),
         "--seed", str(SEED), "--verify", "--out", str(gen),
+    ]) == 0
+    assert main([
+        "generate", "--preset", "table3-like", "--n-pairs", str(OFFSET_N_PAIRS),
+        "--seed", str(OFFSET_SEED), "--utc-offset", str(UTC_OFFSET), "--verify",
+        "--out", str(offset),
     ]) == 0
     assert main([
         "pairs", "--events", str(gen / "events.csv"),
@@ -97,6 +128,14 @@ def run_chain(root: Path) -> dict[str, str]:
         "features", "--events", str(gen / "events.csv"),
         "--pairs", str(pairs / "pairs.csv"), "--out", str(features),
     ]) == 0
+    matrix = str(features / "features.csv")
+    run_pinned(["pca", "--features", matrix, "--n-comp", "5", "--out", str(root / "pca")])
+    for model in MODELS:
+        run_pinned([
+            "train", "--features", matrix, "--pairs", str(pairs / "pairs.csv"),
+            "--task", "ogp", "--model", model, "--n-train", "100", "--n-test", "60",
+            "--seed", "1", "--seeds", "1", "--out", str(root / f"train_{model}"),
+        ])
     inject(gen / "events.csv", malformed)
     ingest, pairs_malformed = root / "ingest-malformed", root / "pairs-malformed"
     assert main([
@@ -107,7 +146,11 @@ def run_chain(root: Path) -> dict[str, str]:
         "pairs", "--events", str(malformed), "--subscribers", subscribers,
         "--out", str(pairs_malformed),
     ]) == 0
-    files = [gen / name for name in ("events.csv", "subscribers.csv", "truth.csv")]
+    files = [
+        stage / name
+        for stage in (gen, offset)
+        for name in ("events.csv", "subscribers.csv", "truth.csv")
+    ]
     files += [pairs / name for name in ("pairs.csv", "diagnostics.jsonl")]
     files += [ingest / name for name in ("validation.json", "diagnostics.jsonl")]
     files += [pairs_malformed / name for name in ("pairs.csv", "diagnostics.jsonl")]
@@ -156,6 +199,8 @@ def moved_chain_files(root: Path, digests: dict[str, str]) -> list[str]:
         return moved_files(expected, digests)
     texts = json.loads(lzma.decompress(FLOATS.read_bytes()))
     for name in set(FLOAT_FILES) & set(digests):
+        if digests[name] == expected.get(name):
+            continue
         if same_values(texts[name], (root / name).read_text(encoding="utf-8")):
             expected[name] = digests[name]
     moved = moved_files(expected, digests)

@@ -5,8 +5,10 @@ datetime arithmetic, and math-module moments, so agreement with the package
 is meaningful. The l2 linear-model reference is plain gradient descent on
 numpy arrays and shares no code with the library's solvers; the full-space
 l2 Newton loop is the trainers' loop as it ran before fits with fewer rows
-than features moved to the span of the rows, and holds that path to it. The
-two-Gaussian mixture has a closed-form Bayes error that the 1-NN bounds must
+than features moved to the span of the rows, and holds that path to it;
+``objective_value`` and ``smooth_gradient`` state the trainers' objective
+and its gradient apart from the solver, which computes both from its own
+margin product. The two-Gaussian mixture has a closed-form Bayes error that the 1-NN bounds must
 sandwich; the neighbour order is a full stable argsort of explicit
 differences.
 """
@@ -407,6 +409,32 @@ def _newton_terms(kind: str, margins):
         return loss, dloss, curvature
     gap = np.maximum(0.0, 1.0 - margins)
     return gap**2, -2.0 * gap, np.where(margins < 1.0, 2.0, 0.0)
+
+
+def objective_value(weights, bias: float, x, y01, kind: str, penalty: str, c: float) -> float:
+    """The exact objective the trainers minimize (mean loss + penalty), in
+    the library's loss expressions."""
+    y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
+    loss = float(_newton_terms(kind, y * (x @ weights + bias))[0].mean())
+    if penalty == "l2":
+        reg = 0.5 * float(weights @ weights) / c
+    elif penalty == "l1":
+        reg = float(np.abs(weights).sum()) / c
+    else:
+        raise DatasetError(f"unknown penalty {penalty!r}")
+    return loss + reg
+
+
+def smooth_gradient(weights, bias: float, x, y01, kind: str, penalty: str, c: float):
+    """(w-gradient, b-gradient) of the smooth part of the trainers'
+    objective (mean loss, plus the l2 term if any)."""
+    y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
+    dmargin = _newton_terms(kind, y * (x @ weights + bias))[1] * y / x.shape[0]
+    gw = x.T @ dmargin
+    gb = float(dmargin.sum())
+    if penalty == "l2":
+        gw = gw + weights / c
+    return gw, gb
 
 
 def l2_newton_reference(x, y01, kind: str, c: float, max_iter: int = 1000, tol: float = 1e-6):

@@ -17,13 +17,7 @@ from linkcdr.bayes import bayes_bounds, one_nn_error
 from linkcdr.decompose import assign_factors, loadings, pca, varimax, varimax_criterion
 from linkcdr.features import compute_feature_matrix
 from linkcdr.learn.evaluation import evaluate
-from linkcdr.learn.linear import (
-    objective_value,
-    select_features,
-    smooth_gradient,
-    train_linear_svm,
-    train_logreg,
-)
+from linkcdr.learn.linear import select_features, train_linear_svm, train_logreg
 from linkcdr.learn.pipeline import (
     C_GRID,
     LabeledDataset,
@@ -43,8 +37,10 @@ from oracles import (
     gaussian_bayes_error,
     moment_stats,
     mutual_pairs_brute,
+    objective_value,
     rank_alters_brute,
     recount_links,
+    smooth_gradient,
 )
 
 

@@ -52,7 +52,7 @@ def test_a_float_file_under_another_runtime_is_compared_by_value(tmp_path, monke
     tolerance passes; past it, ``--check`` lists it as it lists an integer
     file, and names both runtimes."""
     recorded = json.loads(chain_digests.DIGESTS.read_text())
-    (name,) = chain_digests.FLOAT_FILES
+    name = "features/features.csv"
     texts = json.loads(lzma.decompress(chain_digests.FLOATS.read_bytes()))
     header, first, *rest = texts[name].splitlines(keepends=True)
     fields = first.split(",")

@@ -3,6 +3,7 @@ frozen golden fixture."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -839,6 +840,37 @@ class TestRowBlocks:
         n = 8192
         small, large = overhead(n), overhead(2 * n)
         assert large - small <= 12 * n, (small, large)
+
+    @pytest.mark.parametrize("every_link", [False, True])
+    def test_common_contacts_do_not_grow_with_far_links(self, default_window, every_link):
+        """``common_contacts``' traced peak above its output for 64 pairs, in a
+        graph with 8,192 and with 16,384 more links of one event each among
+        200 users of no pair, over every link (``links`` None, or every row
+        given). Only the links that touch a pair's user are ranked, so each
+        further link may add at most 10 bytes. It reads 8.0:
+        ``LinkGraph.index`` holds one int64 per link. Ranking every link
+        reads 112 (rows given) and 120."""
+        pairs = [PairKey.of(f"a{i}", f"b{i}") for i in range(64)]
+        planted = many_pair_events(default_window, 64, 34, 16)
+        far = list(itertools.combinations([f"c{i:03d}" for i in range(200)], 2))
+
+        def overhead(n_extra: int) -> int:
+            extra = [ev(a, b, default_window.start + i) for i, (a, b) in enumerate(far[:n_extra])]
+            graph = build_links(columns(sorted(planted + extra, key=lambda e: e.timestamp)))
+            links = np.arange(len(graph)) if every_link else None
+            common_contacts(graph, pairs[:20], links)  # warm caches
+            tracemalloc.start()
+            try:
+                common = common_contacts(graph, pairs, links)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert common.shape == (len(pairs), 2)
+            return peak - kept
+
+        n = 8192
+        small, large = overhead(n), overhead(2 * n)
+        assert large - small <= 10 * n, (small, large)
 
 
 # A month-aligned window that ends mid-week, and one that starts on a

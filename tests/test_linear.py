@@ -17,22 +17,22 @@ from linkcdr.errors import DatasetError
 from linkcdr.learn.linear import (
     L1_DAMPING,
     TrainedModel,
-    _curvature,
     _hessian,
-    objective_value,
     select_features,
-    smooth_gradient,
     train_linear_svm,
     train_logreg,
     train_path,
 )
 from linkcdr.learn.pipeline import C_GRID
 from oracles import (
+    _newton_terms,
     l1_kkt_residual,
     l1_linear_reference,
     l2_linear_objective,
     l2_linear_reference,
     l2_newton_reference,
+    objective_value,
+    smooth_gradient,
 )
 
 TRAINERS = {"logreg": train_logreg, "lsvm": train_linear_svm}
@@ -237,7 +237,7 @@ class TestHessianDifferential:
         kind, case, x, y, margins, diagonal = problem
         n = x.shape[0]
         xa = np.column_stack([x, np.ones(n)])
-        curvature = _curvature(kind, margins)
+        curvature = _newton_terms(kind, margins)[2]
         dense = (xa.T * (curvature / n)) @ xa + np.diag(diagonal)
         if dense[-1, -1] == 0.0:
             dense[-1, -1] = 1.0

@@ -514,9 +514,25 @@ class TestEventWrite:
     def test_matches_reference_bytes(self, cols, data):
         edges = {1, 2} | {max(1, len(cols) + d) for d in (-1, 0, 1)}
         block_rows = data.draw(st.sampled_from(sorted(edges)))
+        names = ("caller", "callee", "timestamp", "is_call", "duration")
+        before = {name: getattr(cols, name).copy() for name in names}
         out = io.BytesIO()
         _write_event_rows(out, cols, block_rows)
         assert out.getvalue() == event_rows_reference(cols)
+        for name, column in before.items():  # the writer reads its columns only
+            np.testing.assert_array_equal(getattr(cols, name), column)
+
+    @pytest.mark.parametrize("top", [9, 2**32 - 1, 2**32, 2**64 - 1])  # uint32 and uint64 paths
+    def test_digits_leave_the_magnitudes_unchanged(self, top):
+        mag = np.array([0, 7, 10, 99, top], dtype=np.uint64)
+        copy = mag.copy()
+        out = np.zeros((len(mag), len(str(int(mag.max())))), dtype=np.uint8)
+        keep = np.zeros(out.shape, dtype=bool)
+        synthgen._digits(out, keep, mag)
+        np.testing.assert_array_equal(mag, copy)
+        assert [row[k].tobytes().decode() for row, k in zip(out, keep)] == list(
+            map(str, copy.tolist())
+        )
 
     def test_events_csv_is_header_plus_rows(self, tmp_path):
         dataset = generate(small_config(n_pairs=20))
