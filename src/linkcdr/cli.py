@@ -84,17 +84,28 @@ one_nn_error_loo = _on_call("bayes", "one_nn_error_loo")
 PRESET_NAMES = ("planted-factors", "table3-like")
 # Flags naming a file a stage reads; manifest.json records each under
 # ``inputs`` and every other flag but these under ``config``.
-INPUT_FLAGS = ("config", "events", "subscribers", "features", "pairs", "predictions")
+INPUT_FLAGS = ("events", "subscribers", "features", "pairs", "predictions")
 NOT_CONFIG = {"out", "handler", "command", "reports", *INPUT_FLAGS}
 
 
 def _window_from_args(args: argparse.Namespace) -> ObservationWindow:
-    from .ingest import ObservationWindow, window_from_texts
+    """The window between the ``epoch_seconds`` texts of ``--window-start``
+    and ``--window-end``, the default window when neither is given. Only
+    one of them, an unparseable text or start >= end is a ConfigError."""
+    from .ingest import ObservationWindow, epoch_seconds
 
-    window = window_from_texts(
-        args.window_start, args.window_end, "--window-start", "--window-end"
-    )
-    return window or ObservationWindow.default()
+    start, end = args.window_start, args.window_end
+    if start is None and end is None:
+        return ObservationWindow.default()
+    if start is None or end is None:
+        raise ConfigError("--window-start and --window-end must be given together")
+    first, last = epoch_seconds(start, "--window-start"), epoch_seconds(end, "--window-end")
+    if first >= last:
+        raise ConfigError(
+            f"empty observation window: --window-start {start!r} is not before "
+            f"--window-end {end!r}"
+        )
+    return ObservationWindow(first, last)
 
 
 def _check_min_months(min_months: int, window: ObservationWindow) -> None:
@@ -130,17 +141,14 @@ def _write_diagnostics(path: str, diagnostics) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, record: RunManifest) -> int:
-    from .presets import PRESETS, load_generator_config
+    from .presets import PRESETS
 
-    if args.config:
-        config = load_generator_config(args.config)
-    else:
-        if args.n_pairs is None:
-            raise ConfigError("--n-pairs is required without --config")
-        window = _window_from_args(args)
-        config = PRESETS[args.preset](args.n_pairs, args.seed, window)
-        if args.utc_offset:
-            config = replace(config, utc_offset=args.utc_offset)
+    if args.n_pairs <= 0:
+        raise ConfigError(f"--n-pairs {args.n_pairs} must be positive")
+    _check_seed(args.seed)
+    _check_utc_offset(args.utc_offset)
+    config = PRESETS[args.preset](args.n_pairs, args.seed, _window_from_args(args))
+    config = replace(config, utc_offset=args.utc_offset)
     if args.verify:
         _check_min_months(args.min_months, config.window)
     record.seeds = [config.seed]
@@ -591,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic CDR dataset")
     p.add_argument("--preset", default="table3-like", choices=PRESET_NAMES)
-    p.add_argument("--config", help="flat key-value config file (overrides the flags)")
-    p.add_argument("--n-pairs", type=int)
+    p.add_argument("--n-pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--utc-offset", type=int, default=0)
     p.add_argument("--min-months", type=int, default=5)

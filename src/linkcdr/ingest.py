@@ -97,7 +97,7 @@ def _month_start_epochs(start: int, end: int) -> tuple[int, ...]:
 def epoch_seconds(text: str, source: str = "time") -> int:
     """Epoch seconds of an integer or an ISO date or date-time; a naive date
     or time means UTC, an aware one (``Z``, ``+02:00``) keeps its offset.
-    Other text is a ConfigError naming ``source``, the flag or key it came from."""
+    Other text is a ConfigError naming ``source``, the flag it came from."""
     try:
         return int(text)
     except ValueError:
@@ -109,24 +109,6 @@ def epoch_seconds(text: str, source: str = "time") -> int:
             f"{source}: {text!r} is neither epoch seconds nor an ISO date or date-time"
         ) from None
     return int((dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp())
-
-
-def window_from_texts(
-    start: str | None, end: str | None, start_name: str, end_name: str
-) -> ObservationWindow | None:
-    """The window between two ``epoch_seconds`` texts given by the flags or
-    keys ``start_name`` and ``end_name``; None when neither is given. Only
-    one text, an unparseable text or start >= end is a ConfigError."""
-    if start is None and end is None:
-        return None
-    if start is None or end is None:
-        raise ConfigError(f"{start_name} and {end_name} must be given together")
-    first, last = epoch_seconds(start, start_name), epoch_seconds(end, end_name)
-    if first >= last:
-        raise ConfigError(
-            f"empty observation window: {start_name} {start!r} is not before {end_name} {end!r}"
-        )
-    return ObservationWindow(first, last)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import ConfigError
-from .ingest import ObservationWindow, window_from_texts
+from .ingest import ObservationWindow
 from .synthgen import ArchetypeConfig, BackgroundConfig, FactorGroup, GeneratorConfig
 
 # segment order: wd-day, wd-eve, wd-late, we-day, we-eve, we-late
@@ -184,73 +183,3 @@ PRESETS = {
     "planted-factors": planted_factors,
 }
 
-
-# The --config keys that override a preset's scalar knobs, with their types;
-# a ``background.`` key overrides a field of the preset's BackgroundConfig.
-OVERRIDES = {
-    "utc_offset": int,
-    "pair_activity_sigma": float,
-    "duration_jitter_sigma": float,
-    "background.side_links": int,
-    "background.rate_multiplier": float,
-    "background.pool_size": int,
-    "background.unknown_duration_fraction": float,
-}
-
-
-def load_generator_config(path: str) -> GeneratorConfig:
-    """Build a GeneratorConfig from a flat key-value text file.
-
-    Lines are ``key = value``; ``#`` starts a comment. ``preset``,
-    ``n_pairs``, and ``seed`` are required; ``window_start`` and
-    ``window_end`` set the window, and the keys of ``OVERRIDES`` override
-    the preset's scalar knobs.
-    """
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-
-    known = {"preset", "n_pairs", "seed", "window_start", "window_end", *OVERRIDES}
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
-    for required in ("preset", "n_pairs", "seed"):
-        if required not in values:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-    builder = PRESETS.get(values["preset"])
-    if builder is None:
-        raise ConfigError(f"{path}: unknown preset {values['preset']!r}")
-
-    window = window_from_texts(
-        values.get("window_start"),
-        values.get("window_end"),
-        f"{path}:window_start",
-        f"{path}:window_end",
-    )
-
-    def number(key: str, cast: type = int):
-        try:
-            return cast(values[key])
-        except ValueError:
-            kind = "an integer" if cast is int else "a number"
-            raise ConfigError(f"{path}:{key}: {values[key]!r} is not {kind}") from None
-
-    config = builder(number("n_pairs"), number("seed"), window)
-
-    scalar, background_overrides = {}, {}
-    for key, cast in OVERRIDES.items():
-        if key in values:
-            owner, _, name = key.rpartition(".")
-            (background_overrides if owner else scalar)[name] = number(key, cast)
-    if background_overrides:
-        scalar["background"] = replace(config.background, **background_overrides)
-    if scalar:
-        config = replace(config, **scalar)
-    return config

@@ -151,7 +151,10 @@ class GeneratorConfig:
                 f"{background.pool_for(self.n_pairs)} users"
             )
         if not 0.0 <= background.unknown_duration_fraction <= 1.0:
-            raise ConfigError("unknown_duration_fraction outside [0, 1]")
+            raise ConfigError(
+                f"background.unknown_duration_fraction "
+                f"{background.unknown_duration_fraction} must lie in [0, 1]"
+            )
         for key, scale in (
             ("pair_activity_sigma", self.pair_activity_sigma),
             ("duration_jitter_sigma", self.duration_jitter_sigma),

@@ -7,7 +7,9 @@ features and ``train`` of each model kind on them (one seed). A copy of
 the first ``events.csv`` with one malformed line per ``ingest._row``
 rejection reason (``MALFORMED``) then goes through ``ingest`` and
 ``pairs``, so the pinned diagnostics are not empty. A second, smaller
-``generate --verify`` pins a nonzero ``--utc-offset``. The integer-only
+``generate --verify`` pins a nonzero ``--utc-offset``. The reports are
+pinned too: ``bayes-bounds --loo`` on the features, ``evaluate`` of the
+lsvm predictions, and ``report`` of those two. The integer-only
 files hold only integers, ids and fixed text, so their bytes must not
 move on any numpy, BLAS or platform. The last bits of a float-bearing
 file (``FLOAT_FILES``) may follow the numeric runtime (``runtime``), so
@@ -52,6 +54,11 @@ FLOAT_FILES = (
     "pca/scree.csv",
     "pca/loadings.csv",
     *(f"train_{model}/predictions.csv" for model in MODELS),
+    "train_lsvm/model.json",
+    "bayes-bounds/bounds.json",
+    "evaluate/report.json",
+    "report/summary.txt",
+    "report/histograms.csv",
 )
 TOLERANCE = 1e-12  # the golden fixture's, absolute and relative
 
@@ -136,6 +143,18 @@ def run_chain(root: Path) -> dict[str, str]:
             "--task", "ogp", "--model", model, "--n-train", "100", "--n-test", "60",
             "--seed", "1", "--seeds", "1", "--out", str(root / f"train_{model}"),
         ])
+    run_pinned([
+        "bayes-bounds", "--features", matrix, "--pairs", str(pairs / "pairs.csv"),
+        "--task", "ogp", "--loo", "--out", str(root / "bayes-bounds"),
+    ])
+    assert main([
+        "evaluate", "--predictions", str(root / "train_lsvm" / "predictions.csv"),
+        "--pairs", str(pairs / "pairs.csv"), "--task", "ogp", "--out", str(root / "evaluate"),
+    ]) == 0
+    assert main([
+        "report", "--reports", str(root / "evaluate" / "report.json"),
+        str(root / "bayes-bounds" / "bounds.json"), "--out", str(root / "report"),
+    ]) == 0
     inject(gen / "events.csv", malformed)
     ingest, pairs_malformed = root / "ingest-malformed", root / "pairs-malformed"
     assert main([
@@ -168,8 +187,36 @@ def moved_files(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     ]
 
 
+def _close(want: float, got: float) -> bool:
+    return want == got or (want != want and got != got) or (
+        abs(got - want) <= TOLERANCE * (1 + abs(want))
+    )
+
+
+def _same_json(want, got) -> bool:
+    """Whether two parsed JSON values are equal, numbers within ``TOLERANCE``."""
+    if isinstance(want, dict):
+        return (
+            isinstance(got, dict)
+            and want.keys() == got.keys()
+            and all(_same_json(want[key], got[key]) for key in want)
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(want) == len(got) and all(map(_same_json, want, got))
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (want, got)]
+    if all(numbers):
+        return _close(want, got)
+    return not any(numbers) and want == got
+
+
 def same_values(recorded: str, actual: str) -> bool:
-    """Whether two CSV texts hold the same fields, numbers within ``TOLERANCE``."""
+    """Whether two texts hold the same values, numbers within ``TOLERANCE``:
+    a JSON object by value, any other text as comma-separated fields."""
+    if recorded.startswith("{"):
+        try:
+            return _same_json(json.loads(recorded), json.loads(actual))
+        except ValueError:
+            return False
     rows = [text.splitlines() for text in (recorded, actual)]
     if len(rows[0]) != len(rows[1]):
         return False
@@ -183,7 +230,7 @@ def same_values(recorded: str, actual: str) -> bool:
                     want_value, got_value = float(want), float(got)
                 except ValueError:
                     return False
-                if not abs(got_value - want_value) <= TOLERANCE * (1 + abs(want_value)):
+                if not _close(want_value, got_value):
                     return False
     return True
 

@@ -46,6 +46,19 @@ def test_same_values_compares_numbers_at_the_tolerance():
     assert not same_values(recorded, recorded + "a,b,0.1,2.5\n")
 
 
+def test_same_values_compares_json_by_value():
+    recorded = '{"a": 0.1, "b": [1, "x", null, true], "c": NaN}\n'
+    assert same_values(recorded, recorded)
+    assert same_values(recorded, '{"c": NaN, "b": [1, "x", null, true], "a": 0.10000000000001}')
+    assert not same_values(recorded, '{"a": 0.10000000001, "b": [1, "x", null, true], "c": NaN}')
+    assert not same_values(recorded, '{"a": 0.1, "b": [1, "y", null, true], "c": NaN}')
+    assert not same_values(recorded, '{"a": 0.1, "b": [1, "x", null, 1], "c": NaN}')
+    assert not same_values(recorded, '{"a": 0.1, "b": [1, "x", null], "c": NaN}')
+    assert not same_values(recorded, '{"a": 0.1, "b": [1, "x", null, true], "c": 0.0}')
+    assert not same_values(recorded, '{"a": 0.1, "b": [1, "x", null, true]}')
+    assert not same_values(recorded, "a,b,c\n")
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e-6])
 def test_a_float_file_under_another_runtime_is_compared_by_value(tmp_path, monkeypatch, shift):
     """Under another runtime a float file whose bytes moved within the

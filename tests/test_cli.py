@@ -64,6 +64,26 @@ class TestGenerateStage:
         verify = json.loads((pipeline_dirs["gen"] / "verify.json").read_text())
         assert verify["ok"] and verify["recovered_fraction"] >= 0.99
 
+    def test_manifest_config_reruns_the_stage(self, tmp_path):
+        """The flags a manifest records under ``config`` run the stage again:
+        the rerun writes the bytes the first manifest records."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([
+            "generate", "--verify", "--n-pairs", "30", "--seed", "4", "--utc-offset", "19800",
+            "--out", str(first),
+        ]) == 0
+        recorded = json.loads((first / "manifest.json").read_text())
+        argv = [recorded["subcommand"]]
+        for key, value in recorded["config"].items():
+            if value is not None and value is not False:
+                argv.append("--" + key.replace("_", "-"))
+                argv += [] if value is True else [str(value)]
+        assert main([*argv, "--out", str(second)]) == 0
+        outputs = recorded["outputs"]
+        assert set(outputs) == {path.name for path in second.iterdir()} - {"manifest.json"}
+        for name, entry in outputs.items():
+            assert sha256_file(str(second / name)) == entry["sha256"], name
+
 
 class TestPairsStage:
     def test_regularity_postcondition(self, pipeline_dirs):
@@ -230,6 +250,42 @@ class TestExitCodes:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--n-pairs", "20", "--config", "gen.cfg"], []], ids=["config", "no-n-pairs"]
+    )
+    def test_generate_takes_its_settings_from_its_flags(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", *argv, "--out", str(tmp_path / "g")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments: --config" if argv else "--n-pairs") in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-pairs", "abc", "invalid int value: 'abc'"),
+            ("--seed", "1.5", "invalid int value: '1.5'"),
+            ("--utc-offset", "east", "invalid int value: 'east'"),
+            ("--preset", "bogus", "invalid choice: 'bogus'"),
+        ],
+    )
+    def test_generate_unparseable_flag_exits_two(self, tmp_path, capsys, flag, value, message):
+        argv = {"--n-pairs": "20", flag: value}
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", *(t for item in argv.items() for t in item),
+                  "--out", str(tmp_path / "g")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("n_pairs", ["0", "-1"])
+    def test_generate_nonpositive_pairs_exits_two(self, tmp_path, capsys, n_pairs):
+        out = tmp_path / "g"
+        assert main(["generate", "--n-pairs", n_pairs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --n-pairs {n_pairs} must be positive\n"
+        assert not out.exists()
+
     def test_missing_file_is_fatal(self, tmp_path):
         assert main([
             "pairs", "--events", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"),
@@ -354,35 +410,6 @@ class TestExitCodes:
             f"{FEATURE_NAMES[3]} = {float(value)}"
         )
         assert not out.exists() or os.listdir(out) == []
-
-    def test_generate_config_with_oversized_side_links_exits_two(self, tmp_path):
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text(
-            "preset = table3-like\nn_pairs = 400\nseed = 1\n"
-            "background.side_links = 40\nbackground.pool_size = 32\n"
-        )
-        code = main(["generate", "--config", str(config_path), "--out", str(tmp_path / "g")])
-        assert code == 2
-        assert not (tmp_path / "g" / "events.csv").exists()
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            (key, value)
-            for key in (
-                "pair_activity_sigma", "duration_jitter_sigma", "background.rate_multiplier"
-            )
-            for value in ("nan", "inf", "-0.5")
-        ]
-        + [("seed", "-1"), ("utc_offset", "90000"), ("utc_offset", "-50401")],
-    )
-    def test_generate_config_with_bad_scale_exits_two(self, tmp_path, capsys, key, value):
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text(f"preset = table3-like\nn_pairs = 50\nseed = 1\n{key} = {value}\n")
-        code = main(["generate", "--config", str(config_path), "--out", str(tmp_path / "g")])
-        assert code == 2
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
 
     def test_ingest_validation_failure_exits_two(self, tmp_path):
         events = tmp_path / "events.csv"
@@ -523,8 +550,7 @@ class TestFlagRanges:
         n_test = [] if stage == "generate" else ["--n-test", "60"]
         out = tmp_path / "o"
         assert main([*argv, *n_test, "--seed", "-1", "--out", str(out)]) == 2
-        flag = "seed" if stage == "generate" else "--seed"  # generate checks its config
-        assert capsys.readouterr().err == f"error: {flag} -1 must be non-negative\n"
+        assert capsys.readouterr().err == "error: --seed -1 must be non-negative\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("offset", ["90000", "-50401", "10000000000000000000"])
@@ -539,8 +565,9 @@ class TestFlagRanges:
         }[stage]
         out = tmp_path / "o"
         assert main([*argv, "--utc-offset", offset, "--out", str(out)]) == 2
-        flag = "utc_offset" if stage == "generate" else "--utc-offset"
-        assert capsys.readouterr().err == f"error: {flag} {offset} must lie in -50400..50400\n"
+        assert capsys.readouterr().err == (
+            f"error: --utc-offset {offset} must lie in -50400..50400\n"
+        )
         assert not out.exists()
 
 
@@ -579,29 +606,6 @@ class TestWindowFlags:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("n_pairs = abc", "n_pairs: 'abc' is not an integer"),
-            ("background.pool_size = x", "background.pool_size: 'x' is not an integer"),
-            ("pair_activity_sigma = wide", "pair_activity_sigma: 'wide' is not a number"),
-            ("window_start = garbage", "window_start: 'garbage' is neither epoch seconds"),
-        ],
-    )
-    def test_unparseable_config_value_exits_two_and_writes_nothing(
-        self, tmp_path, capsys, line, message
-    ):
-        values = {"preset": "table3-like", "n_pairs": "20", "seed": "1",
-                  "window_start": "2007-01-01", "window_end": "2007-08-01"}
-        key, _, value = line.partition(" = ")
-        values[key] = value
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        out = tmp_path / "g"
-        assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {config_path}:{message}")
-        assert not out.exists()
-
     @pytest.mark.parametrize("start, end", EMPTY_WINDOWS)
     @pytest.mark.parametrize("stage", ["generate", "pairs"])
     def test_empty_window_exits_two_and_writes_nothing(
@@ -618,18 +622,17 @@ class TestWindowFlags:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("start, end", EMPTY_WINDOWS)
-    def test_empty_config_window_exits_two_and_writes_nothing(self, tmp_path, capsys, start, end):
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text(
-            f"preset = table3-like\nn_pairs = 20\nseed = 1\n"
-            f"window_start = {start}\nwindow_end = {end}\n"
-        )
-        out = tmp_path / "g"
-        assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 2
+    @pytest.mark.parametrize("stage", ["generate", "pairs"])
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+    def test_one_window_flag_exits_two_and_writes_nothing(
+        self, pipeline_dirs, tmp_path, capsys, stage, flag
+    ):
+        events = ["--events", str(pipeline_dirs["gen"] / "events.csv")]
+        argv = {"generate": ["generate", "--n-pairs", "20"], "pairs": ["pairs", *events]}[stage]
+        out = tmp_path / "o"
+        assert main([*argv, flag, "2007-01-01", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: empty observation window: {config_path}:window_start {start!r} "
-            f"is not before {config_path}:window_end {end!r}\n"
+            "error: --window-start and --window-end must be given together\n"
         )
         assert not out.exists()
 
@@ -1022,7 +1025,7 @@ def stage_argv(name: str, dirs: dict, train) -> list[str]:
     }[name]
 
 
-INPUT_FLAGS = ("config", "events", "subscribers", "features", "pairs", "predictions")
+INPUT_FLAGS = ("events", "subscribers", "features", "pairs", "predictions")
 STAGES = ("generate", "ingest", "pairs", "features", "pca", "train", "evaluate",
           "bayes-bounds", "experiment", "report")
 

@@ -1,12 +1,15 @@
-"""The README's library example runs as written, and its bracket list is
-the one ``relations`` labels by."""
+"""The README's library example runs as written, its shell commands parse,
+and its bracket list is the one ``relations`` labels by."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
-from linkcdr.cli import main
+import pytest
+
+from linkcdr.cli import build_parser, main
 from linkcdr.relations import BRACKETS
 
 README = Path(__file__).parent.parent / "README.md"
@@ -39,3 +42,28 @@ def test_bracket_list_matches_relations():
     listed = re.findall(r"`([^`]+)` (\d+)–(\d+)", " ".join(match.group(1).split()))
     assert [(code, int(lo), int(hi)) for code, lo, hi in listed] == list(BRACKETS)
     assert match.group(1).count("`") == 2 * len(BRACKETS)
+
+
+def shell_commands() -> list[str]:
+    """Every ``linkcdr`` command the README shows: each line of a bash block,
+    its ``\\`` continuation lines joined, and each inline code span."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```bash\n(.*?)\n```", text, re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("linkcdr ")] + re.findall(
+        r"`(linkcdr [^`]*)`", text
+    )
+
+
+def test_shell_commands_parse():
+    parser = build_parser()
+    stages = set()
+    for command in shell_commands():
+        argv = shlex.split(command, comments=True)[1:]
+        try:
+            stages.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"the README's command does not parse: {command}")
+    quick_start = {"generate", "pairs", "features", "pca", "train", "bayes-bounds",
+                   "experiment", "report"}
+    assert quick_start <= stages

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import math
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,6 +350,58 @@ class TestBackgroundValidation:
         assert len(dataset.columns.users) == 2 * 10 + 3
 
 
+class TestScaleValidation:
+    """``validate`` names the key of a scale that is not finite and
+    nonnegative, and of an unknown-duration fraction outside [0, 1]."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize(
+        "key", ["pair_activity_sigma", "duration_jitter_sigma", "background.rate_multiplier"]
+    )
+    def test_scale_rejected(self, key, value):
+        config = small_config()
+        owner, _, name = key.rpartition(".")
+        if owner:
+            config = replace(config, background=replace(config.background, **{name: value}))
+        else:
+            config = replace(config, **{name: value})
+        message = f"{key} {value} must be finite and nonnegative"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config.validate()
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    def test_unknown_duration_fraction_rejected(self, value):
+        background = replace(small_config().background, unknown_duration_fraction=value)
+        message = f"background.unknown_duration_fraction {value} must lie in [0, 1]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_config(background=background).validate()
+
+
+class TestRunValidation:
+    """``validate`` names the key of a pair count, seed or UTC offset out of
+    range; ``generate`` checks its flags first, so only library callers
+    reach these."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_pairs", 0, "n_pairs must be positive"),
+            ("n_pairs", -3, "n_pairs must be positive"),
+            ("seed", -1, "seed -1 must be non-negative"),
+            ("utc_offset", 50401, "utc_offset 50401 must lie in -50400..50400"),
+            ("utc_offset", -50401, "utc_offset -50401 must lie in -50400..50400"),
+        ],
+    )
+    def test_rejected(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_config(**{key: value}).validate()
+
+    def test_bounds_accepted(self):
+        small_config(n_pairs=1, seed=0).validate()
+        for utc_offset in (-50400, 50400):
+            small_config(utc_offset=utc_offset).validate()
+
+
 class TestSlotMapping:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
@@ -591,79 +645,3 @@ class TestPresets:
         assert len(groups) == 5
         assert sum(len(v) for v in groups.values()) == 60
 
-
-class TestGeneratorConfigFile:
-    def test_round_trip_matches_flag_invocation(self, tmp_path):
-        from linkcdr.presets import load_generator_config
-
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text(
-            "# generator settings\n"
-            "preset = table3-like\n"
-            "n_pairs = 150\n"
-            "seed = 5\n"
-            "background.side_links = 1\n"
-            "background.rate_multiplier = 0.03\n"
-            "pair_activity_sigma = 0.4\n"
-        )
-        config = load_generator_config(str(config_path))
-        assert config.n_pairs == 150
-        assert config.seed == 5
-        assert config.background.side_links == 1
-        assert config.background.rate_multiplier == 0.03
-        assert config.pair_activity_sigma == 0.4
-        # untouched knobs keep the preset values
-        assert config.duration_jitter_sigma == 0.3
-        generate(config)  # builds without error
-
-    def test_unknown_key_rejected(self, tmp_path):
-        from linkcdr.presets import load_generator_config
-
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text("preset = table3-like\nn_pairs = 10\nseed = 1\nbogus = 3\n")
-        with pytest.raises(ConfigError, match="bogus"):
-            load_generator_config(str(config_path))
-
-    def test_missing_required_key(self, tmp_path):
-        from linkcdr.presets import load_generator_config
-
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text("preset = table3-like\nseed = 1\n")
-        with pytest.raises(ConfigError, match="n_pairs"):
-            load_generator_config(str(config_path))
-
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("n_pairs", "abc", "is not an integer"),
-            ("seed", "1.5", "is not an integer"),
-            ("utc_offset", "east", "is not an integer"),
-            ("duration_jitter_sigma", "", "is not a number"),
-            ("background.side_links", "two", "is not an integer"),
-            ("background.rate_multiplier", "fast", "is not a number"),
-            ("background.pool_size", "x", "is not an integer"),
-            ("background.unknown_duration_fraction", "1/2", "is not a number"),
-            ("window_end", "2007-13-01", "is neither epoch seconds nor an ISO date"),
-        ],
-    )
-    def test_unparseable_value_names_path_key_and_text(self, tmp_path, key, value, message):
-        from linkcdr.presets import load_generator_config
-
-        values = {"preset": "planted-factors", "n_pairs": "20", "seed": "2",
-                  "window_start": "2007-01-01", "window_end": "2007-04-01", key: value}
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        with pytest.raises(ConfigError) as excinfo:
-            load_generator_config(str(config_path))
-        assert str(excinfo.value).startswith(f"{config_path}:{key}: {value!r} {message}")
-
-    def test_window_override(self, tmp_path):
-        from linkcdr.presets import load_generator_config
-
-        config_path = tmp_path / "gen.cfg"
-        config_path.write_text(
-            "preset = planted-factors\nn_pairs = 20\nseed = 2\n"
-            "window_start = 2007-01-01\nwindow_end = 2007-04-01\n"
-        )
-        config = load_generator_config(str(config_path))
-        assert config.window.n_months == 3
