@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,7 @@ def _unplain_rows(ts: str) -> list[st.SearchStrategy[bytes]]:
     numbers = [f" {ts}", f"+{ts}", f"{ts[:3]}_{ts[3:]}", f"000{ts}", "٠" + ts, "١٧",
                f"{ts[:-1]}:", str(2**64 + int(ts))]  # ':' follows '9'; 2**64 wraps an int64
     durations = ["+5", " 5", "1_0", "007", "٣", "9" * 18, "9" * 19, str(2**63 - 1), str(2**63)]
-    ids = ["abcdefghi", "u" * 64, "v" * 65, "a b", "a\tb", "a\0b", "é", "ü" * 40]
+    ids = ["abcdefghi", "u" * 64, "v" * 65, "a b", "a\tb", "a\0b", "a\x7fb", "a ", "é", "ü" * 40]
     return [
         st.sampled_from(numbers).map(lambda t: f"a,b,{t},call,5".encode()),
         st.sampled_from(numbers).map(lambda d: f"a,b,{ts},call,{d.strip()}".encode()),
@@ -233,14 +234,16 @@ def _unplain_rows(ts: str) -> list[st.SearchStrategy[bytes]]:
 def _events_file(draw) -> bytes:
     """Valid rows (repeated users, unknown call durations), blank lines, one
     row per rejection reason and rows outside the plain subset, shuffled,
-    with one line ending."""
+    each line with its own ending, some of them runs (``\\r\\r\\n``, ``\\n\\r``)
+    that a line-ending scan could pair wrongly."""
     ts = draw(_IN_WINDOW)
     rows = [r.encode() for r in draw(st.lists(st.one_of(_valid_row(), st.just("")), max_size=25))]
     rows += [draw(reason).encode() for reason in _rejected_rows(ts)]
     rows += draw(st.lists(st.one_of(_unplain_rows(ts)), max_size=8))
     rows = draw(st.permutations(rows))
-    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
-    return newline.join([EVENTS_HEADER.encode(), *rows, b""])
+    endings = st.sampled_from([b"\n", b"\r\n", b"\r", b"\r\r\n", b"\n\r"])
+    lines = [EVENTS_HEADER.encode(), *rows]
+    return b"".join(line + draw(endings) for line in lines)
 
 
 def _assert_matches_reference(data: bytes, stream=None) -> None:
@@ -319,9 +322,11 @@ class TestParserEdges:
         _assert_matches_reference(data)
         assert len(parse_events(io.BytesIO(data), _WINDOW)[0]) == 1
 
-    def test_plain_rows_skip_the_line_parser(self, monkeypatch):
-        """Plain rows are decoded in bulk; one that reached ``_row`` would
-        still parse right but lose the block path's speed."""
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_plain_rows_skip_the_line_parser(self, monkeypatch, newline):
+        """Plain rows are decoded in bulk, whatever their line ending; one
+        that reached ``_row`` would still parse right but lose the block
+        path's speed."""
 
         def refuse(line, window):
             raise AssertionError(f"line parser called on {line!r}")
@@ -334,11 +339,62 @@ class TestParserEdges:
                  ("abcdefghijk", "~!#$", "call", "9" * 18), ("u" * 64, "b", "text", "00")] * 30
             )
         ]
-        data = "\r\n".join([EVENTS_HEADER, *rows, ""]).encode()
+        data = newline.join([EVENTS_HEADER, *rows, ""]).encode()
         cols, diags = parse_events(io.BytesIO(data), _WINDOW)
         assert diags == [] and len(cols) == len(rows)
         assert cols.users == ["a", "b", "c", "abcdefghijk", "~!#$", "u" * 64]
         assert cols.duration[:5].tolist() == [65, 0, -1, 10**18 - 1, 0]
+
+
+# the digits, their neighbours '/' and ':', and bytes a digit test could let through
+_SPAN = st.one_of(
+    st.lists(st.sampled_from(b"0123456789/:\x00\x20\x7f\xff"), max_size=20).map(bytes),
+    st.text("0123456789", max_size=20).map(str.encode),
+)
+
+
+class TestBlockPath:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(first=_SPAN, middle=_SPAN, last=_SPAN)
+    def test_decimal_matches_int(self, first, middle, last):
+        """The digit reader on spans at a block's first byte and at its last
+        byte before the pad: a span is flagged exactly when it is at most 18
+        ASCII digits, and then reads as ``int`` reads it."""
+        block = first + middle + last
+        a = np.frombuffer(block + ingest._PAD, dtype=np.uint8)
+        start = np.array([0, len(block) - len(last)])
+        end = np.array([len(first), len(block)])
+        values, flags = ingest._decimal(a, start, end)
+        for span, value, flag in zip((first, last), values.tolist(), flags.tolist()):
+            assert flag == (len(span) <= 18 and (span == b"" or span.isdigit())), span
+            if flag:
+                assert value == int(span or b"0"), span
+
+    def test_memory_does_not_grow_with_events(self, monkeypatch):
+        """``parse_events``' traced peak, less the columns it returns, holds
+        one block's temporaries and the interned ids, so it does not grow
+        when the same rows are repeated to 2x and 4x the events. Blocks are
+        patched to 4 KiB; two rows in each repeat take the line path."""
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 12)
+        start = _WINDOW.start
+        rows = [f"u{i % 7},u{i % 5 + 7},{start + i},{'call' if i % 3 else 'text'},{i % 3 * 60}"
+                for i in range(40)] + [f"é,u1,{start},call,+5", f"u2,u3,{start},call, 5"]
+
+        def overhead(times: int) -> int:
+            data = ("\n".join([EVENTS_HEADER, *rows * times]) + "\n").encode()
+            stream = io.BytesIO(data)
+            tracemalloc.start()
+            try:
+                cols, diags = parse_events(stream, _WINDOW)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert diags == [] and len(cols) == len(rows) * times
+            return peak - kept
+
+        overhead(1)  # warm caches
+        small = overhead(25)
+        assert overhead(50) <= 1.25 * small and overhead(100) <= 1.25 * small, small
 
 
 class TestParseSubscribers:
